@@ -104,7 +104,6 @@ def _build_argparser() -> _CliParser:
     p.add_argument("--mmax", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--c4", default=None)
-    p.add_argument("--workers", type=int, default=1)
     return top
 
 
@@ -166,15 +165,15 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _beta2_report(m: Manifold) -> Union[dict, Inconclusive]:
     parts, n_part = surgery.split_blowdown(m)
     try:
-        classes = monopole.monopole_classes_for_sum(parts, n_part)
+        orbit = monopole.monopole_classes_for_sum(parts, n_part)
     except FourfoldError as exc:
         return Inconclusive(str(exc))
-    value, witness = monopole.beta_squared_with_witness(classes)
+    value, witness = monopole.beta_squared_with_witness(orbit)
     return {
         "value": str(value),
         "witness": [str(x) for x in witness],
-        "classes": len(classes.classes),
-        "gram_diagonal": [classes.gram[i][i] for i in range(classes.rank)],
+        "classes": 2 ** orbit.rank,
+        "gram_diagonal": list(orbit.squares),
     }
 
 
@@ -285,8 +284,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     c4 = _c4(args)
     fn = (einstein.search_spin_examples if args.mode == "spin"
           else einstein.search_nonspin_examples)
-    outcome = fn(args.g, args.h, args.mmax, args.nmax, c4,
-                 workers=max(1, args.workers))
+    outcome = fn(args.g, args.h, args.mmax, args.nmax, c4)
     for hit in outcome.hits:
         doc = hit.to_json()
         doc["version"] = REPORT_VERSION

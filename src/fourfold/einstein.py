@@ -15,7 +15,6 @@ are reported as Inconclusive, never guessed.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -160,10 +159,12 @@ def ght(m: Manifold, c4: RationalLike = DEFAULT_C4, strict: bool = True,
         verdict = Verdict.NOT_OBSTRUCTED
     elif violated:
         verdict = Verdict.OBSTRUCTED
+        # An Obstructed certificate carries only passed premises, and
+        # Gromov's inequality fails whenever chi < 0: keep it only if it held.
         premises = (
             Premise("2chi - 3|tau| < (lower sv end)/(81 pi^2)", True,
                     f"2chi-3|tau| = {gap}, factor = {f}, c4 = {c4}"),
-        ) + premises[2:]
+        ) + tuple(p for p in premises[2:] if p.passed)
     else:
         verdict = Verdict.INCONCLUSIVE
     return Certificate(
@@ -419,8 +420,7 @@ def _hit_for_tuple(mode: str, m: int, n: int, g: int, h: int, l: int,
 
 
 def _search(mode: str, g: int, h: int, m_max: int, n_max: int,
-            c4: Fraction, workers: int,
-            enclosure: Pi2Enclosure) -> SearchOutcome:
+            c4: Fraction, enclosure: Pi2Enclosure) -> SearchOutcome:
     if g < 3 or h < 3 or g % 2 == 0 or h % 2 == 0:
         raise PremiseError(f"the searches need odd g, h >= 3; got ({g},{h})")
     if c4 <= 0:
@@ -437,6 +437,15 @@ def _search(mode: str, g: int, h: int, m_max: int, n_max: int,
         else:
             lo = max(1, exact.ceil_fraction(Fraction(8 * n + 4 * big_g, 3) - 12))
             hi = 8 * n + 4 * big_g - 12
+        # Each mode has a second pi^2 inequality,
+        #   spin:     2(n + 12m) + (1 - 4c4/(81 pi^2)) G + 21 > l1
+        #   non-spin: 8(n + 12m) + 4(1 - 4c4/(81 pi^2)) G + 84 > -5 l2,
+        # which is never decided here.  Written as A pi^2 > b, it shares
+        # b = 4 c4 G (spin) or 16 c4 G (non-spin), b > 0, with the first one
+        # below, and its A is larger by 81 (24m + 24) (spin) or
+        # 81 (96m + 96 + 6 l2) (non-spin).  So the first holding implies the
+        # second, the second failing implies the first fails, and a tie in
+        # the first is never pruned by the second.
         for l in range(lo, hi + 1):
             if mode == "spin":
                 # l1 >= (1/3)(2n + G) - 3
@@ -444,53 +453,39 @@ def _search(mode: str, g: int, h: int, m_max: int, n_max: int,
                 # 2n + (1 - 4c4/(81 pi^2)) G - 3 > l1
                 dec1 = pi2_greater(Fraction(81 * (2 * n + big_g - 3 - l)),
                                    4 * c4 * big_g, strict=True, enclosure=enclosure)
-                # 2(n + 12m) + (1 - 4c4/(81 pi^2)) G + 21 > l1
-                dec2 = pi2_greater(
-                    Fraction(81 * (2 * (n + 12 * m) + big_g + 21 - l)),
-                    4 * c4 * big_g, strict=True, enclosure=enclosure)
             else:
                 floor_ok = Fraction(l) >= Fraction(8 * n + 4 * big_g, 3) - 12
                 # 8n + 4(1 - 4c4/(81 pi^2)) G - 12 > l2
                 dec1 = pi2_greater(Fraction(81 * (8 * n + 4 * big_g - 12 - l)),
                                    16 * c4 * big_g, strict=True, enclosure=enclosure)
-                # 8(n + 12m) + 4(1 - ...) G + 84 > -5 l2; never prunes for
-                # l2 >= 0 (the right side is negative), kept verbatim.
-                dec2 = pi2_greater(
-                    Fraction(81 * (8 * (n + 12 * m) + 4 * big_g + 84 + 5 * l)),
-                    16 * c4 * big_g, strict=True, enclosure=enclosure)
-            if not floor_ok or dec1 is False or dec2 is False:
+            if not floor_ok or dec1 is False:
                 continue
-            if dec1 is None or dec2 is None:
+            if dec1 is None:
                 ties.append((m, n, l))
                 continue
             hits.append(_hit_for_tuple(mode, m, n, g, h, l, c4, enclosure))
         return hits, ties
 
-    cells = _spin_cells(m_max, n_max)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(scan_cell, cells))
-    else:
-        results = [scan_cell(c) for c in cells]
+    results = [scan_cell(c) for c in _spin_cells(m_max, n_max)]
     hits = sorted((h for hs, _ in results for h in hs), key=SearchHit.key)
     ties = sorted(t for _, ts in results for t in ts)
     return SearchOutcome(hits=tuple(hits), inconclusive=tuple(ties))
 
 
 def search_spin_examples(g: int, h: int, m_max: int, n_max: int,
-                         c4: RationalLike = DEFAULT_C4, workers: int = 1,
+                         c4: RationalLike = DEFAULT_C4,
                          enclosure: Pi2Enclosure = DEFAULT_PI2) -> SearchOutcome:
     """All (m, n, l1) with m >= 2, n >= 1, 4m + 2n - 1 = 3 (mod 4), l1 >= 1
     whose spin connected sum
     Gompf(m,n) # Y(l) # (Sigma_g x Sigma_h) # l1 (S1 x S3)
     has nonzero simplicial volume, strictly satisfies Gromov-Hitchin-Thorpe,
     and carries no Einstein metric for any l."""
-    return _search("spin", g, h, m_max, n_max, Fraction(c4), workers, enclosure)
+    return _search("spin", g, h, m_max, n_max, Fraction(c4), enclosure)
 
 
 def search_nonspin_examples(g: int, h: int, m_max: int, n_max: int,
-                            c4: RationalLike = DEFAULT_C4, workers: int = 1,
+                            c4: RationalLike = DEFAULT_C4,
                             enclosure: Pi2Enclosure = DEFAULT_PI2) -> SearchOutcome:
     """Non-spin analogue: Gompf(m,n) # Y(l) # (Sigma_g x Sigma_h) # l2 CP2bar
     with l2 >= 1 (one blow-up already kills spin-ness)."""
-    return _search("nonspin", g, h, m_max, n_max, Fraction(c4), workers, enclosure)
+    return _search("nonspin", g, h, m_max, n_max, Fraction(c4), enclosure)

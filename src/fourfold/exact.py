@@ -1,9 +1,9 @@
 """Small exact linear algebra over the rationals.
 
 Everything here operates on plain nested sequences of ``Fraction`` (or ints,
-which are promoted).  The systems that arise in this package are tiny -- Gram
-matrices of monopole-class sets and stationarity systems on polytope faces,
-never more than a few dozen rows -- so straightforward fraction-free-ish
+which are promoted).  The systems that arise are small -- Gram matrices of
+the tracked lattices, and the stationarity systems on polytope faces that
+the tests' beta^2 face oracle solves -- so straightforward fraction-free-ish
 Gaussian elimination is both fast enough and exactly correct.
 """
 

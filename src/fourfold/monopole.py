@@ -1,24 +1,21 @@
-"""Monopole-class sets, exact maximization of the intersection form over
-their convex hulls, and the curvature-derived Riemannian invariants.
+"""Monopole-class sets, beta^2, and the curvature-derived Riemannian
+invariants.
 
-beta^2 is the maximum of Q(x) = x^T G x over Hull(C), where C is the finite
-symmetric set of monopole classes and G the Gram matrix of the sublattice
-they span.  Two exact solvers are provided:
+The monopole classes of a certified sum (#X_m) # N are the sign orbit
+{sum +/- e_i} of orthogonal generators e_i: the canonical classes of the
+pieces and the exceptional classes of N.  A ``MonopoleClassSet`` stores only
+the generator squares e_i^2; its classes are a lazy view, enumerated only
+when a caller iterates it.
 
-* box reduction, for sign-orbit sets over orthogonal generators: in
-  generator coordinates the hull is the box [-1,1]^d and Q is separable, so
-  the maximum is the sum of the positive diagonal entries;
-* face enumeration: stationary points of Q on every face of the hull,
-  solved as equality-constrained rational linear systems.  For sign orbits
-  the faces are the 3^d faces of the coordinate box; for general sets of at
-  most 16 points the faces are swept through support subsets of the points.
+beta^2 is the maximum of the intersection form Q over Hull(classes).  In
+generator coordinates the hull is the box [-1,1]^rank and Q is separable,
+sum e_i^2 x_i^2, so the maximum is the sum of the positive squares
+(separable box reduction), found in O(rank).  The tests cross-check this
+closed form against face enumeration with rational stationarity systems and
+against a brute-force mesh oracle.
 
-Singular stationarity systems are skipped deliberately: when the restricted
-quadratic is degenerate along a face, the value of any interior stationary
-point is also attained on a proper subface, which is enumerated separately.
-
-Values are reported exactly; witnesses are the lexicographically least
-maximizing hull point, so concurrent evaluation cannot change the answer.
+Values are reported exactly; the witness is the lexicographically least
+maximizing hull point.
 """
 
 from __future__ import annotations
@@ -26,11 +23,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
-from fourfold import exact
 from fourfold.certify import Verdict, check_theorem_A
-from fourfold.errors import CapacityError, PremiseError
+from fourfold.errors import PremiseError
 from fourfold.model import Flag, Manifold, SpinCStructure
 from fourfold.surgery import blowdown_two_chi_plus_3tau, split_blowdown
 from fourfold.symbolic import SymbolicValue
@@ -49,37 +45,45 @@ class Inconclusive:
 
 
 @dataclass(frozen=True)
-class MonopoleClassSet:
-    """A finite, symmetric set of classes with the Gram matrix of their span."""
+class SignVectors:
+    """The 2^rank vectors {+1,-1}^rank, as a lazy read-only collection.
 
-    classes: tuple[tuple[int, ...], ...]
-    gram: tuple[tuple[int, ...], ...]
+    Iteration follows ``itertools.product((1, -1), repeat=rank)``, all-plus
+    first; membership costs O(rank).  ``len()`` cannot exceed
+    ``sys.maxsize``, so past rank 62 use ``2 ** rank``.
+    """
+
+    rank: int
+
+    def __len__(self) -> int:
+        return 2 ** self.rank
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return itertools.product((1, -1), repeat=self.rank)
+
+    def __contains__(self, v: object) -> bool:
+        return (isinstance(v, tuple) and len(v) == self.rank
+                and all(x in (1, -1) for x in v))
+
+
+@dataclass(frozen=True)
+class MonopoleClassSet:
+    """The sign orbit {sum +/- e_i} of orthogonal generators, stored by the
+    generator squares e_i^2 (the diagonal of the Gram matrix of the span).
+
+    ``classes`` lists the orbit in generator coordinates, as sign vectors.
+    """
+
+    squares: tuple[int, ...]
     source: str = ""
 
     @property
     def rank(self) -> int:
-        return len(self.gram)
+        return len(self.squares)
 
-    def is_symmetric(self) -> bool:
-        pool = set(self.classes)
-        return all(tuple(-x for x in v) in pool for v in self.classes)
-
-    def is_sign_orbit(self) -> bool:
-        """True when the classes are exactly all sign vectors {+/-1}^rank."""
-        d = self.rank
-        if len(self.classes) != 2 ** d:
-            return False
-        if not all(all(x in (1, -1) for x in v) for v in self.classes):
-            return False
-        return len(set(self.classes)) == 2 ** d
-
-    def gram_is_diagonal(self) -> bool:
-        return all(self.gram[i][j] == 0
-                   for i in range(self.rank) for j in range(self.rank) if i != j)
-
-    def negated(self) -> "MonopoleClassSet":
-        return MonopoleClassSet(
-            tuple(tuple(-x for x in v) for v in self.classes), self.gram, self.source)
+    @property
+    def classes(self) -> SignVectors:
+        return SignVectors(self.rank)
 
 
 def monopole_classes_for_sum(parts: Sequence[Manifold],
@@ -100,167 +104,30 @@ def monopole_classes_for_sum(parts: Sequence[Manifold],
             raise PremiseError(
                 f"the blowdown piece must have b+ = 0, got {blowdown.char.b_plus}")
         k = blowdown.char.b_minus
-    diag = [p.canonical_spinc.c1_squared for p in parts] + [-1] * k
-    d = len(diag)
-    gram = tuple(tuple(diag[i] if i == j else 0 for j in range(d)) for i in range(d))
-    classes = tuple(itertools.product((1, -1), repeat=d))
     return MonopoleClassSet(
-        classes=classes, gram=gram,
+        squares=tuple(p.canonical_spinc.c1_squared for p in parts) + (-1,) * k,
         source=f"sign orbit of {len(parts)} canonical classes and {k} "
                "exceptional classes (diagonalized by Donaldson's theorem)")
 
 
 # ---------------------------------------------------------------------------
-# beta^2 solvers
-
-_GENERAL_POINT_CAP = 16
-_BOX_FACE_RANK_CAP = 12
+# beta^2
 
 Witness = tuple[Fraction, ...]
 
 
-def _lex_min(points: list[Witness]) -> Witness:
-    return min(points)
-
-
-def beta_squared_box(s: MonopoleClassSet) -> tuple[Fraction, Witness]:
-    """Separable box maximization; requires a sign orbit with diagonal Gram.
+def beta_squared_with_witness(s: MonopoleClassSet) -> tuple[Fraction, Witness]:
+    """Exact beta^2 by separable box reduction, with the lexicographically
+    least maximizer.
 
     Coordinates with positive square sit at +/-1, the rest at 0; the value is
-    the sum of the positive diagonal entries.  The reported witness is the
-    lexicographically least maximizer: -1 on coordinates of square >= 0
-    (those of square 0 are free among maximizers), 0 on negative ones.
+    the sum of the positive squares.  The witness is -1 on coordinates of
+    square >= 0 (those of square 0 are free among maximizers) and 0 on
+    negative ones.
     """
-    if not s.is_sign_orbit() or not s.gram_is_diagonal():
-        raise PremiseError("box reduction needs a sign orbit over orthogonal generators")
-    value = Fraction(0)
-    witness: list[Fraction] = []
-    for i in range(s.rank):
-        g = s.gram[i][i]
-        if g > 0:
-            value += g
-        witness.append(Fraction(-1) if g >= 0 else Fraction(0))
-    return value, tuple(witness)
-
-
-def _box_face_candidates(gram: Sequence[Sequence[int]], d: int):
-    for assignment in itertools.product((-1, 0, 1), repeat=d):
-        fixed = [i for i in range(d) if assignment[i] != 0]
-        free = [i for i in range(d) if assignment[i] == 0]
-        if not free:
-            point = [Fraction(assignment[i]) for i in range(d)]
-            yield point
-            continue
-        a = [[Fraction(gram[i][j]) for j in free] for i in free]
-        b = [-sum(Fraction(gram[i][j]) * assignment[j] for j in fixed) for i in free]
-        u = exact.solve_unique(a, b)
-        if u is None:
-            continue
-        if any(abs(x) > 1 for x in u):
-            continue
-        point = [Fraction(0)] * d
-        for i in fixed:
-            point[i] = Fraction(assignment[i])
-        for i, x in zip(free, u, strict=True):
-            point[i] = x
-        yield point
-
-
-def _beta_squared_box_faces(s: MonopoleClassSet) -> tuple[Fraction, Witness]:
-    """Face enumeration over the coordinate box of a sign orbit.
-
-    The hull of all sign vectors is the box [-1,1]^d; each of the 3^d faces
-    fixes some coordinates at +/-1, and the stationary point of Q on its
-    affine hull is a rational linear solve.  No separability is used, so a
-    non-diagonal Gram is fine.
-    """
-    d = s.rank
-    if d > _BOX_FACE_RANK_CAP:
-        raise CapacityError(f"box face enumeration capped at rank {_BOX_FACE_RANK_CAP}")
-    best: Optional[Fraction] = None
-    maximizers: list[Witness] = []
-    for point in _box_face_candidates(s.gram, d):
-        value = exact.quadratic_form(s.gram, point)
-        if best is None or value > best:
-            best = value
-            maximizers = [tuple(point)]
-        elif value == best:
-            maximizers.append(tuple(point))
-    assert best is not None
-    return best, _lex_min(maximizers)
-
-
-def _beta_squared_support_sets(s: MonopoleClassSet) -> tuple[Fraction, Witness]:
-    """Stationarity sweep over support subsets of a general small point set.
-
-    Maximizing Q over Hull(v_1..v_m) equals maximizing l^T M l over the
-    standard simplex, M the Gram matrix of the points.  Every maximizer has a
-    support whose stationarity system (2(Ml)_i = mu on the support,
-    sum l = 1) either is uniquely solvable or degenerates onto a smaller
-    support, so sweeping all subsets with unique solutions plus all vertices
-    is exhaustive.
-    """
-    m = len(s.classes)
-    if m > _GENERAL_POINT_CAP:
-        raise CapacityError(
-            f"general hull maximization is capped at {_GENERAL_POINT_CAP} points; "
-            "larger sets must be sign orbits")
-    points = [tuple(Fraction(x) for x in v) for v in s.classes]
-    gram_big = [[exact.pairing(s.gram, points[i], points[j]) for j in range(m)]
-                for i in range(m)]
-    best: Optional[Fraction] = None
-    maximizers: list[Witness] = []
-
-    def consider(value: Fraction, point: Witness) -> None:
-        nonlocal best, maximizers
-        if best is None or value > best:
-            best = value
-            maximizers = [point]
-        elif value == best:
-            maximizers.append(point)
-
-    for i in range(m):
-        consider(gram_big[i][i], points[i])
-    for size in range(2, m + 1):
-        for support in itertools.combinations(range(m), size):
-            t = len(support)
-            a: list[list[Fraction]] = []
-            for i in support:
-                row = [2 * gram_big[i][j] for j in support]
-                row.append(Fraction(-1))
-                a.append(row)
-            a.append([Fraction(1)] * t + [Fraction(0)])
-            b = [Fraction(0)] * t + [Fraction(1)]
-            sol = exact.solve_unique(a, b)
-            if sol is None:
-                continue
-            lam, mu = sol[:t], sol[t]
-            if any(x < 0 for x in lam):
-                continue
-            point = tuple(
-                sum(lam[idx] * points[i][coord] for idx, i in enumerate(support))
-                for coord in range(s.rank))
-            consider(mu / 2, point)
-    assert best is not None
-    return best, _lex_min(maximizers)
-
-
-def beta_squared_faces(s: MonopoleClassSet) -> tuple[Fraction, Witness]:
-    """Exact face-enumeration maximizer (value, lex-least witness)."""
-    if s.is_sign_orbit():
-        return _beta_squared_box_faces(s)
-    return _beta_squared_support_sets(s)
-
-
-def beta_squared_with_witness(s: MonopoleClassSet) -> tuple[Fraction, Witness]:
-    if not s.classes:
-        raise PremiseError("beta^2 of an empty class set is undefined here; "
-                           "a certified-empty set has beta^2 = 0 by convention")
-    if not s.is_symmetric():
-        raise PremiseError("monopole class sets are symmetric: v in C iff -v in C")
-    if s.is_sign_orbit() and s.gram_is_diagonal():
-        return beta_squared_box(s)
-    return beta_squared_faces(s)
+    value = Fraction(sum(g for g in s.squares if g > 0))
+    witness = tuple(Fraction(-1) if g >= 0 else Fraction(0) for g in s.squares)
+    return value, witness
 
 
 def beta_squared(s: MonopoleClassSet) -> Fraction:

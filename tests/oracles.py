@@ -1,10 +1,12 @@
 """Independent oracles used by the tests.
 
-These deliberately avoid the solver code paths they check: the mesh oracle
-enumerates grid points of the hull by brute force (vectorized with numpy on
-plain integers, which is exact well below 2^53), and the interval oracle
-re-evaluates the search inequalities with interval arithmetic over a coarse
-rational bracket of pi^2.
+These deliberately avoid the solver code paths they check: the face solvers
+maximize the intersection form over the hull of an explicit class list with
+rational stationarity systems on every face, the mesh oracle enumerates grid
+points of the hull by brute force (vectorized with numpy on plain integers,
+which is exact well below 2^53), and the interval oracle re-evaluates the
+search inequalities with interval arithmetic over a coarse rational bracket
+of pi^2.
 """
 
 from __future__ import annotations
@@ -15,8 +17,140 @@ from fractions import Fraction
 
 import numpy as np
 
+from fourfold import exact
+
 MESH_DEN = 32
 FULL_MESH_POINT_CAP = 20_000_000
+
+
+# -- face enumeration: the explicit second beta^2 solver ---------------------
+
+
+def sign_orbit(squares):
+    """The explicit (classes, gram) pair of the sign orbit of orthogonal
+    generators with the given squares."""
+    d = len(squares)
+    gram = tuple(tuple(squares[i] if i == j else 0 for j in range(d))
+                 for i in range(d))
+    return tuple(itertools.product((1, -1), repeat=d)), gram
+
+
+def _is_sign_orbit(classes, d: int) -> bool:
+    """True when the classes are exactly all sign vectors {+/-1}^d."""
+    return (len(classes) == 2 ** d
+            and all(all(x in (1, -1) for x in v) for v in classes)
+            and len(set(classes)) == 2 ** d)
+
+
+def _box_face_candidates(gram, d: int):
+    for assignment in itertools.product((-1, 0, 1), repeat=d):
+        fixed = [i for i in range(d) if assignment[i] != 0]
+        free = [i for i in range(d) if assignment[i] == 0]
+        if not free:
+            yield [Fraction(x) for x in assignment]
+            continue
+        a = [[Fraction(gram[i][j]) for j in free] for i in free]
+        b = [-sum(Fraction(gram[i][j]) * assignment[j] for j in fixed) for i in free]
+        u = exact.solve_unique(a, b)
+        if u is None:
+            continue
+        if any(abs(x) > 1 for x in u):
+            continue
+        point = [Fraction(0)] * d
+        for i in fixed:
+            point[i] = Fraction(assignment[i])
+        for i, x in zip(free, u, strict=True):
+            point[i] = x
+        yield point
+
+
+def beta_squared_box_faces(gram):
+    """Face enumeration over the coordinate box of a sign orbit.
+
+    The hull of all sign vectors is the box [-1,1]^d; each of the 3^d faces
+    fixes some coordinates at +/-1, and the stationary point of Q on its
+    affine hull is a rational linear solve.  Singular systems are skipped:
+    when Q is degenerate along a face, the value of any interior stationary
+    point is also attained on a proper subface.  No separability is used, so
+    a non-diagonal Gram is fine.  Returns (value, lex-least maximizer).
+    """
+    best = None
+    maximizers = []
+    for point in _box_face_candidates(gram, len(gram)):
+        value = exact.quadratic_form(gram, point)
+        if best is None or value > best:
+            best = value
+            maximizers = [tuple(point)]
+        elif value == best:
+            maximizers.append(tuple(point))
+    return best, min(maximizers)
+
+
+def beta_squared_support_sets(classes, gram):
+    """Stationarity sweep over support subsets of a general small point set.
+
+    Maximizing Q over Hull(v_1..v_m) equals maximizing l^T M l over the
+    standard simplex, M the Gram matrix of the points.  Every maximizer has a
+    support whose stationarity system (2(Ml)_i = mu on the support,
+    sum l = 1) either is uniquely solvable or degenerates onto a smaller
+    support, so sweeping all subsets with unique solutions plus all vertices
+    is exhaustive.  Returns (value, lex-least maximizer).
+    """
+    m = len(classes)
+    points = [tuple(Fraction(x) for x in v) for v in classes]
+    gram_big = [[exact.pairing(gram, points[i], points[j]) for j in range(m)]
+                for i in range(m)]
+    best = None
+    maximizers = []
+
+    def consider(value, point):
+        nonlocal best, maximizers
+        if best is None or value > best:
+            best = value
+            maximizers = [point]
+        elif value == best:
+            maximizers.append(point)
+
+    for i in range(m):
+        consider(gram_big[i][i], points[i])
+    for size in range(2, m + 1):
+        for support in itertools.combinations(range(m), size):
+            t = len(support)
+            a = []
+            for i in support:
+                row = [2 * gram_big[i][j] for j in support]
+                row.append(Fraction(-1))
+                a.append(row)
+            a.append([Fraction(1)] * t + [Fraction(0)])
+            b = [Fraction(0)] * t + [Fraction(1)]
+            sol = exact.solve_unique(a, b)
+            if sol is None:
+                continue
+            lam, mu = sol[:t], sol[t]
+            if any(x < 0 for x in lam):
+                continue
+            point = tuple(
+                sum(lam[idx] * points[i][coord] for idx, i in enumerate(support))
+                for coord in range(len(gram)))
+            consider(mu / 2, point)
+    return best, min(maximizers)
+
+
+def beta_squared_faces(classes, gram):
+    """Exact maximum of x^T G x over Hull(classes) with its lex-least
+    maximizer: box faces for a sign orbit, support sets otherwise.
+
+    Monopole-class sets are symmetric, so an asymmetric or empty class list
+    is rejected with ValueError.
+    """
+    if not classes:
+        raise ValueError("beta^2 of an empty class set is undefined")
+    pool = set(classes)
+    if not all(tuple(-x for x in v) in pool for v in classes):
+        raise ValueError("monopole class sets are symmetric: v in C iff -v in C")
+    if _is_sign_orbit(classes, len(gram)):
+        return beta_squared_box_faces(gram)
+    return beta_squared_support_sets(classes, gram)
 
 
 def mesh_error_bound(gram, den: int = MESH_DEN) -> Fraction:

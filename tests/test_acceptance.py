@@ -8,7 +8,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.
 """
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -33,8 +32,7 @@ from fourfold.errors import PremiseError
 from fourfold.model import CharData, Manifold, SpinCStructure, zero_s_matrix
 from fourfold.monopole import (
     MonopoleClassSet,
-    beta_squared_box,
-    beta_squared_faces,
+    beta_squared,
     invariant_Ir,
     invariant_Is_Y_K,
     lambda_bar_k,
@@ -44,12 +42,15 @@ from fourfold.surgery import all_sign_spinc, connected_sum
 from fourfold.symbolic import SymbolicValue
 
 from oracles import (
+    beta_squared_faces,
     box_mesh_max,
     box_mesh_sample_max,
     mesh_error_bound,
+    sign_orbit,
     spin_tuple_certified,
 )
 import test_parser as parser_corpus
+from test_einstein import assert_cell_order_independent
 
 
 def _report(num: int, description: str):
@@ -173,13 +174,10 @@ def test_criterion_6_beta_squared_oracles():
                   [-1, -1, -1, -1, -1], [32, 32, -1], [0, -5, 7, 0]])
     for diag in cases:
         d = len(diag)
-        gram = tuple(tuple(diag[i] if i == j else 0 for j in range(d))
-                     for i in range(d))
-        orbit = MonopoleClassSet(
-            classes=tuple(itertools.product((1, -1), repeat=d)), gram=gram)
+        classes, gram = sign_orbit(diag)
         expected = sum(x for x in diag if x > 0)
-        box_val, _ = beta_squared_box(orbit)
-        face_val, _ = beta_squared_faces(orbit)
+        box_val = beta_squared(MonopoleClassSet(tuple(diag)))
+        face_val, _ = beta_squared_faces(classes, gram)
         assert box_val == face_val == expected, diag
         if d <= 4:
             mesh = box_mesh_max(gram)
@@ -219,7 +217,7 @@ def test_criterion_8_einstein_separation():
 
 @_report(9, "spin geography search: content, re-verification, determinism")
 def test_criterion_9_spin_search():
-    baseline = search_spin_examples(3, 3, 4, 6, 1, workers=1)
+    baseline = search_spin_examples(3, 3, 4, 6, 1)
     assert baseline.hits
     keys = [h.key() for h in baseline.hits]
     assert (2, 2, 1) in keys
@@ -233,10 +231,7 @@ def test_criterion_9_spin_search():
         assert ght_cert.verdict is Verdict.NOT_OBSTRUCTED
         assert all(p.passed for p in ght_cert.premises)  # strict, both ends
         assert by_id["einstein-special"].verdict is Verdict.OBSTRUCTED
-    for workers in range(2, 9):
-        again = search_spin_examples(3, 3, 4, 6, 1, workers=workers)
-        assert [h.to_json() for h in again.hits] == [
-            h.to_json() for h in baseline.hits]
+    assert_cell_order_independent(3, 3, 4, 6, 1)
 
 
 @_report(10, "decomposition bound and the exotic-pair certificate")

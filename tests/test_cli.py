@@ -136,6 +136,16 @@ def test_check_ght_inconclusive_exit(capsys, schema):
     assert doc["verdict"] == "Inconclusive"
 
 
+def test_check_ght_obstructed_with_negative_euler(capsys, schema):
+    # chi < 0 fails Gromov's inequality, which an Obstructed verdict omits
+    code, out, _ = _run(capsys, "check", "ght", "Sigma(1,1) # Sigma(1,2) # "
+                        "Sigma(1,3) # Sigma(1,4) # Sigma(1,5)")
+    assert code == 0
+    (doc,) = _validate_lines(schema, out)
+    assert doc["verdict"] == "Obstructed"
+    assert all(p["pass"] for p in doc["certificate"]["premises"])
+
+
 def test_check_hitchin_thorpe(capsys, schema):
     code, out, _ = _run(capsys, "check", "hitchin-thorpe", "2*K3")
     assert code == 0

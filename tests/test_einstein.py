@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from fourfold import einstein
 from fourfold.catalog import catalog_get
 from fourfold.certify import Verdict
 from fourfold.einstein import (
@@ -279,6 +281,9 @@ def test_nonspin_search_range():
         assert hit.manifold_name.count("CP2bar") == 1  # "l2*CP2bar" piece
 
 
+TIE_C4 = (PI2_LO + PI2_HI) / 2 * Fraction(81, 4)  # a dec1 tie at (2, 2, 1)
+
+
 def test_nonspin_in22_never_prunes_at_default_constant():
     # the second inequality holds for every enumerated candidate when c4 = 1
     big_g = 4
@@ -287,6 +292,32 @@ def test_nonspin_in22_never_prunes_at_default_constant():
             for l2 in range(0, 8 * n + 4 * big_g - 12 + 1):
                 a = Fraction(81 * (8 * (n + 12 * m) + 4 * big_g + 84 + 5 * l2))
                 assert pi2_greater(a, Fraction(16 * big_g)) is True
+    # In both modes the first inequality decides the second: where the
+    # first holds, so does the second, and a tie in the first is never a
+    # failure of the second.  So the search decides only the first.
+    ties = 0
+    for c4 in (Fraction(1), TIE_C4, Fraction(10**3), Fraction(10**6)):
+        for m in range(2, 5):
+            for n in range(1, 7):
+                for l in range(0, 8 * n + 4 * big_g - 12 + 1):
+                    pairs = (
+                        (81 * (2 * n + big_g - 3 - l),
+                         81 * (2 * (n + 12 * m) + big_g + 21 - l), 4 * c4 * big_g),
+                        (81 * (8 * n + 4 * big_g - 12 - l),
+                         81 * (8 * (n + 12 * m) + 4 * big_g + 84 + 5 * l),
+                         16 * c4 * big_g),
+                    )
+                    for a1, a2, b in pairs:
+                        dec1 = pi2_greater(Fraction(a1), b)
+                        dec2 = pi2_greater(Fraction(a2), b)
+                        if dec1 is True:
+                            assert dec2 is True
+                        if dec1 is None:
+                            ties += 1
+                            assert dec2 is not False
+                        if dec2 is False:
+                            assert dec1 is False
+    assert ties >= 2  # the tie constant makes ties in both modes
 
 
 def test_search_rejects_bad_parameters():
@@ -304,15 +335,30 @@ def test_search_huge_c4_empty():
 
 
 def test_search_inconclusive_on_engineered_tie():
-    mid = (PI2_LO + PI2_HI) / 2
-    c4 = mid * Fraction(81, 4)  # makes ein-in-1 a tie at (m,n,l) = (2,2,1)
-    out = search_spin_examples(3, 3, 2, 2, c4)
+    out = search_spin_examples(3, 3, 2, 2, TIE_C4)
     assert (2, 2, 1) in out.inconclusive
 
 
-def test_search_worker_determinism():
-    baseline = search_spin_examples(3, 3, 4, 6, 1, workers=1)
-    for workers in range(2, 9):
-        again = search_spin_examples(3, 3, 4, 6, 1, workers=workers)
-        assert [h.to_json() for h in again.hits] == [h.to_json() for h in baseline.hits]
+def assert_cell_order_independent(g, h, m_max, n_max, c4):
+    """Re-run the spin search with its (m, n) cells reversed and then
+    shuffled by three seeds, and require identical hits and ties; returns
+    the outcome in the natural order."""
+    baseline = search_spin_examples(g, h, m_max, n_max, c4)
+    cells = einstein._spin_cells
+    orders = [lambda cs: cs[::-1]] + [
+        lambda cs, seed=seed: random.Random(seed).sample(cs, len(cs))
+        for seed in range(3)]
+    for order in orders:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(einstein, "_spin_cells",
+                       lambda m, n, order=order: order(cells(m, n)))
+            again = search_spin_examples(g, h, m_max, n_max, c4)
+        assert ([hit.to_json() for hit in again.hits]
+                == [hit.to_json() for hit in baseline.hits])
         assert again.inconclusive == baseline.inconclusive
+    return baseline
+
+
+def test_search_cell_order_determinism():
+    assert assert_cell_order_independent(3, 3, 4, 6, 1).hits
+    assert assert_cell_order_independent(3, 3, 4, 6, TIE_C4).inconclusive

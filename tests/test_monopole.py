@@ -1,12 +1,15 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fourfold import monopole
 from fourfold.catalog import catalog_get
-from fourfold.errors import CapacityError, PremiseError
+from fourfold.cli import main
+from fourfold.errors import PremiseError
 from fourfold.exact import quadratic_form
 from fourfold.monopole import (
     CurvatureBounds,
@@ -14,8 +17,6 @@ from fourfold.monopole import (
     MonopoleClassSet,
     adjunction_genus_bound,
     beta_squared,
-    beta_squared_box,
-    beta_squared_faces,
     beta_squared_with_witness,
     curvature_bounds,
     genus_lower_bound,
@@ -23,7 +24,6 @@ from fourfold.monopole import (
     invariant_Is_Y_K,
     lambda_bar_k,
     monopole_classes_for_sum,
-    _beta_squared_support_sets,
 )
 from fourfold.surgery import connected_sum
 from fourfold.symbolic import SymbolicValue
@@ -31,9 +31,12 @@ from fourfold.symbolic import SymbolicValue
 from oracles import (
     FULL_MESH_POINT_CAP,
     MESH_DEN,
+    beta_squared_faces,
+    beta_squared_support_sets,
     box_mesh_max,
     box_mesh_sample_max,
     mesh_error_bound,
+    sign_orbit,
 )
 
 K3 = catalog_get("K3")
@@ -42,22 +45,18 @@ CP2BAR = catalog_get("CP2bar")
 S1XS3 = catalog_get("S1xS3")
 
 
-def _orbit(diag):
-    d = len(diag)
-    gram = tuple(tuple(diag[i] if i == j else 0 for j in range(d)) for i in range(d))
-    classes = tuple(itertools.product((1, -1), repeat=d))
-    return MonopoleClassSet(classes=classes, gram=gram)
-
-
 def test_monopole_classes_for_sum():
     s = monopole_classes_for_sum([SIGMA33, SIGMA33])
     assert len(s.classes) == 4
-    assert s.gram == ((32, 0), (0, 32))
-    assert s.is_symmetric() and s.is_sign_orbit()
+    assert s.squares == (32, 32)
+    assert list(s.classes) == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
     s2 = monopole_classes_for_sum([SIGMA33, SIGMA33], CP2BAR)
-    assert len(s2.classes) == 8
+    assert len(s2.classes) == 8 and s2.rank == 3
     assert (1, 1, 1) in s2.classes and (1, 1, -1) in s2.classes
-    assert s2.gram == ((32, 0, 0), (0, 32, 0), (0, 0, -1))
+    assert (1, 0, 1) not in s2.classes and (1, 1) not in s2.classes
+    assert [1, 1, 1] not in s2.classes  # classes are tuples
+    assert s2.squares == (32, 32, -1)
+    assert tuple(s2.classes) == sign_orbit([32, 32, -1])[0]
 
 
 def test_monopole_classes_premises():
@@ -69,41 +68,60 @@ def test_monopole_classes_premises():
         monopole_classes_for_sum([catalog_get("CP2"), K3])
 
 
+def _forbid_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sign vectors were enumerated")
+    monkeypatch.setattr(monopole.itertools, "product", refuse)
+
+
+def test_no_sign_vector_enumeration_in_cli(monkeypatch, capsys):
+    _forbid_enumeration(monkeypatch)
+    expr = "2*Sigma(3,3) # 18*CP2bar"
+    for command in ("beta2", "invariants"):
+        assert main([command, expr]) == 0
+        beta = json.loads(capsys.readouterr().out)["beta_squared"]
+        assert beta["value"] == "64"
+        assert beta["classes"] == 1048576
+        assert len(beta["witness"]) == 20
+
+
+def test_no_sign_vector_enumeration_in_library(monkeypatch):
+    _forbid_enumeration(monkeypatch)
+    remainder = connected_sum([CP2BAR] * 200)
+    s = monopole_classes_for_sum([SIGMA33, SIGMA33], remainder)
+    assert s.rank == 202
+    assert s.squares == (32, 32) + (-1,) * 200
+    value, witness = beta_squared_with_witness(s)
+    assert value == 64
+    assert witness == (Fraction(-1),) * 2 + (Fraction(0),) * 200
+    assert (1,) * 202 in s.classes and (1,) * 201 + (0,) not in s.classes
+
+
 def test_beta_squared_examples():
-    assert beta_squared(_orbit([32, 32])) == 64
-    assert beta_squared(_orbit([32, 32, -1])) == 64
-    null = MonopoleClassSet(classes=((2, 0), (-2, 0)),
-                            gram=((0, 1), (1, 0)))
-    assert beta_squared(null) == 0
+    assert beta_squared(MonopoleClassSet((32, 32))) == 64
+    assert beta_squared(MonopoleClassSet((32, 32, -1))) == 64
+    # a null class outside any sign orbit, solved by the oracle alone
+    assert beta_squared_faces(((2, 0), (-2, 0)), ((0, 1), (1, 0)))[0] == 0
 
 
 def test_beta_squared_witness_is_lex_least():
-    value, witness = beta_squared_with_witness(_orbit([32, 32, -1]))
+    value, witness = beta_squared_with_witness(MonopoleClassSet((32, 32, -1)))
     assert value == 64
     assert witness == (Fraction(-1), Fraction(-1), Fraction(0))
-    value2, witness2 = beta_squared_faces(_orbit([32, 32, -1]))
-    assert (value2, witness2) == (value, witness)
+    assert beta_squared_faces(*sign_orbit([32, 32, -1])) == (value, witness)
 
 
 def test_beta_squared_rejects_asymmetric():
-    bad = MonopoleClassSet(classes=((1, 1), (1, -1), (-1, 1)),
-                           gram=((1, 0), (0, 1)))
-    with pytest.raises(PremiseError):
-        beta_squared(bad)
+    with pytest.raises(ValueError):
+        beta_squared_faces(((1, 1), (1, -1), (-1, 1)), ((1, 0), (0, 1)))
 
 
 def test_beta_squared_empty():
-    with pytest.raises(PremiseError):
-        beta_squared(MonopoleClassSet(classes=(), gram=()))
-
-
-def test_general_cap():
-    pts = tuple((i,) + (0,) * 16 for i in range(-9, 10) if i != 0)
-    assert len(pts) > 16
-    big = MonopoleClassSet(classes=pts, gram=tuple(
-        tuple(1 if i == j else 0 for j in range(17)) for i in range(17)))
-    with pytest.raises(CapacityError):
-        beta_squared(big)
+    with pytest.raises(ValueError):
+        beta_squared_faces((), ())
+    # no generators: the orbit is the single zero class
+    s = MonopoleClassSet(())
+    assert list(s.classes) == [()] and beta_squared_with_witness(s) == (0, ())
 
 
 @given(st.integers(1, 5), st.integers())
@@ -111,10 +129,9 @@ def test_general_cap():
 def test_box_equals_faces_equals_positive_sum(d, seed):
     rng = random.Random(seed)
     diag = [rng.randint(-64, 64) for _ in range(d)]
-    orbit = _orbit(diag)
     expected = sum(x for x in diag if x > 0)
-    box_val, box_wit = beta_squared_box(orbit)
-    face_val, face_wit = beta_squared_faces(orbit)
+    box_val, box_wit = beta_squared_with_witness(MonopoleClassSet(tuple(diag)))
+    face_val, face_wit = beta_squared_faces(*sign_orbit(diag))
     assert box_val == expected
     assert face_val == expected
     assert box_wit == face_wit
@@ -125,28 +142,23 @@ def test_support_set_solver_agrees_on_small_orbits():
     for d in (1, 2, 3):
         for _ in range(10):
             diag = [rng.randint(-64, 64) for _ in range(d)]
-            orbit = _orbit(diag)
-            general_val, _ = _beta_squared_support_sets(orbit)
+            general_val, _ = beta_squared_support_sets(*sign_orbit(diag))
             assert general_val == sum(x for x in diag if x > 0)
 
 
 def test_non_diagonal_sign_orbit():
     gram = ((2, 1), (1, 2))
-    orbit = MonopoleClassSet(classes=tuple(itertools.product((1, -1), repeat=2)),
-                             gram=gram)
-    face_val, _ = beta_squared_faces(orbit)
-    general_val, _ = _beta_squared_support_sets(orbit)
+    classes = tuple(itertools.product((1, -1), repeat=2))
+    face_val, _ = beta_squared_faces(classes, gram)
+    general_val, _ = beta_squared_support_sets(classes, gram)
     assert face_val == general_val == 6
-    with pytest.raises(PremiseError):
-        beta_squared_box(orbit)  # box reduction needs a diagonal Gram
     assert face_val >= box_mesh_max(gram)
 
 
 def test_general_solver_interior_maximum():
     # max of a negative-definite form over any hull is 0 at the origin
     pts = ((1, 0), (-1, 0), (0, 1), (0, -1))
-    s = MonopoleClassSet(classes=pts, gram=((-2, 0), (0, -3)))
-    val, wit = beta_squared_with_witness(s)
+    val, wit = beta_squared_faces(pts, ((-2, 0), (0, -3)))
     assert val == 0
     assert wit == (Fraction(0), Fraction(0))
 
@@ -156,19 +168,19 @@ def test_general_solver_interior_maximum():
 def test_mesh_oracle_bounds_solver(d, seed):
     rng = random.Random(seed)
     diag = [rng.randint(-64, 64) for _ in range(d)]
-    orbit = _orbit(diag)
-    solver = beta_squared(orbit)
-    mesh = box_mesh_max(orbit.gram)
+    _, gram = sign_orbit(diag)
+    solver = beta_squared(MonopoleClassSet(tuple(diag)))
+    mesh = box_mesh_max(gram)
     assert solver >= mesh
-    assert solver - mesh <= mesh_error_bound(orbit.gram)
+    assert solver - mesh <= mesh_error_bound(gram)
 
 
 def test_mesh_sample_lower_bounds_rank5():
     rng = random.Random(99)
     diag = [rng.randint(-64, 64) for _ in range(5)]
-    orbit = _orbit(diag)
-    solver = beta_squared(orbit)
-    sample = box_mesh_sample_max(orbit.gram, rng, count=50_000)
+    _, gram = sign_orbit(diag)
+    solver = beta_squared(MonopoleClassSet(tuple(diag)))
+    sample = box_mesh_sample_max(gram, rng, count=50_000)
     assert solver >= sample
     assert (2 * MESH_DEN + 1) ** 5 > FULL_MESH_POINT_CAP  # full mesh out of reach
 
@@ -178,12 +190,14 @@ def test_mesh_sample_lower_bounds_rank5():
 def test_beta_squared_symmetry_and_midpoints(d, seed):
     rng = random.Random(seed)
     diag = [rng.randint(-64, 64) for _ in range(d)]
-    orbit = _orbit(diag)
+    orbit = MonopoleClassSet(tuple(diag))
     val = beta_squared(orbit)
-    assert beta_squared(orbit.negated()) == val
+    _, gram = sign_orbit(diag)
+    for v in orbit.classes:
+        assert tuple(-x for x in v) in orbit.classes
     for v, w in itertools.combinations(orbit.classes, 2):
         mid = [Fraction(a + b, 2) for a, b in zip(v, w)]
-        assert val >= quadratic_form(orbit.gram, mid)
+        assert val >= quadratic_form(gram, mid)
 
 
 def test_beta_squared_lower_bound_sum_c1sq():
