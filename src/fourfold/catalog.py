@@ -20,7 +20,7 @@ import json
 import re
 from typing import Callable, Optional
 
-from fourfold.errors import CatalogError
+from fourfold.errors import CapacityError, CatalogError
 from fourfold.model import (
     CharData,
     Flag,
@@ -237,8 +237,23 @@ def catalog_ids() -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # JSON serialization
 
+# The JSON form spells out the dense Gram matrix and s-matrix of a sum, so it
+# is capped by their entry count, rank^2 + b1^2.  The largest sums the
+# benchmark dumps have about 1.3 * 10^5 entries.
+DENSE_ENTRY_CAP = 4_000_000
+
 
 def manifold_to_json(m: Manifold) -> dict:
+    """The JSON document of ``m``, with dense matrices and vectors.
+
+    Raises CapacityError when they would exceed ``DENSE_ENTRY_CAP`` entries.
+    """
+    rank = 0 if m.lattice is None else m.lattice.rank
+    entries = rank * rank + m.char.b1 * m.char.b1
+    if entries > DENSE_ENTRY_CAP:
+        raise CapacityError(
+            f"the JSON form would hold rank^2 + b1^2 = {entries} matrix entries, "
+            f"over the cap of {DENSE_ENTRY_CAP}")
     doc: dict = {
         "version": CATALOG_VERSION,
         "name": m.name,
@@ -259,8 +274,9 @@ def manifold_to_json(m: Manifold) -> dict:
             "gram": [list(row) for row in m.lattice.gram],
         }
     for g in m.spinc_structures:
+        c1 = g.c1
         doc["spinc"].append({
-            "c1": None if g.c1 is None else list(g.c1),
+            "c1": None if c1 is None else list(c1),
             "c1_squared": g.c1_squared,
             "s_matrix": [list(row) for row in g.s_matrix],
             "sw_parity": g.sw_parity.value,
@@ -269,55 +285,150 @@ def manifold_to_json(m: Manifold) -> dict:
     return doc
 
 
-def manifold_from_json(doc: dict) -> Manifold:
+# -- reading documents: every field is checked, and errors name it ----------
+
+_MISSING = object()
+
+_KINDS: dict[str, tuple[str, Callable[[object], bool]]] = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "list": ("a list", lambda v: isinstance(v, list)),
+    "object": ("an object", lambda v: isinstance(v, dict)),
+}
+
+
+def _shown(value: object) -> str:
+    return json.dumps(value)[:40]
+
+
+def _object(value: object, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise CatalogError(f"{what} must be an object, got {_shown(value)}")
+    return value
+
+
+def _check(value: object, kind: str, where: str, path: str) -> object:
+    what, ok = _KINDS[kind]
+    if not ok(value):
+        raise CatalogError(f"{where}: field {path!r} must be {what}, got {_shown(value)}")
+    return value
+
+
+def _field(doc: dict, key: str, kind: str, where: str, prefix: str = "",
+           default: object = _MISSING, nullable: bool = False) -> object:
+    path = prefix + key
+    if key not in doc:
+        if default is _MISSING:
+            raise CatalogError(f"{where}: missing field {path!r}")
+        return default
+    value = doc[key]
+    if value is None and nullable:
+        return None
+    return _check(value, kind, where, path)
+
+
+def _int_list(value: object, where: str, path: str) -> tuple[int, ...]:
+    return tuple(_check(x, "int", where, f"{path}[{i}]")
+                 for i, x in enumerate(_check(value, "list", where, path)))
+
+
+def _int_matrix(value: object, where: str, path: str) -> tuple[tuple[int, ...], ...]:
+    return tuple(_int_list(row, where, f"{path}[{i}]")
+                 for i, row in enumerate(_check(value, "list", where, path)))
+
+
+def _enum(cls: type, value: object, where: str, path: str):
+    try:
+        return cls(value)
+    except ValueError:
+        allowed = ", ".join(v.value for v in cls)
+        raise CatalogError(
+            f"{where}: field {path!r} must be one of {allowed}, got {_shown(value)}") from None
+
+
+def manifold_from_json(doc: dict, where: str = "manifold document") -> Manifold:
+    """Read one manifold document, checking every field; raises CatalogError
+    naming the first bad field."""
+    _object(doc, where)
     if doc.get("version") != CATALOG_VERSION:
         raise CatalogError(f"unsupported catalog document version {doc.get('version')!r}")
+    name = _field(doc, "name", "str", where)
+    where = f"{where} {name!r}"
     char = CharData(
-        b1=int(doc["b1"]), b_plus=int(doc["b_plus"]), b_minus=int(doc["b_minus"]),
-        is_spin=bool(doc["is_spin"]),
-        is_simply_connected=bool(doc["is_simply_connected"]),
+        b1=_field(doc, "b1", "int", where), b_plus=_field(doc, "b_plus", "int", where),
+        b_minus=_field(doc, "b_minus", "int", where),
+        is_spin=_field(doc, "is_spin", "bool", where),
+        is_simply_connected=_field(doc, "is_simply_connected", "bool", where),
     )
     lattice = None
-    if doc.get("lattice"):
-        lattice = GramLattice(
-            tuple(doc["lattice"]["basis"]),
-            tuple(tuple(int(x) for x in row) for row in doc["lattice"]["gram"]),
-        )
+    lat = _field(doc, "lattice", "object", where, default=None, nullable=True)
+    if lat:
+        basis = _field(lat, "basis", "list", where, "lattice.")
+        for i, label in enumerate(basis):
+            _check(label, "str", where, f"lattice.basis[{i}]")
+        gram = _int_matrix(_field(lat, "gram", "list", where, "lattice."), where,
+                           "lattice.gram")
+        try:
+            lattice = GramLattice(tuple(basis), gram)
+        except ValueError as exc:
+            raise CatalogError(f"{where}: field 'lattice.gram': {exc}") from None
     spinc = []
-    for s in doc.get("spinc", ()):
+    for i, s in enumerate(_field(doc, "spinc", "list", where, default=[])):
+        at = f"spinc[{i}]"
+        _check(s, "object", where, at)
+        c1 = _field(s, "c1", "list", where, f"{at}.", nullable=True)
         spinc.append(SpinCStructure(
-            c1=None if s["c1"] is None else tuple(int(x) for x in s["c1"]),
-            c1_squared=int(s["c1_squared"]),
-            s_matrix=tuple(tuple(int(x) for x in row) for row in s["s_matrix"]),
-            sw_parity=Parity(s.get("sw_parity", "Unknown")),
-            parity_provenance=Provenance(s.get("provenance", "Derived")),
+            c1=None if c1 is None else _int_list(c1, where, f"{at}.c1"),
+            c1_squared=_field(s, "c1_squared", "int", where, f"{at}."),
+            s_matrix=_int_matrix(_field(s, "s_matrix", "list", where, f"{at}."), where,
+                                 f"{at}.s_matrix"),
+            sw_parity=_enum(Parity, s.get("sw_parity", "Unknown"), where, f"{at}.sw_parity"),
+            parity_provenance=_enum(Provenance, s.get("provenance", "Derived"), where,
+                                    f"{at}.provenance"),
         ))
-    flags = frozenset(Flag(v) for v in doc.get("flags", ()))
-    sv = doc.get("sv_factors")
-    sv_factors = None if sv is None else tuple((int(k), int(g), int(h)) for (k, g, h) in sv)
-    record = tuple((str(name), int(mult)) for name, mult in doc.get("summand_record", ()))
-    if not record:
-        record = ((str(doc["name"]), 1),)
-    m = Manifold(name=str(doc["name"]), char=char, lattice=lattice,
+    flags = frozenset(_enum(Flag, v, where, f"flags[{i}]")
+                      for i, v in enumerate(_field(doc, "flags", "list", where, default=[])))
+    sv = _field(doc, "sv_factors", "list", where, default=None, nullable=True)
+    sv_factors = None
+    if sv is not None:
+        sv_factors = tuple(_int_list(t, where, f"sv_factors[{i}]") for i, t in enumerate(sv))
+        if any(len(t) != 3 for t in sv_factors):
+            raise CatalogError(f"{where}: field 'sv_factors' must hold [k, g, h] triples")
+    record = []
+    for i, entry in enumerate(_field(doc, "summand_record", "list", where, default=[])):
+        at = f"summand_record[{i}]"
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise CatalogError(f"{where}: field {at!r} must be a [name, count] pair")
+        record.append((_check(entry[0], "str", where, at), _check(entry[1], "int", where, at)))
+    m = Manifold(name=name, char=char, lattice=lattice,
                  spinc_structures=tuple(spinc), flags=flags,
-                 sv_factors=sv_factors, summand_record=record, summands=())
+                 sv_factors=sv_factors, summand_record=tuple(record) or ((name, 1),),
+                 summands=())
     problems = validate(m)
     if problems:
-        raise CatalogError(f"invalid manifold document {doc['name']!r}: " + "; ".join(problems))
+        raise CatalogError(f"invalid manifold document {name!r}: " + "; ".join(problems))
     return m
 
 
 def load_catalog_file(path: str) -> dict[str, Manifold]:
     """Load a user catalog: {"version": 1, "manifolds": [manifold docs]}.
 
-    Names become atoms available to the expression parser.
+    Names become atoms available to the expression parser.  Raises
+    CatalogError naming the file, entry and field that is wrong.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise CatalogError(f"cannot read catalog file {path!r}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise CatalogError(f"catalog file {path!r} is not JSON: {exc}") from None
+    _object(doc, "catalog file")
     if doc.get("version") != CATALOG_VERSION:
         raise CatalogError(f"unsupported catalog file version {doc.get('version')!r}")
     out: dict[str, Manifold] = {}
-    for mdoc in doc.get("manifolds", ()):
-        m = manifold_from_json(mdoc)
+    for i, mdoc in enumerate(_field(doc, "manifolds", "list", "catalog file", default=[])):
+        m = manifold_from_json(mdoc, f"manifolds[{i}]")
         out[m.name] = m
     return out

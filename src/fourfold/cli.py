@@ -15,8 +15,9 @@ Subcommands::
 All numeric output is exact (rational strings and q*pi^p*sqrt(s) renderings);
 --approx appends clearly marked non-authoritative decimals.  Exit status: 0
 for computed verdicts (including NotObstructed), 2 for Inconclusive, 1 for
-usage errors.  The FOURFOLD_C4 environment variable overrides the default
-simplicial-volume product constant c4 = 1.
+usage errors and size caps (CapacityError), and 1, silently, when the reader
+closes the output pipe early.  The FOURFOLD_C4 environment variable
+overrides the default simplicial-volume product constant c4 = 1.
 """
 
 from __future__ import annotations
@@ -308,10 +309,27 @@ _COMMANDS = {
 }
 
 
+def _detach_stdout() -> None:
+    """Point stdout at the null device, so the interpreter's final flush of
+    output the reader never took does not raise again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):
+        pass  # stdout is not a file descriptor (e.g. captured in process)
+    finally:
+        os.close(devnull)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_argparser().parse_args(argv)
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:
+        # The reader closed the pipe early (e.g. `fourfold search ... | head`):
+        # stop quietly, as a filter killed by SIGPIPE does.
+        _detach_stdout()
+        return EXIT_USAGE
     except FourfoldError as exc:
         print(f"fourfold: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

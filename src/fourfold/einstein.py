@@ -402,12 +402,12 @@ def _hit_for_tuple(mode: str, m: int, n: int, g: int, h: int, l: int,
     pieces = [catalog_get(f"Gompf({m},{n})"), catalog_get("Y(1)"),
               catalog_get(f"Sigma({g},{h})")]
     if mode == "spin":
-        pieces.extend(catalog_get("S1xS3") for _ in range(l))
+        pieces.append(catalog_get("S1xS3"))
         cor = corollary_obstruction(pieces[:2], k=1, g=g, h=h, l1=l, l2=0)
     else:
-        pieces.extend(catalog_get("CP2bar") for _ in range(l))
+        pieces.append(catalog_get("CP2bar"))
         cor = corollary_obstruction(pieces[:2], k=1, g=g, h=h, l1=0, l2=l)
-    manifold = connected_sum(pieces)
+    manifold = connected_sum(pieces, counts=[1, 1, 1, l])
     sv = simplicial_volume(manifold, c4)
     assert isinstance(sv, SvInterval)
     certs = (

@@ -26,8 +26,8 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
 from fourfold.certify import Verdict, check_theorem_A
-from fourfold.errors import PremiseError
-from fourfold.model import Flag, Manifold, SpinCStructure
+from fourfold.errors import CapacityError, PremiseError
+from fourfold.model import PIECE_CAP, Flag, Manifold, SpinCStructure
 from fourfold.surgery import blowdown_two_chi_plus_3tau, split_blowdown
 from fourfold.symbolic import SymbolicValue
 
@@ -92,7 +92,9 @@ def monopole_classes_for_sum(parts: Sequence[Manifold],
 
     Requires the parts to pass the 2/3-part non-vanishing certificate and N
     (if given) to have b+ = 0; N's lattice is taken diagonal with k = b-(N)
-    classes of square -1 (always arrangeable, by Donaldson's theorem).
+    classes of square -1 (always arrangeable, by Donaldson's theorem).  The
+    generator squares are stored one by one, so the rank is capped at
+    ``PIECE_CAP`` (CapacityError).
     """
     cert = check_theorem_A(parts)
     if cert.verdict is not Verdict.NONVANISHING:
@@ -104,6 +106,9 @@ def monopole_classes_for_sum(parts: Sequence[Manifold],
             raise PremiseError(
                 f"the blowdown piece must have b+ = 0, got {blowdown.char.b_plus}")
         k = blowdown.char.b_minus
+    if len(parts) + k > PIECE_CAP:
+        raise CapacityError(
+            f"a sign orbit of {len(parts) + k} generators is over the cap of {PIECE_CAP}")
     return MonopoleClassSet(
         squares=tuple(p.canonical_spinc.c1_squared for p in parts) + (-1,) * k,
         source=f"sign orbit of {len(parts)} canonical classes and {k} "

@@ -11,9 +11,12 @@ Atoms are the catalog names (K3, T4, CP2, CP2bar, S1xS3, Kodaira) and the
 parametric families Sigma(g,h), Y(l), Gompf(a,b), plus any names supplied by
 a user catalog.
 
-Diagnostics carry the byte offset and the expected-token set.  Evaluation
-normalizes the expression to a sorted multiset of atoms before summing, so
-textual order never changes the result.
+Diagnostics carry the byte offset and the expected-token set.  Nesting
+(parentheses and repetition prefixes together) is capped at ``MAX_NESTING``
+levels; deeper input raises ExprError at the offending token instead of
+exhausting the interpreter stack.  Evaluation normalizes the expression to
+a sorted multiset of atoms before summing, so textual order never changes
+the result.
 """
 
 from __future__ import annotations
@@ -26,6 +29,11 @@ from fourfold.catalog import catalog_get
 from fourfold.errors import CatalogError, FourfoldError
 from fourfold.model import Manifold
 from fourfold.surgery import connected_sum
+
+
+# Each level costs a few interpreter frames in the parser and one in
+# evaluation; 100 levels stay far below the default recursion limit.
+MAX_NESTING = 100
 
 
 class ExprError(FourfoldError):
@@ -130,6 +138,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     @property
     def cur(self) -> _Token:
@@ -162,6 +171,12 @@ class _Parser:
             return parts[0]
         return Sum(tuple(parts))
 
+    def nest(self, tok: _Token) -> None:
+        """Enter one nesting level ('(' or 'k*') at ``tok``."""
+        if self.depth == MAX_NESTING:
+            raise ExprError(f"nesting deeper than {MAX_NESTING} levels", tok.offset)
+        self.depth += 1
+
     def term(self) -> Node:
         if self.cur.kind == "INT":
             count_tok = self.advance()
@@ -170,15 +185,20 @@ class _Parser:
             if count < 1:
                 raise ExprError(f"repetition count must be >= 1, got {count}",
                                 count_tok.offset)
-            return Repeat(count, self.term())
+            self.nest(count_tok)
+            inner = self.term()
+            self.depth -= 1
+            return Repeat(count, inner)
         return self.factor()
 
     def factor(self) -> Node:
         tok = self.cur
         if tok.kind == "(":
+            self.nest(tok)
             self.advance()
             node = self.expr()
             self.expect(")", "')'")
+            self.depth -= 1
             return node
         if tok.kind != "IDENT":
             raise ExprError(f"found {tok.text or 'end of input'!r}", tok.offset,
@@ -230,16 +250,16 @@ def _resolve(atom: Atom, env: Optional[dict[str, Manifold]]) -> Manifold:
 def evaluate(node: Node, env: Optional[dict[str, Manifold]] = None) -> Manifold:
     """Evaluate an expression to a validated manifold.
 
-    The atom multiset is sorted before summing, so any textual ordering of
-    the same atoms evaluates to the identical manifold value.
+    The expression is reduced to its atom multiset first, each distinct atom
+    is resolved once, and the sum is taken with counts, so any textual
+    ordering of the same atoms evaluates to the identical manifold value and
+    repetition counts cost nothing.
     """
     counts: dict[Atom, int] = {}
     _atom_counts(node, 1, counts)
-    parts: list[Manifold] = []
-    for atom in sorted(counts, key=lambda a: (a.name, a.args)):
-        manifold = _resolve(atom, env)
-        parts.extend(manifold for _ in range(counts[atom]))
-    return connected_sum(parts)
+    atoms = sorted(counts, key=lambda a: (a.name, a.args))
+    return connected_sum([_resolve(atom, env) for atom in atoms],
+                         [counts[atom] for atom in atoms])
 
 
 def parse_and_evaluate(text: str,

@@ -4,9 +4,10 @@ These deliberately avoid the solver code paths they check: the face solvers
 maximize the intersection form over the hull of an explicit class list with
 rational stationarity systems on every face, the mesh oracle enumerates grid
 points of the hull by brute force (vectorized with numpy on plain integers,
-which is exact well below 2^53), and the interval oracle re-evaluates the
+which is exact well below 2^53), the interval oracle re-evaluates the
 search inequalities with interval arithmetic over a coarse rational bracket
-of pi^2.
+of pi^2, and the flattened connected sum assembles one copy of every piece
+into a dense Gram matrix, c1 vector and s-matrix.
 """
 
 from __future__ import annotations
@@ -18,6 +19,16 @@ from fractions import Fraction
 import numpy as np
 
 from fourfold import exact
+from fourfold.errors import SurgeryError
+from fourfold.model import (
+    CharData,
+    Flag,
+    GramLattice,
+    Manifold,
+    Parity,
+    Provenance,
+    SpinCStructure,
+)
 
 MESH_DEN = 32
 FULL_MESH_POINT_CAP = 20_000_000
@@ -241,3 +252,123 @@ def nonspin_tuple_certified(m: int, n: int, l2: int, g: int, h: int,
     in2 = 8 * (n + 12 * m) + 4 * one_lo * big_g + 84 > -5 * l2
     in3 = Fraction(l2) >= Fraction(8 * n + 4 * big_g, 3) - 12
     return bool(in1 and in2 and in3)
+
+
+# -- the flattened dense connected sum: reference for the multiset sum -------
+
+_ASD_PSC_ATOMS = {"CP2bar", "S1xS3"}
+
+
+def _atom_sort_key(m):
+    return (m.name, m.char.b1, m.char.b_plus, m.char.b_minus)
+
+
+def direct_sum(lattices, prefixes):
+    """Orthogonal direct sum as one dense Gram matrix, with basis labels
+    prefixed per summand."""
+    labels = []
+    blocks = []
+    for lat, prefix in zip(lattices, prefixes, strict=True):
+        labels.extend(f"{prefix}{name}" for name in lat.basis_labels)
+        blocks.append(lat.gram)
+    total = len(labels)
+    gram = [[0] * total for _ in range(total)]
+    offset = 0
+    for block in blocks:
+        r = len(block)
+        for i in range(r):
+            for j in range(r):
+                gram[offset + i][offset + j] = block[i][j]
+        offset += r
+    return GramLattice(tuple(labels), tuple(tuple(row) for row in gram))
+
+
+def flat_sum_spinc(atoms, signs, with_vector):
+    """#(+/-Gamma_i) over the flattened pieces, with a dense c1 vector and
+    a dense b1 x b1 s-matrix."""
+    c1 = None
+    if with_vector:
+        coords = []
+        for a, s in zip(atoms, signs, strict=True):
+            coords.extend(s * x for x in a.canonical_spinc.c1)
+        c1 = tuple(coords)
+    c1_squared = sum(a.canonical_spinc.c1_squared for a in atoms)
+    b1_total = sum(a.char.b1 for a in atoms)
+    s_matrix = [[0] * b1_total for _ in range(b1_total)]
+    offset = 0
+    for a, s in zip(atoms, signs, strict=True):
+        block = a.canonical_spinc.s_matrix
+        r = a.char.b1
+        for i in range(r):
+            for j in range(r):
+                s_matrix[offset + i][offset + j] = s * block[i][j]
+        offset += r
+    parities = {a.canonical_spinc.sw_parity for a in atoms}
+    parity = Parity.ODD if parities == {Parity.ODD} else Parity.UNKNOWN
+    return SpinCStructure(
+        c1=c1, c1_squared=c1_squared,
+        s_matrix=tuple(tuple(row) for row in s_matrix),
+        sw_parity=parity, parity_provenance=Provenance.DERIVED,
+    )
+
+
+def flat_connected_sum(parts):
+    """Connected sum that keeps one copy of every piece and assembles the
+    dense Gram matrix, c1 vector and s-matrix.  Its ``summands`` are
+    ``(piece, 1)`` pairs, one per piece."""
+    if not parts:
+        raise SurgeryError("connected sum of an empty list")
+    if len(parts) == 1 and not parts[0].summands:
+        return parts[0]
+    atoms = sorted((piece for p in parts for piece in p.pieces()), key=_atom_sort_key)
+    if len(atoms) == 1:
+        return atoms[0]
+
+    char = CharData(
+        b1=sum(a.char.b1 for a in atoms),
+        b_plus=sum(a.char.b_plus for a in atoms),
+        b_minus=sum(a.char.b_minus for a in atoms),
+        is_spin=all(a.char.is_spin for a in atoms),
+        is_simply_connected=all(a.char.is_simply_connected for a in atoms),
+    )
+
+    lattice = None
+    if all(a.lattice is not None for a in atoms):
+        lattice = direct_sum([a.lattice for a in atoms],
+                             [f"s{i}." for i in range(len(atoms))])
+
+    spinc = ()
+    if all(a.spinc_structures for a in atoms):
+        with_vector = lattice is not None and all(
+            a.canonical_spinc.c1 is not None for a in atoms)
+        spinc = (flat_sum_spinc(atoms, [1] * len(atoms), with_vector),)
+
+    flags = set()
+    if all(Flag.HAS_PSC_METRIC in a.flags for a in atoms):
+        flags.add(Flag.HAS_PSC_METRIC)
+        flags.add(Flag.HAS_NONNEG_SCALAR_METRIC)
+    if all(a.name in _ASD_PSC_ATOMS and Flag.HAS_ASD_PSC_METRIC in a.flags
+           for a in atoms):
+        flags.add(Flag.HAS_ASD_PSC_METRIC)
+    if spinc and all(Flag.C1_MOD4_ZERO in a.flags for a in atoms):
+        flags.add(Flag.C1_MOD4_ZERO)
+
+    sv_factors = None
+    if all(a.sv_factors is not None for a in atoms):
+        merged = {}
+        for a in atoms:
+            for (k, g, h) in a.sv_factors:
+                merged[(g, h)] = merged.get((g, h), 0) + k
+        sv_factors = tuple(sorted((k, g, h) for (g, h), k in merged.items() if k > 0))
+
+    counts = {}
+    for a in atoms:
+        counts[a.name] = counts.get(a.name, 0) + 1
+    record = tuple(sorted(counts.items()))
+    name = " # ".join(n if mult == 1 else f"{mult}*{n}" for n, mult in record)
+    return Manifold(
+        name=name, char=char, lattice=lattice,
+        spinc_structures=spinc, flags=frozenset(flags),
+        sv_factors=sv_factors, summand_record=record,
+        summands=tuple((a, 1) for a in atoms),
+    )

@@ -219,3 +219,28 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = _run(capsys, "build", "Nope")
     assert code == 1 and "Nope" in err
+
+
+def test_broken_pipe_exits_quietly():
+    """`fourfold search ... | head -c 100`: the reader leaves after 100 bytes
+    of a 115 kB report, more than a pipe buffers."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fourfold.cli", "search", "--mode", "spin", "--g", "3",
+         "--h", "3", "--mmax", "4", "--nmax", "6"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    assert head.startswith(b'{"certificates"')
+    assert err == ""
+    assert code == 1

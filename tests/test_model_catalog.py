@@ -204,3 +204,61 @@ def test_load_catalog_rejects_invalid(tmp_path):
     path.write_text(json.dumps({"version": 1, "manifolds": [doc]}))
     with pytest.raises(CatalogError):
         load_catalog_file(str(path))
+
+
+def _write_catalog(tmp_path, manifolds):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"version": 1, "manifolds": manifolds}))
+    return str(path)
+
+
+def _k3_doc(**changes):
+    doc = manifold_to_json(catalog_get("K3"))
+    doc["name"] = "MyK3"
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("mutate,needle", [
+    (lambda d: d.pop("b1"), "manifolds[0] 'MyK3': missing field 'b1'"),
+    (lambda d: d.pop("name"), "manifolds[0]: missing field 'name'"),
+    (lambda d: d["lattice"].update(gram=7), "field 'lattice.gram' must be a list, got 7"),
+    (lambda d: d["lattice"].update(gram=[[0, 1], [1]]), "field 'lattice.gram': gram matrix"),
+    (lambda d: d["lattice"].update(gram=[[0, 1], [1, "0"]]), "field 'lattice.gram[1][1]'"),
+    (lambda d: d.update(b_plus="3"), "field 'b_plus' must be an integer"),
+    (lambda d: d.update(is_spin=1), "field 'is_spin' must be true or false"),
+    (lambda d: d["spinc"][0].pop("c1_squared"), "missing field 'spinc[0].c1_squared'"),
+    (lambda d: d["spinc"][0].update(sw_parity="Maybe"), "field 'spinc[0].sw_parity' must be one of"),
+    (lambda d: d.update(spinc=[3]), "field 'spinc[0]' must be an object"),
+    (lambda d: d.update(flags=["Kaehler"]), "field 'flags[0]' must be one of"),
+    (lambda d: d.update(sv_factors=[[1, 2]]), "[k, g, h] triples"),
+])
+def test_catalog_document_fields_are_checked(tmp_path, mutate, needle):
+    doc = _k3_doc()
+    mutate(doc)
+    with pytest.raises(CatalogError) as exc:
+        load_catalog_file(_write_catalog(tmp_path, [doc]))
+    assert needle in str(exc.value)
+
+
+def test_catalog_file_shape_is_checked(tmp_path):
+    with pytest.raises(CatalogError, match=r"manifolds\[1\] must be an object"):
+        load_catalog_file(_write_catalog(tmp_path, [_k3_doc(), "K3"]))
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    with pytest.raises(CatalogError, match="catalog file must be an object"):
+        load_catalog_file(str(path))
+    path.write_text("{")
+    with pytest.raises(CatalogError, match="not JSON"):
+        load_catalog_file(str(path))
+    with pytest.raises(CatalogError, match="cannot read catalog file"):
+        load_catalog_file(str(tmp_path / "missing.json"))
+
+
+def test_cli_reports_a_bad_catalog_in_one_line(tmp_path, capsys):
+    from fourfold.cli import main
+    doc = _k3_doc()
+    del doc["b1"]
+    assert main(["--catalog", _write_catalog(tmp_path, [doc]), "build", "MyK3"]) == 1
+    err = capsys.readouterr().err
+    assert err == "fourfold: error: manifolds[0] 'MyK3': missing field 'b1'\n"

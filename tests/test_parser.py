@@ -5,6 +5,7 @@ import pytest
 from fourfold.catalog import catalog_get, manifold_to_json
 from fourfold.errors import CatalogError
 from fourfold.parser import (
+    MAX_NESTING,
     Atom,
     ExprError,
     Node,
@@ -232,3 +233,25 @@ def test_evaluate_with_custom_env(tmp_path):
     env = load_catalog_file(str(path))
     m = parse_and_evaluate("MyBlock # K3", env)
     assert m.euler() == 46
+
+
+@pytest.mark.parametrize("opener,closer,levels", [
+    ("(", ")", 1), ("2*", "", 1), ("2*(", ")", 2)])
+def test_nesting_cap(opener, closer, levels):
+    """Parentheses and repetition prefixes both count as nesting levels; the
+    error points at the token that opens level MAX_NESTING + 1."""
+    deep = opener * 3000 + "K3" + closer * 3000
+    with pytest.raises(ExprError) as exc:
+        parse(deep)
+    assert f"deeper than {MAX_NESTING}" in str(exc.value)
+    assert exc.value.offset == len(opener) * (MAX_NESTING // levels)
+    n = MAX_NESTING // levels
+    ok = parse(opener * n + "K3" + closer * n)
+    assert evaluate(ok).piece_count() == (2 ** n if "2" in opener else 1)
+
+
+def test_nesting_cap_in_cli(capsys):
+    from fourfold.cli import main
+    assert main(["build", "(" * 3000 + "K3" + ")" * 3000]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "at offset 100" in err
