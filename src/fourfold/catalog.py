@@ -237,20 +237,23 @@ def catalog_ids() -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # JSON serialization
 
-# The JSON form spells out the dense Gram matrix and s-matrix of a sum, so it
-# is capped by their entry count, rank^2 + b1^2.  The largest sums the
-# benchmark dumps have about 1.3 * 10^5 entries.
+# The JSON form of a sum spells out its dense Gram matrix and s-matrix, which
+# are built from the blocks for the dump, so it is capped by their entry
+# count, rank^2 + b1^2.  The largest sums the benchmark dumps have about
+# 1.3 * 10^5 entries.  Atoms store their matrices densely already and are
+# not capped.
 DENSE_ENTRY_CAP = 4_000_000
 
 
 def manifold_to_json(m: Manifold) -> dict:
     """The JSON document of ``m``, with dense matrices and vectors.
 
-    Raises CapacityError when they would exceed ``DENSE_ENTRY_CAP`` entries.
+    Raises CapacityError when a sum's matrices would exceed
+    ``DENSE_ENTRY_CAP`` entries.
     """
     rank = 0 if m.lattice is None else m.lattice.rank
     entries = rank * rank + m.char.b1 * m.char.b1
-    if entries > DENSE_ENTRY_CAP:
+    if m.summands and entries > DENSE_ENTRY_CAP:
         raise CapacityError(
             f"the JSON form would hold rank^2 + b1^2 = {entries} matrix entries, "
             f"over the cap of {DENSE_ENTRY_CAP}")

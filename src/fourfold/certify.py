@@ -171,6 +171,18 @@ def _part_premises_theorem_a(part: Manifold, idx: int) -> list[Premise]:
     return out
 
 
+def require_part_count(theorem_id: str, n: int) -> None:
+    """Raise PremiseError unless Theorem A or B covers a sum of n parts
+    (n = 2 or 3); callers with a multiset check the count before listing."""
+    if n in (2, 3):
+        return
+    if theorem_id == "theorem-a":
+        raise PremiseError(
+            f"the b1 > 0 non-vanishing certificate covers n = 2, 3 parts; got n = {n}"
+            + ("; the spin cobordism invariant of a 4-fold sum vanishes" if n >= 4 else ""))
+    raise PremiseError(f"this certificate covers n = 2, 3 parts; got n = {n}")
+
+
 def check_theorem_A(parts: Sequence[Manifold],
                     signs: Optional[Sequence[int]] = None) -> Certificate:
     """Non-vanishing for 2- or 3-fold sums of almost complex pieces with
@@ -181,10 +193,7 @@ def check_theorem_A(parts: Sequence[Manifold],
     condition).
     """
     n = len(parts)
-    if n not in (2, 3):
-        raise PremiseError(
-            f"the b1 > 0 non-vanishing certificate covers n = 2, 3 parts; got n = {n}"
-            + ("; the spin cobordism invariant of a 4-fold sum vanishes" if n >= 4 else ""))
+    require_part_count("theorem-a", n)
     if signs is None:
         signs = (1,) * n
     if len(signs) != n or any(s not in (1, -1) for s in signs):
@@ -249,8 +258,7 @@ def check_theorem_B(parts: Sequence[Manifold]) -> Certificate:
     with b+ = 3 (mod 4), or has b+ > 1 with c1 = 0 in H^2(X; Z/4); odd SW
     parity in both cases."""
     n = len(parts)
-    if n not in (2, 3):
-        raise PremiseError(f"this certificate covers n = 2, 3 parts; got n = {n}")
+    require_part_count("theorem-b", n)
     premises: list[Premise] = []
     for i, part in enumerate(parts):
         label = f"part {i + 1} ({part.name})"

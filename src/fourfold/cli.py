@@ -37,6 +37,7 @@ from fourfold.certify import (
     check_theorem_A,
     check_theorem_B,
     moduli_dimension,
+    require_part_count,
 )
 from fourfold.errors import FourfoldError
 from fourfold.model import Manifold, validate
@@ -235,10 +236,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     extra: dict = {}
     if theorem == "bauer":
         cert = check_bauer(list(m.pieces()))
-    elif theorem == "theorem-a":
-        cert = check_theorem_A(list(m.pieces()))
-    elif theorem == "theorem-b":
-        cert = check_theorem_B(list(m.pieces()))
+    elif theorem in ("theorem-a", "theorem-b"):
+        require_part_count(theorem, m.piece_count())
+        check = check_theorem_A if theorem == "theorem-a" else check_theorem_B
+        cert = check(list(m.pieces()))
     elif theorem == "hitchin-thorpe":
         cert = einstein.hitchin_thorpe(m)
     elif theorem == "ght":

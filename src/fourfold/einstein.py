@@ -306,8 +306,8 @@ def exotic_pair(x: Manifold, xprime: Manifold) -> Certificate:
             "non-spin required: the intersection form of a spin manifold is "
             "even and does not diagonalize over CP2 # CP2bar pieces")
     p, q = x.char.b_plus, x.char.b_minus
-    xp_parts = list(xprime.pieces())
-    n_prime = len(xp_parts)
+    n_prime = xprime.piece_count()
+    xp_parts = xprime.pieces() if n_prime in (1, 2) else ()
     premises: list[Premise] = [
         Premise("x is simply connected", x.char.is_simply_connected, x.name),
         Premise("x is symplectic", x.has_flag(Flag.SYMPLECTIC), ""),

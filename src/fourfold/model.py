@@ -327,18 +327,27 @@ SpinC = Union[SpinCStructure, BlockSpinC]
 
 def _c1_norm(lattice: Lattice, g: SpinC) -> Optional[Fraction]:
     """c1^2 in the lattice, one ``exact.quadratic_form`` call per distinct
-    (block, c1 block) pair; None when c1 and the lattice differ in length.
+    (block, c1 block) pair; None when a c1 block does not fit its piece.
 
-    Falls back to the dense vector when the c1 blocks do not match the
-    lattice blocks one to one, as on an atom whose c1 does not fit its
-    lattice.
+    Both block sequences count pieces, so they are walked together; a run of
+    c1 blocks may split a lattice block, as the sign runs of ``sum_spinc`` do.
     """
-    pairs = list(zip(lattice.blocks, g.blocks))
-    if len(lattice.blocks) != len(g.blocks) or any(
-            nb != ns or len(s.c1) != b.rank for (b, nb), (s, ns) in pairs):
-        c1 = g.c1
-        return lattice.norm(c1) if len(c1) == lattice.rank else None
-    distinct = tally(((b.gram, s.c1), n) for (b, n), (s, _) in pairs if b.rank)
+    distinct: dict = {}
+    c1_runs = iter(g.blocks)
+    s, left = None, 0
+    for block, count in lattice.blocks:
+        while count:
+            if not left:
+                s, left = next(c1_runs, (None, 0))
+            if s is None or len(s.c1) != block.rank:
+                return None
+            take = min(count, left)
+            if block.rank:
+                key = (block.gram, s.c1)
+                distinct[key] = distinct.get(key, 0) + take
+            count, left = count - take, left - take
+    if left or next(c1_runs, None) is not None:
+        return None
     return sum((n * exact.quadratic_form(gram, c1) for (gram, c1), n in distinct.items()),
                Fraction(0))
 

@@ -53,28 +53,11 @@ def _atom_sort_key(m: Manifold) -> tuple:
 
 
 def _multiset(parts: Sequence[Manifold], counts: Sequence[int]) -> Multiset:
-    """The sorted (atom, count) multiset of the parts, equal atoms merged.
-
-    Atoms are first merged by identity, so repeated references cost a dict
-    lookup each; equal atoms that are distinct objects share a sort key and
-    are merged by value within their run of equal keys.
-    """
-    by_id: dict[int, list] = {}
-    for part, n in zip(parts, counts, strict=True):
-        for atom, count in part.atom_counts():
-            by_id.setdefault(id(atom), [atom, 0])[1] += count * n
-    out: list[tuple[Manifold, int]] = []
-    ordered = sorted(by_id.values(), key=lambda e: _atom_sort_key(e[0]))
-    for _, run in itertools.groupby(ordered, key=lambda e: _atom_sort_key(e[0])):
-        merged: list[list] = []
-        for atom, count in run:
-            same = next((e for e in merged if e[0] == atom), None)
-            if same is None:
-                merged.append([atom, count])
-            else:
-                same[1] += count
-        out.extend((atom, count) for atom, count in merged)
-    return tuple(out)
+    """The sorted (atom, count) multiset of the parts, equal atoms merged;
+    equal sort keys keep their order of first appearance."""
+    merged = tally((atom, count * n) for part, n in zip(parts, counts, strict=True)
+                   for atom, count in part.atom_counts())
+    return tuple(sorted(merged.items(), key=lambda e: _atom_sort_key(e[0])))
 
 
 def _record_name(record: Sequence[tuple[str, int]]) -> str:

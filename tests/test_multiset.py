@@ -7,12 +7,15 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fourfold import catalog, cli, exact
+from fourfold import catalog, cli, exact, model
 from fourfold.catalog import catalog_get, manifold_to_json
+from fourfold.certify import Verdict
+from fourfold.einstein import exotic_pair
 from fourfold.errors import CapacityError
 from fourfold.model import (
     PIECE_CAP,
     CharData,
+    Flag,
     GramLattice,
     Manifold,
     Parity,
@@ -103,6 +106,10 @@ def test_sum_spinc_matches_flattened_reference(seed):
     assert g.c1_mod4_zero() == ref.c1_mod4_zero()
     conj = g.conjugate()
     assert (conj.c1, conj.s_matrix) == (ref.conjugate().c1, ref.conjugate().s_matrix)
+    # sign runs split the lattice blocks; validate walks both block sequences
+    ref_m = flat_connected_sum(parts)
+    assert validate(replace(m, spinc_structures=(g,))) == validate(
+        replace(ref_m, spinc_structures=(ref,)))
 
 
 def test_validate_catches_block_defects_like_the_reference():
@@ -174,6 +181,37 @@ def test_dense_json_cap(capsys, monkeypatch):
     assert '"s3.e"' in capsys.readouterr().out
     assert cli.main(["build", "3*S1xS3 # 5*CP2bar"]) == 1
     assert "rank^2 + b1^2 = 34" in capsys.readouterr().err
+
+
+def test_dense_json_cap_spares_atoms(capsys, monkeypatch):
+    # an atom's matrices are stored densely already, so its JSON is not capped
+    monkeypatch.setattr(catalog, "DENSE_ENTRY_CAP", 0)
+    assert cli.main(["catalog", "Sigma(3,3)"]) == 0
+    assert cli.main(["build", "Sigma(3,3)"]) == 0
+    assert '"b1": 12' in capsys.readouterr().out
+    assert cli.main(["build", "2*S1xS3"]) == 1
+    assert "rank^2 + b1^2 = 4" in capsys.readouterr().err
+
+
+def test_part_counts_are_checked_before_listing(capsys, monkeypatch):
+    monkeypatch.setattr(model, "PIECE_CAP", 3)
+    for theorem in ("theorem-a", "theorem-b"):
+        assert cli.main(["check", theorem, "5*K3"]) == 1
+        assert "covers n = 2, 3 parts; got n = 5" in capsys.readouterr().err
+    x = _nonspin_symplectic_atom()
+    cert = exotic_pair(x, blow_up(catalog_get("K3"), 4))
+    assert cert.verdict is Verdict.INCONCLUSIVE
+    assert any(p.text == "xprime has 1 or 2 pieces" and not p.passed
+               and p.witness == "5 pieces" for p in cert.premises)
+
+
+def _nonspin_symplectic_atom() -> Manifold:
+    # the numbers of CP2 # 11 CP2bar's minimal symplectic relatives: b+ = 3
+    char = CharData(b1=0, b_plus=3, b_minus=19, is_spin=False, is_simply_connected=True)
+    g = SpinCStructure(c1=None, c1_squared=char.two_chi_plus_3tau(), s_matrix=(),
+                       sw_parity=Parity.ODD, parity_provenance=Provenance.USER_ASSERTED)
+    return Manifold(name="Xns", char=char, spinc_structures=(g,),
+                    flags=frozenset({Flag.ALMOST_COMPLEX, Flag.SYMPLECTIC}))
 
 
 def test_listing_pieces_is_capped(capsys):
