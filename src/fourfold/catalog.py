@@ -128,9 +128,17 @@ def _kodaira() -> Manifold:
                  sv_factors=())
 
 
+# Sigma(g,h) stores a dense 2(g+h)-square zero s-matrix, so g + h is capped
+# before it is allocated.  Sigma(1000,3) (about 4 * 10^6 entries) still builds.
+SIGMA_CAP = 1024
+
+
 def _sigma(g: int, h: int) -> Manifold:
     if g < 1 or h < 1:
         raise CatalogError(f"Sigma(g,h) needs g,h >= 1, got ({g},{h})")
+    if g + h > SIGMA_CAP:
+        raise CapacityError(
+            f"Sigma({g},{h}) has g + h = {g + h}, over the cap of {SIGMA_CAP}")
     char = CharData(b1=2 * (g + h), b_plus=2 * g * h + 1, b_minus=2 * g * h + 1,
                     is_spin=True, is_simply_connected=False)
     # Canonical-class coordinates in the hyperbolic plane spanned by the two

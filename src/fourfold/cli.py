@@ -59,14 +59,21 @@ class _CliParser(argparse.ArgumentParser):
         raise FourfoldError(message)
 
 
+def _rational(raw: str, source: str) -> Fraction:
+    """Parse a rational option value; errors name the option or variable."""
+    try:
+        return Fraction(raw)
+    except ZeroDivisionError:
+        raise FourfoldError(f"bad {source} value {raw!r}: zero denominator") from None
+    except ValueError as exc:
+        raise FourfoldError(f"bad {source} value {raw!r}: {exc}") from None
+
+
 def _default_c4() -> Fraction:
     raw = os.environ.get("FOURFOLD_C4")
     if raw is None:
         return Fraction(1)
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FourfoldError(f"bad FOURFOLD_C4 value {raw!r}: {exc}") from exc
+    return _rational(raw, "FOURFOLD_C4")
 
 
 def _build_argparser() -> _CliParser:
@@ -127,7 +134,7 @@ def _c4(args: argparse.Namespace) -> Fraction:
     raw = getattr(args, "c4", None)
     if raw is None:
         return _default_c4()
-    return Fraction(raw)
+    return _rational(raw, "--c4")
 
 
 def _sym_json(value: Union[SymbolicValue, Inconclusive],
@@ -182,7 +189,7 @@ def _beta2_report(m: Manifold) -> Union[dict, Inconclusive]:
 def _cmd_invariants(args: argparse.Namespace) -> int:
     m = _evaluate(args, args.expr)
     approx = args.approx
-    k = Fraction(args.k)
+    k = _rational(args.k, "--k")
     c4 = _c4(args)
     doc: dict = {
         "version": REPORT_VERSION,

@@ -135,16 +135,14 @@ def ght(m: Manifold, c4: RationalLike = DEFAULT_C4, strict: bool = True,
     gap = min(m.two_chi_plus_3tau(), m.two_chi_minus_3tau())
     f = sv.lo_factor
     # gap >= 16 f c4 / (81 pi^2)  <=>  81 gap pi^2 >= 16 f c4
-    upper = pi2_greater(Fraction(81 * gap), Fraction(16 * f) * c4,
-                        strict=strict, enclosure=enclosure)
-    lower = pi2_greater(Fraction(81 * gap), Fraction(16 * f) / c4,
-                        strict=strict, enclosure=enclosure)
+    upper = pi2_greater(81 * gap, 16 * f * c4, strict=strict, enclosure=enclosure)
+    lower = pi2_greater(81 * gap, 16 * f / c4, strict=strict, enclosure=enclosure)
     # Violation must be judged against the non-strict necessary condition at
     # the smallest possible simplicial volume.
-    violated = pi2_greater(Fraction(81 * gap), Fraction(16 * f) / c4,
-                           strict=False, enclosure=enclosure) is False
-    gromov = pi2_greater(Fraction(2592 * m.euler()), Fraction(16 * f) * c4,
-                         strict=False, enclosure=enclosure)
+    violated = pi2_greater(81 * gap, 16 * f / c4, strict=False,
+                           enclosure=enclosure) is False
+    gromov = pi2_greater(2592 * m.euler(), 16 * f * c4, strict=False,
+                         enclosure=enclosure)
     rel = ">" if strict else ">="
     premises = (
         Premise(f"2chi - 3|tau| {rel} (upper sv end)/(81 pi^2)", upper is True,
@@ -398,14 +396,13 @@ def _spin_cells(m_max: int, n_max: int) -> list[tuple[int, int]]:
 
 
 def _hit_for_tuple(mode: str, m: int, n: int, g: int, h: int, l: int,
-                   c4: Fraction, enclosure: Pi2Enclosure) -> SearchHit:
-    pieces = [catalog_get(f"Gompf({m},{n})"), catalog_get("Y(1)"),
-              catalog_get(f"Sigma({g},{h})")]
+                   pieces: Sequence[Manifold], c4: Fraction,
+                   enclosure: Pi2Enclosure) -> SearchHit:
+    """The hit at (m, n, l) from the fetched pieces Gompf(m,n), Y(1),
+    Sigma(g,h) and S1xS3 (spin) or CP2bar (non-spin)."""
     if mode == "spin":
-        pieces.append(catalog_get("S1xS3"))
         cor = corollary_obstruction(pieces[:2], k=1, g=g, h=h, l1=l, l2=0)
     else:
-        pieces.append(catalog_get("CP2bar"))
         cor = corollary_obstruction(pieces[:2], k=1, g=g, h=h, l1=0, l2=l)
     manifold = connected_sum(pieces, counts=[1, 1, 1, l])
     sv = simplicial_volume(manifold, c4)
@@ -426,11 +423,20 @@ def _search(mode: str, g: int, h: int, m_max: int, n_max: int,
     if c4 <= 0:
         raise ValueError("c4 must be positive")
     big_g = (g - 1) * (h - 1)
+    # The atoms every hit shares are fetched once per call; Gompf(m,n) once
+    # per cell, at its first hit.
+    shared = (catalog_get("Y(1)"), catalog_get(f"Sigma({g},{h})"),
+              catalog_get("S1xS3" if mode == "spin" else "CP2bar"))
 
     def scan_cell(cell: tuple[int, int]) -> tuple[list[SearchHit], list[tuple[int, int, int]]]:
         m, n = cell
         hits: list[SearchHit] = []
         ties: list[tuple[int, int, int]] = []
+        pieces: Optional[tuple[Manifold, ...]] = None
+        # The range starts at the floor inequality
+        #   spin:     l1 >= (1/3)(2n + G) - 3
+        #   non-spin: l2 >= (1/3)(8n + 4G) - 12,
+        # so every l scanned satisfies it and it is not tested again.
         if mode == "spin":
             lo = max(1, exact.ceil_fraction(Fraction(2 * n + big_g, 3) - 3))
             hi = 2 * n + big_g - 3
@@ -448,22 +454,21 @@ def _search(mode: str, g: int, h: int, m_max: int, n_max: int,
         # the first is never pruned by the second.
         for l in range(lo, hi + 1):
             if mode == "spin":
-                # l1 >= (1/3)(2n + G) - 3
-                floor_ok = Fraction(l) >= Fraction(2 * n + big_g, 3) - 3
                 # 2n + (1 - 4c4/(81 pi^2)) G - 3 > l1
-                dec1 = pi2_greater(Fraction(81 * (2 * n + big_g - 3 - l)),
-                                   4 * c4 * big_g, strict=True, enclosure=enclosure)
+                dec1 = pi2_greater(81 * (2 * n + big_g - 3 - l), 4 * c4 * big_g,
+                                   strict=True, enclosure=enclosure)
             else:
-                floor_ok = Fraction(l) >= Fraction(8 * n + 4 * big_g, 3) - 12
                 # 8n + 4(1 - 4c4/(81 pi^2)) G - 12 > l2
-                dec1 = pi2_greater(Fraction(81 * (8 * n + 4 * big_g - 12 - l)),
-                                   16 * c4 * big_g, strict=True, enclosure=enclosure)
-            if not floor_ok or dec1 is False:
+                dec1 = pi2_greater(81 * (8 * n + 4 * big_g - 12 - l), 16 * c4 * big_g,
+                                   strict=True, enclosure=enclosure)
+            if dec1 is False:
                 continue
             if dec1 is None:
                 ties.append((m, n, l))
                 continue
-            hits.append(_hit_for_tuple(mode, m, n, g, h, l, c4, enclosure))
+            if pieces is None:
+                pieces = (catalog_get(f"Gompf({m},{n})"),) + shared
+            hits.append(_hit_for_tuple(mode, m, n, g, h, l, pieces, c4, enclosure))
         return hits, ties
 
     results = [scan_cell(c) for c in _spin_cells(m_max, n_max)]

@@ -13,8 +13,10 @@ rationals coincide).
 
 Strict inequalities against pi^2 never tie: pi^2 is irrational, so for
 rational A != 0 and B the predicate A*pi^2 > B is decided exactly once B/A
-falls outside a rational enclosure of pi^2.  Comparisons that the shipped
-enclosure cannot separate report a tie instead of guessing.
+falls outside a rational enclosure [lo, hi] of pi^2.  ``pi2_greater``
+decides it in integers, by cross-multiplying numerators and denominators
+(A*lo >= B, A*hi <= B), without forming B/A.  Comparisons that the shipped
+50-digit enclosure cannot separate report a tie instead of guessing.
 """
 
 from __future__ import annotations
@@ -54,30 +56,41 @@ DEFAULT_PI2 = Pi2Enclosure(PI2_LO, PI2_HI)
 COARSE_PI2 = Pi2Enclosure(Fraction("9.8696"), Fraction("9.8697"))
 
 
-def pi2_greater(a: Fraction, b: Fraction, strict: bool = True,
+def pi2_greater(a: Union[int, Fraction], b: Union[int, Fraction],
+                strict: bool = True,
                 enclosure: Pi2Enclosure = DEFAULT_PI2) -> Optional[bool]:
     """Decide a*pi^2 > b (or >= when strict=False) over the rationals.
 
     Returns True/False when the enclosure settles it, None on a tie.  For
     a != 0 the strict and non-strict answers coincide (a*pi^2 is irrational);
     for a == 0 the comparison is purely rational.
+
+    ints and Fractions are used as they are; anything else goes through
+    ``Fraction()``.  With a = a_n/a_d and b = b_n/b_d (positive
+    denominators), a*x - b has the sign of p*x_n - q*x_d for x = x_n/x_d,
+    where p = a_n*b_d and q = b_n*a_d, so the enclosure ends are compared
+    by integer products alone.
     """
-    a = Fraction(a)
-    b = Fraction(b)
+    if not isinstance(a, (int, Fraction)):
+        a = Fraction(a)
+    if not isinstance(b, (int, Fraction)):
+        b = Fraction(b)
     if a == 0:
         return (0 > b) if strict else (0 >= b)
-    r = b / a
+    p = a.numerator * b.denominator
+    q = b.numerator * a.denominator
+    lo, hi = enclosure.lo, enclosure.hi
     if a > 0:
-        # need pi^2 > r
-        if r <= enclosure.lo:
+        # need pi^2 > b/a: certain when a*lo >= b, impossible when a*hi <= b
+        if p * lo.numerator >= q * lo.denominator:
             return True
-        if r >= enclosure.hi:
+        if p * hi.numerator <= q * hi.denominator:
             return False
         return None
-    # a < 0: need pi^2 < r
-    if r >= enclosure.hi:
+    # a < 0: need pi^2 < b/a: certain when a*hi >= b, impossible when a*lo <= b
+    if p * hi.numerator >= q * hi.denominator:
         return True
-    if r <= enclosure.lo:
+    if p * lo.numerator <= q * lo.denominator:
         return False
     return None
 

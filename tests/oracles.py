@@ -6,8 +6,9 @@ rational stationarity systems on every face, the mesh oracle enumerates grid
 points of the hull by brute force (vectorized with numpy on plain integers,
 which is exact well below 2^53), the interval oracle re-evaluates the
 search inequalities with interval arithmetic over a coarse rational bracket
-of pi^2, and the flattened connected sum assembles one copy of every piece
-into a dense Gram matrix, c1 vector and s-matrix.
+of pi^2, the division-based pi^2 decision divides where the library
+cross-multiplies, and the flattened connected sum assembles one copy of
+every piece into a dense Gram matrix, c1 vector and s-matrix.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from fourfold.model import (
     Provenance,
     SpinCStructure,
 )
+from fourfold.symbolic import DEFAULT_PI2
 
 MESH_DEN = 32
 FULL_MESH_POINT_CAP = 20_000_000
@@ -217,6 +219,32 @@ def box_mesh_sample_max(gram, rng: random.Random, count: int = 200_000,
     pts = np.concatenate([pts, sample], axis=0)
     vals = np.einsum("ij,jk,ik->i", pts, g, pts)
     return Fraction(int(vals.max()), den * den)
+
+
+# -- pi^2 decisions by division: reference for the integer cross-multiplication
+
+
+def pi2_greater_by_division(a, b, strict: bool = True, enclosure=DEFAULT_PI2):
+    """The division-based decision of a*pi^2 > b (>= when not strict):
+    r = b/a as a reduced Fraction, compared with the enclosure ends."""
+    a = Fraction(a)
+    b = Fraction(b)
+    if a == 0:
+        return (0 > b) if strict else (0 >= b)
+    r = b / a
+    if a > 0:
+        # need pi^2 > r
+        if r <= enclosure.lo:
+            return True
+        if r >= enclosure.hi:
+            return False
+        return None
+    # a < 0: need pi^2 < r
+    if r >= enclosure.hi:
+        return True
+    if r <= enclosure.lo:
+        return False
+    return None
 
 
 # -- interval re-verification of the geography-search inequalities ----------

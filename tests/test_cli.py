@@ -4,6 +4,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from fourfold import catalog
 from fourfold.catalog import catalog_get, manifold_to_json
 from fourfold.cli import main
 
@@ -244,3 +245,47 @@ def test_broken_pipe_exits_quietly():
     assert head.startswith(b'{"certificates"')
     assert err == ""
     assert code == 1
+
+
+def test_sigma_family_is_capped(capsys, monkeypatch):
+    # the largest g + h builds; one more is a one-line CapacityError
+    cap = catalog.SIGMA_CAP
+    code, _, err = _run(capsys, "check", "hitchin-thorpe", f"Sigma({cap - 3},3)")
+    assert code == 0 and err == ""
+    code, out, err = _run(capsys, "check", "hitchin-thorpe", f"Sigma({cap - 2},3)")
+    assert code == 1 and out == ""
+    assert err == (f"fourfold: error: Sigma({cap - 2},3) has g + h = {cap + 1}, "
+                   f"over the cap of {cap}\n")
+    # the cap is checked before the s-matrix is allocated
+    monkeypatch.setattr(catalog, "zero_s_matrix", None)
+    for argv in (("build", "Sigma(100000,3)"), ("catalog", "Sigma(3,100000)")):
+        code, out, err = _run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("fourfold: error: Sigma(") and err.count("\n") == 1
+        assert "over the cap" in err
+
+
+_SMALL_SEARCH = ("search", "--mode", "spin", "--g", "3", "--h", "3",
+                 "--mmax", "2", "--nmax", "2")
+
+
+@pytest.mark.parametrize("argv, env, source", [
+    (("invariants", "K3", "--k", "1/0"), None, "--k"),
+    (("invariants", "K3", "--k", "abc"), None, "--k"),
+    (("invariants", "K3", "--c4", "1/0"), None, "--c4"),
+    (("check", "ght", "Sigma(3,3) # K3", "--c4", "1/0"), None, "--c4"),
+    (("check", "ght", "Sigma(3,3) # K3", "--c4", "abc"), None, "--c4"),
+    (_SMALL_SEARCH + ("--c4", "2/0"), None, "--c4"),
+    (_SMALL_SEARCH + ("--c4", "x"), "1", "--c4"),
+    (_SMALL_SEARCH, "1/0", "FOURFOLD_C4"),
+    (("check", "ght", "Sigma(3,3) # K3"), "abc", "FOURFOLD_C4"),
+])
+def test_bad_rational_option_is_named(capsys, monkeypatch, argv, env, source):
+    if env is None:
+        monkeypatch.delenv("FOURFOLD_C4", raising=False)
+    else:
+        monkeypatch.setenv("FOURFOLD_C4", env)
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"fourfold: error: bad {source} value '")
+    assert err.count("\n") == 1

@@ -362,3 +362,25 @@ def assert_cell_order_independent(g, h, m_max, n_max, c4):
 def test_search_cell_order_determinism():
     assert assert_cell_order_independent(3, 3, 4, 6, 1).hits
     assert assert_cell_order_independent(3, 3, 4, 6, TIE_C4).inconclusive
+
+
+def test_search_fetches_each_atom_once_per_call(monkeypatch):
+    """Y(1), Sigma(g,h) and CP2bar once per call, Gompf(m,n) once per cell;
+    a second identical call fetches as often, so no cache outlives a call."""
+    calls = []
+
+    def counting_get(block_id):
+        calls.append(block_id)
+        return catalog_get(block_id)
+
+    monkeypatch.setattr(einstein, "catalog_get", counting_get)
+    bound = 3 + len(einstein._spin_cells(4, 6))
+    first = search_nonspin_examples(7, 7, 4, 6)
+    assert len(first.hits) > bound
+    assert len(calls) <= bound
+    assert len(set(calls)) == len(calls)
+    count = len(calls)
+    calls.clear()
+    again = search_nonspin_examples(7, 7, 4, 6)
+    assert len(calls) == count
+    assert [hit.to_json() for hit in again.hits] == [hit.to_json() for hit in first.hits]

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from fourfold.symbolic import (
     pi2_greater,
     squarefree_decompose,
 )
+
+from oracles import pi2_greater_by_division
 
 
 def test_pi_enclosures_against_mpmath():
@@ -136,3 +139,43 @@ def test_pi2_greater_tie_is_none():
     mid = (DEFAULT_PI2.lo + DEFAULT_PI2.hi) / 2
     assert pi2_greater(1, mid) is None
     assert pi2_greater(-1, -mid) is None
+
+
+# -- the integer cross-multiplication against the division-based oracle ------
+
+_ENCLOSURES = st.sampled_from([DEFAULT_PI2, COARSE_PI2])
+_RATIONALS = st.one_of(
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.fractions(),
+    st.builds(Fraction, st.integers(min_value=-(10**40), max_value=10**40),
+              st.integers(min_value=1, max_value=10**40)),
+)
+
+
+@given(_RATIONALS, _RATIONALS, st.booleans(), _ENCLOSURES)
+def test_pi2_greater_matches_division_oracle(a, b, strict, enclosure):
+    expected = pi2_greater_by_division(a, b, strict, enclosure)
+    assert pi2_greater(a, b, strict, enclosure) is expected
+    assert pi2_greater(0, b, strict, enclosure) is pi2_greater_by_division(
+        0, b, strict, enclosure)
+
+
+@given(_RATIONALS, st.sampled_from(["lo", "hi", "mid"]), st.sampled_from([-1, 0, 1]),
+       st.integers(min_value=0, max_value=70), st.booleans(), _ENCLOSURES)
+def test_pi2_greater_matches_division_oracle_near_ties(a, end, sign, k, strict,
+                                                       enclosure):
+    x = {"lo": enclosure.lo, "hi": enclosure.hi,
+         "mid": (enclosure.lo + enclosure.hi) / 2}[end]
+    b = a * x * (1 + sign * Fraction(1, 10**k))
+    expected = pi2_greater_by_division(a, b, strict, enclosure)
+    assert pi2_greater(a, b, strict, enclosure) is expected
+    if b.denominator == 1:
+        assert pi2_greater(a, int(b), strict, enclosure) is expected
+
+
+def test_pi2_greater_converts_other_inputs():
+    for a, b in (("1", "9.86"), ("-1", "-9.87"), (1.5, 14.8), (Decimal("2"), 20),
+                 ("0", "0"), (0.0, -1)):
+        for strict in (True, False):
+            assert pi2_greater(a, b, strict) is pi2_greater_by_division(a, b, strict)
+    assert pi2_greater("1", "9.86") is True
