@@ -29,7 +29,7 @@ from fourfold.certify import (
     check_theorem_A,
     check_theorem_B,
 )
-from fourfold.errors import PremiseError
+from fourfold.errors import CapacityError, PremiseError
 from fourfold.model import Flag, Manifold
 from fourfold.monopole import Inconclusive
 from fourfold.surgery import (
@@ -134,14 +134,18 @@ def ght(m: Manifold, c4: RationalLike = DEFAULT_C4, strict: bool = True,
             citation="Gromov-Hitchin-Thorpe inequality")
     gap = min(m.two_chi_plus_3tau(), m.two_chi_minus_3tau())
     f = sv.lo_factor
-    # gap >= 16 f c4 / (81 pi^2)  <=>  81 gap pi^2 >= 16 f c4
-    upper = pi2_greater(81 * gap, 16 * f * c4, strict=strict, enclosure=enclosure)
-    lower = pi2_greater(81 * gap, 16 * f / c4, strict=strict, enclosure=enclosure)
+    # gap >= 16 f c4 / (81 pi^2)  <=>  81 gap pi^2 >= 16 f c4.  With
+    # c4 = num/den, each comparison is scaled by den (against c4) or num
+    # (against 1/c4), both positive, so it is decided on integers with the
+    # same answer and the same ties.
+    num, den = c4.numerator, c4.denominator
+    upper = pi2_greater(81 * gap * den, 16 * f * num, strict=strict, enclosure=enclosure)
+    lower = pi2_greater(81 * gap * num, 16 * f * den, strict=strict, enclosure=enclosure)
     # Violation must be judged against the non-strict necessary condition at
     # the smallest possible simplicial volume.
-    violated = pi2_greater(81 * gap, 16 * f / c4, strict=False,
+    violated = pi2_greater(81 * gap * num, 16 * f * den, strict=False,
                            enclosure=enclosure) is False
-    gromov = pi2_greater(2592 * m.euler(), 16 * f * c4, strict=False,
+    gromov = pi2_greater(2592 * m.euler() * den, 16 * f * num, strict=False,
                          enclosure=enclosure)
     rel = ">" if strict else ">="
     premises = (
@@ -389,6 +393,42 @@ _FAMILY_NOTE = (
     "(finiteness of the monopole-class set)")
 
 
+# A search is refused before any cell is listed when it would examine more
+# than SEARCH_CELL_CAP (m, n) pairs or scan more than SEARCH_SCAN_CAP values
+# of l.  Every l-range starts at l >= 1 and ends at an l that grows with n,
+# so the number of cells times the last l at n = n_max bounds the scan.
+SEARCH_CELL_CAP = 10_000
+SEARCH_SCAN_CAP = 100_000
+
+
+def _check_search_size(mode: str, g: int, h: int, m_max: int, n_max: int) -> None:
+    pairs = max(0, m_max - 1) * max(0, n_max)
+    if pairs > SEARCH_CELL_CAP:
+        raise CapacityError(f"a search over {pairs} (m, n) pairs is over the cap "
+                            f"of {SEARCH_CELL_CAP}")
+    # 4m + 2n - 1 = 3 (mod 4) keeps only the even n
+    cells = max(0, m_max - 1) * max(0, n_max // 2)
+    scan = cells * max(0, _l_range(mode, n_max, (g - 1) * (h - 1))[1])
+    if scan > SEARCH_SCAN_CAP:
+        raise CapacityError(f"a search scanning up to {scan} values of l is over "
+                            f"the cap of {SEARCH_SCAN_CAP}")
+
+
+def _l_range(mode: str, n: int, big_g: int) -> tuple[int, int]:
+    """The first and last l scanned in a cell of the given n.
+
+    The range starts at the floor inequality
+      spin:     l1 >= (1/3)(2n + G) - 3
+      non-spin: l2 >= (1/3)(8n + 4G) - 12,
+    so every l scanned satisfies it and it is not tested again.
+    """
+    if mode == "spin":
+        return (max(1, exact.ceil_fraction(Fraction(2 * n + big_g, 3) - 3)),
+                2 * n + big_g - 3)
+    return (max(1, exact.ceil_fraction(Fraction(8 * n + 4 * big_g, 3) - 12)),
+            8 * n + 4 * big_g - 12)
+
+
 def _spin_cells(m_max: int, n_max: int) -> list[tuple[int, int]]:
     # 4m + 2n - 1 = 3 (mod 4) forces n even.
     return [(m, n) for m in range(2, m_max + 1) for n in range(1, n_max + 1)
@@ -422,7 +462,12 @@ def _search(mode: str, g: int, h: int, m_max: int, n_max: int,
         raise PremiseError(f"the searches need odd g, h >= 3; got ({g},{h})")
     if c4 <= 0:
         raise ValueError("c4 must be positive")
+    _check_search_size(mode, g, h, m_max, n_max)
     big_g = (g - 1) * (h - 1)
+    # The first inequality below is A pi^2 > b with b = 4 c4 G (spin) or
+    # 16 c4 G (non-spin); both sides are scaled by c4's denominator, so it
+    # is decided on integers, as in ``ght``.
+    b = (4 if mode == "spin" else 16) * big_g * c4.numerator
     # The atoms every hit shares are fetched once per call; Gompf(m,n) once
     # per cell, at its first hit.
     shared = (catalog_get("Y(1)"), catalog_get(f"Sigma({g},{h})"),
@@ -433,16 +478,7 @@ def _search(mode: str, g: int, h: int, m_max: int, n_max: int,
         hits: list[SearchHit] = []
         ties: list[tuple[int, int, int]] = []
         pieces: Optional[tuple[Manifold, ...]] = None
-        # The range starts at the floor inequality
-        #   spin:     l1 >= (1/3)(2n + G) - 3
-        #   non-spin: l2 >= (1/3)(8n + 4G) - 12,
-        # so every l scanned satisfies it and it is not tested again.
-        if mode == "spin":
-            lo = max(1, exact.ceil_fraction(Fraction(2 * n + big_g, 3) - 3))
-            hi = 2 * n + big_g - 3
-        else:
-            lo = max(1, exact.ceil_fraction(Fraction(8 * n + 4 * big_g, 3) - 12))
-            hi = 8 * n + 4 * big_g - 12
+        lo, hi = _l_range(mode, n, big_g)
         # Each mode has a second pi^2 inequality,
         #   spin:     2(n + 12m) + (1 - 4c4/(81 pi^2)) G + 21 > l1
         #   non-spin: 8(n + 12m) + 4(1 - 4c4/(81 pi^2)) G + 84 > -5 l2,
@@ -455,12 +491,11 @@ def _search(mode: str, g: int, h: int, m_max: int, n_max: int,
         for l in range(lo, hi + 1):
             if mode == "spin":
                 # 2n + (1 - 4c4/(81 pi^2)) G - 3 > l1
-                dec1 = pi2_greater(81 * (2 * n + big_g - 3 - l), 4 * c4 * big_g,
-                                   strict=True, enclosure=enclosure)
+                a = 81 * (2 * n + big_g - 3 - l)
             else:
                 # 8n + 4(1 - 4c4/(81 pi^2)) G - 12 > l2
-                dec1 = pi2_greater(81 * (8 * n + 4 * big_g - 12 - l), 16 * c4 * big_g,
-                                   strict=True, enclosure=enclosure)
+                a = 81 * (8 * n + 4 * big_g - 12 - l)
+            dec1 = pi2_greater(a * c4.denominator, b, strict=True, enclosure=enclosure)
             if dec1 is False:
                 continue
             if dec1 is None:

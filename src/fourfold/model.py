@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Hashable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -422,6 +422,27 @@ class Manifold:
 
     def __str__(self) -> str:
         return self.name
+
+    # An atom is hashed every time it enters a connected sum, and its fields
+    # include dense matrices, so the field hash is computed once and kept on
+    # the instance.  ``replace`` builds a new instance and so a new hash;
+    # pickling and copying drop the kept value, because str hashes differ
+    # between processes.
+
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = self._field_hash()
+        return cached
+
+    def _field_hash(self) -> int:
+        """The hash of every compared field, as the generated dataclass hash."""
+        return hash(tuple(getattr(self, f.name) for f in fields(self)))
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
 
 # Listing a sum piece by piece costs O(pieces); past this many it raises

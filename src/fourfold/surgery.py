@@ -87,41 +87,67 @@ def _with_vector(lattice: Optional[Lattice], summands: Multiset) -> bool:
 
 
 def _assemble(summands: Multiset) -> Manifold:
-    atoms = [a for a, _ in summands]
-    char = CharData(
-        b1=sum(a.char.b1 * n for a, n in summands),
-        b_plus=sum(a.char.b_plus * n for a, n in summands),
-        b_minus=sum(a.char.b_minus * n for a, n in summands),
-        is_spin=all(a.char.is_spin for a in atoms),
-        is_simply_connected=all(a.char.is_simply_connected for a in atoms),
-    )
+    """The sum of a sorted multiset, folded in one pass over its distinct
+    atoms.  A lattice block list, spin-c run list or sv tally turns None at
+    the first atom without one: the sum then has none ("unknown")."""
+    b1 = b_plus = b_minus = 0
+    spin = simply_connected = psc = asd_psc = mod4 = True
+    lattices: Optional[list[tuple[Lattice, int]]] = []
+    runs: Optional[list[tuple[Manifold, int, int]]] = []
+    vectors = True
+    sv: Optional[dict[tuple[int, int], int]] = {}
+    names: list[tuple[str, int]] = []
+    for a, n in summands:
+        c = a.char
+        b1 += c.b1 * n
+        b_plus += c.b_plus * n
+        b_minus += c.b_minus * n
+        spin = spin and c.is_spin
+        simply_connected = simply_connected and c.is_simply_connected
+        psc = psc and Flag.HAS_PSC_METRIC in a.flags
+        asd_psc = asd_psc and a.name in _ASD_PSC_ATOMS and Flag.HAS_ASD_PSC_METRIC in a.flags
+        mod4 = mod4 and Flag.C1_MOD4_ZERO in a.flags
+        if lattices is not None:
+            if a.lattice is not None:
+                lattices.append((a.lattice, n))
+            else:
+                lattices = None
+        if runs is not None:
+            if a.spinc_structures:
+                runs.append((a, 1, n))
+                vectors = vectors and a.spinc_structures[0].c1 is not None
+            else:
+                runs = None
+        if sv is not None:
+            if a.sv_factors is None:
+                sv = None
+            else:
+                for k, g, h in a.sv_factors:
+                    sv[(g, h)] = sv.get((g, h), 0) + k * n
+        # sorted by name, so equal names are adjacent
+        if names and names[-1][0] == a.name:
+            names[-1] = (a.name, names[-1][1] + n)
+        else:
+            names.append((a.name, n))
 
-    lattice = None
-    if all(a.lattice is not None for a in atoms):
-        lattice = BlockLattice(tuple((a.lattice, n) for a, n in summands))
-
+    lattice = None if lattices is None else BlockLattice(tuple(lattices))
     spinc: tuple[BlockSpinC, ...] = ()
-    if all(a.spinc_structures for a in atoms):
-        spinc = (_sum_spinc(((a, 1, n) for a, n in summands),
-                            _with_vector(lattice, summands)),)
-
+    if runs is not None:
+        spinc = (_sum_spinc(runs, vectors and lattice is not None),)
     flags: set[Flag] = set()
-    if all(Flag.HAS_PSC_METRIC in a.flags for a in atoms):
+    if psc:
         # Gromov-Lawson: positive scalar curvature survives connected sums.
-        flags.add(Flag.HAS_PSC_METRIC)
-        flags.add(Flag.HAS_NONNEG_SCALAR_METRIC)
-    if all(a.name in _ASD_PSC_ATOMS and Flag.HAS_ASD_PSC_METRIC in a.flags
-           for a in atoms):
+        flags.update((Flag.HAS_PSC_METRIC, Flag.HAS_NONNEG_SCALAR_METRIC))
+    if asd_psc:
         flags.add(Flag.HAS_ASD_PSC_METRIC)
-    if spinc and all(Flag.C1_MOD4_ZERO in a.flags for a in atoms):
+    if spinc and mod4:
         flags.add(Flag.C1_MOD4_ZERO)
-
     sv_factors = None
-    if all(a.sv_factors is not None for a in atoms):
-        merged = tally(((g, h), k * n) for a, n in summands for (k, g, h) in a.sv_factors)
-        sv_factors = tuple(sorted((k, g, h) for (g, h), k in merged.items() if k > 0))
-
-    record = tuple(sorted(tally((a.name, n) for a, n in summands).items()))
+    if sv is not None:
+        sv_factors = tuple(sorted((k, g, h) for (g, h), k in sv.items() if k > 0))
+    char = CharData(b1=b1, b_plus=b_plus, b_minus=b_minus, is_spin=spin,
+                    is_simply_connected=simply_connected)
+    record = tuple(names)
     return Manifold(
         name=_record_name(record), char=char, lattice=lattice,
         spinc_structures=spinc, flags=frozenset(flags),

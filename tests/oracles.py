@@ -7,8 +7,10 @@ points of the hull by brute force (vectorized with numpy on plain integers,
 which is exact well below 2^53), the interval oracle re-evaluates the
 search inequalities with interval arithmetic over a coarse rational bracket
 of pi^2, the division-based pi^2 decision divides where the library
-cross-multiplies, and the flattened connected sum assembles one copy of
-every piece into a dense Gram matrix, c1 vector and s-matrix.
+cross-multiplies, the Fraction-based Gromov-Hitchin-Thorpe certificate
+builds the rational right-hand sides the library clears into integers, and
+the flattened connected sum assembles one copy of every piece into a dense
+Gram matrix, c1 vector and s-matrix.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from fourfold import exact
+from fourfold.certify import Certificate, Premise, Verdict
+from fourfold.einstein import simplicial_volume
 from fourfold.errors import SurgeryError
 from fourfold.model import (
     CharData,
@@ -30,7 +34,8 @@ from fourfold.model import (
     Provenance,
     SpinCStructure,
 )
-from fourfold.symbolic import DEFAULT_PI2
+from fourfold.monopole import Inconclusive
+from fourfold.symbolic import DEFAULT_PI2, PI2_HI, PI2_LO
 
 MESH_DEN = 32
 FULL_MESH_POINT_CAP = 20_000_000
@@ -245,6 +250,62 @@ def pi2_greater_by_division(a, b, strict: bool = True, enclosure=DEFAULT_PI2):
     if r <= enclosure.lo:
         return False
     return None
+
+
+# -- Gromov-Hitchin-Thorpe with rational right-hand sides --------------------
+
+# A c4 at which the spin search's first inequality ties at (m, n, l1) = (2, 2, 1)
+# with G = 4, and at which 16 f c4 / (81 gap) lands inside the enclosure of
+# pi^2 whenever f / gap = 1/4.
+TIE_C4 = (PI2_LO + PI2_HI) / 2 * Fraction(81, 4)
+
+
+def _describe(decision):
+    return "tie (enclosure too coarse)" if decision is None else str(decision)
+
+
+def ght_by_fractions(m, c4=1, strict: bool = True, enclosure=DEFAULT_PI2):
+    """The Gromov-Hitchin-Thorpe certificate with each pi^2 comparison posed
+    on the Fractions 16 f c4 and 16 f / c4 and decided by division."""
+    c4 = Fraction(c4)
+    sv = simplicial_volume(m, c4)
+    if isinstance(sv, Inconclusive):
+        return Certificate(
+            theorem_id="ght",
+            premises=(Premise("simplicial volume resolvable", False, sv.reason),),
+            verdict=Verdict.INCONCLUSIVE,
+            citation="Gromov-Hitchin-Thorpe inequality")
+    gap = min(m.two_chi_plus_3tau(), m.two_chi_minus_3tau())
+    f = sv.lo_factor
+    upper = pi2_greater_by_division(81 * gap, 16 * f * c4, strict, enclosure)
+    lower = pi2_greater_by_division(81 * gap, 16 * f / c4, strict, enclosure)
+    violated = pi2_greater_by_division(81 * gap, 16 * f / c4, False, enclosure) is False
+    gromov = pi2_greater_by_division(2592 * m.euler(), 16 * f * c4, False, enclosure)
+    rel = ">" if strict else ">="
+    premises = (
+        Premise(f"2chi - 3|tau| {rel} (upper sv end)/(81 pi^2)", upper is True,
+                f"81*(2chi-3|tau|)*pi^2 {rel} 16*factor*c4: {_describe(upper)}; "
+                f"2chi-3|tau| = {gap}, factor = {f}, c4 = {c4}"),
+        Premise(f"2chi - 3|tau| {rel} (lower sv end)/(81 pi^2)", lower is True,
+                f"81*(2chi-3|tau|)*pi^2 {rel} 16*factor/c4: {_describe(lower)}"),
+        Premise("Gromov: chi >= (upper sv end)/(2592 pi^2)", gromov is True,
+                f"2592*chi*pi^2 >= 16*factor*c4: {_describe(gromov)}"),
+    )
+    if upper is True:
+        verdict = Verdict.NOT_OBSTRUCTED
+    elif violated:
+        verdict = Verdict.OBSTRUCTED
+        premises = (
+            Premise("2chi - 3|tau| < (lower sv end)/(81 pi^2)", True,
+                    f"2chi-3|tau| = {gap}, factor = {f}, c4 = {c4}"),
+        ) + tuple(p for p in premises[2:] if p.passed)
+    else:
+        verdict = Verdict.INCONCLUSIVE
+    return Certificate(
+        theorem_id="ght", premises=premises, verdict=verdict,
+        citation="Gromov-Hitchin-Thorpe inequality "
+                 "2chi - 3|tau| >= ||M||/(81 pi^2), with Gromov's "
+                 "chi >= ||M||/(2592 pi^2)")
 
 
 # -- interval re-verification of the geography-search inequalities ----------

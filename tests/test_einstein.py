@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fourfold import einstein
+from fourfold import cli, einstein
 from fourfold.catalog import catalog_get
 from fourfold.certify import Verdict
 from fourfold.einstein import (
@@ -19,7 +20,7 @@ from fourfold.einstein import (
     search_spin_examples,
     simplicial_volume,
 )
-from fourfold.errors import PremiseError
+from fourfold.errors import CapacityError, PremiseError
 from fourfold.model import (
     CharData,
     Flag,
@@ -30,9 +31,9 @@ from fourfold.model import (
 )
 from fourfold.monopole import Inconclusive
 from fourfold.surgery import blow_up, connected_sum
-from fourfold.symbolic import PI2_HI, PI2_LO, pi2_greater
+from fourfold.symbolic import COARSE_PI2, DEFAULT_PI2, pi2_greater
 
-from oracles import nonspin_tuple_certified, spin_tuple_certified
+from oracles import TIE_C4, ght_by_fractions, nonspin_tuple_certified, spin_tuple_certified
 
 K3 = catalog_get("K3")
 SIGMA33 = catalog_get("Sigma(3,3)")
@@ -120,6 +121,64 @@ def test_ght_unknown_sv():
     custom = Manifold(name="mystery", char=CharData(1, 2, 2, False, False),
                       spinc_structures=(), sv_factors=None)
     assert ght(custom, 1).verdict is Verdict.INCONCLUSIVE
+
+
+def _ght_piece(b1: int, b_plus: int, b_minus: int, factor) -> Manifold:
+    """A manifold with the given Betti numbers and simplicial-volume factor
+    (None: unknown content)."""
+    sv = None if factor is None else ((factor, 2, 2),) if factor else ()
+    return Manifold(name="X", char=CharData(b1, b_plus, b_minus, False, b1 == 0),
+                    sv_factors=sv)
+
+
+def _tie_c4(kind: str, m: Manifold, enclosure) -> Fraction:
+    """A c4 that puts one pi^2 comparison of ``ght(m)`` at the midpoint of
+    the enclosure; TIE_C4 when that needs a nonpositive gap, factor or chi."""
+    mid = (enclosure.lo + enclosure.hi) / 2
+    gap = min(m.two_chi_plus_3tau(), m.two_chi_minus_3tau())
+    f = m.sv_factor_total() or 0
+    if kind == "upper" and gap > 0 and f > 0:     # 16 f c4 = 81 gap mid
+        return 81 * gap * mid / (16 * f)
+    if kind == "lower" and gap > 0 and f > 0:     # 16 f / c4 = 81 gap mid
+        return 16 * f / (81 * gap * mid)
+    if kind == "gromov" and m.euler() > 0 and f > 0:  # 16 f c4 = 2592 chi mid
+        return 2592 * m.euler() * mid / (16 * f)
+    return TIE_C4
+
+
+_C4 = st.one_of(
+    st.integers(1, 10**6).map(Fraction),
+    st.fractions(min_value=Fraction(1, 10**6), max_value=10**6,
+                 max_denominator=10**6).filter(lambda q: q.denominator > 1),
+    st.sampled_from([Fraction(1, 10**40), Fraction(10**40), Fraction(7, 3), TIE_C4]),
+    st.sampled_from(["upper", "lower", "gromov"]),
+)
+
+
+@given(b1=st.integers(0, 40), b_plus=st.integers(0, 80), b_minus=st.integers(0, 80),
+       factor=st.one_of(st.none(), st.integers(0, 60)), c4=_C4, strict=st.booleans(),
+       enclosure=st.sampled_from([DEFAULT_PI2, COARSE_PI2]))
+@settings(max_examples=300, deadline=None)
+def test_ght_integer_decisions_match_fractions(b1, b_plus, b_minus, factor, c4,
+                                               strict, enclosure):
+    m = _ght_piece(b1, b_plus, b_minus, factor)
+    if isinstance(c4, str):
+        c4 = _tie_c4(c4, m, enclosure)
+    assert (ght(m, c4, strict, enclosure).to_json()
+            == ght_by_fractions(m, c4, strict, enclosure).to_json())
+
+
+@pytest.mark.parametrize("enclosure", [DEFAULT_PI2, COARSE_PI2])
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("kind, premise", [("upper", 0), ("lower", 1), ("gromov", 2)])
+def test_ght_ties_match_fractions(kind, premise, strict, enclosure):
+    # 2chi - 3|tau| = 16, chi = 8, factor 4
+    m = _ght_piece(0, 3, 3, 4)
+    c4 = _tie_c4(kind, m, enclosure)
+    cert = ght(m, c4, strict, enclosure)
+    assert cert.to_json() == ght_by_fractions(m, c4, strict, enclosure).to_json()
+    assert cert.premises[premise].witness.split(";")[0].endswith(
+        "tie (enclosure too coarse)")
 
 
 def test_einstein_obstruction_separation():
@@ -281,9 +340,6 @@ def test_nonspin_search_range():
         assert hit.manifold_name.count("CP2bar") == 1  # "l2*CP2bar" piece
 
 
-TIE_C4 = (PI2_LO + PI2_HI) / 2 * Fraction(81, 4)  # a dec1 tie at (2, 2, 1)
-
-
 def test_nonspin_in22_never_prunes_at_default_constant():
     # the second inequality holds for every enumerated candidate when c4 = 1
     big_g = 4
@@ -384,3 +440,80 @@ def test_search_fetches_each_atom_once_per_call(monkeypatch):
     again = search_nonspin_examples(7, 7, 4, 6)
     assert len(calls) == count
     assert [hit.to_json() for hit in again.hits] == [hit.to_json() for hit in first.hits]
+
+
+def test_search_hashes_atoms_once_and_certifies_each_hit_once(monkeypatch):
+    """Each fetched atom's fields are hashed at most once, and every hit goes
+    through the module-level connected_sum and certificate functions once."""
+    fetched, field_hashes = [], []
+    calls = dict.fromkeys(("connected_sum", "hitchin_thorpe", "ght",
+                           "corollary_obstruction"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(einstein, name, counting(name, getattr(einstein, name)))
+    monkeypatch.setattr(einstein, "catalog_get",
+                        lambda block_id: fetched.append(block_id) or catalog_get(block_id))
+    field_hash = Manifold._field_hash
+    monkeypatch.setattr(Manifold, "_field_hash",
+                        lambda self: field_hashes.append(self.name) or field_hash(self))
+    hits = len(search_nonspin_examples(7, 7, 4, 6).hits)
+    assert hits > 100
+    assert 0 < len(field_hashes) <= len(fetched)
+    assert calls == dict.fromkeys(calls, hits)
+
+
+def _scan_size(mode, g, h, m_max, n_max):
+    """The number of l values the search scans, cell by cell."""
+    total = 0
+    for _, n in einstein._spin_cells(m_max, n_max):
+        lo, hi = einstein._l_range(mode, n, (g - 1) * (h - 1))
+        total += max(0, hi - lo + 1)
+    return total
+
+
+@pytest.mark.parametrize("mode", ["spin", "nonspin"])
+def test_search_caps_spare_the_documented_grids(mode):
+    # the bench and README grids and g = h = 9 stay well inside both caps
+    for g, h in ((3, 3), (3, 7), (7, 7), (9, 9)):
+        einstein._check_search_size(mode, g, h, 4, 6)
+        assert _scan_size(mode, g, h, 4, 6) * 10 < einstein.SEARCH_SCAN_CAP
+
+
+@pytest.mark.parametrize("mode", ["spin", "nonspin"])
+def test_search_scan_bound_covers_the_scan(mode, monkeypatch):
+    for g, h, m_max, n_max in ((3, 3, 4, 6), (5, 7, 3, 5), (9, 3, 2, 2)):
+        monkeypatch.setattr(einstein, "SEARCH_SCAN_CAP", _scan_size(mode, g, h, m_max, n_max) - 1)
+        with pytest.raises(CapacityError):
+            einstein._check_search_size(mode, g, h, m_max, n_max)
+
+
+def _no_cells(*_):
+    raise AssertionError("the search listed cells or fetched atoms")
+
+
+def test_search_caps_are_checked_before_any_cell(monkeypatch):
+    monkeypatch.setattr(einstein, "SEARCH_CELL_CAP", 3 * 6)
+    monkeypatch.setattr(einstein, "SEARCH_SCAN_CAP", 3 * 3 * (2 * 6 + 4 - 3))
+    assert search_spin_examples(3, 3, 4, 6).hits  # both caps are inclusive
+    monkeypatch.setattr(einstein, "_spin_cells", _no_cells)
+    monkeypatch.setattr(einstein, "catalog_get", _no_cells)
+    with pytest.raises(CapacityError, match=r"over 21 \(m, n\) pairs is over the cap of 18"):
+        search_spin_examples(3, 3, 4, 7)
+    with pytest.raises(CapacityError, match=r"up to 153 values of l is over the cap of 117"):
+        search_spin_examples(3, 5, 4, 6)
+
+
+def test_unbounded_search_exits_with_one_line(monkeypatch, capsys):
+    monkeypatch.setattr(einstein, "_spin_cells", _no_cells)
+    assert cli.main(["search", "--mode", "spin", "--g", "3", "--h", "3",
+                     "--mmax", "1000000000", "--nmax", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("fourfold: error: a search over 5999999994 (m, n) pairs "
+                            "is over the cap of 10000\n")

@@ -1,5 +1,11 @@
+import copy
 import json
+import os
+import pickle
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +18,8 @@ from fourfold.catalog import (
     manifold_to_json,
 )
 from fourfold.errors import CatalogError
-from fourfold.model import Flag, GramLattice, Parity, Provenance, validate
+from fourfold.model import Flag, GramLattice, Manifold, Parity, Provenance, validate
+from fourfold.surgery import connected_sum
 
 # Published characteristic data: (b1, b+, b-, chi, tau, spin, simply connected)
 PUBLISHED = {
@@ -262,3 +269,70 @@ def test_cli_reports_a_bad_catalog_in_one_line(tmp_path, capsys):
     assert main(["--catalog", _write_catalog(tmp_path, [doc]), "build", "MyK3"]) == 1
     err = capsys.readouterr().err
     assert err == "fourfold: error: manifolds[0] 'MyK3': missing field 'b1'\n"
+
+
+# -- the hash kept on a Manifold ----------------------------------------------
+
+
+def _counting_field_hash(monkeypatch) -> list:
+    calls = []
+    field_hash = Manifold._field_hash
+    monkeypatch.setattr(Manifold, "_field_hash",
+                        lambda self: calls.append(self.name) or field_hash(self))
+    return calls
+
+
+def test_equal_atoms_hash_equal_and_merge(monkeypatch):
+    calls = _counting_field_hash(monkeypatch)
+    a, b = catalog_get("Sigma(3,3)"), catalog_get("Sigma(3,3)")
+    assert a is not b and a == b
+    assert hash(a) == hash(b) == hash(a)
+    assert calls == ["Sigma(3,3)", "Sigma(3,3)"]  # once per instance
+    cp2bar = catalog_get("CP2bar")
+    m = connected_sum([a, cp2bar, b])
+    assert m.summands == ((cp2bar, 1), (a, 2))
+    assert connected_sum([a, cp2bar], [2, 1]) == m
+
+
+def test_replace_hashes_afresh(monkeypatch):
+    calls = _counting_field_hash(monkeypatch)
+    k3 = catalog_get("K3")
+    hash(k3)
+    same = replace(k3)
+    renamed = replace(k3, name="K3'")
+    assert hash(same) == hash(k3) and hash(renamed) != hash(k3)
+    assert calls == ["K3", "K3", "K3'"]
+    assert hash(renamed) == renamed._field_hash()
+
+
+def test_kept_hash_is_dropped_by_copy_and_pickle():
+    m = catalog_get("Sigma(3,3)")
+    hash(m)
+    assert "_hash" in vars(m)
+    for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert clone == m and "_hash" not in vars(clone)
+        assert hash(clone) == hash(m)
+
+
+def test_pickled_atom_hashes_afresh_in_another_process():
+    """str hashes differ between processes: an atom pickled after hashing
+    must hash, in a process with another hash seed, as the same atom fetched
+    there does."""
+    m = catalog_get("Sigma(3,3)")
+    kept = hash(m)
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "import pickle, sys\n"
+        "from fourfold.catalog import catalog_get\n"
+        "m = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = catalog_get('Sigma(3,3)')\n"
+        "assert hash(m) == hash(fresh) == m._field_hash()\n"
+        "assert {fresh: 1}[m] == 1\n"
+        "print(hash(m))\n")
+    proc = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(m),
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert int(proc.stdout) != kept  # the seeds differ, so the hashes do

@@ -44,11 +44,29 @@ def _custom_atom() -> Manifold:
     return m
 
 
+def _unknown_sv_atom() -> Manifold:
+    """The custom atom with unknown simplicial-volume content."""
+    m = replace(_custom_atom(), name="Xu", sv_factors=None, summand_record=(("Xu", 1),))
+    assert validate(m) == []
+    return m
+
+
+def _bare_atom() -> Manifold:
+    """An S1xS3-like atom with neither spin-c structures nor a lattice."""
+    char = CharData(b1=1, b_plus=0, b_minus=0, is_spin=True, is_simply_connected=False)
+    m = Manifold(name="Xb", char=char,
+                 flags=frozenset({Flag.HAS_PSC_METRIC, Flag.HAS_NONNEG_SCALAR_METRIC}),
+                 sv_factors=(), summand_record=(("Xb", 1),))
+    assert validate(m) == []
+    return m
+
+
+CUSTOM = [_custom_atom(), _unknown_sv_atom(), _bare_atom()]
 POOL = [catalog_get(i) for i in (
     "CP2", "CP2bar", "S1xS3", "T4", "K3", "Kodaira", "Sigma(1,1)", "Sigma(3,3)",
-    "Sigma(3,5)", "Y(2)", "Y(3)", "Gompf(2,1)")] + [_custom_atom()]
-# Atoms without a lattice (Gompf) drop the lattice of the whole sum, so draw
-# mostly from the others.
+    "Sigma(3,5)", "Y(2)", "Y(3)", "Gompf(2,1)")] + CUSTOM
+# Atoms without a lattice (Gompf, Xb) drop the lattice of the whole sum, so
+# draw mostly from the others.
 LATTICED = [a for a in POOL if a.lattice is not None]
 
 
@@ -58,7 +76,7 @@ def _random_parts(seed: int) -> list[Manifold]:
     distinct = rng.sample(pool, rng.randint(1, 4))
     parts = [a for a in distinct for _ in range(rng.randint(1, 4))]
     # equal atoms that are distinct objects must merge too
-    parts += [catalog_get(a.name) for a in distinct[:1] if a.name != "Xc"]
+    parts += [catalog_get(a.name) for a in distinct[:1] if a not in CUSTOM]
     rng.shuffle(parts)
     return parts
 
@@ -86,6 +104,22 @@ def test_multiset_sum_matches_flattened_reference(seed):
     distinct = list({id(p): p for p in parts}.values())
     counts = [sum(1 for p in parts if p is d) for d in distinct]
     assert connected_sum(distinct, counts) == fast
+
+
+@pytest.mark.parametrize("names", [
+    ("Xu", "K3", "K3"), ("Xb", "Xb", "S1xS3"), ("Xb", "Xc", "CP2bar"),
+    ("Xu", "Xb", "Sigma(3,3)", "Xu"), ("Xb", "Xu", "Gompf(2,1)"),
+])
+def test_unknown_parts_match_flattened_reference(names):
+    """Sums with an atom of unknown sv content, or without spin-c structures
+    and a lattice, drop those parts as the reference does."""
+    custom = {a.name: a for a in CUSTOM}
+    parts = [custom[n] if n in custom else catalog_get(n) for n in names]
+    fast, ref = connected_sum(parts), flat_connected_sum(parts)
+    assert manifold_to_json(fast) == manifold_to_json(ref)
+    assert validate(fast) == validate(ref) == []
+    assert fast.sv_factors is None or "Xu" not in names
+    assert fast.spinc_structures == () or "Xb" not in names
 
 
 @given(st.integers(0, 10**6))
