@@ -8,10 +8,10 @@ manifolds Gompf(a,b).
 
 Stored lattices are the sublattices of H^2 actually needed: a hyperbolic
 plane carrying the canonical class for the surface-like blocks, the (+1) or
-(-1) line for the projective planes.  s-matrices of built-ins with b1 > 0 are
-stored as zero matrices: every such block has c1 = 0 or c1 = 0 mod 4, and in
-all of them the half-triple-product matrix is even, which is the only
-property any certificate reads.
+(-1) line for the projective planes.  The half-triple-product matrices of
+built-ins with b1 > 0 are zero, stored as their size alone: every such block
+has c1 = 0 or c1 = 0 mod 4, and in all of them the matrix is even, which is
+the only property any certificate reads.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from fourfold.model import (
     Provenance,
     SpinCStructure,
     validate,
-    zero_s_matrix,
 )
 
 CATALOG_VERSION = 1
@@ -50,8 +49,7 @@ def _atom(name: str, char: CharData, *, lattice: Optional[GramLattice],
 
 def _cp2() -> Manifold:
     char = CharData(b1=0, b_plus=1, b_minus=0, is_spin=False, is_simply_connected=True)
-    spinc = SpinCStructure(c1=(3,), c1_squared=9, s_matrix=(),
-                           sw_parity=Parity.UNKNOWN, parity_provenance=Provenance.DERIVED)
+    spinc = SpinCStructure(c1=(3,), c1_squared=9)
     return _atom("CP2", char,
                  lattice=GramLattice(("h",), ((1,),)),
                  spinc=(spinc,),
@@ -62,8 +60,7 @@ def _cp2() -> Manifold:
 
 def _cp2bar() -> Manifold:
     char = CharData(b1=0, b_plus=0, b_minus=1, is_spin=False, is_simply_connected=True)
-    spinc = SpinCStructure(c1=(1,), c1_squared=-1, s_matrix=(),
-                           sw_parity=Parity.UNKNOWN, parity_provenance=Provenance.DERIVED)
+    spinc = SpinCStructure(c1=(1,), c1_squared=-1)
     return _atom("CP2bar", char,
                  lattice=GramLattice(("e",), ((-1,),)),
                  spinc=(spinc,),
@@ -74,8 +71,7 @@ def _cp2bar() -> Manifold:
 
 def _s1xs3() -> Manifold:
     char = CharData(b1=1, b_plus=0, b_minus=0, is_spin=True, is_simply_connected=False)
-    spinc = SpinCStructure(c1=(), c1_squared=0, s_matrix=zero_s_matrix(1),
-                           sw_parity=Parity.UNKNOWN, parity_provenance=Provenance.DERIVED)
+    spinc = SpinCStructure(c1=(), c1_squared=0, s_size=1)
     # Almost complex as a Hopf surface; PSC and anti-self-dual PSC metrics
     # exist (standard conformally flat metric).
     return _atom("S1xS3", char,
@@ -89,7 +85,7 @@ def _s1xs3() -> Manifold:
 
 def _t4() -> Manifold:
     char = CharData(b1=4, b_plus=3, b_minus=3, is_spin=True, is_simply_connected=False)
-    spinc = SpinCStructure(c1=(0, 0), c1_squared=0, s_matrix=zero_s_matrix(4),
+    spinc = SpinCStructure(c1=(0, 0), c1_squared=0, s_size=4,
                            sw_parity=Parity.ODD,
                            parity_provenance=Provenance.TAUBES_SYMPLECTIC)
     return _atom("T4", char,
@@ -102,7 +98,7 @@ def _t4() -> Manifold:
 
 def _k3() -> Manifold:
     char = CharData(b1=0, b_plus=3, b_minus=19, is_spin=True, is_simply_connected=True)
-    spinc = SpinCStructure(c1=(0, 0), c1_squared=0, s_matrix=(),
+    spinc = SpinCStructure(c1=(0, 0), c1_squared=0,
                            sw_parity=Parity.ODD,
                            parity_provenance=Provenance.TAUBES_SYMPLECTIC)
     return _atom("K3", char,
@@ -117,7 +113,7 @@ def _kodaira() -> Manifold:
     # Primary Kodaira surface: non-Kaehler symplectic spin surface with
     # b+ = 2, b1 = 3, c1 = 0; an elliptic bundle over an elliptic curve.
     char = CharData(b1=3, b_plus=2, b_minus=2, is_spin=True, is_simply_connected=False)
-    spinc = SpinCStructure(c1=(0, 0), c1_squared=0, s_matrix=zero_s_matrix(3),
+    spinc = SpinCStructure(c1=(0, 0), c1_squared=0, s_size=3,
                            sw_parity=Parity.ODD,
                            parity_provenance=Provenance.TAUBES_SYMPLECTIC)
     return _atom("Kodaira", char,
@@ -128,24 +124,16 @@ def _kodaira() -> Manifold:
                  sv_factors=())
 
 
-# Sigma(g,h) stores a dense 2(g+h)-square zero s-matrix, so g + h is capped
-# before it is allocated.  Sigma(1000,3) (about 4 * 10^6 entries) still builds.
-SIGMA_CAP = 1024
-
-
 def _sigma(g: int, h: int) -> Manifold:
     if g < 1 or h < 1:
         raise CatalogError(f"Sigma(g,h) needs g,h >= 1, got ({g},{h})")
-    if g + h > SIGMA_CAP:
-        raise CapacityError(
-            f"Sigma({g},{h}) has g + h = {g + h}, over the cap of {SIGMA_CAP}")
     char = CharData(b1=2 * (g + h), b_plus=2 * g * h + 1, b_minus=2 * g * h + 1,
                     is_spin=True, is_simply_connected=False)
     # Canonical-class coordinates in the hyperbolic plane spanned by the two
     # fiber classes: 2(g-1)*a + 2(h-1)*b, of square 8(g-1)(h-1) = 2chi+3tau.
     c1 = (2 * (g - 1), 2 * (h - 1))
     spinc = SpinCStructure(c1=c1, c1_squared=8 * (g - 1) * (h - 1),
-                           s_matrix=zero_s_matrix(char.b1),
+                           s_size=char.b1,
                            sw_parity=Parity.ODD,
                            parity_provenance=Provenance.TAUBES_SYMPLECTIC)
     flags = {Flag.ALMOST_COMPLEX, Flag.SYMPLECTIC, Flag.MINIMAL_KAEHLER}
@@ -167,7 +155,7 @@ def _y_ell(ell: int) -> Manifold:
     # Canonical monopole classes are +/- 2*l*f with f the multiple-fiber
     # class, f^2 = 0; characteristic data is that of K3 but the smooth type
     # is distinguished by l (tracked via the summand id).
-    spinc = SpinCStructure(c1=(2 * ell, 0), c1_squared=0, s_matrix=(),
+    spinc = SpinCStructure(c1=(2 * ell, 0), c1_squared=0,
                            sw_parity=Parity.ODD,
                            parity_provenance=Provenance.TAUBES_SYMPLECTIC)
     flags = {Flag.ALMOST_COMPLEX, Flag.SYMPLECTIC, Flag.MINIMAL_KAEHLER}
@@ -188,7 +176,7 @@ def _gompf(alpha: int, beta: int) -> Manifold:
     char = CharData(b1=0, b_plus=4 * alpha + 2 * beta - 1,
                     b_minus=20 * alpha + 2 * beta - 1,
                     is_spin=True, is_simply_connected=True)
-    spinc = SpinCStructure(c1=None, c1_squared=8 * beta, s_matrix=(),
+    spinc = SpinCStructure(c1=None, c1_squared=8 * beta,
                            sw_parity=Parity.ODD,
                            parity_provenance=Provenance.TAUBES_SYMPLECTIC)
     return _atom(f"Gompf({alpha},{beta})", char,
@@ -245,23 +233,21 @@ def catalog_ids() -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # JSON serialization
 
-# The JSON form of a sum spells out its dense Gram matrix and s-matrix, which
-# are built from the blocks for the dump, so it is capped by their entry
-# count, rank^2 + b1^2.  The largest sums the benchmark dumps have about
-# 1.3 * 10^5 entries.  Atoms store their matrices densely already and are
-# not capped.
-DENSE_ENTRY_CAP = 4_000_000
+# The JSON form spells out the dense Gram matrix and s-matrix, which are
+# built for the dump, so it is capped by their entry count, rank^2 + b1^2.
+# The cap is that count for Sigma(1021,3), 2^2 + 2048^2.
+DENSE_ENTRY_CAP = 4_194_308
 
 
 def manifold_to_json(m: Manifold) -> dict:
     """The JSON document of ``m``, with dense matrices and vectors.
 
-    Raises CapacityError when a sum's matrices would exceed
+    Raises CapacityError when the matrices would exceed
     ``DENSE_ENTRY_CAP`` entries.
     """
     rank = 0 if m.lattice is None else m.lattice.rank
     entries = rank * rank + m.char.b1 * m.char.b1
-    if m.summands and entries > DENSE_ENTRY_CAP:
+    if entries > DENSE_ENTRY_CAP:
         raise CapacityError(
             f"the JSON form would hold rank^2 + b1^2 = {entries} matrix entries, "
             f"over the cap of {DENSE_ENTRY_CAP}")
@@ -349,6 +335,18 @@ def _int_matrix(value: object, where: str, path: str) -> tuple[tuple[int, ...], 
                  for i, row in enumerate(_check(value, "list", where, path)))
 
 
+def _s_matrix(value: object, where: str, path: str) -> dict:
+    """The ``s_size`` and ``s_entries`` of a dense antisymmetric matrix."""
+    rows = _int_matrix(value, where, path)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise CatalogError(f"{where}: field {path!r} must be a square matrix")
+    if any(rows[i][j] != -rows[j][i] for i in range(n) for j in range(i, n)):
+        raise CatalogError(f"{where}: field {path!r} must be antisymmetric")
+    return {"s_size": n, "s_entries": tuple(
+        (i, j, rows[i][j]) for i in range(n) for j in range(i + 1, n) if rows[i][j])}
+
+
 def _enum(cls: type, value: object, where: str, path: str):
     try:
         return cls(value)
@@ -392,8 +390,8 @@ def manifold_from_json(doc: dict, where: str = "manifold document") -> Manifold:
         spinc.append(SpinCStructure(
             c1=None if c1 is None else _int_list(c1, where, f"{at}.c1"),
             c1_squared=_field(s, "c1_squared", "int", where, f"{at}."),
-            s_matrix=_int_matrix(_field(s, "s_matrix", "list", where, f"{at}."), where,
-                                 f"{at}.s_matrix"),
+            **_s_matrix(_field(s, "s_matrix", "list", where, f"{at}."), where,
+                        f"{at}.s_matrix"),
             sw_parity=_enum(Parity, s.get("sw_parity", "Unknown"), where, f"{at}.sw_parity"),
             parity_provenance=_enum(Provenance, s.get("provenance", "Derived"), where,
                                     f"{at}.provenance"),

@@ -113,15 +113,13 @@ def parity_equivalence(m: Manifold, g: SpinCStructure) -> tuple[bool, bool]:
 def condition_star(m: Manifold, g: SpinCStructure) -> Certificate:
     """The spin condition on the cut-down moduli space: even Dirac index and
     even half-triple-product matrix."""
-    if m.char.b1 > 0 and len(g.s_matrix) != m.char.b1:
+    if m.char.b1 > 0 and g.s_size != m.char.b1:
         raise PremiseError(
             f"manifold has b1 = {m.char.b1} but no half-triple-product matrix "
             "of that size is stored")
     index = dirac_index(m, g)
     index_ok = index % 2 == 0
-    odd_entry = next(
-        ((i, j) for i, row in enumerate(g.s_matrix)
-         for j, x in enumerate(row) if x % 2 != 0), None)
+    odd_entry = g.odd_s_entry()
     s_ok = odd_entry is None
     premises = (
         Premise("numerical Dirac index is even", index_ok, f"index = {index}"),

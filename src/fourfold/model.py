@@ -9,15 +9,15 @@ and a record of the connected-sum history that produced it.
 Atoms and sums
 --------------
 
-An atom (a catalog block or a user manifold) stores everything densely: a
-:class:`GramLattice` and :class:`SpinCStructure` values with explicit c1
-vectors and half-triple-product matrices.  A connected sum is a multiset of
-atoms: ``summands`` holds sorted ``(atom, count)`` pairs, its lattice is a
-:class:`BlockLattice` of ``(atom lattice, count)`` blocks and its spin-c
-structures are :class:`BlockSpinC` values of ``(atom structure, count)``
-blocks.  Their checks run once per distinct block (the inertia of an
-orthogonal sum is the count-weighted sum of the block inertias), so the cost
-of :func:`validate` grows with the number of distinct atoms, not with
+An atom (a catalog block or a user manifold) stores a dense
+:class:`GramLattice`, and :class:`SpinCStructure` values with explicit c1
+vectors and sparse half-triple-product matrices.  A connected sum is a
+multiset of atoms: ``summands`` holds sorted ``(atom, count)`` pairs, its
+lattice is a :class:`BlockLattice` of ``(atom lattice, count)`` blocks and
+its spin-c structures are :class:`BlockSpinC` values of ``(atom structure,
+count)`` blocks.  Their checks run once per distinct block (the inertia of
+an orthogonal sum is the count-weighted sum of the block inertias), so the
+cost of :func:`validate` grows with the number of distinct atoms, not with
 repetition counts.  The dense Gram matrix, basis labels, c1 vector and
 s-matrix of a sum are built only when a caller asks for them, as the JSON
 dump does.
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Hashable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -113,12 +113,12 @@ def tally(pairs: Iterable[tuple[Hashable, int]]) -> dict:
 def _block_diagonal(blocks: Iterable[tuple[Sequence[Sequence[int]], int]],
                     size: int) -> tuple[tuple[int, ...], ...]:
     """The dense ``size x size`` matrix with each square block repeated
-    ``count`` times down the diagonal."""
+    ``count`` times down the diagonal; empty blocks cost nothing."""
     rows: list[tuple[int, ...]] = []
     offset = 0
     for block, count in blocks:
         r = len(block)
-        for _ in range(count):
+        for _ in range(count if r else 0):
             left, right = (0,) * offset, (0,) * (size - offset - r)
             rows.extend(left + tuple(row) + right for row in block)
             offset += r
@@ -193,9 +193,9 @@ class BlockLattice:
         labels: list[str] = []
         piece = 0
         for block, count in self.blocks:
-            for _ in range(count):
-                labels.extend(f"s{piece}.{name}" for name in block.basis_labels)
-                piece += 1
+            for i in range(piece, piece + count if block.rank else piece):
+                labels.extend(f"s{i}.{name}" for name in block.basis_labels)
+            piece += count
         return tuple(labels)
 
     @property
@@ -251,24 +251,38 @@ class SpinCStructure:
 
     ``c1`` is the coordinate vector of c1 in the owning manifold's lattice
     basis (None when no lattice is stored), ``c1_squared`` caches the
-    self-intersection, and ``s_matrix`` is the antisymmetric integer matrix of
-    half triple-product evaluations against a fixed basis of H^1.
+    self-intersection, and the antisymmetric integer matrix of half
+    triple-product evaluations against a fixed basis of H^1 is stored as its
+    size and its nonzero entries ``(i, j, x)``, ``i < j``, in row-major order.
     """
 
     c1: Optional[tuple[int, ...]]
     c1_squared: int
-    s_matrix: tuple[tuple[int, ...], ...]
+    s_size: int = 0
+    s_entries: tuple[tuple[int, int, int], ...] = ()
     sw_parity: Parity = Parity.UNKNOWN
     parity_provenance: Provenance = Provenance.DERIVED
+
+    @property
+    def s_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The dense ``s_size``-square matrix (O(s_size^2); built on request)."""
+        rows = [[0] * self.s_size for _ in range(self.s_size)]
+        for i, j, x in self.s_entries:
+            rows[i][j], rows[j][i] = x, -x
+        return tuple(map(tuple, rows))
 
     def conjugate(self) -> "SpinCStructure":
         """The complex-conjugate structure: c1 flips sign, parity is preserved."""
         c1 = None if self.c1 is None else tuple(-x for x in self.c1)
-        s = tuple(tuple(-x for x in row) for row in self.s_matrix)
-        return replace(self, c1=c1, s_matrix=s)
+        return replace(self, c1=c1, s_entries=tuple((i, j, -x) for i, j, x in self.s_entries))
+
+    def odd_s_entry(self) -> Optional[tuple[int, int]]:
+        """The first odd entry of the s-matrix in row-major order, if any (an
+        entry below the diagonal has an odd mirror image that comes first)."""
+        return next(((i, j) for i, j, x in self.s_entries if x % 2), None)
 
     def s_matrix_even(self) -> bool:
-        return all(x % 2 == 0 for row in self.s_matrix for x in row)
+        return self.odd_s_entry() is None
 
     def c1_mod4_zero(self) -> Optional[bool]:
         """Whether c1 maps to zero in H^2(X; Z/4); None when no vector is stored."""
@@ -307,15 +321,27 @@ class BlockSpinC:
         return tuple(itertools.chain.from_iterable(g.c1 * count for g, count in self.blocks))
 
     @property
+    def s_size(self) -> int:
+        return sum(g.s_size * count for g, count in self.blocks)
+
+    @property
     def s_matrix(self) -> tuple[tuple[int, ...], ...]:
-        size = sum(len(g.s_matrix) * count for g, count in self.blocks)
-        return _block_diagonal(((g.s_matrix, c) for g, c in self.blocks), size)
+        return _block_diagonal(((g.s_matrix, c) for g, c in self.blocks), self.s_size)
 
     def conjugate(self) -> "BlockSpinC":
         return replace(self, blocks=tuple((g.conjugate(), c) for g, c in self.blocks))
 
+    def odd_s_entry(self) -> Optional[tuple[int, int]]:
+        """The first odd entry of the dense s-matrix in row-major order."""
+        offset = 0
+        for g, count in self.blocks:
+            if (entry := g.odd_s_entry()) is not None:
+                return offset + entry[0], offset + entry[1]
+            offset += g.s_size * count
+        return None
+
     def s_matrix_even(self) -> bool:
-        return all(g.s_matrix_even() for g, _ in self.blocks)
+        return self.odd_s_entry() is None
 
     def c1_mod4_zero(self) -> Optional[bool]:
         answers = [g.c1_mod4_zero() for g, _ in self.blocks]
@@ -350,21 +376,6 @@ def _c1_norm(lattice: Lattice, g: SpinC) -> Optional[Fraction]:
         return None
     return sum((n * exact.quadratic_form(gram, c1) for (gram, c1), n in distinct.items()),
                Fraction(0))
-
-
-def _s_matrix_problem(g: SpinC, b1: int) -> Optional[str]:
-    """Shape and antisymmetry of the s-matrix, checked per distinct block."""
-    blocks = tally((s.s_matrix, n) for s, n in g.blocks)
-    size = sum(len(s) * n for s, n in blocks.items())
-    if size != b1 or any(len(row) != len(s) for s in blocks for row in s):
-        return "s_matrix is not b1 x b1"
-    if any(s[i][j] != -s[j][i] for s in blocks for i in range(len(s)) for j in range(len(s))):
-        return "s_matrix is not antisymmetric"
-    return None
-
-
-def zero_s_matrix(b1: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(0 for _ in range(b1)) for _ in range(b1))
 
 
 @dataclass(frozen=True)
@@ -423,26 +434,11 @@ class Manifold:
     def __str__(self) -> str:
         return self.name
 
-    # An atom is hashed every time it enters a connected sum, and its fields
-    # include dense matrices, so the field hash is computed once and kept on
-    # the instance.  ``replace`` builds a new instance and so a new hash;
-    # pickling and copying drop the kept value, because str hashes differ
-    # between processes.
-
+    # Equal manifolds have equal names, so the name hash agrees with the
+    # field-wise ``__eq__``; it never walks the lattice or spin-c data, and
+    # CPython caches a str's hash.
     def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = self.__dict__["_hash"] = self._field_hash()
-        return cached
-
-    def _field_hash(self) -> int:
-        """The hash of every compared field, as the generated dataclass hash."""
-        return hash(tuple(getattr(self, f.name) for f in fields(self)))
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+        return hash(self.name)
 
 
 # Listing a sum piece by piece costs O(pieces); past this many it raises
@@ -495,9 +491,8 @@ def validate(m: Manifold) -> list[str]:
                 problems.append(
                     f"spin-c #{idx}: cached c1_squared = {g.c1_squared} "
                     f"but the lattice gives {q}")
-        s_problem = _s_matrix_problem(g, c.b1)
-        if s_problem is not None:
-            problems.append(f"spin-c #{idx}: {s_problem}")
+        if g.s_size != c.b1:
+            problems.append(f"spin-c #{idx}: s_matrix is not b1 x b1")
 
     if Flag.ALMOST_COMPLEX in m.flags and m.spinc_structures:
         g = m.spinc_structures[0]

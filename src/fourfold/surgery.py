@@ -72,7 +72,8 @@ def _sum_spinc(runs: Iterable[tuple[Manifold, int, int]], with_vector: bool) -> 
         g = atom.canonical_spinc
         parities.add(g.sw_parity)
         block = SpinCStructure(c1=g.c1 if with_vector else None,
-                               c1_squared=g.c1_squared, s_matrix=g.s_matrix)
+                               c1_squared=g.c1_squared, s_size=g.s_size,
+                               s_entries=g.s_entries)
         blocks.append((block if sign > 0 else block.conjugate(), count))
     parity = Parity.ODD if parities == {Parity.ODD} else Parity.UNKNOWN
     return BlockSpinC(blocks=tuple(blocks), sw_parity=parity,

@@ -8,9 +8,10 @@ which is exact well below 2^53), the interval oracle re-evaluates the
 search inequalities with interval arithmetic over a coarse rational bracket
 of pi^2, the division-based pi^2 decision divides where the library
 cross-multiplies, the Fraction-based Gromov-Hitchin-Thorpe certificate
-builds the rational right-hand sides the library clears into integers, and
-the flattened connected sum assembles one copy of every piece into a dense
-Gram matrix, c1 vector and s-matrix.
+builds the rational right-hand sides the library clears into integers, the
+flattened connected sum assembles one copy of every piece into a dense
+Gram matrix, c1 vector and s-matrix, and the dense s-matrix helpers read
+the rows that the library stores as nonzero entries above the diagonal.
 """
 
 from __future__ import annotations
@@ -372,6 +373,30 @@ def direct_sum(lattices, prefixes):
     return GramLattice(tuple(labels), tuple(tuple(row) for row in gram))
 
 
+# -- dense s-matrices: the reference for the stored nonzero entries ----------
+
+
+def sparse_s(rows):
+    """The ``s_size`` and ``s_entries`` fields of a dense antisymmetric matrix."""
+    n = len(rows)
+    return {"s_size": n, "s_entries": tuple(
+        (i, j, rows[i][j]) for i in range(n) for j in range(n) if i < j and rows[i][j])}
+
+
+def dense_negation(rows):
+    return tuple(tuple(-x for x in row) for row in rows)
+
+
+def dense_even(rows):
+    return all(x % 2 == 0 for row in rows for x in row)
+
+
+def dense_first_odd(rows):
+    """The first odd entry in row-major order, or None."""
+    return next(((i, j) for i, row in enumerate(rows) for j, x in enumerate(row)
+                 if x % 2), None)
+
+
 def flat_sum_spinc(atoms, signs, with_vector):
     """#(+/-Gamma_i) over the flattened pieces, with a dense c1 vector and
     a dense b1 x b1 s-matrix."""
@@ -382,12 +407,12 @@ def flat_sum_spinc(atoms, signs, with_vector):
             coords.extend(s * x for x in a.canonical_spinc.c1)
         c1 = tuple(coords)
     c1_squared = sum(a.canonical_spinc.c1_squared for a in atoms)
-    b1_total = sum(a.char.b1 for a in atoms)
+    b1_total = sum(a.canonical_spinc.s_size for a in atoms)
     s_matrix = [[0] * b1_total for _ in range(b1_total)]
     offset = 0
     for a, s in zip(atoms, signs, strict=True):
         block = a.canonical_spinc.s_matrix
-        r = a.char.b1
+        r = len(block)
         for i in range(r):
             for j in range(r):
                 s_matrix[offset + i][offset + j] = s * block[i][j]
@@ -395,8 +420,7 @@ def flat_sum_spinc(atoms, signs, with_vector):
     parities = {a.canonical_spinc.sw_parity for a in atoms}
     parity = Parity.ODD if parities == {Parity.ODD} else Parity.UNKNOWN
     return SpinCStructure(
-        c1=c1, c1_squared=c1_squared,
-        s_matrix=tuple(tuple(row) for row in s_matrix),
+        c1=c1, c1_squared=c1_squared, **sparse_s(s_matrix),
         sw_parity=parity, parity_provenance=Provenance.DERIVED,
     )
 

@@ -29,7 +29,7 @@ from fourfold.einstein import (
     search_spin_examples,
 )
 from fourfold.errors import PremiseError
-from fourfold.model import CharData, Manifold, SpinCStructure, zero_s_matrix
+from fourfold.model import CharData, Manifold, SpinCStructure
 from fourfold.monopole import (
     MonopoleClassSet,
     beta_squared,
@@ -134,8 +134,7 @@ def test_criterion_4_parity_lemma():
         if b_minus < 0:
             continue
         char = CharData(b1, b_plus, b_minus, False, b1 == 0)
-        g = SpinCStructure(c1=None, c1_squared=c1_squared,
-                           s_matrix=zero_s_matrix(b1))
+        g = SpinCStructure(c1=None, c1_squared=c1_squared, s_size=b1)
         m = Manifold(name="t", char=char, spinc_structures=(g,))
         index_even, dim_cond = parity_equivalence(m, g)
         assert index_even == dim_cond
@@ -246,7 +245,7 @@ def test_criterion_10_decomposition_and_exotic():
     char = CharData(b1=0, b_plus=3, b_minus=11, is_spin=False,
                     is_simply_connected=True)
     g = SpinCStructure(c1=None, c1_squared=char.two_chi_plus_3tau(),
-                       s_matrix=(), sw_parity=Parity.ODD,
+                       sw_parity=Parity.ODD,
                        parity_provenance=Provenance.USER_ASSERTED)
     x = Manifold(name="Xns", char=char, spinc_structures=(g,),
                  flags=frozenset({Flag.ALMOST_COMPLEX, Flag.SYMPLECTIC}))

@@ -22,7 +22,7 @@ from fourfold.certify import (
     spin_cobordism_nontrivial,
 )
 from fourfold.errors import NonIntegralError, PremiseError
-from fourfold.model import CharData, Manifold, SpinCStructure, zero_s_matrix
+from fourfold.model import CharData, Manifold, SpinCStructure
 from fourfold.surgery import all_sign_spinc, connected_sum
 
 K3 = catalog_get("K3")
@@ -42,8 +42,7 @@ def _fake(b1, b_plus, c1_squared, d):
         return None
     char = CharData(b1=b1, b_plus=b_plus, b_minus=b_minus, is_spin=False,
                     is_simply_connected=(b1 == 0))
-    g = SpinCStructure(c1=None, c1_squared=c1_squared,
-                       s_matrix=zero_s_matrix(b1))
+    g = SpinCStructure(c1=None, c1_squared=c1_squared, s_size=b1)
     return Manifold(name="synthetic", char=char, spinc_structures=(g,))
 
 
@@ -109,16 +108,14 @@ def test_condition_star():
     assert cert.verdict is Verdict.NONVANISHING
     cert = condition_star(T4, T4.canonical_spinc)
     assert cert.verdict is Verdict.NONVANISHING
-    odd_s = tuple(tuple(1 if (i, j) == (0, 1) else (-1 if (i, j) == (1, 0) else 0)
-                        for j in range(4)) for i in range(4))
-    bad = replace(T4.canonical_spinc, s_matrix=odd_s)
+    bad = replace(T4.canonical_spinc, s_entries=((0, 1, 1),))
     cert = condition_star(T4, bad)
     assert cert.verdict is Verdict.VANISHING
     assert any("(0, 1)" in p.witness for p in cert.premises if not p.passed)
 
 
 def test_condition_star_missing_s_matrix():
-    bad = replace(T4.canonical_spinc, s_matrix=())
+    bad = replace(T4.canonical_spinc, s_size=0)
     with pytest.raises(PremiseError):
         condition_star(T4, bad)
 

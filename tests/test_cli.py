@@ -1,10 +1,12 @@
+import hashlib
 import json
+import sys
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from fourfold import catalog
+from fourfold import catalog, model
 from fourfold.catalog import catalog_get, manifold_to_json
 from fourfold.cli import main
 
@@ -247,22 +249,62 @@ def test_broken_pipe_exits_quietly():
     assert code == 1
 
 
+class _Digest:
+    """A stdout that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def _run_digest(capsys, monkeypatch, *argv):
+    sink = _Digest()
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", sink)
+        code = main(list(argv))
+    return code, sink.sha.hexdigest(), capsys.readouterr().err
+
+
+def _refuse(*_):
+    raise AssertionError("dense rows built past the dump cap")
+
+
+def _cap_error(entries):
+    return (f"fourfold: error: the JSON form would hold rank^2 + b1^2 = {entries} "
+            f"matrix entries, over the cap of {catalog.DENSE_ENTRY_CAP}\n")
+
+
 def test_sigma_family_is_capped(capsys, monkeypatch):
-    # the largest g + h builds; one more is a one-line CapacityError
-    cap = catalog.SIGMA_CAP
-    code, _, err = _run(capsys, "check", "hitchin-thorpe", f"Sigma({cap - 3},3)")
+    """Only the dump cap bounds Sigma(g,h): checks run at any size, and
+    Sigma(1021,3), with 2^2 + 2048^2 entries, is the largest that dumps."""
+    code, _, err = _run(capsys, "check", "hitchin-thorpe", "Sigma(100000,3)")
     assert code == 0 and err == ""
-    code, out, err = _run(capsys, "check", "hitchin-thorpe", f"Sigma({cap - 2},3)")
-    assert code == 1 and out == ""
-    assert err == (f"fourfold: error: Sigma({cap - 2},3) has g + h = {cap + 1}, "
-                   f"over the cap of {cap}\n")
-    # the cap is checked before the s-matrix is allocated
-    monkeypatch.setattr(catalog, "zero_s_matrix", None)
-    for argv in (("build", "Sigma(100000,3)"), ("catalog", "Sigma(3,100000)")):
+    code, digest, err = _run_digest(capsys, monkeypatch, "build", "Sigma(1021,3)")
+    assert (code, err) == (0, "")
+    # recorded while the atom stored its zero s-matrix densely: the dump is unchanged
+    assert digest == "e3fc2bf9f6fd7d1ba33561a318048df31a30c17298163c91193e2ed7554f32db"
+    # past the cap, no dense row is built
+    monkeypatch.setattr(model.SpinCStructure, "s_matrix", property(_refuse))
+    monkeypatch.setattr(model, "_block_diagonal", _refuse)
+    for argv, b1 in ((("build", "Sigma(1022,3)"), 2050),
+                     (("build", "Sigma(100000,3)"), 200_006),
+                     (("catalog", "Sigma(3,100000)"), 200_006)):
         code, out, err = _run(capsys, *argv)
-        assert code == 1 and out == ""
-        assert err.startswith("fourfold: error: Sigma(") and err.count("\n") == 1
-        assert "over the cap" in err
+        assert (code, out, err) == (1, "", _cap_error(2 * 2 + b1 * b1))
+
+
+def test_dense_json_cap_boundary(capsys, monkeypatch):
+    # sums and atoms share the cap: 2048^2 entries fit, 2049^2 do not
+    code, _, err = _run_digest(capsys, monkeypatch, "build", "2048*S1xS3")
+    assert (code, err) == (0, "")
+    code, out, err = _run(capsys, "build", "2049*S1xS3")
+    assert (code, out, err) == (1, "", _cap_error(2049 * 2049))
 
 
 _SMALL_SEARCH = ("search", "--mode", "spin", "--g", "3", "--h", "3",

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from fourfold.errors import CapacityError, PremiseError
 from fourfold.model import (
     CharData,
     Flag,
+    GramLattice,
     Manifold,
     Parity,
     Provenance,
@@ -271,8 +273,7 @@ def _nonspin_symplectic(b_plus=3, b_minus=11):
     char = CharData(b1=0, b_plus=b_plus, b_minus=b_minus, is_spin=False,
                     is_simply_connected=True)
     c1sq = char.two_chi_plus_3tau()
-    g = SpinCStructure(c1=None, c1_squared=c1sq, s_matrix=(),
-                       sw_parity=Parity.ODD,
+    g = SpinCStructure(c1=None, c1_squared=c1sq, sw_parity=Parity.ODD,
                        parity_provenance=Provenance.USER_ASSERTED)
     return Manifold(name="Xns", char=char, spinc_structures=(g,),
                     flags=frozenset({Flag.ALMOST_COMPLEX, Flag.SYMPLECTIC}))
@@ -442,10 +443,27 @@ def test_search_fetches_each_atom_once_per_call(monkeypatch):
     assert [hit.to_json() for hit in again.hits] == [hit.to_json() for hit in first.hits]
 
 
+def _unhashable(base: type) -> type:
+    def refuse(self):
+        raise AssertionError("a Manifold hash read more than its name")
+    return type(f"Unhashable{base.__name__}", (base,), {"__hash__": refuse})
+
+
 def test_search_hashes_atoms_once_and_certifies_each_hit_once(monkeypatch):
-    """Each fetched atom's fields are hashed at most once, and every hit goes
-    through the module-level connected_sum and certificate functions once."""
-    fetched, field_hashes = [], []
+    """Hashing an atom reads only its name, and every hit goes through the
+    module-level connected_sum and certificate functions once."""
+    sigma = catalog_get("Sigma(3,3)")
+    guarded = replace(
+        sigma, lattice=_unhashable(GramLattice)(sigma.lattice.basis_labels, sigma.lattice.gram),
+        spinc_structures=_unhashable(tuple)(sigma.spinc_structures))
+    for field in (guarded.lattice, guarded.spinc_structures):
+        with pytest.raises(AssertionError):
+            hash(field)
+    assert hash(guarded) == hash(sigma)
+    cp2bar = catalog_get("CP2bar")
+    assert connected_sum([guarded, cp2bar, guarded]).summands == ((cp2bar, 1), (guarded, 2))
+
+    fetched = []
     calls = dict.fromkeys(("connected_sum", "hitchin_thorpe", "ght",
                            "corollary_obstruction"), 0)
 
@@ -459,12 +477,8 @@ def test_search_hashes_atoms_once_and_certifies_each_hit_once(monkeypatch):
         monkeypatch.setattr(einstein, name, counting(name, getattr(einstein, name)))
     monkeypatch.setattr(einstein, "catalog_get",
                         lambda block_id: fetched.append(block_id) or catalog_get(block_id))
-    field_hash = Manifold._field_hash
-    monkeypatch.setattr(Manifold, "_field_hash",
-                        lambda self: field_hashes.append(self.name) or field_hash(self))
     hits = len(search_nonspin_examples(7, 7, 4, 6).hits)
-    assert hits > 100
-    assert 0 < len(field_hashes) <= len(fetched)
+    assert hits > 100 and fetched
     assert calls == dict.fromkeys(calls, hits)
 
 

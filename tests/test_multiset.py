@@ -25,7 +25,7 @@ from fourfold.model import (
 )
 from fourfold.surgery import blow_up, connected_sum, split_blowdown, sum_spinc
 
-from oracles import flat_connected_sum, flat_sum_spinc
+from oracles import dense_first_odd, flat_connected_sum, flat_sum_spinc
 
 
 def _custom_atom() -> Manifold:
@@ -34,7 +34,7 @@ def _custom_atom() -> Manifold:
     char = CharData(b1=2, b_plus=1, b_minus=1, is_spin=False, is_simply_connected=False)
     lattice = GramLattice(("u", "v"), ((2, 1), (1, -2)))
     c1 = (1, 1)  # Q(c1) = 2 + 2*1 - 2 = 2
-    spinc = SpinCStructure(c1=c1, c1_squared=2, s_matrix=((0, 3), (-3, 0)),
+    spinc = SpinCStructure(c1=c1, c1_squared=2, s_size=2, s_entries=((0, 1, 3),),
                            sw_parity=Parity.ODD,
                            parity_provenance=Provenance.USER_ASSERTED)
     m = Manifold(name="Xc", char=char, lattice=lattice, spinc_structures=(spinc,),
@@ -137,6 +137,7 @@ def test_sum_spinc_matches_flattened_reference(seed):
     assert (g.c1, g.c1_squared, g.s_matrix, g.sw_parity) == (
         ref.c1, ref.c1_squared, ref.s_matrix, ref.sw_parity)
     assert g.s_matrix_even() == ref.s_matrix_even()
+    assert g.odd_s_entry() == dense_first_odd(ref.s_matrix)
     assert g.c1_mod4_zero() == ref.c1_mod4_zero()
     conj = g.conjugate()
     assert (conj.c1, conj.s_matrix) == (ref.conjugate().c1, ref.conjugate().s_matrix)
@@ -148,12 +149,10 @@ def test_sum_spinc_matches_flattened_reference(seed):
 
 def test_validate_catches_block_defects_like_the_reference():
     custom = _custom_atom()
-    bad_c1 = replace(custom, spinc_structures=(
-        SpinCStructure(c1=(1, 1), c1_squared=4, s_matrix=((0, 3), (-3, 0))),))
-    bad_s = replace(custom, spinc_structures=(
-        SpinCStructure(c1=(1, 1), c1_squared=2, s_matrix=((0, 3), (3, 0))),))
-    bad_len = replace(custom, spinc_structures=(
-        SpinCStructure(c1=(1, 1, 0), c1_squared=2, s_matrix=((0, 3), (-3, 0))),))
+    s = custom.canonical_spinc
+    bad_c1 = replace(custom, spinc_structures=(replace(s, c1_squared=4),))
+    bad_s = replace(custom, spinc_structures=(replace(s, s_size=3),))
+    bad_len = replace(custom, spinc_structures=(replace(s, c1=(1, 1, 0)),))
     k3 = catalog_get("K3")
     for atom in (bad_c1, bad_s, bad_len):
         parts = [atom, atom, k3]
@@ -217,14 +216,14 @@ def test_dense_json_cap(capsys, monkeypatch):
     assert "rank^2 + b1^2 = 34" in capsys.readouterr().err
 
 
-def test_dense_json_cap_spares_atoms(capsys, monkeypatch):
-    # an atom's matrices are stored densely already, so its JSON is not capped
-    monkeypatch.setattr(catalog, "DENSE_ENTRY_CAP", 0)
-    assert cli.main(["catalog", "Sigma(3,3)"]) == 0
-    assert cli.main(["build", "Sigma(3,3)"]) == 0
-    assert '"b1": 12' in capsys.readouterr().out
-    assert cli.main(["build", "2*S1xS3"]) == 1
-    assert "rank^2 + b1^2 = 4" in capsys.readouterr().err
+def test_dense_json_skips_empty_blocks():
+    # rank-0 and b1 = 0 blocks add no rows or labels, however many copies
+    s4 = Manifold(name="4-sphere", char=CharData(0, 0, 0, True, True), lattice=GramLattice((), ()),
+                  spinc_structures=(SpinCStructure(c1=(), c1_squared=0),), sv_factors=())
+    doc = manifold_to_json(connected_sum([s4, catalog_get("K3")], [10**15, 1]))
+    assert doc["lattice"]["basis"] == [f"s{10**15}.f", f"s{10**15}.s"]
+    doc = manifold_to_json(connected_sum([catalog_get("Gompf(2,0)")], [10**15]))
+    assert doc["spinc"][0]["s_matrix"] == [] and doc["lattice"] is None
 
 
 def test_part_counts_are_checked_before_listing(capsys, monkeypatch):
@@ -242,7 +241,7 @@ def test_part_counts_are_checked_before_listing(capsys, monkeypatch):
 def _nonspin_symplectic_atom() -> Manifold:
     # the numbers of CP2 # 11 CP2bar's minimal symplectic relatives: b+ = 3
     char = CharData(b1=0, b_plus=3, b_minus=19, is_spin=False, is_simply_connected=True)
-    g = SpinCStructure(c1=None, c1_squared=char.two_chi_plus_3tau(), s_matrix=(),
+    g = SpinCStructure(c1=None, c1_squared=char.two_chi_plus_3tau(),
                        sw_parity=Parity.ODD, parity_provenance=Provenance.USER_ASSERTED)
     return Manifold(name="Xns", char=char, spinc_structures=(g,),
                     flags=frozenset({Flag.ALMOST_COMPLEX, Flag.SYMPLECTIC}))

@@ -2,18 +2,22 @@
 sha256 recorded below.  The digests were taken before connected sums became
 multisets with block lattices, so a match shows the reports are
 byte-identical.  A changed example needs its digest re-recorded, with the
-reason in CHANGES.md."""
+reason in CHANGES.md.  The size caps the README names must match the
+package's."""
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import fourfold
 from fourfold.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -83,3 +87,30 @@ def test_readme_example_output_is_unchanged(command, custom_catalog):
         code = main(argv)
     assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()) == GOLDEN[command], (
         err.getvalue())
+
+
+def _package_caps() -> dict[str, int]:
+    caps = {}
+    for info in pkgutil.iter_modules(fourfold.__path__):
+        module = importlib.import_module(f"fourfold.{info.name}")
+        caps.update((name, value) for name, value in vars(module).items()
+                    if name.endswith("_CAP") and isinstance(value, int))
+    return caps
+
+
+def _documented(value: str) -> int:
+    base, _, exponent = value.replace(",", "").partition("^")
+    return int(base) ** int(exponent) if exponent else int(base)
+
+
+def test_readme_caps_match_the_package():
+    """Every backticked `*_CAP` in the README exists in the package, with the
+    value written next to it, and every cap of the package is documented."""
+    text = README.read_text(encoding="utf-8")
+    named = set(re.findall(r"`([A-Z][A-Z0-9_]*_CAP)`", text))
+    valued = re.findall(r"`([A-Z][A-Z0-9_]*_CAP)` = (\d[\d,]*(?:\^\d+)?)", text)
+    caps = _package_caps()
+    assert named == set(caps)
+    assert valued and {name for name, _ in valued} == named
+    for name, value in valued:
+        assert _documented(value) == caps[name], name
