@@ -62,10 +62,6 @@ class Certificate:
                     f"{self.verdict.value} verdict with a failed premise in "
                     f"{self.theorem_id}")
 
-    @property
-    def all_premises_pass(self) -> bool:
-        return all(p.passed for p in self.premises)
-
     def to_json(self) -> dict:
         return {
             "theorem_id": self.theorem_id,

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -60,13 +61,29 @@ class _CliParser(argparse.ArgumentParser):
 
 
 def _rational(raw: str, source: str) -> Fraction:
-    """Parse a rational option value; errors name the option or variable."""
+    """Parse a rational option value; errors name the option or variable and
+    quote at most 40 characters of the value.
+
+    A value whose digits and decimal exponent add up to the interpreter's
+    int-str limit is refused before ``Fraction()`` expands it: ``1e10000000``
+    would take seconds to expand, and its report could not be printed.
+    """
+    shown = repr(raw[:40]) + ("..." if len(raw) > 40 else "")
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    size = sum(c.isdigit() for c in raw)
+    exponent = re.search(r"e([-+]?\d[\d_]*)", raw, re.IGNORECASE) if size < limit else None
+    if exponent:
+        # the exponent adds its value to the digits, not its own digits
+        text = exponent.group(1)
+        size += abs(int(text.replace("_", ""))) - sum(c.isdigit() for c in text)
+    if size >= limit:
+        raise FourfoldError(f"bad {source} value {shown}: {limit} digits or more")
     try:
         return Fraction(raw)
     except ZeroDivisionError:
-        raise FourfoldError(f"bad {source} value {raw!r}: zero denominator") from None
-    except ValueError as exc:
-        raise FourfoldError(f"bad {source} value {raw!r}: {exc}") from None
+        raise FourfoldError(f"bad {source} value {shown}: zero denominator") from None
+    except ValueError:
+        raise FourfoldError(f"bad {source} value {shown}: not a rational number") from None
 
 
 def _default_c4() -> Fraction:

@@ -9,8 +9,9 @@ everywhere (default 1): no value for it is ever assumed.
 
 Inequalities mixing integers with 1/(81 pi^2) are decided exactly by
 clearing pi^2: rearrange to A pi^2 > B with A, B rational and compare B/A
-against a certified rational enclosure of pi^2.  Ties inside the enclosure
-are reported as Inconclusive, never guessed.
+against rational enclosures of pi^2, refined until decided
+(``symbolic.pi2_greater``).  Only a comparison undecided at
+``PI_DIGIT_CAP`` digits is reported as Inconclusive, never guessed.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from fourfold.certify import (
     Certificate,
     Premise,
     Verdict,
+    _part_premises_theorem_a,
     check_taubes,
     check_theorem_A,
     check_theorem_B,
@@ -37,7 +39,7 @@ from fourfold.surgery import (
     connected_sum,
     split_blowdown,
 )
-from fourfold.symbolic import DEFAULT_PI2, Pi2Enclosure, pi2_greater
+from fourfold.symbolic import pi2_greater
 
 RationalLike = Union[int, Fraction, str]
 
@@ -115,8 +117,7 @@ def _describe(decision: Optional[bool]) -> str:
     return "tie (enclosure too coarse)" if decision is None else str(decision)
 
 
-def ght(m: Manifold, c4: RationalLike = DEFAULT_C4, strict: bool = True,
-        enclosure: Pi2Enclosure = DEFAULT_PI2) -> Certificate:
+def ght(m: Manifold, c4: RationalLike = DEFAULT_C4, strict: bool = True) -> Certificate:
     """Gromov-Hitchin-Thorpe: 2chi - 3|tau| >= ||M|| / (81 pi^2).
 
     Checked against the upper end of the simplicial-volume interval (a
@@ -139,14 +140,12 @@ def ght(m: Manifold, c4: RationalLike = DEFAULT_C4, strict: bool = True,
     # (against 1/c4), both positive, so it is decided on integers with the
     # same answer and the same ties.
     num, den = c4.numerator, c4.denominator
-    upper = pi2_greater(81 * gap * den, 16 * f * num, strict=strict, enclosure=enclosure)
-    lower = pi2_greater(81 * gap * num, 16 * f * den, strict=strict, enclosure=enclosure)
+    upper = pi2_greater(81 * gap * den, 16 * f * num, strict=strict)
+    lower = pi2_greater(81 * gap * num, 16 * f * den, strict=strict)
     # Violation must be judged against the non-strict necessary condition at
     # the smallest possible simplicial volume.
-    violated = pi2_greater(81 * gap * num, 16 * f * den, strict=False,
-                           enclosure=enclosure) is False
-    gromov = pi2_greater(2592 * m.euler() * den, 16 * f * num, strict=False,
-                         enclosure=enclosure)
+    violated = pi2_greater(81 * gap * num, 16 * f * den, strict=False) is False
+    gromov = pi2_greater(2592 * m.euler() * den, 16 * f * num, strict=False)
     rel = ">" if strict else ">="
     premises = (
         Premise(f"2chi - 3|tau| {rel} (upper sv end)/(81 pi^2)", upper is True,
@@ -318,7 +317,6 @@ def exotic_pair(x: Manifold, xprime: Manifold) -> Certificate:
                 f"{n_prime} pieces"),
     ]
     if n_prime in (1, 2):
-        from fourfold.certify import _part_premises_theorem_a
         for i, part in enumerate(xp_parts):
             premises.extend(_part_premises_theorem_a(part, i))
     all_ok = all(pr.passed for pr in premises)
@@ -430,14 +428,14 @@ def _l_range(mode: str, n: int, big_g: int) -> tuple[int, int]:
 
 
 def _spin_cells(m_max: int, n_max: int) -> list[tuple[int, int]]:
-    # 4m + 2n - 1 = 3 (mod 4) forces n even.
-    return [(m, n) for m in range(2, m_max + 1) for n in range(1, n_max + 1)
-            if (4 * m + 2 * n - 1) % 4 == 3]
+    # 4m + 2n - 1 = 3 (mod 4) forces n even; with no even n there is no
+    # cell, however large m_max is.
+    evens = range(2, n_max + 1, 2)
+    return [(m, n) for m in range(2, m_max + 1) for n in evens] if evens else []
 
 
 def _hit_for_tuple(mode: str, m: int, n: int, g: int, h: int, l: int,
-                   pieces: Sequence[Manifold], c4: Fraction,
-                   enclosure: Pi2Enclosure) -> SearchHit:
+                   pieces: Sequence[Manifold], c4: Fraction) -> SearchHit:
     """The hit at (m, n, l) from the fetched pieces Gompf(m,n), Y(1),
     Sigma(g,h) and S1xS3 (spin) or CP2bar (non-spin)."""
     if mode == "spin":
@@ -449,7 +447,7 @@ def _hit_for_tuple(mode: str, m: int, n: int, g: int, h: int, l: int,
     assert isinstance(sv, SvInterval)
     certs = (
         hitchin_thorpe(manifold),
-        ght(manifold, c4, strict=True, enclosure=enclosure),
+        ght(manifold, c4, strict=True),
         cor,
     )
     return SearchHit(mode=mode, m=m, n=n, l=l, manifold_name=manifold.name,
@@ -457,7 +455,7 @@ def _hit_for_tuple(mode: str, m: int, n: int, g: int, h: int, l: int,
 
 
 def _search(mode: str, g: int, h: int, m_max: int, n_max: int,
-            c4: Fraction, enclosure: Pi2Enclosure) -> SearchOutcome:
+            c4: Fraction) -> SearchOutcome:
     if g < 3 or h < 3 or g % 2 == 0 or h % 2 == 0:
         raise PremiseError(f"the searches need odd g, h >= 3; got ({g},{h})")
     if c4 <= 0:
@@ -495,7 +493,7 @@ def _search(mode: str, g: int, h: int, m_max: int, n_max: int,
             else:
                 # 8n + 4(1 - 4c4/(81 pi^2)) G - 12 > l2
                 a = 81 * (8 * n + 4 * big_g - 12 - l)
-            dec1 = pi2_greater(a * c4.denominator, b, strict=True, enclosure=enclosure)
+            dec1 = pi2_greater(a * c4.denominator, b, strict=True)
             if dec1 is False:
                 continue
             if dec1 is None:
@@ -503,7 +501,7 @@ def _search(mode: str, g: int, h: int, m_max: int, n_max: int,
                 continue
             if pieces is None:
                 pieces = (catalog_get(f"Gompf({m},{n})"),) + shared
-            hits.append(_hit_for_tuple(mode, m, n, g, h, l, pieces, c4, enclosure))
+            hits.append(_hit_for_tuple(mode, m, n, g, h, l, pieces, c4))
         return hits, ties
 
     results = [scan_cell(c) for c in _spin_cells(m_max, n_max)]
@@ -513,19 +511,17 @@ def _search(mode: str, g: int, h: int, m_max: int, n_max: int,
 
 
 def search_spin_examples(g: int, h: int, m_max: int, n_max: int,
-                         c4: RationalLike = DEFAULT_C4,
-                         enclosure: Pi2Enclosure = DEFAULT_PI2) -> SearchOutcome:
+                         c4: RationalLike = DEFAULT_C4) -> SearchOutcome:
     """All (m, n, l1) with m >= 2, n >= 1, 4m + 2n - 1 = 3 (mod 4), l1 >= 1
     whose spin connected sum
     Gompf(m,n) # Y(l) # (Sigma_g x Sigma_h) # l1 (S1 x S3)
     has nonzero simplicial volume, strictly satisfies Gromov-Hitchin-Thorpe,
     and carries no Einstein metric for any l."""
-    return _search("spin", g, h, m_max, n_max, Fraction(c4), enclosure)
+    return _search("spin", g, h, m_max, n_max, Fraction(c4))
 
 
 def search_nonspin_examples(g: int, h: int, m_max: int, n_max: int,
-                            c4: RationalLike = DEFAULT_C4,
-                            enclosure: Pi2Enclosure = DEFAULT_PI2) -> SearchOutcome:
+                            c4: RationalLike = DEFAULT_C4) -> SearchOutcome:
     """Non-spin analogue: Gompf(m,n) # Y(l) # (Sigma_g x Sigma_h) # l2 CP2bar
     with l2 >= 1 (one blow-up already kills spin-ness)."""
-    return _search("nonspin", g, h, m_max, n_max, Fraction(c4), enclosure)
+    return _search("nonspin", g, h, m_max, n_max, Fraction(c4))

@@ -11,65 +11,73 @@ by comparing canonical fields; two distinct canonical forms never denote the
 same real number (pi is transcendental, and squarefree radicands of equal
 rationals coincide).
 
-Strict inequalities against pi^2 never tie: pi^2 is irrational, so for
-rational A != 0 and B the predicate A*pi^2 > B is decided exactly once B/A
-falls outside a rational enclosure [lo, hi] of pi^2.  ``pi2_greater``
-decides it in integers, by cross-multiplying numerators and denominators
-(A*lo >= B, A*hi <= B), without forming B/A.  Comparisons that the shipped
-50-digit enclosure cannot separate report a tie instead of guessing.
+Comparisons are decided, not guessed: for rational A != 0 and B the
+predicate A*pi^2 > B never ties (pi^2 is irrational), and distinct canonical
+values differ.  Both are decided against enclosures of pi (Machin's formula,
+``pi_bounds``) and of square roots (``math.isqrt``) to 10^-d, with
+d = 50, 100, 200, ... until the enclosures separate.  ``pi2_greater``
+cross-multiplies numerators and denominators (A*lo >= B, A*hi <= B)
+without forming B/A.  Only a comparison still undecided at
+``PI_DIGIT_CAP`` digits is reported as a tie (``pi2_greater``) or refused
+with a ``CapacityError`` (``SymbolicValue.compare``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from fourfold.errors import CapacityError
+
 RationalLike = Union[int, Fraction, str]
 
-# pi^2 = 9.86960440108935861883449099987615113531369940724079 0626...
-# The bounds below bracket it to 50 decimal places; tests re-verify them
-# against an independent high-precision evaluation.
-PI2_LO = Fraction(986960440108935861883449099987615113531369940724079, 10**50)
-PI2_HI = PI2_LO + Fraction(1, 10**50)
-
-# pi = 3.14159265358979323846264338327950288419716939937510 58...
-PI_LO = Fraction(314159265358979323846264338327950288419716939937510, 10**50)
-PI_HI = PI_LO + Fraction(1, 10**50)
+# Comparisons refine pi and square roots from 50 digits, doubling, up to
+# this many digits; building every enclosure up to it takes well under 1 s.
+PI_DIGIT_CAP = 12_800
 
 
-@dataclass(frozen=True)
-class Pi2Enclosure:
-    """A certified rational interval containing pi^2."""
+@functools.lru_cache(maxsize=None)
+def pi_bounds(d: int, power: int = 1) -> tuple[Fraction, Fraction]:
+    """Rationals lo < pi^power < hi (power 1 or 2) with hi - lo <= 2*10^-d.
 
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self) -> None:
-        if not (Fraction(9) < self.lo < self.hi < Fraction(10)):
-            raise ValueError("implausible pi^2 enclosure")
-
-
-DEFAULT_PI2 = Pi2Enclosure(PI2_LO, PI2_HI)
-# The coarse interval used for independent re-verification of search output.
-COARSE_PI2 = Pi2Enclosure(Fraction("9.8696"), Fraction("9.8697"))
+    pi = 16 arctan(1/5) - 4 arctan(1/239) is summed in integers at scale
+    10^(d+10).  Each term is the floor of the true term, and the tail after
+    the last nonzero term is below one unit, so the sum is within
+    16*(terms + 2) units of pi*scale; that slack is far below the 10 guard
+    digits dropped when the bounds are rounded outwards to 10^-d.
+    """
+    scale = 10 ** (d + 10)
+    pi = terms = 0
+    for coeff, x in ((16, 5), (-4, 239)):
+        term, k, sign = scale // x, 1, 1
+        while term:
+            pi += sign * coeff * (term // k)
+            term //= x * x
+            k, sign, terms = k + 2, -sign, terms + 1
+    slack = 16 * (terms + 2)
+    shift = 10 ** (power * (d + 10) - d)
+    lo = (pi - slack) ** power // shift
+    hi = -(-(pi + slack) ** power // shift)
+    return Fraction(lo, 10 ** d), Fraction(hi, 10 ** d)
 
 
 def pi2_greater(a: Union[int, Fraction], b: Union[int, Fraction],
-                strict: bool = True,
-                enclosure: Pi2Enclosure = DEFAULT_PI2) -> Optional[bool]:
+                strict: bool = True) -> Optional[bool]:
     """Decide a*pi^2 > b (or >= when strict=False) over the rationals.
 
-    Returns True/False when the enclosure settles it, None on a tie.  For
-    a != 0 the strict and non-strict answers coincide (a*pi^2 is irrational);
-    for a == 0 the comparison is purely rational.
+    Returns True/False, and None only when ``pi_bounds`` at PI_DIGIT_CAP
+    digits cannot settle it.  For a != 0 the strict and non-strict answers
+    coincide (a*pi^2 is irrational); for a == 0 the comparison is purely
+    rational.
 
     ints and Fractions are used as they are; anything else goes through
     ``Fraction()``.  With a = a_n/a_d and b = b_n/b_d (positive
     denominators), a*x - b has the sign of p*x_n - q*x_d for x = x_n/x_d,
     where p = a_n*b_d and q = b_n*a_d, so the enclosure ends are compared
-    by integer products alone.
+    by integer products alone.  For p < 0 the question is turned into
+    its negation for -p, -q, which never ties either.
     """
     if not isinstance(a, (int, Fraction)):
         a = Fraction(a)
@@ -79,20 +87,20 @@ def pi2_greater(a: Union[int, Fraction], b: Union[int, Fraction],
         return (0 > b) if strict else (0 >= b)
     p = a.numerator * b.denominator
     q = b.numerator * a.denominator
-    lo, hi = enclosure.lo, enclosure.hi
-    if a > 0:
-        # need pi^2 > b/a: certain when a*lo >= b, impossible when a*hi <= b
+    positive = p > 0
+    if not positive:
+        p, q = -p, -q
+    d = 50
+    while True:
+        # pi^2 > q/p: certain when p*lo >= q, impossible when p*hi <= q
+        lo, hi = pi_bounds(d, 2)
         if p * lo.numerator >= q * lo.denominator:
-            return True
+            return positive
         if p * hi.numerator <= q * hi.denominator:
-            return False
-        return None
-    # a < 0: need pi^2 < b/a: certain when a*hi >= b, impossible when a*lo <= b
-    if p * hi.numerator >= q * hi.denominator:
-        return True
-    if p * lo.numerator <= q * lo.denominator:
-        return False
-    return None
+            return not positive
+        if d >= PI_DIGIT_CAP:
+            return None
+        d = min(2 * d, PI_DIGIT_CAP)
 
 
 def squarefree_decompose(s: int) -> tuple[int, int]:
@@ -245,21 +253,13 @@ class SymbolicValue:
 
     # -- comparison --------------------------------------------------------
 
-    def _bounds(self) -> tuple[Fraction, Fraction]:
-        """A rational enclosure of the value (finite values only)."""
-        if self.inf != 0:
-            raise ValueError("no rational bounds for an infinity")
-        lo = hi = Fraction(1)
-        if self.pi_power == 1:
-            lo, hi = PI_LO, PI_HI
-        elif self.pi_power == 2:
-            lo, hi = PI2_LO, PI2_HI
+    def _bounds(self, d: int) -> tuple[Fraction, Fraction]:
+        """An enclosure of the (finite) value from pi and sqrt to 10^-d."""
+        lo, hi = pi_bounds(d, self.pi_power) if self.pi_power else (1, 1)
         if self.radicand != 1:
-            # sqrt enclosure to 25 digits via integer square root
-            scale = 10**25
-            root_lo = Fraction(math.isqrt(self.radicand * scale * scale), scale)
-            root_hi = root_lo + Fraction(1, scale)
-            lo, hi = lo * root_lo, hi * root_hi
+            # root/10^d < sqrt(s) < (root + 1)/10^d, as s is no square
+            root = math.isqrt(self.radicand * 10 ** (2 * d))
+            lo, hi = lo * Fraction(root, 10**d), hi * Fraction(root + 1, 10**d)
         if self.q >= 0:
             return (self.q * lo, self.q * hi)
         return (self.q * hi, self.q * lo)
@@ -269,25 +269,24 @@ class SymbolicValue:
             raise TypeError("can only compare SymbolicValue with SymbolicValue")
         if self == other:
             return 0
-        if self.inf != 0 or other.inf != 0:
-            a = self.inf * 2 if self.inf != 0 else 0
-            b = other.inf * 2 if other.inf != 0 else 0
-            if self.inf == 0:
-                return -1 if other.inf > 0 else 1
-            if other.inf == 0:
-                return 1 if self.inf > 0 else -1
-            return -1 if a < b else 1
+        if self.inf != 0 or other.inf != 0:  # a finite value has inf == 0
+            return -1 if self.inf < other.inf else 1
         if self._family() == other._family():
             return -1 if self.q < other.q else 1
-        # Distinct canonical families never coincide, so a 50-digit
-        # enclosure separates every value this toolkit produces.
-        lo1, hi1 = self._bounds()
-        lo2, hi2 = other._bounds()
-        if hi1 < lo2:
-            return -1
-        if hi2 < lo1:
-            return 1
-        raise ArithmeticError("enclosure too coarse to order symbolic values")
+        # Distinct canonical values never coincide, so refining the
+        # enclosures separates them.
+        d = 50
+        while True:
+            lo1, hi1 = self._bounds(d)
+            lo2, hi2 = other._bounds(d)
+            if hi1 < lo2:
+                return -1
+            if hi2 < lo1:
+                return 1
+            if d >= PI_DIGIT_CAP:
+                raise CapacityError("two values agree to PI_DIGIT_CAP = "
+                                    f"{PI_DIGIT_CAP} digits and are not ordered")
+            d = min(2 * d, PI_DIGIT_CAP)
 
     def __lt__(self, other: "SymbolicValue") -> bool:
         return self.compare(other) < 0

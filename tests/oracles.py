@@ -7,18 +7,22 @@ points of the hull by brute force (vectorized with numpy on plain integers,
 which is exact well below 2^53), the interval oracle re-evaluates the
 search inequalities with interval arithmetic over a coarse rational bracket
 of pi^2, the division-based pi^2 decision divides where the library
-cross-multiplies, the Fraction-based Gromov-Hitchin-Thorpe certificate
-builds the rational right-hand sides the library clears into integers, the
-flattened connected sum assembles one copy of every piece into a dense
-Gram matrix, c1 vector and s-matrix, and the dense s-matrix helpers read
-the rows that the library stores as nonzero entries above the diagonal.
+cross-multiplies and takes a fixed enclosure of pi^2 (50 digits, coarse, or
+1,100 digits from mpmath) where the library refines its own, the
+Fraction-based Gromov-Hitchin-Thorpe certificate builds the rational
+right-hand sides the library clears into integers, the flattened connected
+sum assembles one copy of every piece into a dense Gram matrix, c1 vector
+and s-matrix, and the dense s-matrix helpers read the rows that the library
+stores as nonzero entries above the diagonal.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +40,6 @@ from fourfold.model import (
     SpinCStructure,
 )
 from fourfold.monopole import Inconclusive
-from fourfold.symbolic import DEFAULT_PI2, PI2_HI, PI2_LO
 
 MESH_DEN = 32
 FULL_MESH_POINT_CAP = 20_000_000
@@ -227,10 +230,40 @@ def box_mesh_sample_max(gram, rng: random.Random, count: int = 200_000,
     return Fraction(int(vals.max()), den * den)
 
 
+# -- fixed rational enclosures of pi and pi^2: oracle inputs -----------------
+
+
+class Enclosure(NamedTuple):
+    """A rational interval (lo, hi) that contains pi or pi^2."""
+
+    lo: Fraction
+    hi: Fraction
+
+
+# pi and pi^2 truncated to 50 decimal places, and a coarse pi^2 bracket; the
+# tests re-verify all three against mpmath.
+PI_50 = Enclosure(Fraction(314159265358979323846264338327950288419716939937510, 10**50),
+                  Fraction(314159265358979323846264338327950288419716939937511, 10**50))
+PI2_50 = Enclosure(Fraction(986960440108935861883449099987615113531369940724079, 10**50),
+                   Fraction(986960440108935861883449099987615113531369940724080, 10**50))
+PI2_COARSE = Enclosure(Fraction("9.8696"), Fraction("9.8697"))
+ENCLOSURES = (PI2_50, PI2_COARSE)
+
+
+@functools.lru_cache(maxsize=None)
+def mpmath_pi2_enclosure(digits: int = 1100) -> Enclosure:
+    """pi^2 to 10^-digits from mpmath, evaluated with 30 guard digits."""
+    import mpmath
+
+    with mpmath.workdps(digits + 30):
+        n = int(mpmath.floor(mpmath.pi ** 2 * mpmath.mpf(10) ** digits))
+    return Enclosure(Fraction(n, 10**digits), Fraction(n + 1, 10**digits))
+
+
 # -- pi^2 decisions by division: reference for the integer cross-multiplication
 
 
-def pi2_greater_by_division(a, b, strict: bool = True, enclosure=DEFAULT_PI2):
+def pi2_greater_by_division(a, b, strict: bool = True, enclosure=PI2_50):
     """The division-based decision of a*pi^2 > b (>= when not strict):
     r = b/a as a reduced Fraction, compared with the enclosure ends."""
     a = Fraction(a)
@@ -255,17 +288,17 @@ def pi2_greater_by_division(a, b, strict: bool = True, enclosure=DEFAULT_PI2):
 
 # -- Gromov-Hitchin-Thorpe with rational right-hand sides --------------------
 
-# A c4 at which the spin search's first inequality ties at (m, n, l1) = (2, 2, 1)
-# with G = 4, and at which 16 f c4 / (81 gap) lands inside the enclosure of
-# pi^2 whenever f / gap = 1/4.
-TIE_C4 = (PI2_LO + PI2_HI) / 2 * Fraction(81, 4)
+# A c4 at which the spin search's first inequality, at (m, n, l1) = (2, 2, 1)
+# with G = 4, and 16 f c4 / (81 gap) whenever f / gap = 1/4, land at the
+# midpoint of PI2_50, so 50 digits of pi do not decide them.
+TIE_C4 = (PI2_50.lo + PI2_50.hi) / 2 * Fraction(81, 4)
 
 
 def _describe(decision):
     return "tie (enclosure too coarse)" if decision is None else str(decision)
 
 
-def ght_by_fractions(m, c4=1, strict: bool = True, enclosure=DEFAULT_PI2):
+def ght_by_fractions(m, c4=1, strict: bool = True, enclosure=PI2_50):
     """The Gromov-Hitchin-Thorpe certificate with each pi^2 comparison posed
     on the Fractions 16 f c4 and 16 f / c4 and decided by division."""
     c4 = Fraction(c4)
@@ -310,9 +343,6 @@ def ght_by_fractions(m, c4=1, strict: bool = True, enclosure=DEFAULT_PI2):
 
 
 # -- interval re-verification of the geography-search inequalities ----------
-
-PI2_COARSE = (Fraction("9.8696"), Fraction("9.8697"))
-
 
 def _one_minus_eps_interval(c4: Fraction, scale: int) -> tuple[Fraction, Fraction]:
     """Interval for 1 - scale*c4/(81*pi^2) over the coarse pi^2 bracket."""

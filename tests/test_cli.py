@@ -1,14 +1,16 @@
 import hashlib
 import json
 import sys
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from fourfold import catalog, model
+from fourfold import catalog, cli, model
 from fourfold.catalog import catalog_get, manifold_to_json
 from fourfold.cli import main
+from fourfold.errors import FourfoldError
 
 
 @pytest.fixture(scope="module")
@@ -321,6 +323,13 @@ _SMALL_SEARCH = ("search", "--mode", "spin", "--g", "3", "--h", "3",
     (_SMALL_SEARCH + ("--c4", "x"), "1", "--c4"),
     (_SMALL_SEARCH, "1/0", "FOURFOLD_C4"),
     (("check", "ght", "Sigma(3,3) # K3"), "abc", "FOURFOLD_C4"),
+    # values past the int-str limit, refused before Fraction() expands them
+    (("invariants", "K3", "--k=1e100000"), None, "--k"),
+    (("invariants", "K3", "--c4", "1e10000000"), None, "--c4"),
+    (_SMALL_SEARCH + ("--c4", "1e-10000000"), None, "--c4"),
+    (("check", "ght", "Sigma(3,3) # K3", "--c4", "7" * 5000), None, "--c4"),
+    (_SMALL_SEARCH, "1/" + "3" * 5000, "FOURFOLD_C4"),
+    (("invariants", "K3", "--k", "x" * 5000), None, "--k"),
 ])
 def test_bad_rational_option_is_named(capsys, monkeypatch, argv, env, source):
     if env is None:
@@ -331,3 +340,14 @@ def test_bad_rational_option_is_named(capsys, monkeypatch, argv, env, source):
     assert code == 1 and out == ""
     assert err.startswith(f"fourfold: error: bad {source} value '")
     assert err.count("\n") == 1
+    assert len(err) < 140  # at most 40 characters of the value are quoted
+
+
+def test_rational_options_up_to_the_int_str_limit_parse():
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    assert cli._rational(f"1e{limit - 2}", "--c4") == 10 ** (limit - 2)
+    assert cli._rational(f"2.5e-{limit - 3}", "--c4") == Fraction(25, 10 ** (limit - 2))
+    assert cli._rational(" 1_0E+1_0 ", "--c4") == 10**11
+    for raw in (f"1e{limit - 1}", f"1e-{limit}", "9" * limit, f"0.5e-{limit - 1}"):
+        with pytest.raises(FourfoldError, match=f"{limit} digits or more"):
+            cli._rational(raw, "--c4")

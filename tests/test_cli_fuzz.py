@@ -1,10 +1,14 @@
 """Random command lines through ``cli.main``, in process.
 
-Every input ends in a schema-valid report (exit 0 or 2) or in one line of
-``fourfold: error:`` on stderr (exit 1); an exception escaping ``main`` fails
-the test.  Expressions cover every catalog family with parameters and counts
-up to 10^30, nesting past ``MAX_NESTING``, junk bytes spliced in, and bad
-``--c4``/``--k`` values.  Moderate parameters and counts are left out so
+Every input ends in a schema-valid report (exit 0 or 2; ``search`` writes
+one report per line) or in one line of ``fourfold: error:`` on stderr
+(exit 1); an exception escaping ``main`` fails the test.  Expressions cover
+every catalog family with parameters and counts up to 10^30, nesting past
+``MAX_NESTING``, junk bytes spliced in, and bad ``--c4``/``--k`` values,
+among them exponents and integers past the interpreter's int-str limit.
+Searches take valid, negative, huge and non-numeric ``--mode``, ``--g``,
+``--h``, ``--mmax`` and ``--nmax`` values, and ``--c4`` at the engineered
+pi^2 tie.  Moderate parameters and counts are left out so
 that the reports stay small: a sum that ``build`` dumps, or whose pieces
 ``check bauer`` lists, has at most a few hundred pieces (at ``PIECE_CAP``
 pieces the ``bauer`` report alone is about 0.5 GB).
@@ -23,8 +27,10 @@ from fourfold.catalog import PLAIN_IDS
 from fourfold.model import PIECE_CAP
 from fourfold.parser import MAX_NESTING
 
+from oracles import TIE_C4
+
 with resources.files("fourfold").joinpath("schemas/report-v1.json").open() as fh:
-    SCHEMA = json.load(fh)
+    VALIDATOR = jsonschema.Draft7Validator(json.load(fh))
 
 _NUMBER = st.one_of(st.integers(0, 9), st.integers(10**6, 10**30))
 _COUNT = st.one_of(st.integers(0, 3), st.integers(PIECE_CAP + 1, 10**30))
@@ -68,7 +74,9 @@ _INPUT = st.one_of(
 
 _RATIONAL = st.one_of(
     st.builds(lambda p, q: f"{p}/{q}", st.integers(-10**30, 10**30), st.integers(-3, 10**30)),
-    st.sampled_from(["1", "0", "-1", "7/3", "1e30", "0.001", "1/0"]),
+    st.sampled_from(["1", "0", "-1", "-7/3", "7/3", "1e30", "0.001", "1/0", str(TIE_C4),
+                     "1e10000000", "1e-10000000", "-1e10000000", "1" * 5000,
+                     "-" + "7" * 5000, "1/" + "3" * 5000]),
     _JUNK,
 )
 
@@ -88,9 +96,27 @@ def _argv(draw) -> list[str]:
     return argv + ["--", draw(_INPUT)]
 
 
-@given(_argv())
-@settings(max_examples=300, deadline=None)
-def test_any_command_line_ends_in_a_report_or_one_error_line(argv):
+# A valid search, small enough to be quick, with up to two of its options
+# replaced by junk, negative or huge values (refused by the search caps, or
+# giving no cell at all).
+_VALID = {"--mode": st.sampled_from(["spin", "nonspin"]),
+          "--g": st.sampled_from([3, 5]), "--h": st.sampled_from([3, 5, 7]),
+          "--mmax": st.integers(0, 3), "--nmax": st.integers(0, 4)}
+_BAD = st.one_of(st.integers(-10**30, 10**30), _JUNK)
+
+
+@st.composite
+def _search_argv(draw) -> list[str]:
+    values = {option: draw(valid) for option, valid in _VALID.items()}
+    for option in draw(st.lists(st.sampled_from(sorted(_VALID)), max_size=2, unique=True)):
+        values[option] = draw(_BAD)
+    argv = ["search"] + [f"{option}={value}" for option, value in values.items()]
+    if draw(st.booleans()):
+        argv.append(f"--c4={draw(_RATIONAL)}")
+    return argv
+
+
+def _run(argv: list[str]) -> None:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -101,4 +127,20 @@ def test_any_command_line_ends_in_a_report_or_one_error_line(argv):
         assert err.endswith("\n")
         return
     assert err == ""
-    jsonschema.validate(json.loads(out), SCHEMA)
+    if argv[0] == "search":
+        for line in out.splitlines():
+            VALIDATOR.validate(json.loads(line))
+    else:
+        VALIDATOR.validate(json.loads(out))
+
+
+@given(_argv())
+@settings(max_examples=300, deadline=None)
+def test_any_command_line_ends_in_a_report_or_one_error_line(argv):
+    _run(argv)
+
+
+@given(_search_argv())
+@settings(max_examples=200, deadline=None)
+def test_any_search_command_line_ends_in_reports_or_one_error_line(argv):
+    _run(argv)

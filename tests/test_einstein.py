@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fourfold import cli, einstein
+from fourfold import cli, einstein, symbolic
 from fourfold.catalog import catalog_get
 from fourfold.certify import Verdict
 from fourfold.einstein import (
@@ -33,9 +33,18 @@ from fourfold.model import (
 )
 from fourfold.monopole import Inconclusive
 from fourfold.surgery import blow_up, connected_sum
-from fourfold.symbolic import COARSE_PI2, DEFAULT_PI2, pi2_greater
+from fourfold.symbolic import pi2_greater
 
-from oracles import TIE_C4, ght_by_fractions, nonspin_tuple_certified, spin_tuple_certified
+from oracles import (
+    ENCLOSURES,
+    PI2_50,
+    TIE_C4,
+    ght_by_fractions,
+    mpmath_pi2_enclosure,
+    nonspin_tuple_certified,
+    pi2_greater_by_division,
+    spin_tuple_certified,
+)
 
 K3 = catalog_get("K3")
 SIGMA33 = catalog_get("Sigma(3,3)")
@@ -157,30 +166,57 @@ _C4 = st.one_of(
 )
 
 
+_TIE = "tie (enclosure too coarse)"
+
+
+def _has_tie(cert) -> bool:
+    return any(_TIE in p.witness for p in cert.premises)
+
+
+def _assert_ght_matches_oracle(m, c4, strict, enclosure):
+    """ght matches the Fraction-based certificate over ``enclosure`` where
+    that decides every comparison, and over 1,100 mpmath digits where it
+    ties; with the digit cap at 50 it matches the one over PI2_50, ties
+    included.  Returns the decided certificate."""
+    expected = ght_by_fractions(m, c4, strict, enclosure)
+    if _has_tie(expected):
+        expected = ght_by_fractions(m, c4, strict, mpmath_pi2_enclosure())
+        assert not _has_tie(expected)
+    assert ght(m, c4, strict).to_json() == expected.to_json()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symbolic, "PI_DIGIT_CAP", 50)
+        assert (ght(m, c4, strict).to_json()
+                == ght_by_fractions(m, c4, strict, PI2_50).to_json())
+    return expected
+
+
 @given(b1=st.integers(0, 40), b_plus=st.integers(0, 80), b_minus=st.integers(0, 80),
        factor=st.one_of(st.none(), st.integers(0, 60)), c4=_C4, strict=st.booleans(),
-       enclosure=st.sampled_from([DEFAULT_PI2, COARSE_PI2]))
+       enclosure=st.sampled_from(ENCLOSURES))
 @settings(max_examples=300, deadline=None)
 def test_ght_integer_decisions_match_fractions(b1, b_plus, b_minus, factor, c4,
                                                strict, enclosure):
     m = _ght_piece(b1, b_plus, b_minus, factor)
     if isinstance(c4, str):
         c4 = _tie_c4(c4, m, enclosure)
-    assert (ght(m, c4, strict, enclosure).to_json()
-            == ght_by_fractions(m, c4, strict, enclosure).to_json())
+    _assert_ght_matches_oracle(m, c4, strict, enclosure)
 
 
-@pytest.mark.parametrize("enclosure", [DEFAULT_PI2, COARSE_PI2])
+@pytest.mark.parametrize("enclosure", ENCLOSURES)
 @pytest.mark.parametrize("strict", [True, False])
 @pytest.mark.parametrize("kind, premise", [("upper", 0), ("lower", 1), ("gromov", 2)])
-def test_ght_ties_match_fractions(kind, premise, strict, enclosure):
+def test_ght_ties_match_fractions(kind, premise, strict, enclosure, monkeypatch):
     # 2chi - 3|tau| = 16, chi = 8, factor 4
     m = _ght_piece(0, 3, 3, 4)
-    c4 = _tie_c4(kind, m, enclosure)
-    cert = ght(m, c4, strict, enclosure)
-    assert cert.to_json() == ght_by_fractions(m, c4, strict, enclosure).to_json()
-    assert cert.premises[premise].witness.split(";")[0].endswith(
-        "tie (enclosure too coarse)")
+    # the midpoint of either enclosure is decided by refining
+    assert not _has_tie(_assert_ght_matches_oracle(m, _tie_c4(kind, m, enclosure),
+                                                   strict, enclosure))
+    # the midpoint of PI2_50 ties when the refinement stops at 50 digits
+    monkeypatch.setattr(symbolic, "PI_DIGIT_CAP", 50)
+    c4 = _tie_c4(kind, m, PI2_50)
+    cert = ght(m, c4, strict)
+    assert cert.to_json() == ght_by_fractions(m, c4, strict, PI2_50).to_json()
+    assert cert.premises[premise].witness.split(";")[0].endswith(_TIE)
 
 
 def test_einstein_obstruction_separation():
@@ -341,7 +377,7 @@ def test_nonspin_search_range():
         assert hit.manifold_name.count("CP2bar") == 1  # "l2*CP2bar" piece
 
 
-def test_nonspin_in22_never_prunes_at_default_constant():
+def test_nonspin_in22_never_prunes_at_default_constant(monkeypatch):
     # the second inequality holds for every enumerated candidate when c4 = 1
     big_g = 4
     for m in range(2, 5):
@@ -350,8 +386,19 @@ def test_nonspin_in22_never_prunes_at_default_constant():
                 a = Fraction(81 * (8 * (n + 12 * m) + 4 * big_g + 84 + 5 * l2))
                 assert pi2_greater(a, Fraction(16 * big_g)) is True
     # In both modes the first inequality decides the second: where the
-    # first holds, so does the second, and a tie in the first is never a
-    # failure of the second.  So the search decides only the first.
+    # first holds, so does the second, and a tie in the first (at a 50-digit
+    # cap) is never a failure of the second.  So the search decides only the
+    # first.
+    assert _first_decides_second() == 0
+    monkeypatch.setattr(symbolic, "PI_DIGIT_CAP", 50)
+    assert _first_decides_second() >= 2  # the tie constant makes ties in both modes
+
+
+def _first_decides_second() -> int:
+    """Check, on the c4 = 1 grid of both modes and three other c4 values,
+    that the first search inequality decides the second; returns the
+    number of ties in the first."""
+    big_g = 4
     ties = 0
     for c4 in (Fraction(1), TIE_C4, Fraction(10**3), Fraction(10**6)):
         for m in range(2, 5):
@@ -374,7 +421,7 @@ def test_nonspin_in22_never_prunes_at_default_constant():
                             assert dec2 is not False
                         if dec2 is False:
                             assert dec1 is False
-    assert ties >= 2  # the tie constant makes ties in both modes
+    return ties
 
 
 def test_search_rejects_bad_parameters():
@@ -391,9 +438,15 @@ def test_search_huge_c4_empty():
     assert not out.hits and not out.inconclusive
 
 
-def test_search_inconclusive_on_engineered_tie():
+def test_search_inconclusive_on_engineered_tie(monkeypatch):
+    # 324 pi^2 > 16 TIE_C4 ties at 50 digits, and more digits show it fails
+    assert pi2_greater_by_division(324, 16 * TIE_C4, True, mpmath_pi2_enclosure()) is False
     out = search_spin_examples(3, 3, 2, 2, TIE_C4)
-    assert (2, 2, 1) in out.inconclusive
+    assert not out.inconclusive and (2, 2, 1) not in [hit.key() for hit in out.hits]
+    monkeypatch.setattr(symbolic, "PI_DIGIT_CAP", 50)
+    capped = search_spin_examples(3, 3, 2, 2, TIE_C4)
+    assert (2, 2, 1) in capped.inconclusive
+    assert [hit.to_json() for hit in capped.hits] == [hit.to_json() for hit in out.hits]
 
 
 def assert_cell_order_independent(g, h, m_max, n_max, c4):
@@ -416,9 +469,34 @@ def assert_cell_order_independent(g, h, m_max, n_max, c4):
     return baseline
 
 
-def test_search_cell_order_determinism():
+def test_search_cell_order_determinism(monkeypatch):
     assert assert_cell_order_independent(3, 3, 4, 6, 1).hits
-    assert assert_cell_order_independent(3, 3, 4, 6, TIE_C4).inconclusive
+    decided = assert_cell_order_independent(3, 3, 4, 6, TIE_C4)
+    assert decided.hits and not decided.inconclusive
+    monkeypatch.setattr(symbolic, "PI_DIGIT_CAP", 50)
+    capped = assert_cell_order_independent(3, 3, 4, 6, TIE_C4)
+    assert capped.inconclusive
+    assert ([hit.to_json() for hit in capped.hits]
+            == [hit.to_json() for hit in decided.hits])
+
+
+def test_geography_grid_is_decided_at_50_digits(monkeypatch):
+    """Every pi^2 decision of the benchmark's geography grid (both modes,
+    odd 3 <= g <= h <= 7, mmax 2..4, nmax 2, 4, 6 at c4 = 1) is settled by
+    the first enclosure; the engineered tie needs more digits."""
+    digits = []
+    bounds = symbolic.pi_bounds
+    monkeypatch.setattr(symbolic, "pi_bounds",
+                        lambda d, power=1: digits.append(d) or bounds(d, power))
+    for search in (search_spin_examples, search_nonspin_examples):
+        for g, h in ((3, 3), (3, 5), (3, 7), (5, 5), (5, 7), (7, 7)):
+            for m_max in (2, 3, 4):
+                for n_max in (2, 4, 6):
+                    search(g, h, m_max, n_max)
+    assert len(digits) > 10_000 and set(digits) == {50}
+    digits.clear()
+    assert not search_spin_examples(3, 3, 4, 6, TIE_C4).inconclusive
+    assert max(digits) > 50
 
 
 def test_search_fetches_each_atom_once_per_call(monkeypatch):
@@ -531,3 +609,13 @@ def test_unbounded_search_exits_with_one_line(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == ("fourfold: error: a search over 5999999994 (m, n) pairs "
                             "is over the cap of 10000\n")
+
+
+def test_search_without_an_even_n_has_no_cell():
+    # nmax < 2 leaves no cell, and at nmax <= 0 a huge mmax passes both
+    # caps, so the m range must not be walked
+    for n_max in (-5, 0, 1):
+        assert einstein._spin_cells(10**12, n_max) == []
+    for n_max in (-5, 0):
+        assert search_spin_examples(3, 3, 10**12, n_max) == einstein.SearchOutcome((), ())
+    assert einstein._spin_cells(3, 5) == [(2, 2), (2, 4), (3, 2), (3, 4)]

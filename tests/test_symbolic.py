@@ -1,34 +1,64 @@
+import time
 from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from fourfold import symbolic
+from fourfold.errors import CapacityError
 from fourfold.symbolic import (
-    COARSE_PI2,
-    DEFAULT_PI2,
-    PI2_HI,
-    PI2_LO,
-    PI_HI,
-    PI_LO,
+    PI_DIGIT_CAP,
     SymbolicValue,
     pi2_greater,
+    pi_bounds,
     squarefree_decompose,
 )
 
-from oracles import pi2_greater_by_division
+from oracles import (
+    ENCLOSURES,
+    PI2_50,
+    PI2_COARSE,
+    PI_50,
+    mpmath_pi2_enclosure,
+    pi2_greater_by_division,
+)
+
+
+def _mpf(x: Fraction):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _digit_counts():
+    d = 50
+    while d < PI_DIGIT_CAP:
+        yield d
+        d = min(2 * d, PI_DIGIT_CAP)
+    yield PI_DIGIT_CAP
 
 
 def test_pi_enclosures_against_mpmath():
-    mp = pytest.importorskip("mpmath").mp
-    mp.dps = 70
-    pi2 = mp.pi**2
-    assert mp.mpf(PI2_LO.numerator) / mp.mpf(PI2_LO.denominator) < pi2
-    assert pi2 < mp.mpf(PI2_HI.numerator) / mp.mpf(PI2_HI.denominator)
-    assert mp.mpf(PI_LO.numerator) / mp.mpf(PI_LO.denominator) < mp.pi
-    assert mp.pi < mp.mpf(PI_HI.numerator) / mp.mpf(PI_HI.denominator)
-    assert mp.mpf(COARSE_PI2.lo.numerator) / mp.mpf(COARSE_PI2.lo.denominator) < pi2
-    assert pi2 < mp.mpf(COARSE_PI2.hi.numerator) / mp.mpf(COARSE_PI2.hi.denominator)
+    with mpmath.workdps(1200):
+        pi2 = mpmath.pi ** 2
+        for lo, hi in (PI2_50, PI2_COARSE, mpmath_pi2_enclosure()):
+            assert _mpf(lo) < pi2 < _mpf(hi)
+        assert _mpf(PI_50.lo) < mpmath.pi < _mpf(PI_50.hi)
+    # at 50 digits the library's enclosures are the fixed 50-digit ones
+    assert pi_bounds(50) == PI_50
+    assert pi_bounds(50, 2) == PI2_50
+
+
+def test_pi_bounds_against_mpmath():
+    counts = list(_digit_counts())
+    assert counts[0] == 50 and counts[-1] == PI_DIGIT_CAP == 12_800
+    with mpmath.workdps(PI_DIGIT_CAP + 30):
+        for power in (1, 2):
+            x = mpmath.pi ** power
+            for d in counts:
+                lo, hi = pi_bounds(d, power)
+                assert _mpf(lo) < x < _mpf(hi), (d, power)
+                assert 0 < hi - lo <= Fraction(2, 10**d), (d, power)
 
 
 def test_canonicalization_absorbs_squares():
@@ -120,13 +150,13 @@ def test_canonical_form_invariants(q, p, s):
 @given(st.fractions(min_value=-50, max_value=50),
        st.fractions(min_value=-50, max_value=50))
 def test_pi2_greater_decides_correctly(a, b):
-    res = pi2_greater(a, b, strict=True, enclosure=DEFAULT_PI2)
-    if res is not None:
-        import math
-        approx = float(a) * math.pi**2 > float(b)
-        # float comparison agrees except vanishingly near the boundary
-        if abs(float(a) * math.pi**2 - float(b)) > 1e-9:
-            assert res == approx
+    res = pi2_greater(a, b, strict=True)
+    assert res is not None
+    import math
+    approx = float(a) * math.pi**2 > float(b)
+    # float comparison agrees except vanishingly near the boundary
+    if abs(float(a) * math.pi**2 - float(b)) > 1e-9:
+        assert res == approx
 
 
 def test_pi2_greater_zero_coefficient():
@@ -135,15 +165,31 @@ def test_pi2_greater_zero_coefficient():
     assert pi2_greater(0, 0, strict=False) is True
 
 
-def test_pi2_greater_tie_is_none():
-    mid = (DEFAULT_PI2.lo + DEFAULT_PI2.hi) / 2
+def test_pi2_greater_tie_is_none(monkeypatch):
+    mid = (PI2_50.lo + PI2_50.hi) / 2
+    # 50 digits do not separate the midpoint from pi^2; more digits do
+    assert pi2_greater(1, mid) is False
+    assert pi2_greater(-1, -mid) is True
+    assert pi2_greater_by_division(1, mid, True, mpmath_pi2_enclosure()) is False
+    monkeypatch.setattr(symbolic, "PI_DIGIT_CAP", 50)
     assert pi2_greater(1, mid) is None
     assert pi2_greater(-1, -mid) is None
 
 
+def test_pi2_greater_at_the_digit_cap_is_none_and_quick():
+    with mpmath.workdps(PI_DIGIT_CAP + 60):
+        near = int(mpmath.floor(mpmath.pi ** 2 * mpmath.mpf(10) ** (PI_DIGIT_CAP + 20)))
+    b = Fraction(near, 10 ** (PI_DIGIT_CAP + 20))
+    pi_bounds.cache_clear()  # the time includes building every enclosure
+    start = time.perf_counter()
+    assert pi2_greater(1, b) is None
+    assert pi2_greater(-1, -b) is None
+    assert time.perf_counter() - start < 2.0
+
+
 # -- the integer cross-multiplication against the division-based oracle ------
 
-_ENCLOSURES = st.sampled_from([DEFAULT_PI2, COARSE_PI2])
+_ENCLOSURES = st.sampled_from(ENCLOSURES)
 _RATIONALS = st.one_of(
     st.integers(min_value=-(10**60), max_value=10**60),
     st.fractions(),
@@ -152,12 +198,25 @@ _RATIONALS = st.one_of(
 )
 
 
+def _assert_matches_oracle(a, b, strict, enclosure):
+    """pi2_greater agrees with the division oracle over ``enclosure`` where
+    that decides, and with it over 1,100 mpmath digits where it ties; with
+    the digit cap at 50 it agrees with it over PI2_50, ties included."""
+    expected = pi2_greater_by_division(a, b, strict, enclosure)
+    if expected is None:
+        expected = pi2_greater_by_division(a, b, strict, mpmath_pi2_enclosure())
+        assert expected is not None
+    assert pi2_greater(a, b, strict) is expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symbolic, "PI_DIGIT_CAP", 50)
+        assert pi2_greater(a, b, strict) is pi2_greater_by_division(a, b, strict, PI2_50)
+    return expected
+
+
 @given(_RATIONALS, _RATIONALS, st.booleans(), _ENCLOSURES)
 def test_pi2_greater_matches_division_oracle(a, b, strict, enclosure):
-    expected = pi2_greater_by_division(a, b, strict, enclosure)
-    assert pi2_greater(a, b, strict, enclosure) is expected
-    assert pi2_greater(0, b, strict, enclosure) is pi2_greater_by_division(
-        0, b, strict, enclosure)
+    _assert_matches_oracle(a, b, strict, enclosure)
+    _assert_matches_oracle(0, b, strict, enclosure)
 
 
 @given(_RATIONALS, st.sampled_from(["lo", "hi", "mid"]), st.sampled_from([-1, 0, 1]),
@@ -167,10 +226,28 @@ def test_pi2_greater_matches_division_oracle_near_ties(a, end, sign, k, strict,
     x = {"lo": enclosure.lo, "hi": enclosure.hi,
          "mid": (enclosure.lo + enclosure.hi) / 2}[end]
     b = a * x * (1 + sign * Fraction(1, 10**k))
-    expected = pi2_greater_by_division(a, b, strict, enclosure)
-    assert pi2_greater(a, b, strict, enclosure) is expected
+    expected = _assert_matches_oracle(a, b, strict, enclosure)
     if b.denominator == 1:
-        assert pi2_greater(a, int(b), strict, enclosure) is expected
+        assert pi2_greater(a, int(b), strict) is expected
+
+
+def _near(digits: int, j: int) -> Fraction:
+    """pi^2 truncated to ``digits + 1`` places, moved by j units there: a
+    rational within 10^-digits of pi^2 for |j| <= 8."""
+    lo = mpmath_pi2_enclosure().lo
+    scale = 10 ** (digits + 1)
+    return Fraction(lo.numerator * scale // lo.denominator + j, scale)
+
+
+@given(st.fractions(max_denominator=10**12).filter(bool), st.integers(0, 500),
+       st.integers(-8, 8), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_pi2_greater_near_pi2_matches_mpmath(a, k, j, strict):
+    b = a * _near(k, j)
+    expected = pi2_greater_by_division(a, b, strict, mpmath_pi2_enclosure())
+    assert expected is not None
+    assert pi2_greater(a, b, strict) is expected
+    assert pi2_greater(-a, -b, strict) is not expected
 
 
 def test_pi2_greater_converts_other_inputs():
@@ -179,3 +256,44 @@ def test_pi2_greater_converts_other_inputs():
         for strict in (True, False):
             assert pi2_greater(a, b, strict) is pi2_greater_by_division(a, b, strict)
     assert pi2_greater("1", "9.86") is True
+
+
+# -- SymbolicValue.compare on nearby values of different families -------------
+
+_FAMILIES = [(p, s) for p in (0, 1, 2) for s in (1, 2, 3, 5, 6, 7, 10)]
+
+
+def _mp_value(q: Fraction, p: int, s: int):
+    return _mpf(q) * mpmath.pi ** p * mpmath.sqrt(s)
+
+
+@given(st.sampled_from(_FAMILIES), st.sampled_from(_FAMILIES),
+       st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6).filter(bool),
+       st.integers(0, 500), st.integers(-8, 8))
+@settings(max_examples=200, deadline=None)
+def test_compare_near_values_matches_mpmath(f1, f2, q1, k, j):
+    if f1 == f2:
+        return
+    (p1, s1), (p2, s2) = f1, f2
+    with mpmath.workdps(1100):
+        # q2 within about 10^-k (relative) of the value that equals v1
+        ratio = _mp_value(q1, p1, s1) / _mp_value(Fraction(1), p2, s2)
+        scale = 10 ** (k + 1)
+        q2 = Fraction(int(mpmath.nint(ratio * scale)) + j, scale)
+        diff = _mp_value(q1, p1, s1) - _mp_value(q2, p2, s2)
+        assert abs(diff) > mpmath.mpf(10) ** -1000
+        expected = 1 if diff > 0 else -1
+    v1, v2 = SymbolicValue(q1, p1, s1), SymbolicValue(q2, p2, s2)
+    assert v1.compare(v2) == expected
+    assert v2.compare(v1) == -expected
+    assert (v1 < v2) is (expected < 0) and (v1 > v2) is (expected > 0)
+
+
+def test_compare_refuses_past_the_digit_cap(monkeypatch):
+    mid = (PI2_50.lo + PI2_50.hi) / 2
+    pi2, close = SymbolicValue(1, 2), SymbolicValue(mid)
+    assert pi2 < close and close > pi2
+    monkeypatch.setattr(symbolic, "PI_DIGIT_CAP", 50)
+    with pytest.raises(CapacityError) as exc:
+        pi2.compare(close)
+    assert "\n" not in str(exc.value) and "PI_DIGIT_CAP = 50" in str(exc.value)
