@@ -28,7 +28,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from fourfold import catalog, einstein, monopole, parser, surgery
 from fourfold.certify import (
@@ -40,7 +40,7 @@ from fourfold.certify import (
     moduli_dimension,
     require_part_count,
 )
-from fourfold.errors import FourfoldError
+from fourfold.errors import CapacityError, FourfoldError
 from fourfold.model import Manifold, validate
 from fourfold.monopole import Inconclusive
 from fourfold.symbolic import SymbolicValue
@@ -60,6 +60,15 @@ class _CliParser(argparse.ArgumentParser):
         raise FourfoldError(message)
 
 
+def _shown(raw: str) -> str:
+    """At most 40 characters of an option value, quoted."""
+    return repr(raw[:40]) + ("..." if len(raw) > 40 else "")
+
+
+def _int_str_limit() -> int:
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
 def _rational(raw: str, source: str) -> Fraction:
     """Parse a rational option value; errors name the option or variable and
     quote at most 40 characters of the value.
@@ -68,8 +77,8 @@ def _rational(raw: str, source: str) -> Fraction:
     int-str limit is refused before ``Fraction()`` expands it: ``1e10000000``
     would take seconds to expand, and its report could not be printed.
     """
-    shown = repr(raw[:40]) + ("..." if len(raw) > 40 else "")
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    shown = _shown(raw)
+    limit = _int_str_limit()
     size = sum(c.isdigit() for c in raw)
     exponent = re.search(r"e([-+]?\d[\d_]*)", raw, re.IGNORECASE) if size < limit else None
     if exponent:
@@ -86,11 +95,18 @@ def _rational(raw: str, source: str) -> Fraction:
         raise FourfoldError(f"bad {source} value {shown}: not a rational number") from None
 
 
-def _default_c4() -> Fraction:
-    raw = os.environ.get("FOURFOLD_C4")
-    if raw is None:
-        return Fraction(1)
-    return _rational(raw, "FOURFOLD_C4")
+def _rendered(source: str, raw: str, render: Callable[[], dict]) -> dict:
+    """``render()`` of a report part derived from an option value.
+
+    A value under the int-str limit can still give a derived number over it
+    (16 * factor * c4, k * Y); printing that number raises ValueError, which
+    is refused here in the name of the option, as a ``CapacityError``.
+    """
+    try:
+        return render()
+    except ValueError:
+        raise CapacityError(f"bad {source} value {_shown(raw)}: a derived number has "
+                            f"more than {_int_str_limit()} digits") from None
 
 
 def _build_argparser() -> _CliParser:
@@ -147,11 +163,18 @@ def _evaluate(args: argparse.Namespace, expr: str) -> Manifold:
     return m
 
 
-def _c4(args: argparse.Namespace) -> Fraction:
+def _c4_option(args: argparse.Namespace) -> tuple[str, Optional[str]]:
+    """Where c4 comes from, ``--c4`` or ``FOURFOLD_C4``, and its raw value
+    (None when neither is given)."""
     raw = getattr(args, "c4", None)
-    if raw is None:
-        return _default_c4()
-    return _rational(raw, "--c4")
+    if raw is not None:
+        return "--c4", raw
+    return "FOURFOLD_C4", os.environ.get("FOURFOLD_C4")
+
+
+def _c4(args: argparse.Namespace) -> Fraction:
+    source, raw = _c4_option(args)
+    return Fraction(1) if raw is None else _rational(raw, source)
 
 
 def _sym_json(value: Union[SymbolicValue, Inconclusive],
@@ -236,16 +259,17 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         doc["Is"] = _sym_json(inv.Is, approx)
         doc["Y"] = _sym_json(inv.Y, approx)
         doc["K"] = _sym_json(inv.K, approx)
+    lam = monopole.lambda_bar_k(m, k)
     doc["lambda_k"] = {"k": str(k),
-                       "value": _sym_json(monopole.lambda_bar_k(m, k), approx)}
+                       "value": _rendered("--k", args.k, lambda: _sym_json(lam, approx))}
     doc["Ir"] = _sym_json(monopole.invariant_Ir(m), approx)
 
     beta = _beta2_report(m)
     doc["beta_squared"] = {"inconclusive": beta.reason} if isinstance(beta, Inconclusive) else beta
 
     sv = einstein.simplicial_volume(m, c4)
-    doc["sv_interval"] = ({"inconclusive": sv.reason}
-                          if isinstance(sv, Inconclusive) else sv.to_json())
+    doc["sv_interval"] = ({"inconclusive": sv.reason} if isinstance(sv, Inconclusive)
+                          else _rendered(*_c4_option(args), sv.to_json))
     _emit(doc)
     return EXIT_OK
 
@@ -306,21 +330,27 @@ def _cmd_beta2(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# One encoder for every search line: it holds no state between calls, and a
+# report has no cycles to check for.  Its output is that of
+# ``json.dumps(doc, sort_keys=True)``.
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+
 def _cmd_search(args: argparse.Namespace) -> int:
     c4 = _c4(args)
     fn = (einstein.search_spin_examples if args.mode == "spin"
           else einstein.search_nonspin_examples)
     outcome = fn(args.g, args.h, args.mmax, args.nmax, c4)
+    encode, write = _LINE_ENCODER.encode, sys.stdout.write
     for hit in outcome.hits:
         doc = hit.to_json()
         doc["version"] = REPORT_VERSION
         doc["kind"] = "search-hit"
-        sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
+        write(encode(doc) + "\n")
     for m, n, l in outcome.inconclusive:
-        sys.stdout.write(json.dumps(
-            {"version": REPORT_VERSION, "kind": "search-inconclusive",
-             "mode": args.mode, "m": m, "n": n, "l": l,
-             "reason": "pi^2 enclosure tie"}, sort_keys=True) + "\n")
+        write(encode({"version": REPORT_VERSION, "kind": "search-inconclusive",
+                      "mode": args.mode, "m": m, "n": n, "l": l,
+                      "reason": "pi^2 enclosure tie"}) + "\n")
     return EXIT_INCONCLUSIVE if outcome.inconclusive else EXIT_OK
 
 

@@ -49,7 +49,12 @@ DEFAULT_C4 = Fraction(1)
 @dataclass(frozen=True)
 class SvInterval:
     """[16*lo_factor/c4, 16*hi_factor*c4] with lo_factor = hi_factor =
-    sum of k(g-1)(h-1) over the hyperbolic-product content."""
+    sum of k(g-1)(h-1) over the hyperbolic-product content.
+
+    ``c4`` is a Fraction (``simplicial_volume`` converts anything else once).
+    With c4 = num/den in lowest terms, the ends are built as the single
+    Fractions 16*f*den/num and 16*f*num/den, not by Fraction arithmetic.
+    """
 
     lo_factor: int
     hi_factor: int
@@ -58,14 +63,14 @@ class SvInterval:
     def __post_init__(self) -> None:
         if self.lo_factor < 0 or self.hi_factor < 0:
             raise ValueError("sv factors are nonnegative")
-        if self.c4 <= 0:
+        if self.c4.numerator <= 0:
             raise ValueError("c4 must be a positive rational")
 
     def lo(self) -> Fraction:
-        return Fraction(16 * self.lo_factor) / self.c4
+        return Fraction(16 * self.lo_factor * self.c4.denominator, self.c4.numerator)
 
     def hi(self) -> Fraction:
-        return Fraction(16 * self.hi_factor) * self.c4
+        return Fraction(16 * self.hi_factor * self.c4.numerator, self.c4.denominator)
 
     def is_zero(self) -> bool:
         return self.hi_factor == 0
@@ -83,8 +88,9 @@ def simplicial_volume(m: Manifold, c4: RationalLike = DEFAULT_C4
     (simply connected pieces, S1 x S3, CP2bar, amenable complex surfaces);
     custom manifolds without a record are Inconclusive.
     """
-    c4 = Fraction(c4)
-    if c4 <= 0:
+    if not isinstance(c4, Fraction):
+        c4 = Fraction(c4)
+    if c4.numerator <= 0:
         raise ValueError("c4 must be positive")
     total = m.sv_factor_total()
     if total is None:
@@ -125,7 +131,8 @@ def ght(m: Manifold, c4: RationalLike = DEFAULT_C4, strict: bool = True) -> Cert
     Gromov's chi >= ||M|| / (2592 pi^2) alongside.  A sum with straddling
     interval is Inconclusive.
     """
-    c4 = Fraction(c4)
+    if not isinstance(c4, Fraction):
+        c4 = Fraction(c4)
     sv = simplicial_volume(m, c4)
     if isinstance(sv, Inconclusive):
         return Certificate(
@@ -142,9 +149,6 @@ def ght(m: Manifold, c4: RationalLike = DEFAULT_C4, strict: bool = True) -> Cert
     num, den = c4.numerator, c4.denominator
     upper = pi2_greater(81 * gap * den, 16 * f * num, strict=strict)
     lower = pi2_greater(81 * gap * num, 16 * f * den, strict=strict)
-    # Violation must be judged against the non-strict necessary condition at
-    # the smallest possible simplicial volume.
-    violated = pi2_greater(81 * gap * num, 16 * f * den, strict=False) is False
     gromov = pi2_greater(2592 * m.euler() * den, 16 * f * num, strict=False)
     rel = ">" if strict else ">="
     premises = (
@@ -158,7 +162,10 @@ def ght(m: Manifold, c4: RationalLike = DEFAULT_C4, strict: bool = True) -> Cert
     )
     if upper is True:
         verdict = Verdict.NOT_OBSTRUCTED
-    elif violated:
+    # Violation must be judged against the non-strict necessary condition at
+    # the smallest possible simplicial volume; it is only asked when the
+    # upper end fails, so a passing sum (every search hit) skips it.
+    elif pi2_greater(81 * gap * num, 16 * f * den, strict=False) is False:
         verdict = Verdict.OBSTRUCTED
         # An Obstructed certificate carries only passed premises, and
         # Gromov's inequality fails whenever chi < 0: keep it only if it held.
@@ -225,7 +232,10 @@ def corollary_obstruction(parts: Sequence[Manifold], k: int, g: int, h: int,
     """Specialized Einstein obstruction for
     (# simply connected symplectic X_m, b+ = 3 mod 4) # k(Sigma_g x Sigma_h)
     # l1(S1 x S3) # l2 CP2bar: obstructed when
-    4(n + l1 + k) + l2 >= (1/3)(sum (2chi+3tau)(X_m) + 4k(1-h)(1-g))."""
+    4(n + l1 + k) + l2 >= (1/3)(sum (2chi+3tau)(X_m) + 4k(1-h)(1-g)).
+
+    The inequality is decided on integers as 3*lhs >= x, where x is the
+    bracket on the right; the witness prints rhs = x/3 in lowest terms."""
     n = len(parts)
     if n < 1 or k < 1 or n + k > 3:
         raise PremiseError(f"need n, k >= 1 with n + k <= 3; got n = {n}, k = {k}")
@@ -242,8 +252,9 @@ def corollary_obstruction(parts: Sequence[Manifold], k: int, g: int, h: int,
             raise PremiseError(f"{p.name} has b+ = {p.char.b_plus} != 3 (mod 4)")
     total = sum(p.two_chi_plus_3tau() for p in parts)
     lhs = 4 * (n + l1 + k) + l2
-    rhs = Fraction(total + 4 * k * (1 - h) * (1 - g), 3)
-    obstructed = lhs >= rhs
+    x = total + 4 * k * (1 - h) * (1 - g)
+    obstructed = 3 * lhs >= x
+    rhs = x // 3 if x % 3 == 0 else f"{x}/3"
     premises = (
         Premise("parts are simply connected symplectic with b+ = 3 (mod 4)",
                 True, ", ".join(p.name for p in parts)),

@@ -23,7 +23,9 @@ s-matrix of a sum are built only when a caller asks for them, as the JSON
 dump does.
 
 Everything is an immutable value; all operations in the package are pure
-functions, so instances can be shared freely across threads.
+functions, so instances can be shared freely across threads.  (A
+:class:`SpinCStructure` keeps the blocks it hands to connected sums in its own
+``__dict__``, outside its fields; building one twice gives equal values.)
 
 Conventions
 -----------
@@ -275,6 +277,30 @@ class SpinCStructure:
         """The complex-conjugate structure: c1 flips sign, parity is preserved."""
         c1 = None if self.c1 is None else tuple(-x for x in self.c1)
         return replace(self, c1=c1, s_entries=tuple((i, j, -x) for i, j, x in self.s_entries))
+
+    def as_block(self, with_vector: bool, sign: int) -> "SpinCStructure":
+        """This structure as a block of a connected sum: no parity or
+        provenance, c1 kept only ``with_vector``, conjugated when ``sign`` is
+        -1.
+
+        Each variant is built once and kept in this instance's ``__dict__``
+        (outside the dataclass fields, so equality, hashing and ``replace``
+        ignore it); it lives exactly as long as this structure does.
+        """
+        memo = self.__dict__.get("_blocks")
+        if memo is None:
+            memo = self.__dict__["_blocks"] = {}
+        key = (with_vector, sign)
+        block = memo.get(key)
+        if block is None:
+            if sign < 0:
+                block = self.as_block(with_vector, 1).conjugate()
+            else:
+                block = SpinCStructure(c1=self.c1 if with_vector else None,
+                                       c1_squared=self.c1_squared, s_size=self.s_size,
+                                       s_entries=self.s_entries)
+            memo[key] = block
+        return block
 
     def odd_s_entry(self) -> Optional[tuple[int, int]]:
         """The first odd entry of the s-matrix in row-major order, if any (an

@@ -65,16 +65,21 @@ def _record_name(record: Sequence[tuple[str, int]]) -> str:
 
 
 def _sum_spinc(runs: Iterable[tuple[Manifold, int, int]], with_vector: bool) -> BlockSpinC:
-    """The structure #(+/-Gamma_i) from (atom, sign, count) runs in piece order."""
+    """The structure #(+/-Gamma_i) from (atom, sign, count) runs in piece order.
+
+    Each block is the atom's canonical structure without parity or
+    provenance, c1 kept only ``with_vector``, conjugated for sign -1.  The
+    atom's structure builds each such variant once and keeps it
+    (``SpinCStructure.as_block``), so every sum over the same atom objects
+    shares one block per variant, and the blocks go away with the atoms:
+    nothing is kept at module level.
+    """
     blocks: list[tuple[SpinCStructure, int]] = []
     parities = set()
     for atom, sign, count in runs:
         g = atom.canonical_spinc
         parities.add(g.sw_parity)
-        block = SpinCStructure(c1=g.c1 if with_vector else None,
-                               c1_squared=g.c1_squared, s_size=g.s_size,
-                               s_entries=g.s_entries)
-        blocks.append((block if sign > 0 else block.conjugate(), count))
+        blocks.append((g.as_block(with_vector, sign), count))
     parity = Parity.ODD if parities == {Parity.ODD} else Parity.UNKNOWN
     return BlockSpinC(blocks=tuple(blocks), sw_parity=parity,
                       parity_provenance=Provenance.DERIVED)

@@ -9,8 +9,8 @@ search inequalities with interval arithmetic over a coarse rational bracket
 of pi^2, the division-based pi^2 decision divides where the library
 cross-multiplies and takes a fixed enclosure of pi^2 (50 digits, coarse, or
 1,100 digits from mpmath) where the library refines its own, the
-Fraction-based Gromov-Hitchin-Thorpe certificate builds the rational
-right-hand sides the library clears into integers, the flattened connected
+Fraction-based Gromov-Hitchin-Thorpe and corollary certificates build the
+rational right-hand sides the library clears into integers, the flattened connected
 sum assembles one copy of every piece into a dense Gram matrix, c1 vector
 and s-matrix, and the dense s-matrix helpers read the rows that the library
 stores as nonzero entries above the diagonal.
@@ -29,7 +29,7 @@ import numpy as np
 from fourfold import exact
 from fourfold.certify import Certificate, Premise, Verdict
 from fourfold.einstein import simplicial_volume
-from fourfold.errors import SurgeryError
+from fourfold.errors import PremiseError, SurgeryError
 from fourfold.model import (
     CharData,
     Flag,
@@ -340,6 +340,42 @@ def ght_by_fractions(m, c4=1, strict: bool = True, enclosure=PI2_50):
         citation="Gromov-Hitchin-Thorpe inequality "
                  "2chi - 3|tau| >= ||M||/(81 pi^2), with Gromov's "
                  "chi >= ||M||/(2592 pi^2)")
+
+
+def corollary_by_fractions(parts, k: int, g: int, h: int, l1: int, l2: int):
+    """The specialized Einstein obstruction with its right-hand side built
+    as the Fraction (1/3)(sum (2chi+3tau)(X_m) + 4k(1-h)(1-g)) and compared
+    against the integer left-hand side."""
+    n = len(parts)
+    if n < 1 or k < 1 or n + k > 3:
+        raise PremiseError(f"need n, k >= 1 with n + k <= 3; got n = {n}, k = {k}")
+    if g < 1 or h < 1 or g % 2 == 0 or h % 2 == 0:
+        raise PremiseError(f"need odd g, h >= 1; got ({g},{h})")
+    if l1 < 0 or l2 < 0:
+        raise PremiseError("l1, l2 must be nonnegative")
+    for p in parts:
+        if not p.char.is_simply_connected:
+            raise PremiseError(f"{p.name} is not simply connected")
+        if not p.has_flag(Flag.SYMPLECTIC):
+            raise PremiseError(f"{p.name} is not symplectic")
+        if p.char.b_plus % 4 != 3:
+            raise PremiseError(f"{p.name} has b+ = {p.char.b_plus} != 3 (mod 4)")
+    total = sum(p.two_chi_plus_3tau() for p in parts)
+    lhs = 4 * (n + l1 + k) + l2
+    rhs = Fraction(total + 4 * k * (1 - h) * (1 - g), 3)
+    obstructed = lhs >= rhs
+    premises = (
+        Premise("parts are simply connected symplectic with b+ = 3 (mod 4)",
+                True, ", ".join(p.name for p in parts)),
+        Premise("4(n + l1 + k) + l2 >= (1/3)(sum(2chi+3tau) + 4k(1-h)(1-g))",
+                obstructed, f"lhs = {lhs}, rhs = {rhs}"),
+    )
+    return Certificate(
+        theorem_id="einstein-special",
+        premises=premises,
+        verdict=Verdict.OBSTRUCTED if obstructed else Verdict.NOT_OBSTRUCTED,
+        citation="Einstein obstruction for symplectic pieces summed with "
+                 "surface products, S1 x S3 copies and reversed projective planes")
 
 
 # -- interval re-verification of the geography-search inequalities ----------

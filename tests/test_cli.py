@@ -309,6 +309,7 @@ def test_dense_json_cap_boundary(capsys, monkeypatch):
     assert (code, out, err) == (1, "", _cap_error(2049 * 2049))
 
 
+_INT_STR_LIMIT = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 _SMALL_SEARCH = ("search", "--mode", "spin", "--g", "3", "--h", "3",
                  "--mmax", "2", "--nmax", "2")
 
@@ -330,6 +331,10 @@ _SMALL_SEARCH = ("search", "--mode", "spin", "--g", "3", "--h", "3",
     (("check", "ght", "Sigma(3,3) # K3", "--c4", "7" * 5000), None, "--c4"),
     (_SMALL_SEARCH, "1/" + "3" * 5000, "FOURFOLD_C4"),
     (("invariants", "K3", "--k", "x" * 5000), None, "--k"),
+    # values under the limit whose report derives a number over it
+    (("invariants", "Sigma(3,3) # K3", "--c4", "9" * (_INT_STR_LIMIT - 1)), None, "--c4"),
+    (("invariants", "Sigma(3,3) # K3", "--k", "9" * (_INT_STR_LIMIT - 1)), None, "--k"),
+    (("invariants", "Sigma(3,3) # K3"), "9" * (_INT_STR_LIMIT - 1), "FOURFOLD_C4"),
 ])
 def test_bad_rational_option_is_named(capsys, monkeypatch, argv, env, source):
     if env is None:

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -39,6 +41,7 @@ from oracles import (
     ENCLOSURES,
     PI2_50,
     TIE_C4,
+    corollary_by_fractions,
     ght_by_fractions,
     mpmath_pi2_enclosure,
     nonspin_tuple_certified,
@@ -81,6 +84,19 @@ def test_sv_interval_ordering_for_c4_at_least_one():
     for c4 in (Fraction(1), Fraction(3, 2), Fraction(7)):
         sv = SvInterval(5, 5, c4)
         assert sv.lo() <= sv.hi()
+
+
+@pytest.mark.parametrize("c4", [Fraction(1, 10**40), Fraction(7, 3), Fraction(1),
+                                Fraction(10**40)])
+@pytest.mark.parametrize("factor", [0, 1, 12, 10**6 + 3])
+def test_sv_interval_ends_match_fraction_arithmetic(c4, factor):
+    sv = SvInterval(factor, factor, c4)
+    lo, hi = Fraction(16 * factor) / c4, Fraction(16 * factor) * c4
+    assert (sv.lo(), sv.hi()) == (lo, hi)
+    assert sv.to_json() == {"lo": str(lo), "hi": str(hi), "factor": factor, "c4": str(c4)}
+    # ints and strings are converted once, to the same interval
+    m = _ght_piece(0, 3, 3, factor)
+    assert simplicial_volume(m, str(c4)) == simplicial_volume(m, c4) == sv
 
 
 def test_sv_interval_validation():
@@ -288,6 +304,69 @@ def test_corollary_premise_failures():
         corollary_obstruction([g22, g22, g22], 1, 3, 3, 0, 0)  # n + k > 3
     with pytest.raises(PremiseError):
         corollary_obstruction([SIGMA33], 1, 3, 3, 0, 0)  # not simply connected
+
+
+def _corollary_part(b_plus: int, b_minus: int) -> Manifold:
+    """A simply connected symplectic part with 2chi + 3tau = 4 + 5b+ - b-,
+    negative when b- is large."""
+    return Manifold(name=f"P({b_plus},{b_minus})",
+                    char=CharData(0, b_plus, b_minus, False, True),
+                    flags=frozenset({Flag.SYMPLECTIC}), sv_factors=())
+
+
+@given(shape=st.sampled_from([(1, 1), (1, 2), (2, 1)]),
+       b_pluses=st.lists(st.sampled_from([3, 7, 11]), min_size=2, max_size=2),
+       b_minuses=st.lists(st.integers(0, 120), min_size=2, max_size=2),
+       g=st.integers(0, 4).map(lambda i: 2 * i + 1),
+       h=st.integers(0, 4).map(lambda i: 2 * i + 1),
+       l1=st.integers(0, 60), l2=st.integers(0, 60))
+@settings(max_examples=300, deadline=None)
+def test_corollary_integer_decision_matches_fractions(shape, b_pluses, b_minuses,
+                                                      g, h, l1, l2):
+    n, k = shape
+    parts = [_corollary_part(bp, bm) for bp, bm in zip(b_pluses, b_minuses)][:n]
+    assert (corollary_obstruction(parts, k, g, h, l1, l2).to_json()
+            == corollary_by_fractions(parts, k, g, h, l1, l2).to_json())
+
+
+def test_corollary_rhs_covers_every_residue_and_sign():
+    # 2chi + 3tau = 59 - b-; with g = h = 1 the right-hand side is that over
+    # 3, against 3 * lhs = 24
+    seen = set()
+    for b_minus in range(0, 80):
+        parts = [_corollary_part(11, b_minus)]
+        x = parts[0].two_chi_plus_3tau()
+        cert = corollary_obstruction(parts, 1, 1, 1, 0, 0)
+        assert cert.to_json() == corollary_by_fractions(parts, 1, 1, 1, 0, 0).to_json()
+        assert f"rhs = {Fraction(x, 3)}" in cert.premises[1].witness
+        seen.add((x % 3, x < 0, cert.verdict))
+    assert {(r, neg) for r, neg, _ in seen} == {(r, neg) for r in range(3)
+                                                for neg in (False, True)}
+    assert {v for *_, v in seen} == {Verdict.OBSTRUCTED, Verdict.NOT_OBSTRUCTED}
+
+
+_O, _I, _N = Verdict.OBSTRUCTED, Verdict.INCONCLUSIVE, Verdict.NOT_OBSTRUCTED
+
+
+@pytest.mark.parametrize("b1, b_plus, b_minus, factor, c4, strict_verdict, loose_verdict", [
+    (40, 0, 0, 1, Fraction(1), _O, _O),            # 2chi - 3|tau| < 0
+    (0, 3, 3, 900, Fraction(1), _O, _O),           # 16*900 > 81*16*pi^2
+    (0, 3, 3, 3000, Fraction(7, 3), _O, _O),
+    (0, 3, 3, 60, Fraction(1000), _I, _I),         # the interval straddles
+    (0, 3, 3, 1, Fraction(10**40), _I, _I),
+    (0, 3, 19, 0, Fraction(7, 3), _I, _N),         # 2chi = 3|tau|
+    (0, 3, 3, None, Fraction(1), _I, _I),          # unknown content
+    (0, 3, 3, 60, Fraction(1), _N, _N),
+])
+def test_ght_verdicts_match_fractions(b1, b_plus, b_minus, factor, c4,
+                                      strict_verdict, loose_verdict):
+    """The lower-end violation is only decided when the upper end fails; the
+    certificates still match the oracle, which always decides it."""
+    m = _ght_piece(b1, b_plus, b_minus, factor)
+    for strict, expected in ((True, strict_verdict), (False, loose_verdict)):
+        cert = ght(m, c4, strict)
+        assert cert.to_json() == ght_by_fractions(m, c4, strict, PI2_50).to_json()
+        assert cert.verdict is expected
 
 
 def test_decomposition_bound():
@@ -555,9 +634,57 @@ def test_search_hashes_atoms_once_and_certifies_each_hit_once(monkeypatch):
         monkeypatch.setattr(einstein, name, counting(name, getattr(einstein, name)))
     monkeypatch.setattr(einstein, "catalog_get",
                         lambda block_id: fetched.append(block_id) or catalog_get(block_id))
+    # pi^2 decisions made inside ght: every hit passes at the upper end, so
+    # ght skips the lower-end violation test and asks at most three
+    in_ght, verdicts, pi2_in_ght = [], [], [0]
+    counted_ght = einstein.ght
+
+    def ght_watched(*args, **kwargs):
+        in_ght.append(True)
+        try:
+            cert = counted_ght(*args, **kwargs)
+        finally:
+            in_ght.pop()
+        verdicts.append(cert.verdict)
+        return cert
+
+    def pi2_watched(*args, **kwargs):
+        pi2_in_ght[0] += bool(in_ght)
+        return pi2_greater(*args, **kwargs)
+
+    monkeypatch.setattr(einstein, "ght", ght_watched)
+    monkeypatch.setattr(einstein, "pi2_greater", pi2_watched)
     hits = len(search_nonspin_examples(7, 7, 4, 6).hits)
     assert hits > 100 and fetched
     assert calls == dict.fromkeys(calls, hits)
+    assert verdicts == [Verdict.NOT_OBSTRUCTED] * hits
+    assert pi2_in_ght[0] <= 3 * hits
+
+
+def test_search_keeps_nothing_after_it_returns(monkeypatch):
+    """The atoms a search fetches, and the spin-c blocks each atom builds
+    for its sums, are collected once the search and its result are gone:
+    nothing outlives a call."""
+    refs = []
+
+    def fetch(block_id):
+        atom = catalog_get(block_id)
+        refs.extend((weakref.ref(atom), weakref.ref(atom.canonical_spinc)))
+        return atom
+
+    def summed(*args, **kwargs):
+        m = connected_sum(*args, **kwargs)
+        refs.extend(weakref.ref(block) for block, _ in m.canonical_spinc.blocks)
+        return m
+
+    monkeypatch.setattr(einstein, "catalog_get", fetch)
+    monkeypatch.setattr(einstein, "connected_sum", summed)
+    outcome = search_nonspin_examples(7, 7, 4, 6)
+    assert len(outcome.hits) > 100
+    assert len(refs) > 4 * len(outcome.hits)  # four blocks per hit's sum
+    del outcome
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
 
 
 def _scan_size(mode, g, h, m_max, n_max):
