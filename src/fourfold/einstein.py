@@ -48,36 +48,35 @@ DEFAULT_C4 = Fraction(1)
 
 @dataclass(frozen=True)
 class SvInterval:
-    """[16*lo_factor/c4, 16*hi_factor*c4] with lo_factor = hi_factor =
-    sum of k(g-1)(h-1) over the hyperbolic-product content.
+    """[16*factor/c4, 16*factor*c4] with factor the sum of k(g-1)(h-1) over
+    the hyperbolic-product content.
 
     ``c4`` is a Fraction (``simplicial_volume`` converts anything else once).
     With c4 = num/den in lowest terms, the ends are built as the single
     Fractions 16*f*den/num and 16*f*num/den, not by Fraction arithmetic.
     """
 
-    lo_factor: int
-    hi_factor: int
+    factor: int
     c4: Fraction
 
     def __post_init__(self) -> None:
-        if self.lo_factor < 0 or self.hi_factor < 0:
-            raise ValueError("sv factors are nonnegative")
+        if self.factor < 0:
+            raise ValueError("the sv factor is nonnegative")
         if self.c4.numerator <= 0:
             raise ValueError("c4 must be a positive rational")
 
     def lo(self) -> Fraction:
-        return Fraction(16 * self.lo_factor * self.c4.denominator, self.c4.numerator)
+        return Fraction(16 * self.factor * self.c4.denominator, self.c4.numerator)
 
     def hi(self) -> Fraction:
-        return Fraction(16 * self.hi_factor * self.c4.numerator, self.c4.denominator)
+        return Fraction(16 * self.factor * self.c4.numerator, self.c4.denominator)
 
     def is_zero(self) -> bool:
-        return self.hi_factor == 0
+        return self.factor == 0
 
     def to_json(self) -> dict:
         return {"lo": str(self.lo()), "hi": str(self.hi()),
-                "factor": self.lo_factor, "c4": str(self.c4)}
+                "factor": self.factor, "c4": str(self.c4)}
 
 
 def simplicial_volume(m: Manifold, c4: RationalLike = DEFAULT_C4
@@ -96,7 +95,7 @@ def simplicial_volume(m: Manifold, c4: RationalLike = DEFAULT_C4
     if total is None:
         return Inconclusive(
             f"{m.name}: simplicial-volume content unknown (no sv_factors record)")
-    return SvInterval(lo_factor=total, hi_factor=total, c4=c4)
+    return SvInterval(factor=total, c4=c4)
 
 
 def hitchin_thorpe(m: Manifold) -> Certificate:
@@ -141,7 +140,7 @@ def ght(m: Manifold, c4: RationalLike = DEFAULT_C4, strict: bool = True) -> Cert
             verdict=Verdict.INCONCLUSIVE,
             citation="Gromov-Hitchin-Thorpe inequality")
     gap = min(m.two_chi_plus_3tau(), m.two_chi_minus_3tau())
-    f = sv.lo_factor
+    f = sv.factor
     # gap >= 16 f c4 / (81 pi^2)  <=>  81 gap pi^2 >= 16 f c4.  With
     # c4 = num/den, each comparison is scaled by den (against c4) or num
     # (against 1/c4), both positive, so it is decided on integers with the

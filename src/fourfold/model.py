@@ -15,17 +15,15 @@ vectors and sparse half-triple-product matrices.  A connected sum is a
 multiset of atoms: ``summands`` holds sorted ``(atom, count)`` pairs, its
 lattice is a :class:`BlockLattice` of ``(atom lattice, count)`` blocks and
 its spin-c structures are :class:`BlockSpinC` values of ``(atom structure,
-count)`` blocks.  Their checks run once per distinct block (the inertia of
-an orthogonal sum is the count-weighted sum of the block inertias), so the
-cost of :func:`validate` grows with the number of distinct atoms, not with
-repetition counts.  The dense Gram matrix, basis labels, c1 vector and
-s-matrix of a sum are built only when a caller asks for them, as the JSON
-dump does.
+count)`` blocks, each block the atom's own structure object.  Their checks
+run once per distinct block (the inertia of an orthogonal sum is the
+count-weighted sum of the block inertias), so the cost of :func:`validate`
+grows with the number of distinct atoms, not with repetition counts.  The
+dense Gram matrix, basis labels, c1 vector and s-matrix of a sum are built
+only when a caller asks for them, as the JSON dump does.
 
 Everything is an immutable value; all operations in the package are pure
-functions, so instances can be shared freely across threads.  (A
-:class:`SpinCStructure` keeps the blocks it hands to connected sums in its own
-``__dict__``, outside its fields; building one twice gives equal values.)
+functions, so instances can be shared freely across threads.
 
 Conventions
 -----------
@@ -127,14 +125,10 @@ def _block_diagonal(blocks: Iterable[tuple[Sequence[Sequence[int]], int]],
     return tuple(rows)
 
 
-def _is_symmetric(gram: Sequence[Sequence[int]]) -> bool:
-    n = len(gram)
-    return all(gram[i][j] == gram[j][i] for i in range(n) for j in range(n))
-
-
 @dataclass(frozen=True)
 class GramLattice:
-    """A symmetric integer bilinear form on a chosen sublattice of H^2.
+    """A symmetric integer bilinear form on a chosen sublattice of H^2; an
+    asymmetric ``gram`` is refused on construction.
 
     This need not be all of H^2(X;Z)/torsion; it is the sublattice spanned by
     the classes the toolkit actually works with (canonical classes, fiber
@@ -148,6 +142,8 @@ class GramLattice:
         n = len(self.basis_labels)
         if len(self.gram) != n or any(len(row) != n for row in self.gram):
             raise ValueError("gram matrix shape does not match basis")
+        if any(self.gram[i][j] != self.gram[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("gram matrix is not symmetric")
 
     @property
     def rank(self) -> int:
@@ -157,9 +153,6 @@ class GramLattice:
     def blocks(self) -> tuple[tuple["GramLattice", int], ...]:
         """The lattice as one block, so it reads like a :class:`BlockLattice`."""
         return ((self, 1),)
-
-    def is_symmetric(self) -> bool:
-        return _is_symmetric(self.gram)
 
     def inertia(self) -> tuple[int, int, int]:
         if self.rank == 0:
@@ -207,9 +200,6 @@ class BlockLattice:
 
     def _distinct_grams(self) -> dict:
         return tally((block.gram, count) for block, count in self.blocks if block.rank)
-
-    def is_symmetric(self) -> bool:
-        return all(_is_symmetric(gram) for gram in self._distinct_grams())
 
     def inertia(self) -> tuple[int, int, int]:
         """Sylvester inertia, one ``exact.inertia`` call per distinct block."""
@@ -278,30 +268,6 @@ class SpinCStructure:
         c1 = None if self.c1 is None else tuple(-x for x in self.c1)
         return replace(self, c1=c1, s_entries=tuple((i, j, -x) for i, j, x in self.s_entries))
 
-    def as_block(self, with_vector: bool, sign: int) -> "SpinCStructure":
-        """This structure as a block of a connected sum: no parity or
-        provenance, c1 kept only ``with_vector``, conjugated when ``sign`` is
-        -1.
-
-        Each variant is built once and kept in this instance's ``__dict__``
-        (outside the dataclass fields, so equality, hashing and ``replace``
-        ignore it); it lives exactly as long as this structure does.
-        """
-        memo = self.__dict__.get("_blocks")
-        if memo is None:
-            memo = self.__dict__["_blocks"] = {}
-        key = (with_vector, sign)
-        block = memo.get(key)
-        if block is None:
-            if sign < 0:
-                block = self.as_block(with_vector, 1).conjugate()
-            else:
-                block = SpinCStructure(c1=self.c1 if with_vector else None,
-                                       c1_squared=self.c1_squared, s_size=self.s_size,
-                                       s_entries=self.s_entries)
-            memo[key] = block
-        return block
-
     def odd_s_entry(self) -> Optional[tuple[int, int]]:
         """The first odd entry of the s-matrix in row-major order, if any (an
         entry below the diagonal has an odd mirror image that comes first)."""
@@ -326,10 +292,11 @@ class SpinCStructure:
 class BlockSpinC:
     """A spin-c structure on a connected sum, by blocks.
 
-    Each block is a structure on one atom (its c1 vector, c1^2 and s-matrix),
-    repeated ``count`` times in piece order, matching the blocks of the sum's
-    :class:`BlockLattice`.  Block c1 vectors are None when the sum stores no
-    c1 vector.  ``c1`` and ``s_matrix`` are the dense forms, built on request.
+    Each block is an atom's own canonical structure, or its conjugate for a
+    sign -1 run, repeated ``count`` times in piece order, matching the blocks
+    of the sum's :class:`BlockLattice`.  The sum's parity is its own field;
+    the blocks keep their atoms'.  ``c1`` and ``s_matrix`` are the dense
+    forms, built on request; ``c1`` is None when any block has no vector.
     """
 
     blocks: tuple[tuple[SpinCStructure, int], ...]
@@ -497,19 +464,17 @@ def validate(m: Manifold) -> list[str]:
         problems.append("simply connected manifold must have b1 = 0")
 
     if m.lattice is not None:
-        if not m.lattice.is_symmetric():
-            problems.append("gram matrix is not symmetric")
-        else:
-            pos, neg, _ = m.lattice.inertia()
-            if pos > c.b_plus:
-                problems.append(
-                    f"lattice has {pos} positive directions but b+ = {c.b_plus}")
-            if neg > c.b_minus:
-                problems.append(
-                    f"lattice has {neg} negative directions but b- = {c.b_minus}")
+        pos, neg, _ = m.lattice.inertia()
+        if pos > c.b_plus:
+            problems.append(f"lattice has {pos} positive directions but b+ = {c.b_plus}")
+        if neg > c.b_minus:
+            problems.append(f"lattice has {neg} negative directions but b- = {c.b_minus}")
 
     for idx, g in enumerate(m.spinc_structures):
-        if m.lattice is not None and all(s.c1 is not None for s, _ in g.blocks):
+        vector = all(s.c1 is not None for s, _ in g.blocks)
+        if vector and m.lattice is None:
+            problems.append(f"spin-c #{idx}: c1 vector but no lattice")
+        elif vector:
             q = _c1_norm(m.lattice, g)
             if q is None:
                 problems.append(f"spin-c #{idx}: c1 length does not match lattice rank")

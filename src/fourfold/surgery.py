@@ -23,7 +23,7 @@ sum are only built on request (see ``fourfold.model``).
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from fourfold.catalog import catalog_get
 from fourfold.errors import SurgeryError
@@ -64,43 +64,23 @@ def _record_name(record: Sequence[tuple[str, int]]) -> str:
     return " # ".join(name if mult == 1 else f"{mult}*{name}" for name, mult in record)
 
 
-def _sum_spinc(runs: Iterable[tuple[Manifold, int, int]], with_vector: bool) -> BlockSpinC:
-    """The structure #(+/-Gamma_i) from (atom, sign, count) runs in piece order.
-
-    Each block is the atom's canonical structure without parity or
-    provenance, c1 kept only ``with_vector``, conjugated for sign -1.  The
-    atom's structure builds each such variant once and keeps it
-    (``SpinCStructure.as_block``), so every sum over the same atom objects
-    shares one block per variant, and the blocks go away with the atoms:
-    nothing is kept at module level.
-    """
-    blocks: list[tuple[SpinCStructure, int]] = []
-    parities = set()
-    for atom, sign, count in runs:
-        g = atom.canonical_spinc
-        parities.add(g.sw_parity)
-        blocks.append((g.as_block(with_vector, sign), count))
-    parity = Parity.ODD if parities == {Parity.ODD} else Parity.UNKNOWN
-    return BlockSpinC(blocks=tuple(blocks), sw_parity=parity,
+def _sum_spinc(blocks: Sequence[tuple[SpinCStructure, int]]) -> BlockSpinC:
+    """The structure #(+/-Gamma_i) from its (structure, count) blocks in piece
+    order, each an atom's own canonical structure or its conjugate; its
+    parity is Odd exactly when every block's is."""
+    odd = all(g.sw_parity is Parity.ODD for g, _ in blocks)
+    return BlockSpinC(blocks=tuple(blocks), sw_parity=Parity.ODD if odd else Parity.UNKNOWN,
                       parity_provenance=Provenance.DERIVED)
-
-
-def _with_vector(lattice: Optional[Lattice], summands: Multiset) -> bool:
-    """Whether the sum stores a c1 vector: it needs a lattice and every
-    atom's vector."""
-    return lattice is not None and all(
-        a.canonical_spinc.c1 is not None for a, _ in summands)
 
 
 def _assemble(summands: Multiset) -> Manifold:
     """The sum of a sorted multiset, folded in one pass over its distinct
-    atoms.  A lattice block list, spin-c run list or sv tally turns None at
+    atoms.  A lattice block list, spin-c block list or sv tally turns None at
     the first atom without one: the sum then has none ("unknown")."""
     b1 = b_plus = b_minus = 0
-    spin = simply_connected = psc = asd_psc = mod4 = True
+    spin = simply_connected = asd_names = True
     lattices: Optional[list[tuple[Lattice, int]]] = []
-    runs: Optional[list[tuple[Manifold, int, int]]] = []
-    vectors = True
+    structures: Optional[list[tuple[SpinCStructure, int]]] = []
     sv: Optional[dict[tuple[int, int], int]] = {}
     names: list[tuple[str, int]] = []
     for a, n in summands:
@@ -110,20 +90,17 @@ def _assemble(summands: Multiset) -> Manifold:
         b_minus += c.b_minus * n
         spin = spin and c.is_spin
         simply_connected = simply_connected and c.is_simply_connected
-        psc = psc and Flag.HAS_PSC_METRIC in a.flags
-        asd_psc = asd_psc and a.name in _ASD_PSC_ATOMS and Flag.HAS_ASD_PSC_METRIC in a.flags
-        mod4 = mod4 and Flag.C1_MOD4_ZERO in a.flags
+        asd_names = asd_names and a.name in _ASD_PSC_ATOMS
         if lattices is not None:
             if a.lattice is not None:
                 lattices.append((a.lattice, n))
             else:
                 lattices = None
-        if runs is not None:
+        if structures is not None:
             if a.spinc_structures:
-                runs.append((a, 1, n))
-                vectors = vectors and a.spinc_structures[0].c1 is not None
+                structures.append((a.spinc_structures[0], n))
             else:
-                runs = None
+                structures = None
         if sv is not None:
             if a.sv_factors is None:
                 sv = None
@@ -137,16 +114,15 @@ def _assemble(summands: Multiset) -> Manifold:
             names.append((a.name, n))
 
     lattice = None if lattices is None else BlockLattice(tuple(lattices))
-    spinc: tuple[BlockSpinC, ...] = ()
-    if runs is not None:
-        spinc = (_sum_spinc(runs, vectors and lattice is not None),)
+    spinc = () if structures is None else (_sum_spinc(structures),)
+    shared = frozenset.intersection(*(a.flags for a, _ in summands))
     flags: set[Flag] = set()
-    if psc:
+    if Flag.HAS_PSC_METRIC in shared:
         # Gromov-Lawson: positive scalar curvature survives connected sums.
         flags.update((Flag.HAS_PSC_METRIC, Flag.HAS_NONNEG_SCALAR_METRIC))
-    if asd_psc:
+    if asd_names and Flag.HAS_ASD_PSC_METRIC in shared:
         flags.add(Flag.HAS_ASD_PSC_METRIC)
-    if spinc and mod4:
+    if spinc and Flag.C1_MOD4_ZERO in shared:
         flags.add(Flag.C1_MOD4_ZERO)
     sv_factors = None
     if sv is not None:
@@ -224,13 +200,14 @@ def sum_spinc(m: Manifold, signs: Sequence[int]) -> BlockSpinC:
         raise SurgeryError("signs must be +/-1")
     if not all(a.spinc_structures for a, _ in summands):
         raise SurgeryError("every piece needs a spin-c structure")
-    runs: list[tuple[Manifold, int, int]] = []
+    blocks: list[tuple[SpinCStructure, int]] = []
     start = 0
     for atom, count in summands:
+        g = atom.canonical_spinc
         for sign, run in itertools.groupby(signs[start:start + count]):
-            runs.append((atom, sign, sum(1 for _ in run)))
+            blocks.append((g if sign == 1 else g.conjugate(), sum(1 for _ in run)))
         start += count
-    return _sum_spinc(runs, _with_vector(m.lattice, summands))
+    return _sum_spinc(blocks)
 
 
 def all_sign_spinc(m: Manifold) -> Iterator[tuple[tuple[int, ...], BlockSpinC]]:

@@ -37,6 +37,11 @@ RationalLike = Union[int, Fraction, str]
 # this many digits; building every enclosure up to it takes well under 1 s.
 PI_DIGIT_CAP = 12_800
 
+# squarefree_decompose divides by trial up to sqrt(s), so its time grows as
+# sqrt(s): about 0.15 s for a prime near this cap on one x86 core of a 2-core
+# VM.  Past it, CapacityError.
+RADICAND_CAP = 10**12
+
 
 @functools.lru_cache(maxsize=None)
 def pi_bounds(d: int, power: int = 1) -> tuple[Fraction, Fraction]:
@@ -104,9 +109,12 @@ def pi2_greater(a: Union[int, Fraction], b: Union[int, Fraction],
 
 
 def squarefree_decompose(s: int) -> tuple[int, int]:
-    """Write s = c^2 * r with r squarefree; returns (c, r).  Requires s >= 0."""
+    """Write s = c^2 * r with r squarefree; returns (c, r).  Requires
+    0 <= s <= RADICAND_CAP."""
     if s < 0:
         raise ValueError("radicand must be nonnegative")
+    if s > RADICAND_CAP:
+        raise CapacityError(f"a square root of a number over RADICAND_CAP = {RADICAND_CAP}")
     if s in (0, 1):
         return (1, s)
     c = 1
@@ -329,10 +337,14 @@ class SymbolicValue:
         return f"SymbolicValue({self})"
 
     def approx(self) -> float:
-        """Non-authoritative float approximation (display only)."""
+        """Non-authoritative float approximation (display only); +/-inf past
+        the float range."""
         if self.inf != 0:
             return float("inf") * self.inf
-        value = float(self.q)
+        try:
+            value = float(self.q)
+        except OverflowError:
+            return float("inf") * self.sign()
         if self.pi_power:
             value *= math.pi ** self.pi_power
         if self.radicand != 1:

@@ -310,7 +310,7 @@ def ght_by_fractions(m, c4=1, strict: bool = True, enclosure=PI2_50):
             verdict=Verdict.INCONCLUSIVE,
             citation="Gromov-Hitchin-Thorpe inequality")
     gap = min(m.two_chi_plus_3tau(), m.two_chi_minus_3tau())
-    f = sv.lo_factor
+    f = sv.factor
     upper = pi2_greater_by_division(81 * gap, 16 * f * c4, strict, enclosure)
     lower = pi2_greater_by_division(81 * gap, 16 * f / c4, strict, enclosure)
     violated = pi2_greater_by_division(81 * gap, 16 * f / c4, False, enclosure) is False

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -7,7 +8,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from fourfold import catalog, cli, model
+from fourfold import catalog, cli, model, symbolic
 from fourfold.catalog import catalog_get, manifold_to_json
 from fourfold.cli import main
 from fourfold.errors import FourfoldError
@@ -93,6 +94,31 @@ def test_invariants_approx_flag(capsys, schema):
     (doc,) = _validate_lines(schema, out)
     assert doc["Is"]["approx_non_authoritative"] == pytest.approx(
         2048 * 3.141592653589793**2)
+
+
+def test_approx_past_the_float_range(capsys, schema):
+    code, out, err = _run(capsys, "--approx", "invariants", "Sigma(3,3) # K3", "--k", "1e400")
+    assert (code, err) == (0, "")
+    (doc,) = _validate_lines(schema, out)
+    assert doc["lambda_k"]["value"]["approx_non_authoritative"] == -math.inf
+    assert doc["Is"]["approx_non_authoritative"] == pytest.approx(1024 * math.pi**2)
+
+
+# Y = -4 pi sqrt(2 sum c1^2); for Sigma(g,3) # Sigma(3,3) the radicand is 32(g+1).
+@pytest.mark.parametrize("g, radicand", [(31_249_999_999, 1), (31_249_999_998, 62_499_999_998)])
+def test_radicand_up_to_the_cap(capsys, schema, g, radicand):
+    code, out, err = _run(capsys, "invariants", f"Sigma({g},3) # Sigma(3,3)")
+    assert (code, err) == (0, "")
+    (doc,) = _validate_lines(schema, out)
+    assert doc["Y"]["radicand"] == radicand
+
+
+@pytest.mark.parametrize("g", [31_250_000_000, 10**40])
+def test_radicand_past_the_cap(capsys, g):
+    code, out, err = _run(capsys, "invariants", f"Sigma({g},3) # Sigma(3,3)")
+    assert (code, out) == (1, "")
+    assert err == ("fourfold: error: a square root of a number over "
+                   f"RADICAND_CAP = {symbolic.RADICAND_CAP}\n")
 
 
 def test_check_einstein_obstructed(capsys, schema):

@@ -5,7 +5,8 @@ one report per line) or in one line of ``fourfold: error:`` on stderr
 (exit 1); an exception escaping ``main`` fails the test.  Expressions cover
 every catalog family with parameters and counts up to 10^30, nesting past
 ``MAX_NESTING``, junk bytes spliced in, and bad ``--c4``/``--k`` values,
-among them exponents and integers past the interpreter's int-str limit.
+among them exponents and integers past the interpreter's int-str limit,
+with and without ``--approx``.
 Searches take valid, negative, huge and non-numeric ``--mode``, ``--g``,
 ``--h``, ``--mmax`` and ``--nmax`` values, and ``--c4`` at the engineered
 pi^2 tie.  Moderate parameters and counts are left out so
@@ -74,7 +75,7 @@ _INPUT = st.one_of(
 
 _RATIONAL = st.one_of(
     st.builds(lambda p, q: f"{p}/{q}", st.integers(-10**30, 10**30), st.integers(-3, 10**30)),
-    st.sampled_from(["1", "0", "-1", "-7/3", "7/3", "1e30", "0.001", "1/0", str(TIE_C4),
+    st.sampled_from(["1", "0", "-1", "-7/3", "7/3", "1e30", "1e400", "0.001", "1/0", str(TIE_C4),
                      "1e10000000", "1e-10000000", "-1e10000000", "1" * 5000,
                      "-" + "7" * 5000, "1/" + "3" * 5000]),
     _JUNK,
@@ -93,6 +94,8 @@ def _argv(draw) -> list[str]:
         argv.append(f"--c4={draw(_RATIONAL)}")
     if command == "invariants" and draw(st.booleans()):
         argv.append(f"--k={draw(_RATIONAL)}")
+    if draw(st.booleans()):
+        argv.insert(0, "--approx")
     return argv + ["--", draw(_INPUT)]
 
 

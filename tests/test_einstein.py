@@ -65,9 +65,9 @@ def test_sv_interval_values():
     assert sv.is_zero() and sv.lo() == sv.hi() == 0
     m = connected_sum([catalog_get("Sigma(3,5)")] * 2)
     sv = simplicial_volume(m, 1)
-    assert sv.lo_factor == 16  # 2 * (2)(4)
+    assert sv.factor == 16  # 2 * (2)(4)
     k2 = connected_sum([SIGMA33, catalog_get("Sigma(3,5)")])
-    assert simplicial_volume(k2, 1).lo_factor == 12
+    assert simplicial_volume(k2, 1).factor == 12
 
 
 def test_sv_interval_unknown_content():
@@ -82,7 +82,7 @@ def test_sv_interval_unknown_content():
 
 def test_sv_interval_ordering_for_c4_at_least_one():
     for c4 in (Fraction(1), Fraction(3, 2), Fraction(7)):
-        sv = SvInterval(5, 5, c4)
+        sv = SvInterval(5, c4)
         assert sv.lo() <= sv.hi()
 
 
@@ -90,7 +90,7 @@ def test_sv_interval_ordering_for_c4_at_least_one():
                                 Fraction(10**40)])
 @pytest.mark.parametrize("factor", [0, 1, 12, 10**6 + 3])
 def test_sv_interval_ends_match_fraction_arithmetic(c4, factor):
-    sv = SvInterval(factor, factor, c4)
+    sv = SvInterval(factor, c4)
     lo, hi = Fraction(16 * factor) / c4, Fraction(16 * factor) * c4
     assert (sv.lo(), sv.hi()) == (lo, hi)
     assert sv.to_json() == {"lo": str(lo), "hi": str(hi), "factor": factor, "c4": str(c4)}
@@ -101,7 +101,9 @@ def test_sv_interval_ends_match_fraction_arithmetic(c4, factor):
 
 def test_sv_interval_validation():
     with pytest.raises(ValueError):
-        SvInterval(1, 1, Fraction(0))
+        SvInterval(1, Fraction(0))
+    with pytest.raises(ValueError):
+        SvInterval(-1, Fraction(1))
     with pytest.raises(ValueError):
         simplicial_volume(K3, -1)
 

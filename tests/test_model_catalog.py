@@ -163,6 +163,19 @@ def test_validate_lattice_inertia_bound():
     assert any("positive directions" in p for p in problems)
 
 
+def test_validate_c1_needs_a_lattice():
+    """An atom's c1 vector is a coordinate vector in its lattice; a sum is
+    checked block by block and flagged only when every block has a vector."""
+    k3 = catalog_get("K3")
+    bare = replace(k3, name="BareK3", lattice=None, summand_record=(("BareK3", 1),))
+    assert validate(bare) == ["spin-c #0: c1 vector but no lattice"]
+    assert validate(connected_sum([bare, k3])) == ["spin-c #0: c1 vector but no lattice"]
+    # Gompf stores neither, so a sum with it has no lattice and no c1 vector
+    assert validate(connected_sum([catalog_get("Gompf(2,2)"), bare])) == []
+    with pytest.raises(ValueError, match="not symmetric"):
+        GramLattice(("a", "b"), ((0, 1), (2, 0)))
+
+
 def test_validate_psc_vs_monopole_class():
     m = catalog_get("Sigma(3,3)")
     bad = replace(m, flags=m.flags | {Flag.HAS_PSC_METRIC})
@@ -262,6 +275,10 @@ def _k3_doc(**changes):
     (lambda d: d["lattice"].update(gram=7), "field 'lattice.gram' must be a list, got 7"),
     (lambda d: d["lattice"].update(gram=[[0, 1], [1]]), "field 'lattice.gram': gram matrix"),
     (lambda d: d["lattice"].update(gram=[[0, 1], [1, "0"]]), "field 'lattice.gram[1][1]'"),
+    (lambda d: d["lattice"].update(gram=[[0, 1], [2, 0]]),
+     "field 'lattice.gram': gram matrix is not symmetric"),
+    (lambda d: d.update(lattice=None),
+     "invalid manifold document 'MyK3': spin-c #0: c1 vector but no lattice"),
     (lambda d: d.update(b_plus="3"), "field 'b_plus' must be an integer"),
     (lambda d: d.update(is_spin=1), "field 'is_spin' must be true or false"),
     (lambda d: d["spinc"][0].pop("c1_squared"), "missing field 'spinc[0].c1_squared'"),

@@ -148,10 +148,10 @@ def test_sum_spinc_matches_flattened_reference(seed):
 
 
 def test_shared_atom_blocks_give_each_sum_its_variant():
-    """Sums in one call that reuse the same atom objects, with and without a
-    lattice and with mixed signs, match the flattened reference: each atom
-    keeps one block per variant (c1 kept or dropped, either sign) and hands
-    every sum the one it asks for."""
+    """Each block of a sum's canonical structure is its atom's own canonical
+    structure object, and each sign -1 run of ``sum_spinc`` holds its
+    conjugate.  With and without a lattice and with mixed signs, the sums
+    match the flattened reference."""
     def fetch():
         return (_custom_atom(), catalog_get("Sigma(3,3)"), catalog_get("CP2bar"),
                 catalog_get("Gompf(2,2)"))
@@ -160,37 +160,37 @@ def test_shared_atom_blocks_give_each_sum_its_variant():
     vectors = set()
     for picks in ((1, 0, 2), (1, 0, 2, 3), (0, 0, 1), (3, 1, 1, 2), (1, 0, 2)):
         m = connected_sum([shared[i] for i in picks])
-        fresh = fetch()  # atoms no earlier sum has seen
+        fresh = fetch()  # equal atoms, other objects
         assert m == connected_sum([fresh[i] for i in picks])
+        canonical = m.canonical_spinc
+        assert len(canonical.blocks) == len(m.summands)
+        for (block, count), (atom, n) in zip(canonical.blocks, m.summands):
+            assert block is atom.canonical_spinc and count == n
         pieces = m.pieces()
         n = len(pieces)
         for signs in ((1,) * n, (-1,) * n, tuple((-1) ** i for i in range(n)),
                       (1,) + (-1,) * (n - 1)):
             g = sum_spinc(m, signs)
-            fresh = fetch()
-            assert g == sum_spinc(connected_sum([fresh[i] for i in picks]), signs)
+            per_piece = [block for block, count in g.blocks for _ in range(count)]
+            for piece, sign, block in zip(pieces, signs, per_piece, strict=True):
+                if sign == 1:
+                    assert block is piece.canonical_spinc
+                else:
+                    assert block == piece.canonical_spinc.conjugate()
             vectors.add(g.c1 is not None)
-            # c1 is dropped from every block or kept in every block
-            assert {block.c1 is None for block, _ in g.blocks} == {g.c1 is None}
             ref = flat_sum_spinc(pieces, signs, g.c1 is not None)
             assert (g.c1, g.c1_squared, g.s_matrix, g.sw_parity) == (
                 ref.c1, ref.c1_squared, ref.s_matrix, ref.sw_parity)
             assert g.odd_s_entry() == dense_first_odd(ref.s_matrix)
-        canonical = m.canonical_spinc
         ref = flat_sum_spinc(pieces, (1,) * n, m.lattice is not None)
         assert (canonical.c1, canonical.s_matrix, canonical.sw_parity) == (
             ref.c1, ref.s_matrix, ref.sw_parity)
     assert vectors == {True, False}
-    xc, sigma, cp2bar, _ = shared
-    # one block object per atom and variant, whichever sum asks for it
-    (_, _), (sigma_block, _) = connected_sum([sigma, cp2bar]).canonical_spinc.blocks
-    (again, _), (_, _) = connected_sum([sigma, xc]).canonical_spinc.blocks
-    assert sigma_block is again
-    assert (sigma_block.sw_parity, sigma_block.parity_provenance) == (
-        Parity.UNKNOWN, Provenance.DERIVED)
+    xc, sigma, _, _ = shared
     (_, _), (xc_minus, _) = sum_spinc(connected_sum([sigma, xc]), (1, -1)).blocks
-    (_, _), (again, _) = sum_spinc(connected_sum([xc, sigma]), (-1, -1)).blocks
-    assert xc_minus is again and xc_minus.s_entries == ((0, 1, -3),)
+    assert xc_minus.s_entries == ((0, 1, -3),)
+    assert (xc_minus.sw_parity, xc_minus.parity_provenance) == (
+        Parity.ODD, Provenance.USER_ASSERTED)
 
 
 def test_validate_catches_block_defects_like_the_reference():

@@ -1,3 +1,4 @@
+import math
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -10,6 +11,7 @@ from fourfold import symbolic
 from fourfold.errors import CapacityError
 from fourfold.symbolic import (
     PI_DIGIT_CAP,
+    RADICAND_CAP,
     SymbolicValue,
     pi2_greater,
     pi_bounds,
@@ -81,6 +83,19 @@ def test_squarefree_decompose(s):
     if r > 1:
         for p in range(2, int(r**0.5) + 1):
             assert r % (p * p) != 0
+
+
+def test_squarefree_decompose_stops_at_the_radicand_cap():
+    assert squarefree_decompose(RADICAND_CAP) == (10**6, 1)
+    for s in (RADICAND_CAP + 1, 10**40):
+        with pytest.raises(CapacityError, match=f"RADICAND_CAP = {RADICAND_CAP}$"):
+            squarefree_decompose(s)
+
+
+def test_approx_past_the_float_range_is_infinite():
+    assert SymbolicValue(10**400, pi_power=1).approx() == math.inf
+    assert SymbolicValue(-(10**400), radicand=2).approx() == -math.inf
+    assert SymbolicValue(Fraction(1, 10**400), pi_power=2).approx() == 0.0
 
 
 def test_addition_same_family_and_zero():
