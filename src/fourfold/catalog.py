@@ -147,6 +147,8 @@ def _sigma(g: int, h: int) -> Manifold:
 
 
 def _y_ell(ell: int) -> Manifold:
+    """Homotopy K3 from a logarithmic transformation of order 2l+1 on the
+    Kummer surface; l = 0 is the Kummer surface itself."""
     if ell < 0:
         raise CatalogError(f"Y(l) needs l >= 0, got {ell}")
     if ell == 0:
@@ -169,6 +171,8 @@ def _y_ell(ell: int) -> Manifold:
 
 
 def _gompf(alpha: int, beta: int) -> Manifold:
+    """Gompf's simply connected symplectic spin manifold with
+    (chi, tau) = (24a + 4b, -16a)."""
     if alpha < 2:
         raise CatalogError(f"Gompf(a,b) needs a >= 2, got a = {alpha}")
     if beta < 0:

@@ -177,38 +177,56 @@ def require_part_count(theorem_id: str, n: int) -> None:
     raise PremiseError(f"this certificate covers n = 2, 3 parts; got n = {n}")
 
 
-def check_theorem_A(parts: Sequence[Manifold],
-                    signs: Optional[Sequence[int]] = None) -> Certificate:
+def _nonvanishing(theorem_id: str, premises: Sequence[Premise],
+                  citation: str) -> Certificate:
+    """The verdict rule of every non-vanishing theorem: Nonvanishing when
+    every premise passed, otherwise Inconclusive (never Vanishing)."""
+    premises = tuple(premises)
+    verdict = (Verdict.NONVANISHING if all(p.passed for p in premises)
+               else Verdict.INCONCLUSIVE)
+    return Certificate(theorem_id=theorem_id, premises=premises, verdict=verdict,
+                       citation=citation)
+
+
+def check_theorem_A(parts: Sequence[Manifold]) -> Certificate:
     """Non-vanishing for 2- or 3-fold sums of almost complex pieces with
     b+ - b1 = 3 (mod 4), odd SW parity, and even half-triple-products.
 
     The verdict is invariant under permuting the parts and flipping any signs
     in the spin-c sign vector (conjugation preserves SW parity and the spin
-    condition).
+    condition), so the all-plus vector is the one recorded.
     """
     n = len(parts)
     require_part_count("theorem-a", n)
-    if signs is None:
-        signs = (1,) * n
-    if len(signs) != n or any(s not in (1, -1) for s in signs):
-        raise PremiseError("signs must be a vector of +/-1, one per part")
     premises: list[Premise] = []
     for i, part in enumerate(parts):
         premises.extend(_part_premises_theorem_a(part, i))
-    all_ok = all(p.passed for p in premises)
     d = n - 1
     premises.append(Premise(
         f"spin cobordism class in Omega^spin_{d} = Z/2 is nontrivial",
-        all_ok,
-        f"moduli dimension d = n - 1 = {d}; sign choice {tuple(signs)}"))
-    return Certificate(
-        theorem_id="theorem-a",
-        premises=tuple(premises),
-        verdict=Verdict.NONVANISHING if all_ok else Verdict.INCONCLUSIVE,
-        citation="non-vanishing of the stable cohomotopy SW invariant for "
-                 "connected sums of 2 or 3 almost complex pieces with "
-                 "b+ - b1 = 3 (mod 4), via a nontrivial spin cobordism class",
-    )
+        all(p.passed for p in premises),
+        f"moduli dimension d = n - 1 = {d}; sign choice {(1,) * n}"))
+    return _nonvanishing(
+        "theorem-a", premises,
+        "non-vanishing of the stable cohomotopy SW invariant for "
+        "connected sums of 2 or 3 almost complex pieces with "
+        "b+ - b1 = 3 (mod 4), via a nontrivial spin cobordism class")
+
+
+_BAUER_CITATION = ("Bauer's non-vanishing theorem for connected sums of almost "
+                   "complex 4-manifolds with b1 = 0")
+
+
+def _bauer_count_premises(n: int, b_plus: int) -> list[Premise]:
+    """The n >= 4 premises, read from the piece count and b+(X) alone."""
+    return [Premise("n = 4", n == 4, f"n = {n}"),
+            Premise("b+(X) = 4 (mod 8)", b_plus % 8 == 4, f"b+(X) = {b_plus}")]
+
+
+def _bauer_past_four(n: int, b_plus: int) -> Certificate:
+    """A sum of n > 4 parts fails n = 4 whatever its parts are: only the two
+    count premises are reported."""
+    return _nonvanishing("bauer", _bauer_count_premises(n, b_plus), _BAUER_CITATION)
 
 
 def check_bauer(parts: Sequence[Manifold]) -> Certificate:
@@ -217,6 +235,8 @@ def check_bauer(parts: Sequence[Manifold]) -> Certificate:
     n = len(parts)
     if n < 2:
         raise PremiseError(f"a connected-sum certificate needs n >= 2 parts; got {n}")
+    if n > 4:
+        return _bauer_past_four(n, sum(p.char.b_plus for p in parts))
     premises: list[Premise] = []
     for i, part in enumerate(parts):
         label = f"part {i + 1} ({part.name})"
@@ -232,19 +252,17 @@ def check_bauer(parts: Sequence[Manifold]) -> Certificate:
             f"{label}: SW parity odd",
             g is not None and g.sw_parity is Parity.ODD,
             "" if g is None else f"provenance = {g.parity_provenance.value}"))
-    if n >= 4:
-        b_plus_sum = sum(p.char.b_plus for p in parts)
-        premises.append(Premise("n = 4", n == 4, f"n = {n}"))
-        premises.append(Premise("b+(X) = 4 (mod 8)", b_plus_sum % 8 == 4,
-                                f"b+(X) = {b_plus_sum}"))
-    all_ok = all(p.passed for p in premises)
-    return Certificate(
-        theorem_id="bauer",
-        premises=tuple(premises),
-        verdict=Verdict.NONVANISHING if all_ok else Verdict.INCONCLUSIVE,
-        citation="Bauer's non-vanishing theorem for connected sums of almost "
-                 "complex 4-manifolds with b1 = 0",
-    )
+    if n == 4:
+        premises.extend(_bauer_count_premises(n, sum(p.char.b_plus for p in parts)))
+    return _nonvanishing("bauer", premises, _BAUER_CITATION)
+
+
+def check_bauer_sum(m: Manifold) -> Certificate:
+    """``check_bauer`` on the pieces of the sum m.  The piece count and b+(X)
+    are read before any piece is listed, so a sum of more than four pieces,
+    however many, is decided without listing one."""
+    n = m.piece_count()
+    return check_bauer(m.pieces()) if n <= 4 else _bauer_past_four(n, m.char.b_plus)
 
 
 def check_theorem_B(parts: Sequence[Manifold]) -> Certificate:
@@ -269,15 +287,11 @@ def check_theorem_B(parts: Sequence[Manifold]) -> Certificate:
             f"{label}: almost complex with odd SW parity and either b1 = 0, "
             "b+ = 3 (mod 4), or b+ > 1 with c1 trivial in H^2(X; Z/4)",
             bullet1 or bullet2, which))
-    all_ok = all(p.passed for p in premises)
-    return Certificate(
-        theorem_id="theorem-b",
-        premises=tuple(premises),
-        verdict=Verdict.NONVANISHING if all_ok else Verdict.INCONCLUSIVE,
-        citation="non-vanishing for 2- or 3-fold connected sums of almost "
-                 "complex pieces that are either b1 = 0 with b+ = 3 (mod 4) "
-                 "or have c1 = 0 in mod-4 cohomology",
-    )
+    return _nonvanishing(
+        "theorem-b", premises,
+        "non-vanishing for 2- or 3-fold connected sums of almost "
+        "complex pieces that are either b1 = 0 with b+ = 3 (mod 4) "
+        "or have c1 = 0 in mod-4 cohomology")
 
 
 def check_taubes(m: Manifold) -> Certificate:
@@ -292,14 +306,10 @@ def check_taubes(m: Manifold) -> Certificate:
                 g is not None and g.sw_parity is Parity.ODD,
                 "" if g is None else f"provenance = {g.parity_provenance.value}"),
     )
-    all_ok = all(p.passed for p in premises)
-    return Certificate(
-        theorem_id="taubes",
-        premises=premises,
-        verdict=Verdict.NONVANISHING if all_ok else Verdict.INCONCLUSIVE,
-        citation="Taubes: SW = +/-1 for the canonical spin-c structure of a "
-                 "symplectic 4-manifold with b+ > 1",
-    )
+    return _nonvanishing(
+        "taubes", premises,
+        "Taubes: SW = +/-1 for the canonical spin-c structure of a "
+        "symplectic 4-manifold with b+ > 1")
 
 
 def classify_c1_zero_types() -> list[tuple[int, int, int]]:

@@ -34,7 +34,7 @@ from fourfold import catalog, einstein, monopole, parser, surgery
 from fourfold.certify import (
     Certificate,
     Verdict,
-    check_bauer,
+    check_bauer_sum,
     check_theorem_A,
     check_theorem_B,
     moduli_dimension,
@@ -155,12 +155,30 @@ def _load_env(args: argparse.Namespace) -> Optional[dict[str, Manifold]]:
     return catalog.load_catalog_file(args.catalog)
 
 
-def _evaluate(args: argparse.Namespace, expr: str) -> Manifold:
-    m = parser.parse_and_evaluate(expr, _load_env(args))
+def _validated(m: Manifold) -> Manifold:
     problems = validate(m)
     if problems:
         raise FourfoldError("invalid manifold: " + "; ".join(problems))
     return m
+
+
+def _evaluate(args: argparse.Namespace, expr: str) -> Manifold:
+    return _validated(parser.parse_and_evaluate(expr, _load_env(args)))
+
+
+def _exotic(args: argparse.Namespace) -> Certificate:
+    """The exotic certificate for ``x # xprime``: the first '#'-term of the
+    expression is the candidate x.  Evaluation normalizes atom order, so the
+    expression is split at the syntax level, parsed once and evaluated against
+    a catalog loaded once; the whole sum is the sum of the two values."""
+    env = _load_env(args)
+    ast = parser.parse(args.expr)
+    if not isinstance(ast, parser.Sum) or len(ast.parts) < 2:
+        raise FourfoldError("exotic check needs an expression 'X # <1 or 2 parts>'")
+    x = parser.evaluate(ast.parts[0], env)
+    xprime = parser.evaluate(parser.Sum(ast.parts[1:]), env)
+    _validated(surgery.connected_sum([x, xprime]))
+    return einstein.exotic_pair(x, xprime)
 
 
 def _c4_option(args: argparse.Namespace) -> tuple[str, Optional[str]]:
@@ -279,11 +297,11 @@ def _verdict_exit(verdict: Verdict) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    m = _evaluate(args, args.expr)
     theorem = args.theorem
+    m = None if theorem == "exotic" else _evaluate(args, args.expr)
     extra: dict = {}
     if theorem == "bauer":
-        cert = check_bauer(list(m.pieces()))
+        cert = check_bauer_sum(m)
     elif theorem in ("theorem-a", "theorem-b"):
         require_part_count(theorem, m.piece_count())
         check = check_theorem_A if theorem == "theorem-a" else check_theorem_B
@@ -298,16 +316,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         bound, cert = einstein.decomposition_certificate(m)
         extra["bound"] = bound
     elif theorem == "exotic":
-        # The first '#'-term of the expression is the candidate x; evaluation
-        # normalizes atom order, so split at the syntax level.
-        ast = parser.parse(args.expr)
-        if not isinstance(ast, parser.Sum) or len(ast.parts) < 2:
-            raise FourfoldError(
-                "exotic check needs an expression 'X # <1 or 2 parts>'")
-        env = _load_env(args)
-        x = parser.evaluate(ast.parts[0], env)
-        xprime = parser.evaluate(parser.Sum(ast.parts[1:]), env)
-        cert = einstein.exotic_pair(x, xprime)
+        cert = _exotic(args)
     else:  # pragma: no cover - argparse restricts choices
         raise FourfoldError(f"unknown theorem id {theorem!r}")
     doc = {"version": REPORT_VERSION, "kind": "check", "expr": args.expr,

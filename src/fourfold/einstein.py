@@ -189,40 +189,26 @@ def einstein_obstruction(m: Manifold) -> Certificate:
     premises: list[Premise] = [
         Premise("decomposes into 2 or 3 positive-b+ pieces and a b+ = 0 rest",
                 n in (2, 3), f"{n} positive-b+ pieces")]
-    if n not in (2, 3):
-        return Certificate(
-            theorem_id="einstein", premises=tuple(premises),
-            verdict=Verdict.INCONCLUSIVE,
-            citation="Einstein obstruction via monopole-class curvature bounds")
-    cert = check_theorem_A(parts)
-    premises.append(Premise(
-        "non-vanishing premises hold for the positive-b+ pieces",
-        cert.verdict is Verdict.NONVANISHING,
-        "; ".join(p.text for p in cert.premises if not p.passed)))
-    if cert.verdict is not Verdict.NONVANISHING:
-        return Certificate(
-            theorem_id="einstein", premises=tuple(premises),
-            verdict=Verdict.INCONCLUSIVE,
-            citation="Einstein obstruction via monopole-class curvature bounds")
-    t = blowdown_two_chi_plus_3tau(n_part)
-    total = sum(p.two_chi_plus_3tau() for p in parts)
-    lhs = 4 * n - t
-    rhs = Fraction(total, 3)
-    obstructed = lhs >= rhs
-    route = ("Hitchin-Thorpe violated outright (2chi+3tau < 0)"
-             if m.two_chi_plus_3tau() < 0 else
-             "curvature bounds from the monopole classes")
-    premises.append(Premise(
-        "4n - (2chi+3tau)(N) >= (1/3) sum (2chi+3tau)(X_m)", obstructed,
-        f"lhs = {lhs}, rhs = {rhs}; route: {route}"))
-    if obstructed:
-        return Certificate(
-            theorem_id="einstein", premises=tuple(premises),
-            verdict=Verdict.OBSTRUCTED,
-            citation="Einstein obstruction via monopole-class curvature bounds")
+    verdict = Verdict.INCONCLUSIVE
+    if n in (2, 3):
+        cert = check_theorem_A(parts)
+        nonvanishing = cert.verdict is Verdict.NONVANISHING
+        premises.append(Premise(
+            "non-vanishing premises hold for the positive-b+ pieces", nonvanishing,
+            "; ".join(p.text for p in cert.premises if not p.passed)))
+        if nonvanishing:
+            lhs = 4 * n - blowdown_two_chi_plus_3tau(n_part)
+            rhs = Fraction(sum(p.two_chi_plus_3tau() for p in parts), 3)
+            obstructed = lhs >= rhs
+            route = ("Hitchin-Thorpe violated outright (2chi+3tau < 0)"
+                     if m.two_chi_plus_3tau() < 0 else
+                     "curvature bounds from the monopole classes")
+            premises.append(Premise(
+                "4n - (2chi+3tau)(N) >= (1/3) sum (2chi+3tau)(X_m)", obstructed,
+                f"lhs = {lhs}, rhs = {rhs}; route: {route}"))
+            verdict = Verdict.OBSTRUCTED if obstructed else Verdict.NOT_OBSTRUCTED
     return Certificate(
-        theorem_id="einstein", premises=tuple(premises),
-        verdict=Verdict.NOT_OBSTRUCTED,
+        theorem_id="einstein", premises=tuple(premises), verdict=verdict,
         citation="Einstein obstruction via monopole-class curvature bounds")
 
 
@@ -292,17 +278,12 @@ def decomposition_certificate(m: Manifold) -> tuple[int, Certificate]:
     return d + 1, cert
 
 
-def decomposition_bound(m: Manifold, d: Optional[int] = None) -> int:
+def decomposition_bound(m: Manifold) -> int:
     """d + 1 bounds the number of b+ > 0 summands in any smooth
     connected-sum decomposition, where d is the moduli dimension of a
     certified non-vanishing structure (monopoles glue along necks, each neck
     contributing a circle of gluing parameters)."""
-    bound, _ = decomposition_certificate(m)
-    if d is not None and d + 1 != bound:
-        raise PremiseError(
-            f"declared moduli dimension {d} does not match the certified "
-            f"decomposition ({bound - 1})")
-    return bound
+    return decomposition_certificate(m)[0]
 
 
 def exotic_pair(x: Manifold, xprime: Manifold) -> Certificate:
@@ -422,19 +403,23 @@ def _check_search_size(mode: str, g: int, h: int, m_max: int, n_max: int) -> Non
                             f"the cap of {SEARCH_SCAN_CAP}")
 
 
+# A search mode is its weight w and the atom summed l times.  The non-spin
+# search is the spin one with every term except l multiplied by w = 4.
+_MODES = {"spin": (1, "S1xS3"), "nonspin": (4, "CP2bar")}
+
+
 def _l_range(mode: str, n: int, big_g: int) -> tuple[int, int]:
     """The first and last l scanned in a cell of the given n.
 
-    The range starts at the floor inequality
+    The range starts at the floor inequality l >= w(2n + G)/3 - 3w, that is
       spin:     l1 >= (1/3)(2n + G) - 3
       non-spin: l2 >= (1/3)(8n + 4G) - 12,
-    so every l scanned satisfies it and it is not tested again.
+    so every l scanned satisfies it and it is not tested again.  It ends at
+    last = w(2n + G - 3), past which the first inequality cannot hold.
     """
-    if mode == "spin":
-        return (max(1, exact.ceil_fraction(Fraction(2 * n + big_g, 3) - 3)),
-                2 * n + big_g - 3)
-    return (max(1, exact.ceil_fraction(Fraction(8 * n + 4 * big_g, 3) - 12)),
-            8 * n + 4 * big_g - 12)
+    w = _MODES[mode][0]
+    return (max(1, exact.ceil_fraction(Fraction(w * (2 * n + big_g), 3) - 3 * w)),
+            w * (2 * n + big_g - 3))
 
 
 def _spin_cells(m_max: int, n_max: int) -> list[tuple[int, int]]:
@@ -447,11 +432,9 @@ def _spin_cells(m_max: int, n_max: int) -> list[tuple[int, int]]:
 def _hit_for_tuple(mode: str, m: int, n: int, g: int, h: int, l: int,
                    pieces: Sequence[Manifold], c4: Fraction) -> SearchHit:
     """The hit at (m, n, l) from the fetched pieces Gompf(m,n), Y(1),
-    Sigma(g,h) and S1xS3 (spin) or CP2bar (non-spin)."""
-    if mode == "spin":
-        cor = corollary_obstruction(pieces[:2], k=1, g=g, h=h, l1=l, l2=0)
-    else:
-        cor = corollary_obstruction(pieces[:2], k=1, g=g, h=h, l1=0, l2=l)
+    Sigma(g,h) and S1xS3 (spin, l = l1) or CP2bar (non-spin, l = l2)."""
+    l1, l2 = (l, 0) if mode == "spin" else (0, l)
+    cor = corollary_obstruction(pieces[:2], k=1, g=g, h=h, l1=l1, l2=l2)
     manifold = connected_sum(pieces, counts=[1, 1, 1, l])
     sv = simplicial_volume(manifold, c4)
     assert isinstance(sv, SvInterval)
@@ -472,38 +455,31 @@ def _search(mode: str, g: int, h: int, m_max: int, n_max: int,
         raise ValueError("c4 must be positive")
     _check_search_size(mode, g, h, m_max, n_max)
     big_g = (g - 1) * (h - 1)
-    # The first inequality below is A pi^2 > b with b = 4 c4 G (spin) or
-    # 16 c4 G (non-spin); both sides are scaled by c4's denominator, so it
-    # is decided on integers, as in ``ght``.
-    b = (4 if mode == "spin" else 16) * big_g * c4.numerator
+    w, last_atom = _MODES[mode]
+    # The first inequality, w(2n + (1 - 4c4/(81 pi^2)) G - 3) > l, is
+    # 81(last - l) pi^2 > 4wG c4 with last = w(2n + G - 3).  Both sides are
+    # scaled by c4's denominator, so it is decided on integers, as in ``ght``.
+    b = 4 * w * big_g * c4.numerator
     # The atoms every hit shares are fetched once per call; Gompf(m,n) once
     # per cell, at its first hit.
-    shared = (catalog_get("Y(1)"), catalog_get(f"Sigma({g},{h})"),
-              catalog_get("S1xS3" if mode == "spin" else "CP2bar"))
+    shared = (catalog_get("Y(1)"), catalog_get(f"Sigma({g},{h})"), catalog_get(last_atom))
 
     def scan_cell(cell: tuple[int, int]) -> tuple[list[SearchHit], list[tuple[int, int, int]]]:
         m, n = cell
         hits: list[SearchHit] = []
         ties: list[tuple[int, int, int]] = []
         pieces: Optional[tuple[Manifold, ...]] = None
-        lo, hi = _l_range(mode, n, big_g)
+        lo, last = _l_range(mode, n, big_g)
         # Each mode has a second pi^2 inequality,
         #   spin:     2(n + 12m) + (1 - 4c4/(81 pi^2)) G + 21 > l1
         #   non-spin: 8(n + 12m) + 4(1 - 4c4/(81 pi^2)) G + 84 > -5 l2,
-        # which is never decided here.  Written as A pi^2 > b, it shares
-        # b = 4 c4 G (spin) or 16 c4 G (non-spin), b > 0, with the first one
-        # below, and its A is larger by 81 (24m + 24) (spin) or
-        # 81 (96m + 96 + 6 l2) (non-spin).  So the first holding implies the
-        # second, the second failing implies the first fails, and a tie in
-        # the first is never pruned by the second.
-        for l in range(lo, hi + 1):
-            if mode == "spin":
-                # 2n + (1 - 4c4/(81 pi^2)) G - 3 > l1
-                a = 81 * (2 * n + big_g - 3 - l)
-            else:
-                # 8n + 4(1 - 4c4/(81 pi^2)) G - 12 > l2
-                a = 81 * (8 * n + 4 * big_g - 12 - l)
-            dec1 = pi2_greater(a * c4.denominator, b, strict=True)
+        # which is never decided here.  Written as A pi^2 > b, it shares b
+        # with the first one, b > 0, and its A is larger by 81 (24m + 24)
+        # (spin) or 81 (96m + 96 + 6 l2) (non-spin).  So the first holding
+        # implies the second, the second failing implies the first fails,
+        # and a tie in the first is never pruned by the second.
+        for l in range(lo, last + 1):
+            dec1 = pi2_greater(81 * (last - l) * c4.denominator, b, strict=True)
             if dec1 is False:
                 continue
             if dec1 is None:

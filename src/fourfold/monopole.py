@@ -75,7 +75,6 @@ class MonopoleClassSet:
     """
 
     squares: tuple[int, ...]
-    source: str = ""
 
     @property
     def rank(self) -> int:
@@ -110,9 +109,7 @@ def monopole_classes_for_sum(parts: Sequence[Manifold],
         raise CapacityError(
             f"a sign orbit of {len(parts) + k} generators is over the cap of {PIECE_CAP}")
     return MonopoleClassSet(
-        squares=tuple(p.canonical_spinc.c1_squared for p in parts) + (-1,) * k,
-        source=f"sign orbit of {len(parts)} canonical classes and {k} "
-               "exceptional classes (diagonalized by Donaldson's theorem)")
+        squares=tuple(p.canonical_spinc.c1_squared for p in parts) + (-1,) * k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Connected sums, blow-ups, and the parametric families built from them.
+"""Connected sums, blow-ups, the blow-down split and spin-c sign choices.
 
 All operations are pure: they take validated manifolds and return new
 immutable ones.  A connected sum is a multiset of atoms: ``connected_sum``
@@ -170,18 +170,6 @@ def blow_up(m: Manifold, k: int) -> Manifold:
     if k == 0:
         return m
     return connected_sum([m, catalog_get("CP2bar")], counts=[1, k])
-
-
-def gompf(alpha: int, beta: int) -> Manifold:
-    """Gompf's simply connected symplectic spin manifold with
-    (chi, tau) = (24a + 4b, -16a)."""
-    return catalog_get(f"Gompf({alpha},{beta})")
-
-
-def log_transform_k3(ell: int) -> Manifold:
-    """Homotopy K3 from a logarithmic transformation of order 2l+1 on the
-    Kummer surface; l = 0 is the Kummer surface itself."""
-    return catalog_get(f"Y({ell})")
 
 
 def sign_choices(n: int) -> Iterator[tuple[int, ...]]:

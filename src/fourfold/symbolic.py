@@ -175,14 +175,6 @@ class SymbolicValue:
     def minus_infinity(cls) -> "SymbolicValue":
         return cls(inf=-1)
 
-    @classmethod
-    def rational(cls, q: RationalLike) -> "SymbolicValue":
-        return cls(q)
-
-    @classmethod
-    def pi_squared_multiple(cls, q: RationalLike) -> "SymbolicValue":
-        return cls(q, pi_power=2)
-
     # -- predicates --------------------------------------------------------
 
     @property

@@ -11,6 +11,7 @@ from fourfold.certify import (
     Premise,
     Verdict,
     check_bauer,
+    check_bauer_sum,
     check_taubes,
     check_theorem_A,
     check_theorem_B,
@@ -22,7 +23,7 @@ from fourfold.certify import (
     spin_cobordism_nontrivial,
 )
 from fourfold.errors import NonIntegralError, PremiseError
-from fourfold.model import CharData, Manifold, SpinCStructure
+from fourfold.model import CharData, Flag, Manifold, Parity, SpinCStructure
 from fourfold.surgery import all_sign_spinc, connected_sum
 
 K3 = catalog_get("K3")
@@ -132,13 +133,25 @@ def test_theorem_a_examples():
     assert cert.verdict is Verdict.INCONCLUSIVE
 
 
+def _conjugated(part):
+    """The part with its canonical structure replaced by the conjugate."""
+    g, *rest = part.spinc_structures
+    return replace(part, spinc_structures=(g.conjugate(), *rest))
+
+
 def test_theorem_a_invariance():
+    # Permuting the parts, or conjugating any of their canonical structures
+    # (a sign -1 in the spin-c sign vector), keeps every premise's outcome,
+    # so the all-plus vector the certificate records stands for all of them.
     parts = [SIGMA33, K3, KODAIRA]
-    verdicts = set()
+    outcomes = set()
     for perm in itertools.permutations(parts):
         for signs in itertools.product((1, -1), repeat=3):
-            verdicts.add(check_theorem_A(list(perm), signs).verdict)
-    assert verdicts == {Verdict.NONVANISHING}
+            signed = [p if s == 1 else _conjugated(p) for p, s in zip(perm, signs)]
+            cert = check_theorem_A(signed)
+            assert cert.premises[-1].witness.endswith("sign choice (1, 1, 1)")
+            outcomes.add((cert.verdict, tuple(p.passed for p in cert.premises)))
+    assert outcomes == {(Verdict.NONVANISHING, (True,) * 16)}
 
 
 def test_theorem_a_records_spin_cobordism():
@@ -246,3 +259,85 @@ def test_certificate_json():
     doc = cert.to_json()
     assert doc["verdict"] == "Nonvanishing"
     assert all(set(p) == {"text", "pass", "witness"} for p in doc["premises"])
+
+
+def _without(flag):
+    return lambda part: replace(part, flags=part.flags - {flag})
+
+
+def _char(**fields):
+    return lambda part: replace(part, char=replace(part.char, **fields))
+
+
+def _spinc(**fields):
+    def mutate(part):
+        g, *rest = part.spinc_structures
+        return replace(part, spinc_structures=(replace(g, **fields), *rest))
+    return mutate
+
+
+def _taubes(parts):
+    return check_taubes(parts[0])
+
+
+GOMPF22 = catalog_get("Gompf(2,2)")
+
+# (certificate, parts it certifies, index of the part to break, the breaking
+# change, the premise that then fails)
+_ONE_PREMISE_BROKEN = [
+    (check_theorem_A, [K3, K3, KODAIRA], 0, _without(Flag.ALMOST_COMPLEX),
+     "part 1 (K3): almost complex"),
+    (check_theorem_A, [K3, K3, KODAIRA], 1, _char(b_plus=1, b1=2), "part 2 (K3): b+ > 1"),
+    (check_theorem_A, [K3, K3, KODAIRA], 0, _char(b_plus=5),
+     "part 1 (K3): b+ - b1 = 3 (mod 4)"),
+    (check_theorem_A, [K3, K3, KODAIRA], 1, lambda part: replace(part, spinc_structures=()),
+     "part 2 (K3): canonical spin-c structure present"),
+    (check_theorem_A, [K3, K3, KODAIRA], 2, _spinc(sw_parity=Parity.UNKNOWN),
+     "part 3 (Kodaira): SW parity of the canonical structure is odd"),
+    (check_theorem_A, [K3, K3, KODAIRA], 2, _spinc(s_entries=((0, 1, 1),)),
+     "part 3 (Kodaira): half-triple-product matrix is even"),
+    (check_theorem_B, [K3, GOMPF22], 0, _without(Flag.ALMOST_COMPLEX), "part 1 (K3): "),
+    (check_theorem_B, [K3, GOMPF22], 1, _spinc(sw_parity=Parity.UNKNOWN),
+     "part 2 (Gompf(2,2)): "),
+    (check_bauer, [K3, K3], 0, _char(b1=4), "part 1 (K3): b1 = 0"),
+    (check_bauer, [K3, K3], 1, _without(Flag.ALMOST_COMPLEX), "part 2 (K3): almost complex"),
+    (check_bauer, [K3, K3], 0, _char(b_plus=5), "part 1 (K3): b+ = 3 (mod 4)"),
+    (check_bauer, [K3, K3], 1, _spinc(sw_parity=Parity.UNKNOWN), "part 2 (K3): SW parity odd"),
+    (check_bauer, [K3] * 4, 3, _char(b_plus=7), "b+(X) = 4 (mod 8)"),
+    (_taubes, [K3], 0, _without(Flag.SYMPLECTIC), "symplectic"),
+    (_taubes, [K3], 0, _char(b_plus=1), "b+ > 1"),
+    (_taubes, [K3], 0, _spinc(sw_parity=Parity.UNKNOWN), "canonical SW parity odd"),
+]
+
+
+@pytest.mark.parametrize("check, parts, index, breaking, broken", _ONE_PREMISE_BROKEN)
+def test_one_failed_premise_makes_a_certificate_inconclusive(check, parts, index, breaking,
+                                                             broken):
+    """theorem-a, theorem-b, bauer and taubes share one verdict rule:
+    Nonvanishing when every premise passed, otherwise Inconclusive."""
+    whole = check(parts)
+    assert whole.verdict is Verdict.NONVANISHING
+    assert all(p.passed for p in whole.premises)
+    changed = list(parts)
+    changed[index] = breaking(parts[index])
+    cert = check(changed)
+    assert cert.verdict is Verdict.INCONCLUSIVE
+    # theorem-a's spin cobordism premise passes only when every other one does
+    failed = [p.text for p in cert.premises if not p.passed and "spin cobordism" not in p.text]
+    assert len(failed) == 1 and failed[0].startswith(broken), failed
+    assert all(not p.passed for p in cert.premises if "spin cobordism" in p.text)
+
+
+def test_bauer_past_four_parts_reads_counts_only():
+    # n >= 5 fails n = 4 whatever the parts are, and only the count and
+    # b+(X) are reported, for a list of parts and for a sum alike
+    five = [K3] * 4 + [_char(b_plus=8)(K3)]  # b+(X) = 20 = 4 (mod 8)
+    cert = check_bauer(five)
+    assert cert.verdict is Verdict.INCONCLUSIVE
+    assert [(p.text, p.passed, p.witness) for p in cert.premises] == [
+        ("n = 4", False, "n = 5"), ("b+(X) = 4 (mod 8)", True, "b+(X) = 20")]
+    assert check_bauer_sum(connected_sum([K3] * 5)) == check_bauer([K3] * 5)
+    for n in (2, 3, 4):
+        assert check_bauer_sum(connected_sum([K3] * n)) == check_bauer([K3] * n)
+    with pytest.raises(PremiseError):
+        check_bauer_sum(K3)

@@ -8,7 +8,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from fourfold import catalog, cli, model, symbolic
+from fourfold import catalog, cli, model, parser, symbolic
 from fourfold.catalog import catalog_get, manifold_to_json
 from fourfold.cli import main
 from fourfold.errors import FourfoldError
@@ -191,7 +191,8 @@ def test_check_decomposition(capsys, schema):
     assert doc["bound"] == 2
 
 
-def test_check_exotic_with_custom_catalog(capsys, schema, tmp_path):
+def _xns_catalog(tmp_path):
+    """A catalog file holding the README's non-spin symplectic atom Xns."""
     doc = manifold_to_json(catalog_get("K3"))
     doc.update({
         "name": "Xns",
@@ -210,11 +211,40 @@ def test_check_exotic_with_custom_catalog(capsys, schema, tmp_path):
     }]
     path = tmp_path / "cat.json"
     path.write_text(json.dumps({"version": 1, "manifolds": [doc]}))
+    return path
+
+
+def test_check_exotic_with_custom_catalog(capsys, schema, tmp_path):
+    path = _xns_catalog(tmp_path)
     code, out, _ = _run(capsys, "--catalog", str(path),
                         "check", "exotic", "Xns # Kodaira")
     assert code == 0
     (report,) = _validate_lines(schema, out)
     assert report["verdict"] == "Nonvanishing"
+
+
+def test_check_exotic_reads_the_catalog_once(capsys, monkeypatch, tmp_path):
+    """One catalog load and one parse; x and xprime are evaluated once each,
+    and the whole sum is still validated."""
+    path = _xns_catalog(tmp_path)
+    calls = {"load": 0, "parse": 0, "evaluate": 0}
+    validated = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(catalog, "load_catalog_file",
+                        counted("load", catalog.load_catalog_file))
+    monkeypatch.setattr(parser, "parse", counted("parse", parser.parse))
+    monkeypatch.setattr(parser, "evaluate", counted("evaluate", parser.evaluate))
+    monkeypatch.setattr(cli, "validate", lambda m: validated.append(m.name) or model.validate(m))
+    code, out, _ = _run(capsys, "--catalog", str(path), "check", "exotic", "Xns # 2*Kodaira")
+    assert code == 0 and json.loads(out)["verdict"] == "Nonvanishing"
+    assert calls == {"load": 1, "parse": 1, "evaluate": 2}
+    assert validated == ["2*Kodaira # Xns"]
 
 
 def test_beta2(capsys, schema):

@@ -10,14 +10,19 @@ with and without ``--approx``.
 Searches take valid, negative, huge and non-numeric ``--mode``, ``--g``,
 ``--h``, ``--mmax`` and ``--nmax`` values, and ``--c4`` at the engineered
 pi^2 tie.  Moderate parameters and counts are left out so
-that the reports stay small: a sum that ``build`` dumps, or whose pieces
-``check bauer`` lists, has at most a few hundred pieces (at ``PIECE_CAP``
-pieces the ``bauer`` report alone is about 0.5 GB).
+that the reports stay small: a sum that ``build`` dumps has at most a few
+hundred pieces.
+Catalog files (``--catalog``) are the README's building block with fields
+dropped or mistyped, huge integers, bad s-matrices, Gram matrices and c1
+vectors, or invalid UTF-8 and non-JSON bytes, run through ``build``,
+``check`` and ``invariants``.
 """
 
 import contextlib
 import io
 import json
+import os
+import tempfile
 from importlib import resources
 
 import jsonschema
@@ -147,3 +152,105 @@ def test_any_command_line_ends_in_a_report_or_one_error_line(argv):
 @settings(max_examples=200, deadline=None)
 def test_any_search_command_line_ends_in_reports_or_one_error_line(argv):
     _run(argv)
+
+
+# -- random catalog documents (--catalog) --------------------------------------
+
+# The README's custom building block; every generated document is derived
+# from it by the changes below.
+_README_ATOM = {
+    "version": 1, "name": "Xns",
+    "b1": 0, "b_plus": 3, "b_minus": 11,
+    "is_spin": False, "is_simply_connected": True,
+    "flags": ["AlmostComplex", "Symplectic"],
+    "lattice": None,
+    "spinc": [{"c1": None, "c1_squared": 8, "s_matrix": [],
+               "sw_parity": "Odd", "provenance": "UserAsserted"}],
+    "sv_factors": [], "summand_record": [["Xns", 1]],
+}
+# Written in place of this string: an integer past the int-str limit, which
+# the JSON reader refuses.
+_PAST_LIMIT = "<9 x 5000>"
+_HUGE = st.sampled_from([10**30, -10**30, 10**4000, -(10**4000), _PAST_LIMIT])
+_VALUE = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6), _HUGE,
+              st.floats(allow_nan=False), st.text(max_size=6),
+              st.sampled_from(["Odd", "Unknown", "Xns", "AlmostComplex"])),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+_ATOM_KEYS = sorted(_README_ATOM)
+_SPINC_KEYS = sorted(_README_ATOM["spinc"][0])
+_S_MATRICES = [[[0, 1], [1, 0]], [[0, 1]], [[0, 1, 2], [-1, 0]], [[1]], [[0, 2], [-2, 0]],
+               [[0, 1], [-1, 0]], [[0, 10**30], [-(10**30), 0]], "", [[None]]]
+_LATTICES = [{"basis": ["a", "b"], "gram": [[0, 1], [2, 0]]},          # asymmetric
+             {"basis": ["a", "b"], "gram": [[0, 1], [1, 0]]},
+             {"basis": ["a"], "gram": [[0, 1], [1, 0]]},
+             {"basis": [1, 2], "gram": [[0, 1], [1, 0]]},
+             {"basis": ["a", "b"], "gram": [[0, 1], [1]]},
+             {"basis": ["h"], "gram": [[-(10**30)]]}, {}, []]
+
+
+def _change(doc: dict, draw) -> None:
+    """One change to the atom document: a field dropped or given a random
+    value, a bad s-matrix, lattice or c1, or huge numbers."""
+    spinc = doc.get("spinc")
+    g = spinc[0] if isinstance(spinc, list) and spinc and isinstance(spinc[0], dict) else {}
+    kind = draw(st.sampled_from(["drop", "retype", "drop_spinc", "retype_spinc",
+                                 "s_matrix", "lattice", "c1", "huge"]))
+    if kind == "drop":
+        doc.pop(draw(st.sampled_from(_ATOM_KEYS)), None)
+    elif kind == "retype":
+        doc[draw(st.sampled_from(_ATOM_KEYS))] = draw(_VALUE)
+    elif kind == "drop_spinc":
+        g.pop(draw(st.sampled_from(_SPINC_KEYS)), None)
+    elif kind == "retype_spinc":
+        g[draw(st.sampled_from(_SPINC_KEYS))] = draw(_VALUE)
+    elif kind == "s_matrix":
+        g["s_matrix"] = draw(st.sampled_from(_S_MATRICES))
+        doc["b1"] = draw(st.sampled_from([0, 1, 2, 3]))
+    elif kind == "lattice":
+        doc["lattice"] = draw(st.sampled_from(_LATTICES))
+        g["c1"] = draw(st.sampled_from([None, [2, 2], [1], [0, 0, 0]]))
+    elif kind == "c1":  # a c1 vector, with or without a lattice
+        g["c1"] = draw(st.sampled_from([[1, 2], [0], [], [10**30, 1]]))
+    else:
+        doc[draw(st.sampled_from(["b1", "b_plus", "b_minus"]))] = draw(_HUGE)
+        g["c1_squared"] = draw(st.one_of(st.just(8), _HUGE))
+
+
+@st.composite
+def _catalog_file(draw) -> bytes:
+    """The bytes of a catalog file: a README-derived document, or junk."""
+    shape = draw(st.sampled_from(["document"] * 6 + ["utf8", "junk", "top"]))
+    if shape == "utf8":
+        return json.dumps({"version": 1, "manifolds": [_README_ATOM]}).encode()[:-20] + b"\xff\xfe"
+    if shape == "junk":
+        return draw(st.one_of(st.binary(max_size=40), st.text(max_size=40).map(str.encode),
+                              st.sampled_from([b"", b"[]", b"null", b"{", b"1" * 5000])))
+    atom = json.loads(json.dumps(_README_ATOM))
+    for _ in range(draw(st.integers(0, 3))):
+        _change(atom, draw)
+    doc = {"version": 1, "manifolds": [atom]}
+    if shape == "top":
+        doc[draw(st.sampled_from(["version", "manifolds"]))] = draw(_VALUE)
+    return json.dumps(doc).replace(json.dumps(_PAST_LIMIT), "9" * 5000).encode()
+
+
+@st.composite
+def _catalog_argv(draw) -> list[str]:
+    command = draw(st.sampled_from(["build", "check", "invariants"]))
+    argv = [command]
+    if command == "check":
+        argv.append(draw(st.sampled_from(cli.CHECK_IDS)))
+    return argv + [draw(st.sampled_from(["Xns # K3", "Xns", "K3 # Xns # Xns"]))]
+
+
+@given(_catalog_file(), _catalog_argv())
+@settings(max_examples=300, deadline=None)
+def test_any_catalog_file_ends_in_a_report_or_one_error_line(content, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "catalog.json")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        _run(["--catalog", path] + argv)

@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import weakref
 from dataclasses import replace
@@ -381,8 +382,6 @@ def test_decomposition_bound():
     assert decomposition_bound(SIGMA33) == 1  # Taubes irreducibility
     with pytest.raises(PremiseError):
         decomposition_bound(connected_sum([catalog_get("CP2"), catalog_get("CP2")]))
-    with pytest.raises(PremiseError):
-        decomposition_bound(two, d=3)  # mismatched dimension claim
 
 
 def _nonspin_symplectic(b_plus=3, b_minus=11):
@@ -748,3 +747,69 @@ def test_search_without_an_even_n_has_no_cell():
     for n_max in (-5, 0):
         assert search_spin_examples(3, 3, 10**12, n_max) == einstein.SearchOutcome((), ())
     assert einstein._spin_cells(3, 5) == [(2, 2), (2, 4), (3, 2), (3, 4)]
+
+
+def _paper_scan(mode, g, h, m_max, n_max, c4):
+    """Every first-inequality decision of a search, as the paper states the
+    two modes: ((m, n, l), (A, B)) for A pi^2 > B scaled by c4 = num/den,
+      spin:     l1 >= (2n + G)/3 - 3,      81(2n + G - 3 - l1) pi^2 > 4 G c4
+      non-spin: l2 >= (8n + 4G)/3 - 12,    81(8n + 4G - 12 - l2) pi^2 > 16 G c4,
+    l running from max(1, the floor) up to 2n + G - 3 or 8n + 4G - 12."""
+    big_g = (g - 1) * (h - 1)
+    num, den = c4.numerator, c4.denominator
+    out = []
+    for m in range(2, m_max + 1):
+        for n in range(2, n_max + 1, 2):
+            if mode == "spin":
+                floor, last, rhs = Fraction(2 * n + big_g, 3) - 3, 2 * n + big_g - 3, 4 * big_g
+            else:
+                floor, last, rhs = (Fraction(8 * n + 4 * big_g, 3) - 12,
+                                    8 * n + 4 * big_g - 12, 16 * big_g)
+            for l in range(max(1, math.ceil(floor)), last + 1):
+                out.append(((m, n, l), (81 * (last - l) * den, rhs * num)))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["spin", "nonspin"])
+@pytest.mark.parametrize("c4", [Fraction(1), Fraction(7, 3), Fraction(1, 1000)])
+def test_merged_scan_poses_each_modes_inequality(mode, c4, monkeypatch):
+    """The one w-scaled scan asks exactly the per-mode questions, in order,
+    and a tuple is a hit exactly when its question is answered True."""
+    in_ght, scan = [], []
+
+    def pi2_recorded(a, b, strict=True):
+        decision = pi2_greater(a, b, strict=strict)
+        if not in_ght:
+            scan.append(((a, b), strict, decision))
+        return decision
+
+    def ght_flagged(*args, **kwargs):
+        in_ght.append(True)
+        try:
+            return ght(*args, **kwargs)
+        finally:
+            in_ght.pop()
+
+    monkeypatch.setattr(einstein, "pi2_greater", pi2_recorded)
+    monkeypatch.setattr(einstein, "ght", ght_flagged)
+    search = search_spin_examples if mode == "spin" else search_nonspin_examples
+    for g, h in ((3, 3), (3, 5), (5, 7)):
+        scan.clear()
+        outcome = search(g, h, 3, 4, c4)
+        expected = _paper_scan(mode, g, h, 3, 4, c4)
+        assert [args for args, _, _ in scan] == [args for _, args in expected]
+        assert all(strict for _, strict, _ in scan)
+        assert [hit.key() for hit in outcome.hits] == [
+            key for (key, _), (_, _, decision) in zip(expected, scan) if decision]
+        assert not outcome.inconclusive
+
+
+@pytest.mark.parametrize("mode", ["spin", "nonspin"])
+def test_l_range_is_the_papers_range(mode):
+    for big_g in (0, 1, 4, 8, 24, 36, 100):
+        for n in range(0, 13):
+            if mode == "spin":
+                floor, last = Fraction(2 * n + big_g, 3) - 3, 2 * n + big_g - 3
+            else:
+                floor, last = Fraction(8 * n + 4 * big_g, 3) - 12, 8 * n + 4 * big_g - 12
+            assert einstein._l_range(mode, n, big_g) == (max(1, math.ceil(floor)), last)

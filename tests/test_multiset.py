@@ -1,6 +1,7 @@
 """The multiset connected sum and its block lattices against the flattened
 dense reference in ``tests/oracles.py``, and the per-distinct-block cost."""
 
+import json
 import random
 from dataclasses import replace
 
@@ -298,9 +299,16 @@ def test_listing_pieces_is_capped(capsys):
     assert validate(m) == [] and m.piece_count() == PIECE_CAP + 1
     with pytest.raises(CapacityError):
         m.pieces()
-    assert cli.main(["check", "bauer", f"{PIECE_CAP + 1}*K3"]) == 1
+    # a certificate that lists the positive-b+ pieces one by one stops at the cap
+    assert cli.main(["check", "einstein", f"{PIECE_CAP + 1}*K3"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("fourfold: error: listing") and err.count("\n") == 1
+    # bauer decides n >= 5 pieces from the count and b+(X), listing none
+    assert cli.main(["check", "bauer", f"{PIECE_CAP + 1}*K3"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert [(p["text"], p["pass"], p["witness"]) for p in report["certificate"]["premises"]] == [
+        ("n = 4", False, f"n = {PIECE_CAP + 1}"),
+        ("b+(X) = 4 (mod 8)", False, f"b+(X) = {3 * (PIECE_CAP + 1)}")]
     # sums that list only their few positive-b+ pieces are not affected
     assert cli.main(["check", "einstein", f"2*Sigma(3,3) # {PIECE_CAP + 1}*CP2bar"]) == 0
 

@@ -11,8 +11,6 @@ from fourfold.surgery import (
     blow_up,
     blowdown_two_chi_plus_3tau,
     connected_sum,
-    gompf,
-    log_transform_k3,
     sign_choices,
     split_blowdown,
     sum_spinc,
@@ -118,7 +116,7 @@ def test_blow_up():
 @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=40))
 @settings(max_examples=60)
 def test_gompf_family_identities(alpha, beta):
-    m = gompf(alpha, beta)
+    m = catalog_get(f"Gompf({alpha},{beta})")
     assert m.euler() == 24 * alpha + 4 * beta
     assert m.signature() == -16 * alpha
     assert m.two_chi_plus_3tau() == 8 * beta
@@ -130,14 +128,14 @@ def test_gompf_family_identities(alpha, beta):
 
 
 def test_log_transform():
-    assert log_transform_k3(0) == K3
-    y2 = log_transform_k3(2)
+    assert catalog_get("Y(0)") == K3
+    y2 = catalog_get("Y(2)")
     assert y2.canonical_spinc.c1 == (4, 0)
     assert y2.canonical_spinc.c1_squared == 0
     assert y2.char == K3.char
     # distinct orders give distinguishable labels
-    assert log_transform_k3(2).name != log_transform_k3(3).name
-    assert log_transform_k3(2) != log_transform_k3(3)
+    assert catalog_get("Y(2)").name != catalog_get("Y(3)").name
+    assert catalog_get("Y(2)") != catalog_get("Y(3)")
 
 
 def test_sign_choice_iterator():
@@ -208,7 +206,7 @@ def _closed_form_sum(parts_tcp, k, g, h, l1, l2, minus=False):
 def test_closed_forms_for_product_sums():
     # Gompf(2,2) # Y(1) # Sigma(3,3) # l1 S1xS3, the spin-search shape
     for l1 in (1, 2, 5):
-        m = connected_sum([gompf(2, 2), log_transform_k3(1), SIGMA33]
+        m = connected_sum([catalog_get("Gompf(2,2)"), catalog_get("Y(1)"), SIGMA33]
                           + [S1XS3] * l1)
         expect_plus = _closed_form_sum([16, 0], 1, 3, 3, l1, 0)
         expect_minus = _closed_form_sum([8 * (12 * 2 + 2), 96], 1, 3, 3, l1, 0,
