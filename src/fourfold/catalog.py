@@ -20,7 +20,7 @@ import json
 import re
 from typing import Callable, Optional
 
-from fourfold.errors import CapacityError, CatalogError
+from fourfold.errors import CapacityError, CatalogError, shown
 from fourfold.model import (
     CharData,
     Flag,
@@ -126,7 +126,7 @@ def _kodaira() -> Manifold:
 
 def _sigma(g: int, h: int) -> Manifold:
     if g < 1 or h < 1:
-        raise CatalogError(f"Sigma(g,h) needs g,h >= 1, got ({g},{h})")
+        raise CatalogError(f"Sigma(g,h) needs g,h >= 1, got {shown(f'({g},{h})')}")
     char = CharData(b1=2 * (g + h), b_plus=2 * g * h + 1, b_minus=2 * g * h + 1,
                     is_spin=True, is_simply_connected=False)
     # Canonical-class coordinates in the hyperbolic plane spanned by the two
@@ -220,14 +220,14 @@ def catalog_get(block_id: str) -> Manifold:
         family, first, second = m.group(1), m.group(2), m.group(3)
         if family == "Y":
             if second is not None:
-                raise CatalogError(f"Y takes one parameter: {block_id!r}")
+                raise CatalogError(f"Y takes one parameter: {shown(repr(block_id))}")
             return _y_ell(int(first))
         if second is None:
-            raise CatalogError(f"{family} takes two parameters: {block_id!r}")
+            raise CatalogError(f"{family} takes two parameters: {shown(repr(block_id))}")
         if family == "Sigma":
             return _sigma(int(first), int(second))
         return _gompf(int(first), int(second))
-    raise CatalogError(f"unknown building block {block_id!r}")
+    raise CatalogError(f"unknown building block {shown(repr(block_id))}")
 
 
 def catalog_ids() -> tuple[str, ...]:
@@ -299,20 +299,16 @@ _KINDS: dict[str, tuple[str, Callable[[object], bool]]] = {
 }
 
 
-def _shown(value: object) -> str:
-    return json.dumps(value)[:40]
-
-
 def _object(value: object, what: str) -> dict:
     if not isinstance(value, dict):
-        raise CatalogError(f"{what} must be an object, got {_shown(value)}")
+        raise CatalogError(f"{what} must be an object, got {shown(json.dumps(value))}")
     return value
 
 
 def _check(value: object, kind: str, where: str, path: str) -> object:
     what, ok = _KINDS[kind]
     if not ok(value):
-        raise CatalogError(f"{where}: field {path!r} must be {what}, got {_shown(value)}")
+        raise CatalogError(f"{where}: field {path!r} must be {what}, got {shown(json.dumps(value))}")
     return value
 
 
@@ -356,8 +352,8 @@ def _enum(cls: type, value: object, where: str, path: str):
         return cls(value)
     except ValueError:
         allowed = ", ".join(v.value for v in cls)
-        raise CatalogError(
-            f"{where}: field {path!r} must be one of {allowed}, got {_shown(value)}") from None
+        raise CatalogError(f"{where}: field {path!r} must be one of {allowed}, "
+                           f"got {shown(json.dumps(value))}") from None
 
 
 def manifold_from_json(doc: dict, where: str = "manifold document") -> Manifold:
@@ -365,9 +361,10 @@ def manifold_from_json(doc: dict, where: str = "manifold document") -> Manifold:
     naming the first bad field."""
     _object(doc, where)
     if doc.get("version") != CATALOG_VERSION:
-        raise CatalogError(f"unsupported catalog document version {doc.get('version')!r}")
+        raise CatalogError(
+            f"unsupported catalog document version {shown(repr(doc.get('version')))}")
     name = _field(doc, "name", "str", where)
-    where = f"{where} {name!r}"
+    where = f"{where} {shown(repr(name))}"
     char = CharData(
         b1=_field(doc, "b1", "int", where), b_plus=_field(doc, "b_plus", "int", where),
         b_minus=_field(doc, "b_minus", "int", where),
@@ -420,7 +417,8 @@ def manifold_from_json(doc: dict, where: str = "manifold document") -> Manifold:
                  summands=())
     problems = validate(m)
     if problems:
-        raise CatalogError(f"invalid manifold document {name!r}: " + "; ".join(problems))
+        raise CatalogError(f"invalid manifold document {shown(repr(name))}: {problems[0]}"
+                           + (f" (and {len(problems) - 1} more)" if problems[1:] else ""))
     return m
 
 
@@ -439,7 +437,8 @@ def load_catalog_file(path: str) -> dict[str, Manifold]:
         raise CatalogError(f"catalog file {path!r} is not JSON: {exc}") from None
     _object(doc, "catalog file")
     if doc.get("version") != CATALOG_VERSION:
-        raise CatalogError(f"unsupported catalog file version {doc.get('version')!r}")
+        raise CatalogError(
+            f"unsupported catalog file version {shown(repr(doc.get('version')))}")
     out: dict[str, Manifold] = {}
     for i, mdoc in enumerate(_field(doc, "manifolds", "list", "catalog file", default=[])):
         m = manifold_from_json(mdoc, f"manifolds[{i}]")

@@ -3,7 +3,7 @@
 The quantities: the virtual moduli dimension d = (c1^2 - 2chi - 3tau)/4 and
 the numerical Dirac index I = (c1^2 - tau)/8.  The identity
 I = (d + b+ - b1 + 1)/2 makes "I even" equivalent to
-"d + b+ - b1 = 3 (mod 4)"; both are computed independently and cross-checked.
+"d + b+ - b1 = 3 (mod 4)"; only d is computed here, and the tests check the lemma.
 
 The certificates: connected-sum non-vanishing for 2 or 3 almost complex
 pieces with b+ - b1 = 3 (mod 4), odd SW parity and even half-triple-products
@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from fourfold.errors import (
-    InternalInconsistencyError,
     NonIntegralError,
     PremiseError,
 )
@@ -82,62 +81,6 @@ def moduli_dimension(m: Manifold, g: SpinCStructure) -> int:
             f"(c1^2 - 2chi - 3tau) = {num} is not divisible by 4; "
             "c1 is not an admissible characteristic class for this manifold")
     return num // 4
-
-
-def dirac_index(m: Manifold, g: SpinCStructure) -> int:
-    """Numerical index (c1^2 - tau)/8 of the spin-c Dirac operator."""
-    num = g.c1_squared - m.signature()
-    if num % 8 != 0:
-        raise NonIntegralError(
-            f"(c1^2 - tau) = {num} is not divisible by 8; inadmissible c1")
-    return num // 8
-
-
-def parity_equivalence(m: Manifold, g: SpinCStructure) -> tuple[bool, bool]:
-    """(index even, d + b+ - b1 = 3 mod 4); the two always agree."""
-    d = moduli_dimension(m, g)
-    index = dirac_index(m, g)
-    index_even = index % 2 == 0
-    dim_condition = (d + m.char.b_plus - m.char.b1) % 4 == 3
-    if index_even != dim_condition:
-        raise InternalInconsistencyError(
-            f"index parity {index_even} disagrees with dimension condition "
-            f"{dim_condition} (d={d}, I={index}); stored data is corrupt")
-    return index_even, dim_condition
-
-
-def condition_star(m: Manifold, g: SpinCStructure) -> Certificate:
-    """The spin condition on the cut-down moduli space: even Dirac index and
-    even half-triple-product matrix."""
-    if m.char.b1 > 0 and g.s_size != m.char.b1:
-        raise PremiseError(
-            f"manifold has b1 = {m.char.b1} but no half-triple-product matrix "
-            "of that size is stored")
-    index = dirac_index(m, g)
-    index_ok = index % 2 == 0
-    odd_entry = g.odd_s_entry()
-    s_ok = odd_entry is None
-    premises = (
-        Premise("numerical Dirac index is even", index_ok, f"index = {index}"),
-        Premise("every half-triple-product S^ij is even", s_ok,
-                "" if s_ok else f"odd entry at (i,j) = {odd_entry}"),
-    )
-    verdict = Verdict.NONVANISHING if (index_ok and s_ok) else Verdict.VANISHING
-    return Certificate(
-        theorem_id="condition-star",
-        premises=premises,
-        verdict=verdict,
-        citation="spin condition for cut-down monopole moduli: even Dirac "
-                 "index and even half-triple-product matrix",
-    )
-
-
-def spin_cobordism_nontrivial(d: int) -> Optional[bool]:
-    """Non-triviality verdict in Omega^spin_d; decided only for d in {1, 2},
-    where the group is Z/2 generated by the Lie-group spin structure."""
-    if d in (1, 2):
-        return True
-    return None
 
 
 def _part_premises_theorem_a(part: Manifold, idx: int) -> list[Premise]:
@@ -311,22 +254,3 @@ def check_taubes(m: Manifold) -> Certificate:
         "Taubes: SW = +/-1 for the canonical spin-c structure of a "
         "symplectic 4-manifold with b+ > 1")
 
-
-def classify_c1_zero_types() -> list[tuple[int, int, int]]:
-    """All (b+, b1, tau) triples of almost complex 4-manifolds with c1 = 0,
-    b+ > 1 and odd SW invariant.
-
-    Constraint chain: c1 = 0 forces spin and 2chi + 3tau = 0; Rochlin gives
-    tau = 16k; hence b1 = 1 + b+ + 4k; odd SW with c1 = 0 forces b+ <= 3, so
-    b+ is 2 or 3 and 16k <= tau <= b+ gives k <= 0; b1 >= 0 bounds k below.
-    """
-    out: list[tuple[int, int, int]] = []
-    for b_plus in (2, 3):
-        # b1 = 1 + b+ + 4k >= 0  =>  k >= -(1 + b+)/4
-        k_min = -((1 + b_plus) // 4)
-        for k in range(k_min, 1):
-            b1 = 1 + b_plus + 4 * k
-            if b1 < 0:
-                continue
-            out.append((b_plus, b1, 16 * k))
-    return out

@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from fourfold import catalog, einstein, monopole, parser, surgery
+from fourfold import catalog, einstein, errors, monopole, parser, surgery
 from fourfold.certify import (
     Certificate,
     Verdict,
@@ -57,12 +57,10 @@ CHECK_IDS = ("bauer", "theorem-a", "theorem-b", "hitchin-thorpe", "ght",
 
 class _CliParser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise FourfoldError(message)
-
-
-def _shown(raw: str) -> str:
-    """At most 40 characters of an option value, quoted."""
-    return repr(raw[:40]) + ("..." if len(raw) > 40 else "")
+        # argparse quotes a bad value in full: cut each quoted run or word over
+        # 40 characters
+        raise FourfoldError(re.sub(r"'[^']{39,}'|\"[^\"]{39,}\"|\S{41,}",
+                                   lambda q: errors.shown(q[0]), message))
 
 
 def _int_str_limit() -> int:
@@ -77,7 +75,7 @@ def _rational(raw: str, source: str) -> Fraction:
     int-str limit is refused before ``Fraction()`` expands it: ``1e10000000``
     would take seconds to expand, and its report could not be printed.
     """
-    shown = _shown(raw)
+    shown = errors.shown(repr(raw))
     limit = _int_str_limit()
     size = sum(c.isdigit() for c in raw)
     exponent = re.search(r"e([-+]?\d[\d_]*)", raw, re.IGNORECASE) if size < limit else None
@@ -105,7 +103,7 @@ def _rendered(source: str, raw: str, render: Callable[[], dict]) -> dict:
     try:
         return render()
     except ValueError:
-        raise CapacityError(f"bad {source} value {_shown(raw)}: a derived number has "
+        raise CapacityError(f"bad {source} value {errors.shown(repr(raw))}: a derived number has "
                             f"more than {_int_str_limit()} digits") from None
 
 

@@ -31,7 +31,7 @@ from fourfold.certify import (
     check_theorem_A,
     check_theorem_B,
 )
-from fourfold.errors import CapacityError, PremiseError
+from fourfold.errors import CapacityError, PremiseError, shown
 from fourfold.model import Flag, Manifold
 from fourfold.monopole import Inconclusive
 from fourfold.surgery import (
@@ -70,9 +70,6 @@ class SvInterval:
 
     def hi(self) -> Fraction:
         return Fraction(16 * self.factor * self.c4.numerator, self.c4.denominator)
-
-    def is_zero(self) -> bool:
-        return self.factor == 0
 
     def to_json(self) -> dict:
         return {"lo": str(self.lo()), "hi": str(self.hi()),
@@ -266,7 +263,8 @@ def _nonvanishing_certificate(parts: Sequence[Manifold]) -> Certificate:
 
 def decomposition_certificate(m: Manifold) -> tuple[int, Certificate]:
     """(max number of positive-b+ summands in any smooth decomposition, the
-    non-vanishing certificate it rests on)."""
+    non-vanishing certificate it rests on): its moduli dimension + 1, as
+    monopoles glue along necks, each adding a circle of gluing parameters."""
     parts, _ = split_blowdown(m)
     if not parts:
         raise PremiseError("no positive-b+ pieces to certify")
@@ -276,14 +274,6 @@ def decomposition_certificate(m: Manifold) -> tuple[int, Certificate]:
             "no non-vanishing certificate holds for the positive-b+ pieces")
     d = len(parts) - 1
     return d + 1, cert
-
-
-def decomposition_bound(m: Manifold) -> int:
-    """d + 1 bounds the number of b+ > 0 summands in any smooth
-    connected-sum decomposition, where d is the moduli dimension of a
-    certified non-vanishing structure (monopoles glue along necks, each neck
-    contributing a circle of gluing parameters)."""
-    return decomposition_certificate(m)[0]
 
 
 def exotic_pair(x: Manifold, xprime: Manifold) -> Certificate:
@@ -393,13 +383,13 @@ SEARCH_SCAN_CAP = 100_000
 def _check_search_size(mode: str, g: int, h: int, m_max: int, n_max: int) -> None:
     pairs = max(0, m_max - 1) * max(0, n_max)
     if pairs > SEARCH_CELL_CAP:
-        raise CapacityError(f"a search over {pairs} (m, n) pairs is over the cap "
+        raise CapacityError(f"a search over {shown(pairs)} (m, n) pairs is over the cap "
                             f"of {SEARCH_CELL_CAP}")
     # 4m + 2n - 1 = 3 (mod 4) keeps only the even n
     cells = max(0, m_max - 1) * max(0, n_max // 2)
     scan = cells * max(0, _l_range(mode, n_max, (g - 1) * (h - 1))[1])
     if scan > SEARCH_SCAN_CAP:
-        raise CapacityError(f"a search scanning up to {scan} values of l is over "
+        raise CapacityError(f"a search scanning up to {shown(scan)} values of l is over "
                             f"the cap of {SEARCH_SCAN_CAP}")
 
 
@@ -450,7 +440,7 @@ def _hit_for_tuple(mode: str, m: int, n: int, g: int, h: int, l: int,
 def _search(mode: str, g: int, h: int, m_max: int, n_max: int,
             c4: Fraction) -> SearchOutcome:
     if g < 3 or h < 3 or g % 2 == 0 or h % 2 == 0:
-        raise PremiseError(f"the searches need odd g, h >= 3; got ({g},{h})")
+        raise PremiseError(f"the searches need odd g, h >= 3; got {shown(f'({g},{h})')}")
     if c4 <= 0:
         raise ValueError("c4 must be positive")
     _check_search_size(mode, g, h, m_max, n_max)

@@ -21,9 +21,11 @@ class NonIntegralError(FourfoldError):
     """A quantity that must be an integer is not; signals inadmissible input."""
 
 
-class InternalInconsistencyError(FourfoldError):
-    """Two provably equivalent computations disagreed; indicates a data bug."""
-
-
 class CapacityError(FourfoldError):
-    """Input exceeds a documented size cap (e.g. general hulls over 16 points)."""
+    """Input exceeds a documented size cap (e.g. ``model.PIECE_CAP``)."""
+
+
+def shown(value: object) -> str:
+    """``str(value)`` cut to 40 characters and "...", as an error line quotes it."""
+    text = str(value)
+    return text if len(text) <= 40 else text[:40] + "..."

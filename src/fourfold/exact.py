@@ -34,11 +34,6 @@ def quadratic_form(gram: Sequence[Sequence[int | Fraction]], x: Sequence[int | F
     return dot([Fraction(v) for v in x], gx)
 
 
-def pairing(gram: Sequence[Sequence[int | Fraction]], x: Sequence[int | Fraction], y: Sequence[int | Fraction]) -> Fraction:
-    gy = mat_vec(gram, y)
-    return dot([Fraction(v) for v in x], gy)
-
-
 def solve_unique(a: Sequence[Sequence[int | Fraction]], b: Sequence[int | Fraction]) -> Optional[Vector]:
     """Solve A x = b over Q.  Returns None unless the solution exists and is unique.
 
@@ -124,7 +119,3 @@ def inertia(gram: Sequence[Sequence[int | Fraction]]) -> tuple[int, int, int]:
 
 def ceil_fraction(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
-
-
-def floor_fraction(x: Fraction) -> int:
-    return x.numerator // x.denominator

@@ -41,12 +41,12 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Hashable, Iterable, Optional, Sequence, Union
 
 from fourfold import exact
-from fourfold.errors import CapacityError
+from fourfold.errors import CapacityError, shown
 
 
 class Parity(enum.Enum):
@@ -159,12 +159,6 @@ class GramLattice:
             return (0, 0, 0)
         return exact.inertia(self.gram)
 
-    def norm(self, x: Sequence[int]) -> Fraction:
-        return exact.quadratic_form(self.gram, x)
-
-    def pairing(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
-        return exact.pairing(self.gram, x, y)
-
 
 @dataclass(frozen=True)
 class BlockLattice:
@@ -209,30 +203,6 @@ class BlockLattice:
             pos, neg, zero = pos + count * p, neg + count * n, zero + count * z
         return pos, neg, zero
 
-    def _segments(self, x: Sequence[int]) -> Iterator[tuple[tuple, tuple]]:
-        """(gram, slice of x) for every piece of positive rank."""
-        if len(x) != self.rank:
-            raise ValueError("vector length does not match lattice rank")
-        offset = 0
-        for block, count in self.blocks:
-            r = block.rank
-            for _ in range(count):
-                if r:
-                    yield block.gram, tuple(x[offset:offset + r])
-                offset += r
-
-    def norm(self, x: Sequence[int]) -> Fraction:
-        """x^T G x, one ``exact.quadratic_form`` call per distinct
-        (block, segment of x) pair."""
-        return sum((count * exact.quadratic_form(gram, seg)
-                    for (gram, seg), count in tally(
-                        (key, 1) for key in self._segments(x)).items()),
-                   Fraction(0))
-
-    def pairing(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
-        return sum((exact.pairing(gram, xs, ys) for (gram, xs), (_, ys)
-                    in zip(self._segments(x), self._segments(y))), Fraction(0))
-
 
 Lattice = Union[GramLattice, BlockLattice]
 
@@ -262,11 +232,6 @@ class SpinCStructure:
         for i, j, x in self.s_entries:
             rows[i][j], rows[j][i] = x, -x
         return tuple(map(tuple, rows))
-
-    def conjugate(self) -> "SpinCStructure":
-        """The complex-conjugate structure: c1 flips sign, parity is preserved."""
-        c1 = None if self.c1 is None else tuple(-x for x in self.c1)
-        return replace(self, c1=c1, s_entries=tuple((i, j, -x) for i, j, x in self.s_entries))
 
     def odd_s_entry(self) -> Optional[tuple[int, int]]:
         """The first odd entry of the s-matrix in row-major order, if any (an
@@ -321,9 +286,6 @@ class BlockSpinC:
     def s_matrix(self) -> tuple[tuple[int, ...], ...]:
         return _block_diagonal(((g.s_matrix, c) for g, c in self.blocks), self.s_size)
 
-    def conjugate(self) -> "BlockSpinC":
-        return replace(self, blocks=tuple((g.conjugate(), c) for g, c in self.blocks))
-
     def odd_s_entry(self) -> Optional[tuple[int, int]]:
         """The first odd entry of the dense s-matrix in row-major order."""
         offset = 0
@@ -349,7 +311,7 @@ def _c1_norm(lattice: Lattice, g: SpinC) -> Optional[Fraction]:
     (block, c1 block) pair; None when a c1 block does not fit its piece.
 
     Both block sequences count pieces, so they are walked together; a run of
-    c1 blocks may split a lattice block, as the sign runs of ``sum_spinc`` do.
+    c1 blocks may split a lattice block, as a hand-built structure's sign runs may.
     """
     distinct: dict = {}
     c1_runs = iter(g.blocks)
@@ -466,9 +428,9 @@ def validate(m: Manifold) -> list[str]:
     if m.lattice is not None:
         pos, neg, _ = m.lattice.inertia()
         if pos > c.b_plus:
-            problems.append(f"lattice has {pos} positive directions but b+ = {c.b_plus}")
+            problems.append(f"lattice has {pos} positive directions but b+ = {shown(c.b_plus)}")
         if neg > c.b_minus:
-            problems.append(f"lattice has {neg} negative directions but b- = {c.b_minus}")
+            problems.append(f"lattice has {neg} negative directions but b- = {shown(c.b_minus)}")
 
     for idx, g in enumerate(m.spinc_structures):
         vector = all(s.c1 is not None for s, _ in g.blocks)
@@ -480,8 +442,8 @@ def validate(m: Manifold) -> list[str]:
                 problems.append(f"spin-c #{idx}: c1 length does not match lattice rank")
             elif q != g.c1_squared:
                 problems.append(
-                    f"spin-c #{idx}: cached c1_squared = {g.c1_squared} "
-                    f"but the lattice gives {q}")
+                    f"spin-c #{idx}: cached c1_squared = {shown(g.c1_squared)} "
+                    f"but the lattice gives {shown(q)}")
         if g.s_size != c.b1:
             problems.append(f"spin-c #{idx}: s_matrix is not b1 x b1")
 
@@ -490,7 +452,7 @@ def validate(m: Manifold) -> list[str]:
         if g.c1_squared != c.two_chi_plus_3tau():
             problems.append(
                 "almost-canonical-class identity fails: canonical c1^2 = "
-                f"{g.c1_squared} but 2*chi + 3*tau = {c.two_chi_plus_3tau()}")
+                f"{shown(g.c1_squared)} but 2*chi + 3*tau = {shown(c.two_chi_plus_3tau())}")
 
     for weaker, stronger in _FLAG_IMPLICATIONS:
         if weaker in m.flags and stronger not in m.flags:
@@ -514,6 +476,6 @@ def validate(m: Manifold) -> list[str]:
     if m.sv_factors is not None:
         for (k, g_, h_) in m.sv_factors:
             if k < 0 or g_ < 1 or h_ < 1:
-                problems.append(f"invalid sv factor ({k},{g_},{h_})")
+                problems.append(f"invalid sv factor {shown(f'({k},{g_},{h_})')}")
 
     return problems

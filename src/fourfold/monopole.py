@@ -27,7 +27,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 from fourfold.certify import Verdict, check_theorem_A
 from fourfold.errors import CapacityError, PremiseError
-from fourfold.model import PIECE_CAP, Flag, Manifold, SpinCStructure
+from fourfold.model import PIECE_CAP, Flag, Manifold
 from fourfold.surgery import blowdown_two_chi_plus_3tau, split_blowdown
 from fourfold.symbolic import SymbolicValue
 
@@ -132,20 +132,8 @@ def beta_squared_with_witness(s: MonopoleClassSet) -> tuple[Fraction, Witness]:
     return value, witness
 
 
-def beta_squared(s: MonopoleClassSet) -> Fraction:
-    """Exact maximum of the intersection form over Hull(classes); >= 0."""
-    return beta_squared_with_witness(s)[0]
-
-
 # ---------------------------------------------------------------------------
 # Curvature bounds and invariants
-
-
-@dataclass(frozen=True)
-class CurvatureBounds:
-    scalar_bound: SymbolicValue                     # integral of s^2
-    mixed_bound: SymbolicValue                      # integral of (s - sqrt6 |W+|)^2
-    ricci_bound: Union[SymbolicValue, Inconclusive]  # integral of |r|^2
 
 
 def _theorem_a_split(m: Manifold) -> Union[tuple[list[Manifold], Optional[Manifold]], Inconclusive]:
@@ -159,27 +147,6 @@ def _theorem_a_split(m: Manifold) -> Union[tuple[list[Manifold], Optional[Manifo
         failed = "; ".join(p.text for p in cert.premises if not p.passed)
         return Inconclusive(f"non-vanishing premises fail: {failed}")
     return parts, n_part
-
-
-def curvature_bounds(m: Manifold, s: MonopoleClassSet) -> CurvatureBounds:
-    """(32 pi^2 beta^2, 72 pi^2 beta^2, 8 pi^2 [4n - (2chi+3tau)(N) + sum c1^2]).
-
-    The first two need only the class set; the Ricci bound additionally needs
-    the (# parts) # N decomposition with certified non-vanishing.
-    """
-    b2 = beta_squared(s)
-    scalar = SymbolicValue(32 * b2, pi_power=2)
-    mixed = SymbolicValue(72 * b2, pi_power=2)
-    split = _theorem_a_split(m)
-    if isinstance(split, Inconclusive):
-        ricci: Union[SymbolicValue, Inconclusive] = split
-    else:
-        parts, n_part = split
-        n = len(parts)
-        total = sum(p.canonical_spinc.c1_squared for p in parts)
-        t = blowdown_two_chi_plus_3tau(n_part)
-        ricci = SymbolicValue(8 * (4 * n - t + total), pi_power=2)
-    return CurvatureBounds(scalar_bound=scalar, mixed_bound=mixed, ricci_bound=ricci)
 
 
 @dataclass(frozen=True)
@@ -253,40 +220,3 @@ def invariant_Ir(m: Manifold) -> Union[SymbolicValue, Inconclusive]:
     t = blowdown_two_chi_plus_3tau(n_part)
     return SymbolicValue(8 * (4 * n - t + total), pi_power=2)
 
-
-# ---------------------------------------------------------------------------
-# Adjunction
-
-
-def genus_lower_bound(self_int: int, c1_pairing: int) -> int:
-    """Least genus allowed by 2g - 2 >= [S]^2 - <c1, [S]> for surfaces of
-    positive genus and nonnegative self-intersection."""
-    if self_int < 0:
-        raise PremiseError(f"adjunction bound needs [S]^2 >= 0, got {self_int}")
-    bound = self_int - c1_pairing
-    # 2g - 2 >= bound and g >= 1
-    g_min = (bound + 2 + 1) // 2 if (bound + 2) % 2 else (bound + 2) // 2
-    return max(1, g_min)
-
-
-def adjunction_genus_bound(m: Manifold, g: SpinCStructure,
-                           sigma_class: Sequence[int],
-                           self_int: Optional[int] = None) -> int:
-    """Minimal admissible genus of an embedded surface in the class
-    ``sigma_class`` on a certified non-vanishing connected sum."""
-    parts, _ = split_blowdown(m)
-    cert = check_theorem_A(parts)
-    if cert.verdict is not Verdict.NONVANISHING:
-        raise PremiseError("adjunction applies to certified non-vanishing sums only")
-    if m.lattice is None or g.c1 is None:
-        raise PremiseError("adjunction needs an explicit lattice and c1 vector")
-    computed = m.lattice.norm(sigma_class)
-    if computed.denominator != 1:
-        raise PremiseError("non-integral self-intersection")
-    if self_int is not None and self_int != computed:
-        raise PremiseError(
-            f"declared self-intersection {self_int} but the lattice gives {computed}")
-    pair = m.lattice.pairing(g.c1, sigma_class)
-    if pair.denominator != 1:
-        raise PremiseError("non-integral pairing")
-    return genus_lower_bound(int(computed), int(pair))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from fourfold.catalog import catalog_get
-from fourfold.errors import CatalogError, FourfoldError
+from fourfold.errors import CatalogError, FourfoldError, shown
 from fourfold.model import Manifold
 from fourfold.surgery import connected_sum
 
@@ -75,20 +75,6 @@ class Sum:
 
 
 Node = Union[Atom, Repeat, Sum]
-
-
-def to_text(node: Node) -> str:
-    """Canonical rendering; parse(to_text(ast)) == ast."""
-    if isinstance(node, Atom):
-        return node.display()
-    if isinstance(node, Repeat):
-        inner = to_text(node.inner)
-        if isinstance(node.inner, Sum):
-            inner = f"({inner})"
-        return f"{node.count}*{inner}"
-    return " # ".join(
-        f"({to_text(p)})" if isinstance(p, Sum) else to_text(p)
-        for p in node.parts)
 
 
 # -- tokenizer --------------------------------------------------------------
@@ -151,14 +137,14 @@ class _Parser:
 
     def expect(self, kind: str, what: str) -> _Token:
         if self.cur.kind != kind:
-            raise ExprError(f"found {self.cur.text or 'end of input'!r}",
+            raise ExprError(f"found {shown(repr(self.cur.text or 'end of input'))}",
                             self.cur.offset, (what,))
         return self.advance()
 
     def parse(self) -> Node:
         node = self.expr()
         if self.cur.kind != "EOF":
-            raise ExprError(f"trailing input {self.cur.text!r}",
+            raise ExprError(f"trailing input {shown(repr(self.cur.text))}",
                             self.cur.offset, ("'#'", "end of input"))
         return node
 
@@ -201,7 +187,7 @@ class _Parser:
             self.depth -= 1
             return node
         if tok.kind != "IDENT":
-            raise ExprError(f"found {tok.text or 'end of input'!r}", tok.offset,
+            raise ExprError(f"found {shown(repr(tok.text or 'end of input'))}", tok.offset,
                             ("integer", "identifier", "'('"))
         self.advance()
         if self.cur.kind != "(":
@@ -240,7 +226,7 @@ def _resolve(atom: Atom, env: Optional[dict[str, Manifold]]) -> Manifold:
     if env:
         if name in env:
             if atom.args:
-                raise CatalogError(f"custom atom {atom.name!r} takes no parameters")
+                raise CatalogError(f"custom atom {shown(repr(atom.name))} takes no parameters")
             return env[name]
         if not atom.args and atom.name in env:
             return env[atom.name]

@@ -1,4 +1,4 @@
-"""Connected sums, blow-ups, the blow-down split and spin-c sign choices.
+"""Connected sums and the blow-down split.
 
 All operations are pure: they take validated manifolds and return new
 immutable ones.  A connected sum is a multiset of atoms: ``connected_sum``
@@ -22,10 +22,8 @@ sum are only built on request (see ``fourfold.model``).
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
-from fourfold.catalog import catalog_get
 from fourfold.errors import SurgeryError
 from fourfold.model import (
     BlockLattice,
@@ -66,7 +64,7 @@ def _record_name(record: Sequence[tuple[str, int]]) -> str:
 
 def _sum_spinc(blocks: Sequence[tuple[SpinCStructure, int]]) -> BlockSpinC:
     """The structure #(+/-Gamma_i) from its (structure, count) blocks in piece
-    order, each an atom's own canonical structure or its conjugate; its
+    order, each an atom's own canonical structure (all signs +); its
     parity is Odd exactly when every block's is."""
     odd = all(g.sw_parity is Parity.ODD for g, _ in blocks)
     return BlockSpinC(blocks=tuple(blocks), sw_parity=Parity.ODD if odd else Parity.UNKNOWN,
@@ -158,54 +156,6 @@ def connected_sum(parts: Sequence[Manifold],
     if len(summands) == 1 and summands[0][1] == 1:
         return summands[0][0]
     return _assemble(summands)
-
-
-def blow_up(m: Manifold, k: int) -> Manifold:
-    """Connected sum with k copies of CP2bar.
-
-    The lattice gains k mutually orthogonal classes of square -1.
-    """
-    if k < 0:
-        raise SurgeryError(f"blow-up count must be >= 0, got {k}")
-    if k == 0:
-        return m
-    return connected_sum([m, catalog_get("CP2bar")], counts=[1, k])
-
-
-def sign_choices(n: int) -> Iterator[tuple[int, ...]]:
-    """All 2^n sign vectors, all-plus first."""
-    return itertools.product((1, -1), repeat=n)
-
-
-def sum_spinc(m: Manifold, signs: Sequence[int]) -> BlockSpinC:
-    """The spin-c structure #(+/-Gamma_i) on the connected sum ``m`` for a
-    given sign vector over its pieces."""
-    summands = m.atom_counts()
-    n = m.piece_count()
-    if len(signs) != n:
-        raise SurgeryError(f"sign vector length {len(signs)} != {n} pieces")
-    if any(s not in (1, -1) for s in signs):
-        raise SurgeryError("signs must be +/-1")
-    if not all(a.spinc_structures for a, _ in summands):
-        raise SurgeryError("every piece needs a spin-c structure")
-    blocks: list[tuple[SpinCStructure, int]] = []
-    start = 0
-    for atom, count in summands:
-        g = atom.canonical_spinc
-        for sign, run in itertools.groupby(signs[start:start + count]):
-            blocks.append((g if sign == 1 else g.conjugate(), sum(1 for _ in run)))
-        start += count
-    return _sum_spinc(blocks)
-
-
-def all_sign_spinc(m: Manifold) -> Iterator[tuple[tuple[int, ...], BlockSpinC]]:
-    """Lazy iterator over all 2^n sign-choice structures on a sum.
-
-    Generated lazily on purpose: materializing 2^n structures for large
-    blow-ups would be exponential storage for no benefit.
-    """
-    for signs in sign_choices(m.piece_count()):
-        yield signs, sum_spinc(m, signs)
 
 
 def split_blowdown(m: Manifold) -> tuple[list[Manifold], Optional[Manifold]]:

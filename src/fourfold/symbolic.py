@@ -171,15 +171,7 @@ class SymbolicValue:
     def plus_infinity(cls) -> "SymbolicValue":
         return cls(inf=1)
 
-    @classmethod
-    def minus_infinity(cls) -> "SymbolicValue":
-        return cls(inf=-1)
-
     # -- predicates --------------------------------------------------------
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.inf != 0
 
     @property
     def is_zero(self) -> bool:
@@ -247,9 +239,6 @@ class SymbolicValue:
 
     def __abs__(self) -> "SymbolicValue":
         return -self if self.sign() < 0 else self
-
-    def squared(self) -> "SymbolicValue":
-        return self * self
 
     # -- comparison --------------------------------------------------------
 
@@ -347,12 +336,3 @@ class SymbolicValue:
         if self.inf != 0:
             return {"inf": "+" if self.inf == 1 else "-"}
         return {"q": str(self.q), "pi_power": self.pi_power, "radicand": self.radicand}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "SymbolicValue":
-        if "inf" in doc:
-            return cls(inf=1 if doc["inf"] == "+" else -1)
-        return cls(Fraction(doc["q"]), int(doc["pi_power"]), int(doc["radicand"]))
-
-
-ZERO = SymbolicValue(0)

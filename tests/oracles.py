@@ -14,6 +14,11 @@ rational right-hand sides the library clears into integers, the flattened connec
 sum assembles one copy of every piece into a dense Gram matrix, c1 vector
 and s-matrix, and the dense s-matrix helpers read the rows that the library
 stores as nonzero entries above the diagonal.
+
+The last section holds what the tests check that no production path calls:
+the paper's Dirac-index parity lemma and c1 = 0 classification, the 2^n
+sign-choice structures on a sum with the conjugation they use, the canonical
+expression printer, and the lattice pairing of the support-set solver.
 """
 
 from __future__ import annotations
@@ -21,16 +26,18 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from fourfold import exact
-from fourfold.certify import Certificate, Premise, Verdict
+from fourfold.certify import Certificate, Premise, Verdict, moduli_dimension
 from fourfold.einstein import simplicial_volume
-from fourfold.errors import PremiseError, SurgeryError
+from fourfold.errors import NonIntegralError, PremiseError, SurgeryError
 from fourfold.model import (
+    BlockSpinC,
     CharData,
     Flag,
     GramLattice,
@@ -40,6 +47,7 @@ from fourfold.model import (
     SpinCStructure,
 )
 from fourfold.monopole import Inconclusive
+from fourfold.parser import Atom, Repeat, Sum
 
 MESH_DEN = 32
 FULL_MESH_POINT_CAP = 20_000_000
@@ -120,7 +128,7 @@ def beta_squared_support_sets(classes, gram):
     """
     m = len(classes)
     points = [tuple(Fraction(x) for x in v) for v in classes]
-    gram_big = [[exact.pairing(gram, points[i], points[j]) for j in range(m)]
+    gram_big = [[pairing(gram, points[i], points[j]) for j in range(m)]
                 for i in range(m)]
     best = None
     maximizers = []
@@ -551,3 +559,102 @@ def flat_connected_sum(parts):
         sv_factors=sv_factors, summand_record=record,
         summands=tuple((a, 1) for a in atoms),
     )
+
+
+# -- what only the tests check: lemmas, sign choices, printing, pairing -------
+
+
+def dirac_index(m, g):
+    """Numerical index (c1^2 - tau)/8 of the spin-c Dirac operator."""
+    num = g.c1_squared - m.signature()
+    if num % 8 != 0:
+        raise NonIntegralError(
+            f"(c1^2 - tau) = {num} is not divisible by 8; inadmissible c1")
+    return num // 8
+
+
+def parity_equivalence(m, g):
+    """(index even, d + b+ - b1 = 3 mod 4), each computed on its own; the
+    paper's parity lemma says the two always agree."""
+    d = moduli_dimension(m, g)
+    return (dirac_index(m, g) % 2 == 0,
+            (d + m.char.b_plus - m.char.b1) % 4 == 3)
+
+
+def classify_c1_zero_types():
+    """All (b+, b1, tau) triples of almost complex 4-manifolds with c1 = 0,
+    b+ > 1 and odd SW invariant.
+
+    Constraint chain: c1 = 0 forces spin and 2chi + 3tau = 0; Rochlin gives
+    tau = 16k; hence b1 = 1 + b+ + 4k; odd SW with c1 = 0 forces b+ <= 3, so
+    b+ is 2 or 3 and 16k <= tau <= b+ gives k <= 0; b1 >= 0 bounds k below.
+    """
+    out = []
+    for b_plus in (2, 3):
+        # b1 = 1 + b+ + 4k >= 0  =>  k >= -(1 + b+)/4
+        k_min = -((1 + b_plus) // 4)
+        for k in range(k_min, 1):
+            b1 = 1 + b_plus + 4 * k
+            if b1 < 0:
+                continue
+            out.append((b_plus, b1, 16 * k))
+    return out
+
+
+def conjugate(g):
+    """The complex-conjugate structure: c1 and the s-matrix flip sign, the
+    parity is kept; a ``BlockSpinC`` is conjugated block by block."""
+    if isinstance(g, BlockSpinC):
+        return replace(g, blocks=tuple((conjugate(b), c) for b, c in g.blocks))
+    c1 = None if g.c1 is None else tuple(-x for x in g.c1)
+    return replace(g, c1=c1, s_entries=tuple((i, j, -x) for i, j, x in g.s_entries))
+
+
+def sum_spinc(m, signs):
+    """The spin-c structure #(+/-Gamma_i) on the connected sum ``m`` for a
+    sign vector over its pieces: a ``BlockSpinC`` with one block per run of
+    equal signs within an atom's copies, Odd when every piece is."""
+    summands = m.atom_counts()
+    n = m.piece_count()
+    if len(signs) != n:
+        raise SurgeryError(f"sign vector length {len(signs)} != {n} pieces")
+    if any(s not in (1, -1) for s in signs):
+        raise SurgeryError("signs must be +/-1")
+    if not all(a.spinc_structures for a, _ in summands):
+        raise SurgeryError("every piece needs a spin-c structure")
+    blocks = []
+    start = 0
+    for atom, count in summands:
+        g = atom.canonical_spinc
+        for sign, run in itertools.groupby(signs[start:start + count]):
+            blocks.append((g if sign == 1 else conjugate(g), sum(1 for _ in run)))
+        start += count
+    odd = all(g.sw_parity is Parity.ODD for g, _ in blocks)
+    return BlockSpinC(blocks=tuple(blocks), sw_parity=Parity.ODD if odd else Parity.UNKNOWN,
+                      parity_provenance=Provenance.DERIVED)
+
+
+def all_sign_spinc(m):
+    """Lazy iterator over the 2^n sign-choice structures on a sum, all-plus
+    first."""
+    for signs in itertools.product((1, -1), repeat=m.piece_count()):
+        yield signs, sum_spinc(m, signs)
+
+
+def to_text(node):
+    """Canonical rendering of an expression AST; parse(to_text(ast)) == ast."""
+    if isinstance(node, Atom):
+        return node.display()
+    if isinstance(node, Repeat):
+        inner = to_text(node.inner)
+        if isinstance(node.inner, Sum):
+            inner = f"({inner})"
+        return f"{node.count}*{inner}"
+    return " # ".join(
+        f"({to_text(p)})" if isinstance(p, Sum) else to_text(p)
+        for p in node.parts)
+
+
+def pairing(gram, x, y):
+    """x^T G y, exactly."""
+    return exact.dot([Fraction(v) for v in x], exact.mat_vec(gram, y))

@@ -19,9 +19,7 @@ from fourfold.certify import (
     check_bauer,
     check_theorem_A,
     check_theorem_B,
-    classify_c1_zero_types,
     moduli_dimension,
-    parity_equivalence,
 )
 from fourfold.einstein import (
     einstein_obstruction,
@@ -32,22 +30,26 @@ from fourfold.errors import PremiseError
 from fourfold.model import CharData, Manifold, SpinCStructure
 from fourfold.monopole import (
     MonopoleClassSet,
-    beta_squared,
+    beta_squared_with_witness,
     invariant_Ir,
     invariant_Is_Y_K,
     lambda_bar_k,
 )
-from fourfold.parser import parse, to_text
-from fourfold.surgery import all_sign_spinc, connected_sum
+from fourfold.parser import parse
+from fourfold.surgery import connected_sum
 from fourfold.symbolic import SymbolicValue
 
 from oracles import (
+    all_sign_spinc,
     beta_squared_faces,
     box_mesh_max,
     box_mesh_sample_max,
+    classify_c1_zero_types,
     mesh_error_bound,
+    parity_equivalence,
     sign_orbit,
     spin_tuple_certified,
+    to_text,
 )
 import test_parser as parser_corpus
 from test_einstein import assert_cell_order_independent
@@ -175,7 +177,7 @@ def test_criterion_6_beta_squared_oracles():
         d = len(diag)
         classes, gram = sign_orbit(diag)
         expected = sum(x for x in diag if x > 0)
-        box_val = beta_squared(MonopoleClassSet(tuple(diag)))
+        box_val, _ = beta_squared_with_witness(MonopoleClassSet(tuple(diag)))
         face_val, _ = beta_squared_faces(classes, gram)
         assert box_val == face_val == expected, diag
         if d <= 4:
@@ -235,12 +237,12 @@ def test_criterion_9_spin_search():
 
 @_report(10, "decomposition bound and the exotic-pair certificate")
 def test_criterion_10_decomposition_and_exotic():
-    from fourfold.einstein import decomposition_bound, exotic_pair
+    from fourfold.einstein import decomposition_certificate, exotic_pair
     from fourfold.model import Flag, Parity, Provenance
 
     two = connected_sum([catalog_get("Sigma(3,5)"), catalog_get("Kodaira")])
     assert check_theorem_B(list(two.pieces())).verdict is Verdict.NONVANISHING
-    assert decomposition_bound(two) == 2
+    assert decomposition_certificate(two)[0] == 2
 
     char = CharData(b1=0, b_plus=3, b_minus=11, is_spin=False,
                     is_simply_connected=True)

@@ -15,16 +15,19 @@ from fourfold.certify import (
     check_taubes,
     check_theorem_A,
     check_theorem_B,
-    classify_c1_zero_types,
-    condition_star,
-    dirac_index,
     moduli_dimension,
-    parity_equivalence,
-    spin_cobordism_nontrivial,
 )
 from fourfold.errors import NonIntegralError, PremiseError
 from fourfold.model import CharData, Flag, Manifold, Parity, SpinCStructure
-from fourfold.surgery import all_sign_spinc, connected_sum
+from fourfold.surgery import connected_sum
+
+from oracles import (
+    all_sign_spinc,
+    classify_c1_zero_types,
+    conjugate,
+    dirac_index,
+    parity_equivalence,
+)
 
 K3 = catalog_get("K3")
 T4 = catalog_get("T4")
@@ -105,20 +108,13 @@ def test_parity_lemma_property(b1, b_plus, d):
 
 
 def test_condition_star():
-    cert = condition_star(SIGMA33, SIGMA33.canonical_spinc)
-    assert cert.verdict is Verdict.NONVANISHING
-    cert = condition_star(T4, T4.canonical_spinc)
-    assert cert.verdict is Verdict.NONVANISHING
+    # The spin condition on the cut-down moduli space: even Dirac index and
+    # no odd half-triple-product.
+    for m in (SIGMA33, T4):
+        g = m.canonical_spinc
+        assert dirac_index(m, g) % 2 == 0 and g.odd_s_entry() is None
     bad = replace(T4.canonical_spinc, s_entries=((0, 1, 1),))
-    cert = condition_star(T4, bad)
-    assert cert.verdict is Verdict.VANISHING
-    assert any("(0, 1)" in p.witness for p in cert.premises if not p.passed)
-
-
-def test_condition_star_missing_s_matrix():
-    bad = replace(T4.canonical_spinc, s_size=0)
-    with pytest.raises(PremiseError):
-        condition_star(T4, bad)
+    assert dirac_index(T4, bad) % 2 == 0 and bad.odd_s_entry() == (0, 1)
 
 
 def test_theorem_a_examples():
@@ -136,7 +132,7 @@ def test_theorem_a_examples():
 def _conjugated(part):
     """The part with its canonical structure replaced by the conjugate."""
     g, *rest = part.spinc_structures
-    return replace(part, spinc_structures=(g.conjugate(), *rest))
+    return replace(part, spinc_structures=(conjugate(g), *rest))
 
 
 def test_theorem_a_invariance():
@@ -159,13 +155,6 @@ def test_theorem_a_records_spin_cobordism():
     line = [p for p in cert.premises if "spin cobordism" in p.text]
     assert len(line) == 1 and line[0].passed
     assert "d = n - 1 = 1" in line[0].witness
-
-
-def test_spin_cobordism_bit():
-    assert spin_cobordism_nontrivial(1) is True
-    assert spin_cobordism_nontrivial(2) is True
-    assert spin_cobordism_nontrivial(0) is None
-    assert spin_cobordism_nontrivial(3) is None
 
 
 def test_bauer_examples():

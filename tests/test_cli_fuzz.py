@@ -2,7 +2,8 @@
 
 Every input ends in a schema-valid report (exit 0 or 2; ``search`` writes
 one report per line) or in one line of ``fourfold: error:`` on stderr
-(exit 1); an exception escaping ``main`` fails the test.  Expressions cover
+(exit 1) of at most ``MAX_ERROR_LINE`` characters, however long the values
+it quotes; an exception escaping ``main`` fails the test.  Expressions cover
 every catalog family with parameters and counts up to 10^30, nesting past
 ``MAX_NESTING``, junk bytes spliced in, and bad ``--c4``/``--k`` values,
 among them exponents and integers past the interpreter's int-str limit,
@@ -14,8 +15,8 @@ that the reports stay small: a sum that ``build`` dumps has at most a few
 hundred pieces.
 Catalog files (``--catalog``) are the README's building block with fields
 dropped or mistyped, huge integers, bad s-matrices, Gram matrices and c1
-vectors, or invalid UTF-8 and non-JSON bytes, run through ``build``,
-``check`` and ``invariants``.
+vectors, 5,000-character names and versions, or invalid UTF-8 and
+non-JSON bytes, run through ``build``, ``check`` and ``invariants``.
 """
 
 import contextlib
@@ -44,7 +45,8 @@ _COUNT = st.one_of(st.integers(0, 3), st.integers(PIECE_CAP + 1, 10**30))
 _JUNK = st.one_of(
     st.binary(max_size=8).map(lambda b: b.decode("utf-8", "surrogateescape")),
     st.text(max_size=8),
-    st.sampled_from(["#", "*", "(", ")", ",", "-", "\n", "1" * 5000, "Sigma(", "--help"]),
+    st.sampled_from(["#", "*", "(", ")", ",", "-", "\n", "1" * 5000, "K" * 5000, "Sigma(",
+                     "Sigma(0," + "9" * 4000 + ")", "--help"]),
 )
 
 _FAMILY = st.one_of(
@@ -110,7 +112,7 @@ def _argv(draw) -> list[str]:
 _VALID = {"--mode": st.sampled_from(["spin", "nonspin"]),
           "--g": st.sampled_from([3, 5]), "--h": st.sampled_from([3, 5, 7]),
           "--mmax": st.integers(0, 3), "--nmax": st.integers(0, 4)}
-_BAD = st.one_of(st.integers(-10**30, 10**30), _JUNK)
+_BAD = st.one_of(st.integers(-10**30, 10**30), st.sampled_from([10**4000, 10**4000 + 1]), _JUNK)
 
 
 @st.composite
@@ -124,6 +126,10 @@ def _search_argv(draw) -> list[str]:
     return argv
 
 
+# An error line quotes at most 40 characters of any one value.
+MAX_ERROR_LINE = 300
+
+
 def _run(argv: list[str]) -> None:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -132,7 +138,7 @@ def _run(argv: list[str]) -> None:
     assert code in (0, 1, 2)
     if code == 1:
         assert out == "" and err.startswith("fourfold: error: ") and err.count("\n") == 1
-        assert err.endswith("\n")
+        assert err.endswith("\n") and len(err) <= MAX_ERROR_LINE + 1
         return
     assert err == ""
     if argv[0] == "search":
@@ -175,7 +181,7 @@ _HUGE = st.sampled_from([10**30, -10**30, 10**4000, -(10**4000), _PAST_LIMIT])
 _VALUE = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6), _HUGE,
               st.floats(allow_nan=False), st.text(max_size=6),
-              st.sampled_from(["Odd", "Unknown", "Xns", "AlmostComplex"])),
+              st.sampled_from(["Odd", "Unknown", "Xns", "AlmostComplex", "N" * 5000])),
     lambda inner: st.one_of(st.lists(inner, max_size=3),
                             st.dictionaries(st.text(max_size=6), inner, max_size=3)),
     max_leaves=6)
@@ -243,7 +249,8 @@ def _catalog_argv(draw) -> list[str]:
     argv = [command]
     if command == "check":
         argv.append(draw(st.sampled_from(cli.CHECK_IDS)))
-    return argv + [draw(st.sampled_from(["Xns # K3", "Xns", "K3 # Xns # Xns"]))]
+    return argv + [draw(st.sampled_from(["Xns # K3", "Xns", "K3 # Xns # Xns",
+                                         "Xns # " + "Z" * 5000]))]
 
 
 @given(_catalog_file(), _catalog_argv())

@@ -14,7 +14,6 @@ from fourfold.certify import Verdict
 from fourfold.einstein import (
     SvInterval,
     corollary_obstruction,
-    decomposition_bound,
     decomposition_certificate,
     einstein_obstruction,
     exotic_pair,
@@ -35,7 +34,7 @@ from fourfold.model import (
     SpinCStructure,
 )
 from fourfold.monopole import Inconclusive
-from fourfold.surgery import blow_up, connected_sum
+from fourfold.surgery import connected_sum
 from fourfold.symbolic import pi2_greater
 
 from oracles import (
@@ -63,7 +62,7 @@ def test_sv_interval_values():
     sv = simplicial_volume(connected_sum([SIGMA33, K3]), Fraction(2))
     assert (sv.lo(), sv.hi()) == (32, 128)
     sv = simplicial_volume(connected_sum([K3, K3]), 1)
-    assert sv.is_zero() and sv.lo() == sv.hi() == 0
+    assert sv.factor == 0 and sv.lo() == sv.hi() == 0
     m = connected_sum([catalog_get("Sigma(3,5)")] * 2)
     sv = simplicial_volume(m, 1)
     assert sv.factor == 16  # 2 * (2)(4)
@@ -276,7 +275,7 @@ def test_einstein_monotone_under_blowups():
     ]
     for m in cases:
         if einstein_obstruction(m).verdict is Verdict.OBSTRUCTED:
-            again = blow_up(m, 1)
+            again = connected_sum([m, CP2BAR])
             assert einstein_obstruction(again).verdict is Verdict.OBSTRUCTED
 
 
@@ -374,14 +373,13 @@ def test_ght_verdicts_match_fractions(b1, b_plus, b_minus, factor, c4,
 
 def test_decomposition_bound():
     two = connected_sum([catalog_get("Sigma(3,5)"), KODAIRA])
-    assert decomposition_bound(two) == 2
     bound, cert = decomposition_certificate(two)
     assert bound == 2 and cert.verdict is Verdict.NONVANISHING
     three = connected_sum([K3, K3, KODAIRA])
-    assert decomposition_bound(three) == 3
-    assert decomposition_bound(SIGMA33) == 1  # Taubes irreducibility
+    assert decomposition_certificate(three)[0] == 3
+    assert decomposition_certificate(SIGMA33)[0] == 1  # Taubes irreducibility
     with pytest.raises(PremiseError):
-        decomposition_bound(connected_sum([catalog_get("CP2"), catalog_get("CP2")]))
+        decomposition_certificate(connected_sum([catalog_get("CP2"), catalog_get("CP2")]))
 
 
 def _nonspin_symplectic(b_plus=3, b_minus=11):
@@ -433,7 +431,7 @@ def test_spin_search_hits_reverify_and_certify():
     out = search_spin_examples(3, 3, 4, 6, 1)
     for hit in out.hits:
         assert spin_tuple_certified(hit.m, hit.n, hit.l, 3, 3, Fraction(1))
-        assert not hit.sv.is_zero()
+        assert hit.sv.factor > 0
         by_id = {c.theorem_id: c for c in hit.certificates}
         assert by_id["hitchin-thorpe"].verdict is Verdict.NOT_OBSTRUCTED
         assert all(p.passed for p in by_id["hitchin-thorpe"].premises)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from fourfold.exact import (
     ceil_fraction,
-    floor_fraction,
     inertia,
     quadratic_form,
     solve_unique,
@@ -112,5 +111,3 @@ def test_ceil_floor_fraction():
     assert ceil_fraction(Fraction(7, 3)) == 3
     assert ceil_fraction(Fraction(-7, 3)) == -2
     assert ceil_fraction(Fraction(6, 3)) == 2
-    assert floor_fraction(Fraction(7, 3)) == 2
-    assert floor_fraction(Fraction(-7, 3)) == -3

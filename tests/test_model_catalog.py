@@ -17,12 +17,11 @@ from fourfold.catalog import (
     manifold_from_json,
     manifold_to_json,
 )
-from fourfold.certify import condition_star
 from fourfold.errors import CatalogError
 from fourfold.model import Flag, GramLattice, Manifold, Parity, Provenance, validate
 from fourfold.surgery import connected_sum
 
-from oracles import dense_even, dense_first_odd, dense_negation
+from oracles import conjugate, dense_even, dense_first_odd, dense_negation
 
 # Published characteristic data: (b1, b+, b-, chi, tau, spin, simply connected)
 PUBLISHED = {
@@ -228,12 +227,9 @@ def test_sparse_s_matrix_matches_dense_rows(rows):
     assert manifold_to_json(m) == doc
     g = m.canonical_spinc
     assert g.s_matrix == rows
-    assert g.conjugate().s_matrix == dense_negation(rows)
+    assert conjugate(g).s_matrix == dense_negation(rows)
     assert g.s_matrix_even() == dense_even(rows)
-    _, s_premise = condition_star(m, g).premises
-    odd = dense_first_odd(rows)
-    assert s_premise.passed == (odd is None)
-    assert s_premise.witness == ("" if odd is None else f"odd entry at (i,j) = {odd}")
+    assert g.odd_s_entry() == dense_first_odd(rows)
 
 
 def test_load_catalog_file(tmp_path):

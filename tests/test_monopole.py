@@ -12,14 +12,9 @@ from fourfold.cli import main
 from fourfold.errors import PremiseError
 from fourfold.exact import quadratic_form
 from fourfold.monopole import (
-    CurvatureBounds,
     Inconclusive,
     MonopoleClassSet,
-    adjunction_genus_bound,
-    beta_squared,
     beta_squared_with_witness,
-    curvature_bounds,
-    genus_lower_bound,
     invariant_Ir,
     invariant_Is_Y_K,
     lambda_bar_k,
@@ -98,8 +93,8 @@ def test_no_sign_vector_enumeration_in_library(monkeypatch):
 
 
 def test_beta_squared_examples():
-    assert beta_squared(MonopoleClassSet((32, 32))) == 64
-    assert beta_squared(MonopoleClassSet((32, 32, -1))) == 64
+    assert beta_squared_with_witness(MonopoleClassSet((32, 32)))[0] == 64
+    assert beta_squared_with_witness(MonopoleClassSet((32, 32, -1)))[0] == 64
     # a null class outside any sign orbit, solved by the oracle alone
     assert beta_squared_faces(((2, 0), (-2, 0)), ((0, 1), (1, 0)))[0] == 0
 
@@ -169,7 +164,7 @@ def test_mesh_oracle_bounds_solver(d, seed):
     rng = random.Random(seed)
     diag = [rng.randint(-64, 64) for _ in range(d)]
     _, gram = sign_orbit(diag)
-    solver = beta_squared(MonopoleClassSet(tuple(diag)))
+    solver = beta_squared_with_witness(MonopoleClassSet(tuple(diag)))[0]
     mesh = box_mesh_max(gram)
     assert solver >= mesh
     assert solver - mesh <= mesh_error_bound(gram)
@@ -179,7 +174,7 @@ def test_mesh_sample_lower_bounds_rank5():
     rng = random.Random(99)
     diag = [rng.randint(-64, 64) for _ in range(5)]
     _, gram = sign_orbit(diag)
-    solver = beta_squared(MonopoleClassSet(tuple(diag)))
+    solver = beta_squared_with_witness(MonopoleClassSet(tuple(diag)))[0]
     sample = box_mesh_sample_max(gram, rng, count=50_000)
     assert solver >= sample
     assert (2 * MESH_DEN + 1) ** 5 > FULL_MESH_POINT_CAP  # full mesh out of reach
@@ -191,7 +186,7 @@ def test_beta_squared_symmetry_and_midpoints(d, seed):
     rng = random.Random(seed)
     diag = [rng.randint(-64, 64) for _ in range(d)]
     orbit = MonopoleClassSet(tuple(diag))
-    val = beta_squared(orbit)
+    val = beta_squared_with_witness(orbit)[0]
     _, gram = sign_orbit(diag)
     for v in orbit.classes:
         assert tuple(-x for x in v) in orbit.classes
@@ -202,33 +197,24 @@ def test_beta_squared_symmetry_and_midpoints(d, seed):
 
 def test_beta_squared_lower_bound_sum_c1sq():
     s2 = monopole_classes_for_sum([SIGMA33, SIGMA33], CP2BAR)
-    assert beta_squared(s2) >= 32 + 32
+    assert beta_squared_with_witness(s2)[0] >= 32 + 32
 
 
 def test_curvature_bounds():
-    m = connected_sum([SIGMA33, SIGMA33])
-    s = monopole_classes_for_sum([SIGMA33, SIGMA33])
-    cb = curvature_bounds(m, s)
-    assert cb.scalar_bound == SymbolicValue(2048, 2)
-    assert cb.mixed_bound == SymbolicValue(72 * 64, 2)
-    assert cb.ricci_bound == SymbolicValue(8 * (8 - 4 + 64), 2)
-    m2 = connected_sum([SIGMA33, SIGMA33, CP2BAR])
-    s2 = monopole_classes_for_sum([SIGMA33, SIGMA33], CP2BAR)
-    cb2 = curvature_bounds(m2, s2)
-    assert cb2.ricci_bound == SymbolicValue(552, 2)
-    # beta^2 = 0: scalar bound degenerates to 0
+    # The scalar bound 32 pi^2 beta^2 and the Ricci bound
+    # 8 pi^2 [4n - (2chi+3tau)(N) + sum c1^2] are the reported Is and Ir.
     y = catalog_get("Y(2)")
-    m3 = connected_sum([y, y])
-    s3 = monopole_classes_for_sum([y, y])
-    cb3 = curvature_bounds(m3, s3)
-    assert cb3.scalar_bound == SymbolicValue(0)
+    for parts, rest in (([SIGMA33, SIGMA33], None), ([SIGMA33, SIGMA33], CP2BAR), ([y, y], None)):
+        m = connected_sum(parts + [rest] * (rest is not None))
+        b2, _ = beta_squared_with_witness(monopole_classes_for_sum(parts, rest))
+        assert invariant_Is_Y_K(m).Is == SymbolicValue(32 * b2, 2)
+    assert invariant_Ir(connected_sum([SIGMA33, SIGMA33])) == SymbolicValue(8 * (8 - 4 + 64), 2)
+    assert invariant_Ir(connected_sum([SIGMA33, SIGMA33, CP2BAR])) == SymbolicValue(552, 2)
 
 
 def test_curvature_ricci_inconclusive_without_decomposition():
-    s = monopole_classes_for_sum([SIGMA33, SIGMA33])
-    lone = catalog_get("K3")
-    cb = curvature_bounds(lone, s)
-    assert isinstance(cb.ricci_bound, Inconclusive)
+    ir = invariant_Ir(catalog_get("K3"))
+    assert isinstance(ir, Inconclusive) and "2 or 3 positive-b+ pieces" in ir.reason
 
 
 def test_invariant_is_y_k():
@@ -238,7 +224,7 @@ def test_invariant_is_y_k():
     assert inv.Y == SymbolicValue(-32, 1, 2)
     assert inv.K == inv.Y
     # Is = |Y|^2 as symbolic values
-    assert abs(inv.Y).squared() == inv.Is
+    assert abs(inv.Y) * abs(inv.Y) == inv.Is
     m3 = connected_sum([SIGMA33, SIGMA33, SIGMA33, S1XS3])
     inv3 = invariant_Is_Y_K(m3)
     assert inv3.Is == SymbolicValue(32 * 96, 2)
@@ -306,27 +292,3 @@ def test_invariant_ir_specialized_formula():
         m = connected_sum([SIGMA33, SIGMA33] + [CP2BAR] * k + [S1XS3] * l)
         expected = SymbolicValue(8 * (k + 4 * (2 + l - 1) + 64), 2)
         assert invariant_Ir(m) == expected
-
-
-def test_genus_lower_bound_examples():
-    assert genus_lower_bound(0, -2) == 2
-    assert genus_lower_bound(0, 0) == 1
-    assert genus_lower_bound(4, 0) == 3
-    with pytest.raises(PremiseError):
-        genus_lower_bound(-1, 0)
-
-
-def test_adjunction_wrapper():
-    m = connected_sum([SIGMA33, SIGMA33])
-    g = m.canonical_spinc
-    assert adjunction_genus_bound(m, g, (1, 0, 0, 0)) == 1
-    assert adjunction_genus_bound(m, g, (1, 1, 0, 0)) == 1
-    # class of negative square is rejected
-    with pytest.raises(PremiseError):
-        adjunction_genus_bound(m, g, (1, -1, 0, 0))
-    # declared self-intersection must match the lattice
-    with pytest.raises(PremiseError):
-        adjunction_genus_bound(m, g, (1, 0, 0, 0), self_int=2)
-    # inadmissible base: a lone K3 is not a certified 2-3 piece sum
-    with pytest.raises(PremiseError):
-        adjunction_genus_bound(K3, K3.canonical_spinc, (1, 0))

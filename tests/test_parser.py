@@ -14,8 +14,9 @@ from fourfold.parser import (
     evaluate,
     parse,
     parse_and_evaluate,
-    to_text,
 )
+
+from oracles import to_text
 
 # ---------------------------------------------------------------------------
 # grammar corpus: (text, expected atom count) for valid cases
