@@ -72,6 +72,10 @@ class Certificate:
             "citation": self.citation,
         }
 
+    def failures(self) -> str:
+        """The texts of the failed premises, joined by "; "."""
+        return "; ".join(p.text for p in self.premises if not p.passed)
+
 
 def moduli_dimension(m: Manifold, g: SpinCStructure) -> int:
     """Virtual dimension (c1^2 - 2chi - 3tau)/4 of the monopole moduli space."""

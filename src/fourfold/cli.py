@@ -227,12 +227,11 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _beta2_report(m: Manifold) -> Union[dict, Inconclusive]:
-    parts, n_part = surgery.split_blowdown(m)
+def _beta2_report(split: surgery.Split) -> dict:
     try:
-        orbit = monopole.monopole_classes_for_sum(parts, n_part)
+        orbit = monopole.monopole_classes_for_sum(split)
     except FourfoldError as exc:
-        return Inconclusive(str(exc))
+        return {"inconclusive": str(exc)}
     value, witness = monopole.beta_squared_with_witness(orbit)
     return {
         "value": str(value),
@@ -268,20 +267,20 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
             dims.append(str(exc))
     doc["moduli_dimensions"] = dims
 
-    inv = monopole.invariant_Is_Y_K(m)
+    split = surgery.split_blowdown(m)
+    inv = monopole.invariant_Is_Y_K(split)
     if isinstance(inv, Inconclusive):
         doc["Is"] = doc["Y"] = doc["K"] = {"inconclusive": inv.reason}
     else:
         doc["Is"] = _sym_json(inv.Is, approx)
         doc["Y"] = _sym_json(inv.Y, approx)
         doc["K"] = _sym_json(inv.K, approx)
-    lam = monopole.lambda_bar_k(m, k)
+    lam = monopole.lambda_bar_k(m, inv, k)
     doc["lambda_k"] = {"k": str(k),
                        "value": _rendered("--k", args.k, lambda: _sym_json(lam, approx))}
-    doc["Ir"] = _sym_json(monopole.invariant_Ir(m), approx)
+    doc["Ir"] = _sym_json(monopole.invariant_Ir(split), approx)
 
-    beta = _beta2_report(m)
-    doc["beta_squared"] = {"inconclusive": beta.reason} if isinstance(beta, Inconclusive) else beta
+    doc["beta_squared"] = _beta2_report(split)
 
     sv = einstein.simplicial_volume(m, c4)
     doc["sv_interval"] = ({"inconclusive": sv.reason} if isinstance(sv, Inconclusive)
@@ -326,15 +325,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_beta2(args: argparse.Namespace) -> int:
-    m = _evaluate(args, args.expr)
-    beta = _beta2_report(m)
-    if isinstance(beta, Inconclusive):
-        _emit({"version": REPORT_VERSION, "kind": "beta2", "expr": args.expr,
-               "beta_squared": {"inconclusive": beta.reason}})
-        return EXIT_INCONCLUSIVE
+    beta = _beta2_report(surgery.split_blowdown(_evaluate(args, args.expr)))
     _emit({"version": REPORT_VERSION, "kind": "beta2", "expr": args.expr,
            "beta_squared": beta})
-    return EXIT_OK
+    return EXIT_INCONCLUSIVE if "inconclusive" in beta else EXIT_OK
 
 
 # One encoder for every search line: it holds no state between calls, and a
@@ -385,7 +379,12 @@ def _detach_stdout() -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _build_argparser().parse_args(argv)
+        # parse_args would list every unrecognized argument: name at most 5, cut
+        args, extra = _build_argparser().parse_known_args(argv)
+        if extra:
+            more = f" and {len(extra) - 5} more" if len(extra) > 5 else ""
+            raise FourfoldError("unrecognized arguments: "
+                                + " ".join(map(errors.shown, extra[:5])) + more)
         return _COMMANDS[args.command](args)
     except BrokenPipeError:
         # The reader closed the pipe early (e.g. `fourfold search ... | head`):

@@ -28,17 +28,13 @@ from fourfold.certify import (
     Verdict,
     _part_premises_theorem_a,
     check_taubes,
-    check_theorem_A,
     check_theorem_B,
+    require_part_count,
 )
 from fourfold.errors import CapacityError, PremiseError, shown
 from fourfold.model import Flag, Manifold
 from fourfold.monopole import Inconclusive
-from fourfold.surgery import (
-    blowdown_two_chi_plus_3tau,
-    connected_sum,
-    split_blowdown,
-)
+from fourfold.surgery import connected_sum, split_blowdown
 from fourfold.symbolic import pi2_greater
 
 RationalLike = Union[int, Fraction, str]
@@ -181,21 +177,20 @@ def ght(m: Manifold, c4: RationalLike = DEFAULT_C4, strict: bool = True) -> Cert
 def einstein_obstruction(m: Manifold) -> Certificate:
     """No Einstein metric on (# of 2 or 3 certified pieces) # N, b+(N) = 0,
     when 4n - (2chi+3tau)(N) >= (1/3) * sum (2chi+3tau)(X_m)."""
-    parts, n_part = split_blowdown(m)
-    n = len(parts)
+    split = split_blowdown(m)
+    n = split.count
     premises: list[Premise] = [
         Premise("decomposes into 2 or 3 positive-b+ pieces and a b+ = 0 rest",
                 n in (2, 3), f"{n} positive-b+ pieces")]
     verdict = Verdict.INCONCLUSIVE
     if n in (2, 3):
-        cert = check_theorem_A(parts)
-        nonvanishing = cert.verdict is Verdict.NONVANISHING
+        nonvanishing = split.theorem_a.verdict is Verdict.NONVANISHING
         premises.append(Premise(
             "non-vanishing premises hold for the positive-b+ pieces", nonvanishing,
-            "; ".join(p.text for p in cert.premises if not p.passed)))
+            split.theorem_a.failures()))
         if nonvanishing:
-            lhs = 4 * n - blowdown_two_chi_plus_3tau(n_part)
-            rhs = Fraction(sum(p.two_chi_plus_3tau() for p in parts), 3)
+            lhs = 4 * n - split.rest_two_chi_plus_3tau()
+            rhs = Fraction(sum(p.two_chi_plus_3tau() for p in split.parts), 3)
             obstructed = lhs >= rhs
             route = ("Hitchin-Thorpe violated outright (2chi+3tau < 0)"
                      if m.two_chi_plus_3tau() < 0 else
@@ -251,29 +246,25 @@ def corollary_obstruction(parts: Sequence[Manifold], k: int, g: int, h: int,
                  "surface products, S1 x S3 copies and reversed projective planes")
 
 
-def _nonvanishing_certificate(parts: Sequence[Manifold]) -> Certificate:
-    if len(parts) == 1:
-        return check_taubes(parts[0])
-    cert = check_theorem_A(parts)
-    if cert.verdict is Verdict.NONVANISHING:
-        return cert
-    cert_b = check_theorem_B(parts)
-    return cert_b if cert_b.verdict is Verdict.NONVANISHING else cert
-
-
 def decomposition_certificate(m: Manifold) -> tuple[int, Certificate]:
     """(max number of positive-b+ summands in any smooth decomposition, the
     non-vanishing certificate it rests on): its moduli dimension + 1, as
-    monopoles glue along necks, each adding a circle of gluing parameters."""
-    parts, _ = split_blowdown(m)
-    if not parts:
+    monopoles glue along necks, each adding a circle of gluing parameters.
+    Other counts than 1 (Taubes), 2 or 3 (Theorem A or B) are refused."""
+    split = split_blowdown(m)
+    if split.count == 0:
         raise PremiseError("no positive-b+ pieces to certify")
-    cert = _nonvanishing_certificate(parts)
+    if split.count == 1:
+        cert = check_taubes(split.parts[0])
+    else:
+        require_part_count("theorem-a", split.count)
+        cert = split.theorem_a
+        if cert.verdict is not Verdict.NONVANISHING:
+            cert = check_theorem_B(split.parts)
     if cert.verdict is not Verdict.NONVANISHING:
         raise PremiseError(
             "no non-vanishing certificate holds for the positive-b+ pieces")
-    d = len(parts) - 1
-    return d + 1, cert
+    return split.count, cert
 
 
 def exotic_pair(x: Manifold, xprime: Manifold) -> Certificate:

@@ -1,11 +1,13 @@
 """Monopole-class sets, beta^2, and the curvature-derived Riemannian
 invariants.
 
-The monopole classes of a certified sum (#X_m) # N are the sign orbit
-{sum +/- e_i} of orthogonal generators e_i: the canonical classes of the
-pieces and the exceptional classes of N.  A ``MonopoleClassSet`` stores only
-the generator squares e_i^2; its classes are a lazy view, enumerated only
-when a caller iterates it.
+The monopole classes and the invariants I_s, Y, K, I_r read a sum's
+``surgery.Split``, made once per report: its piece count and Theorem-A
+certificate say whether the sum (#X_m) # N is certified.  The classes of a
+certified sum are the sign orbit {sum +/- e_i} of orthogonal generators e_i:
+the canonical classes of the pieces and the exceptional classes of N.  A
+``MonopoleClassSet`` stores only the generator squares e_i^2; its classes
+are a lazy view, enumerated only when a caller iterates it.
 
 beta^2 is the maximum of the intersection form Q over Hull(classes).  In
 generator coordinates the hull is the box [-1,1]^rank and Q is separable,
@@ -23,12 +25,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Union
 
-from fourfold.certify import Verdict, check_theorem_A
+from fourfold.certify import Verdict, require_part_count
 from fourfold.errors import CapacityError, PremiseError
 from fourfold.model import PIECE_CAP, Flag, Manifold
-from fourfold.surgery import blowdown_two_chi_plus_3tau, split_blowdown
+from fourfold.surgery import Split
 from fourfold.symbolic import SymbolicValue
 
 RationalLike = Union[int, Fraction]
@@ -85,31 +87,24 @@ class MonopoleClassSet:
         return SignVectors(self.rank)
 
 
-def monopole_classes_for_sum(parts: Sequence[Manifold],
-                             blowdown: Optional[Manifold] = None) -> MonopoleClassSet:
-    """All classes sum(+/- c1(X_m)) + sum(+/- E_r) on (#X_m) # N.
+def monopole_classes_for_sum(split: Split) -> MonopoleClassSet:
+    """All classes sum(+/- c1(X_m)) + sum(+/- E_r) on the split sum (#X_m) # N.
 
-    Requires the parts to pass the 2/3-part non-vanishing certificate and N
-    (if given) to have b+ = 0; N's lattice is taken diagonal with k = b-(N)
-    classes of square -1 (always arrangeable, by Donaldson's theorem).  The
-    generator squares are stored one by one, so the rank is capped at
-    ``PIECE_CAP`` (CapacityError).
+    Requires 2 or 3 pieces that pass the non-vanishing certificate
+    (PremiseError); N's lattice is taken diagonal with k = b-(N) classes of
+    square -1 (always arrangeable, by Donaldson's theorem).  The generator
+    squares are stored one by one, so the rank is capped at ``PIECE_CAP``
+    (CapacityError).
     """
-    cert = check_theorem_A(parts)
-    if cert.verdict is not Verdict.NONVANISHING:
-        failed = [p.text for p in cert.premises if not p.passed]
-        raise PremiseError("non-vanishing premises fail: " + "; ".join(failed))
-    k = 0
-    if blowdown is not None:
-        if blowdown.char.b_plus != 0:
-            raise PremiseError(
-                f"the blowdown piece must have b+ = 0, got {blowdown.char.b_plus}")
-        k = blowdown.char.b_minus
-    if len(parts) + k > PIECE_CAP:
+    require_part_count("theorem-a", split.count)
+    if split.theorem_a.verdict is not Verdict.NONVANISHING:
+        raise PremiseError("non-vanishing premises fail: " + split.theorem_a.failures())
+    k = 0 if split.rest is None else split.rest.char.b_minus
+    if split.count + k > PIECE_CAP:
         raise CapacityError(
-            f"a sign orbit of {len(parts) + k} generators is over the cap of {PIECE_CAP}")
+            f"a sign orbit of {split.count + k} generators is over the cap of {PIECE_CAP}")
     return MonopoleClassSet(
-        squares=tuple(p.canonical_spinc.c1_squared for p in parts) + (-1,) * k)
+        squares=tuple(p.canonical_spinc.c1_squared for p in split.parts) + (-1,) * k)
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +131,22 @@ def beta_squared_with_witness(s: MonopoleClassSet) -> tuple[Fraction, Witness]:
 # Curvature bounds and invariants
 
 
-def _theorem_a_split(m: Manifold) -> Union[tuple[list[Manifold], Optional[Manifold]], Inconclusive]:
-    parts, n_part = split_blowdown(m)
-    if len(parts) not in (2, 3):
+def _kaehler_c1_total(split: Split, rest_flag: Flag) -> Union[int, Inconclusive]:
+    """sum c1^2 over the split's positive pieces, when there are 2 or 3 that
+    pass the non-vanishing certificate, each flagged MinimalKaehler, and the
+    b+ = 0 rest (if any) is flagged ``rest_flag``."""
+    if split.count not in (2, 3):
         return Inconclusive(
             f"needs a decomposition into 2 or 3 positive-b+ pieces plus a "
-            f"b+ = 0 remainder; found {len(parts)} pieces")
-    cert = check_theorem_A(parts)
-    if cert.verdict is not Verdict.NONVANISHING:
-        failed = "; ".join(p.text for p in cert.premises if not p.passed)
-        return Inconclusive(f"non-vanishing premises fail: {failed}")
-    return parts, n_part
+            f"b+ = 0 remainder; found {split.count} pieces")
+    if split.theorem_a.verdict is not Verdict.NONVANISHING:
+        return Inconclusive(f"non-vanishing premises fail: {split.theorem_a.failures()}")
+    for p in split.parts:
+        if not p.has_flag(Flag.MINIMAL_KAEHLER):
+            return Inconclusive(f"part {p.name} is not flagged MinimalKaehler")
+    if split.rest is not None and not split.rest.has_flag(rest_flag):
+        return Inconclusive(f"the b+ = 0 piece {split.rest.name} is not flagged {rest_flag.value}")
+    return sum(p.canonical_spinc.c1_squared for p in split.parts)
 
 
 @dataclass(frozen=True)
@@ -156,35 +156,28 @@ class ScalarInvariants:
     K: SymbolicValue
 
 
-def invariant_Is_Y_K(m: Manifold) -> Union[ScalarInvariants, Inconclusive]:
+def invariant_Is_Y_K(split: Split) -> Union[ScalarInvariants, Inconclusive]:
     """I_s = 32 pi^2 sum c1^2 and Y = K = -4 pi sqrt(2 sum c1^2) for sums of
     2 or 3 minimal Kaehler pieces with a nonneg-scalar b+ = 0 remainder."""
-    split = _theorem_a_split(m)
-    if isinstance(split, Inconclusive):
-        return split
-    parts, n_part = split
-    for p in parts:
-        if not p.has_flag(Flag.MINIMAL_KAEHLER):
-            return Inconclusive(f"part {p.name} is not flagged MinimalKaehler")
-    if n_part is not None and not n_part.has_flag(Flag.HAS_NONNEG_SCALAR_METRIC):
-        return Inconclusive(
-            f"the b+ = 0 piece {n_part.name} is not flagged HasNonnegScalarMetric")
-    total = sum(p.canonical_spinc.c1_squared for p in parts)
+    total = _kaehler_c1_total(split, Flag.HAS_NONNEG_SCALAR_METRIC)
+    if isinstance(total, Inconclusive):
+        return total
     i_s = SymbolicValue(32 * total, pi_power=2)
     y = SymbolicValue(-4, pi_power=1, radicand=2 * total)
     return ScalarInvariants(Is=i_s, Y=y, K=y)
 
 
-def lambda_bar_k(m: Manifold, k: RationalLike) -> Union[SymbolicValue, Inconclusive]:
+def lambda_bar_k(m: Manifold, inv: Union[ScalarInvariants, Inconclusive],
+                 k: RationalLike) -> Union[SymbolicValue, Inconclusive]:
     """The eigenvalue invariant sup_g (least eigenvalue of 4*Laplace + k*s) *
     vol^(1/2): equals k * Y(m) when Y(m) <= 0 and k >= 2/3, and +infinity on
-    manifolds with positive scalar curvature for any k > 0."""
+    manifolds with positive scalar curvature for any k > 0.  ``inv`` is
+    ``invariant_Is_Y_K`` of m's split."""
     k = Fraction(k)
     if m.has_flag(Flag.HAS_PSC_METRIC):
         if k > 0:
             return SymbolicValue.plus_infinity()
         return Inconclusive("the positive-scalar-curvature branch needs k > 0")
-    inv = invariant_Is_Y_K(m)
     if isinstance(inv, Inconclusive):
         return inv
     if k < Fraction(2, 3):
@@ -194,7 +187,7 @@ def lambda_bar_k(m: Manifold, k: RationalLike) -> Union[SymbolicValue, Inconclus
     return inv.Y.scale(k)
 
 
-def invariant_Ir(m: Manifold) -> Union[SymbolicValue, Inconclusive]:
+def invariant_Ir(split: Split) -> Union[SymbolicValue, Inconclusive]:
     """The Ricci-curvature invariant 8 pi^2 [4n - (2chi+3tau)(N) + sum c1^2]
     for sums of minimal Kaehler pieces with an anti-self-dual positive-scalar
     b+ = 0 remainder.
@@ -202,21 +195,11 @@ def invariant_Ir(m: Manifold) -> Union[SymbolicValue, Inconclusive]:
     For N = k CP2bar # l (S1 x S3) the bracket specializes to
     k + 4(n + l - 1) + sum c1^2.
     """
-    split = _theorem_a_split(m)
-    if isinstance(split, Inconclusive):
-        return split
-    parts, n_part = split
-    for p in parts:
-        if not p.has_flag(Flag.MINIMAL_KAEHLER):
-            return Inconclusive(f"part {p.name} is not flagged MinimalKaehler")
-    if n_part is not None and not n_part.has_flag(Flag.HAS_ASD_PSC_METRIC):
-        return Inconclusive(
-            f"the b+ = 0 piece {n_part.name} is not flagged HasASDPSCMetric")
-    total = sum(p.canonical_spinc.c1_squared for p in parts)
+    total = _kaehler_c1_total(split, Flag.HAS_ASD_PSC_METRIC)
+    if isinstance(total, Inconclusive):
+        return total
     if total <= 0:
         return Inconclusive(
             "needs minimal Kaehler parts with positive total c1^2")
-    n = len(parts)
-    t = blowdown_two_chi_plus_3tau(n_part)
-    return SymbolicValue(8 * (4 * n - t + total), pi_power=2)
-
+    return SymbolicValue(8 * (4 * split.count - split.rest_two_chi_plus_3tau() + total),
+                         pi_power=2)

@@ -18,12 +18,19 @@ Chern data adds blockwise, the half-triple-product matrices add as blocks
 (a ``BlockSpinC``), and the asserted SW parity of the canonical structure is
 Odd exactly when it is Odd for every piece.  Dense matrices and vectors of a
 sum are only built on request (see ``fourfold.model``).
+
+A report splits a sum once (``split_blowdown``): the ``Split`` counts the
+positive-b+ pieces from their multiset, lists them only when there are at
+most 3, and holds the Theorem-A certificate of 2 or 3 of them, so "not 2 or
+3 pieces" is decided from the count alone.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from fourfold.certify import Certificate, check_theorem_A
 from fourfold.errors import SurgeryError
 from fourfold.model import (
     BlockLattice,
@@ -158,19 +165,29 @@ def connected_sum(parts: Sequence[Manifold],
     return _assemble(summands)
 
 
-def split_blowdown(m: Manifold) -> tuple[list[Manifold], Optional[Manifold]]:
-    """Split a sum into its positive-b+ pieces and the b+ = 0 remainder N.
+@dataclass(frozen=True)
+class Split:
+    """A sum (#X_i) # N split into its ``count`` positive-b+ pieces X_i and the
+    b+ = 0 rest N (None when there is none: the sphere).  ``parts`` lists the
+    X_i when there are at most 3, else it is empty; ``theorem_a`` is their
+    non-vanishing certificate when there are 2 or 3, else None."""
 
-    Returns (parts, N) where N is the connected sum of the b+ = 0 pieces, or
-    None when there are none (the sphere; 2chi + 3tau = 4).
-    """
-    summands = m.atom_counts()
-    parts = list(flatten((a, count) for a, count in summands if a.char.b_plus > 0))
-    rest = [(a, count) for a, count in summands if a.char.b_plus == 0]
-    if not rest:
-        return parts, None
-    return parts, connected_sum([a for a, _ in rest], [count for _, count in rest])
+    count: int
+    parts: tuple[Manifold, ...]
+    rest: Optional[Manifold]
+    theorem_a: Optional[Certificate]
+
+    def rest_two_chi_plus_3tau(self) -> int:
+        """(2chi + 3tau)(N); 4 for the sphere."""
+        return 4 if self.rest is None else self.rest.two_chi_plus_3tau()
 
 
-def blowdown_two_chi_plus_3tau(n_part: Optional[Manifold]) -> int:
-    return 4 if n_part is None else n_part.two_chi_plus_3tau()
+def split_blowdown(m: Manifold) -> Split:
+    """Split a sum into its positive-b+ pieces and the b+ = 0 rest, from its
+    (atom, count) multiset, and decide Theorem A once on 2 or 3 pieces."""
+    positive = [(a, n) for a, n in m.atom_counts() if a.char.b_plus > 0]
+    rest = [(a, n) for a, n in m.atom_counts() if a.char.b_plus == 0]
+    count = sum(n for _, n in positive)
+    parts = flatten(positive) if count <= 3 else ()
+    rest_sum = connected_sum([a for a, _ in rest], [n for _, n in rest]) if rest else None
+    return Split(count, parts, rest_sum, check_theorem_A(parts) if count in (2, 3) else None)

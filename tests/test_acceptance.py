@@ -36,7 +36,7 @@ from fourfold.monopole import (
     lambda_bar_k,
 )
 from fourfold.parser import parse
-from fourfold.surgery import connected_sum
+from fourfold.surgery import connected_sum, split_blowdown
 from fourfold.symbolic import SymbolicValue
 
 from oracles import (
@@ -193,16 +193,16 @@ def test_criterion_6_beta_squared_oracles():
 def test_criterion_7_invariants():
     sigma = catalog_get("Sigma(3,3)")
     m = connected_sum([sigma, sigma])
-    inv = invariant_Is_Y_K(m)
+    inv = invariant_Is_Y_K(split_blowdown(m))
     assert inv.Is == SymbolicValue(2048, pi_power=2)
     assert inv.Y == SymbolicValue(-32, pi_power=1, radicand=2)
     assert inv.K == inv.Y
-    assert lambda_bar_k(m, 1) == inv.Y
-    assert lambda_bar_k(m, Fraction(2, 3)) == inv.Y.scale(Fraction(2, 3))
+    assert lambda_bar_k(m, inv, 1) == inv.Y
+    assert lambda_bar_k(m, inv, Fraction(2, 3)) == inv.Y.scale(Fraction(2, 3))
     blown = connected_sum([sigma, sigma, catalog_get("CP2bar")])
-    ir = invariant_Ir(blown)
+    ir = invariant_Ir(split_blowdown(blown))
     assert ir == SymbolicValue(552, pi_power=2)
-    assert ir > invariant_Is_Y_K(blown).Is.scale(Fraction(1, 4))
+    assert ir > invariant_Is_Y_K(split_blowdown(blown)).Is.scale(Fraction(1, 4))
 
 
 @_report(8, "Einstein obstruction strictly inside the Hitchin-Thorpe region")

@@ -2,16 +2,19 @@ import hashlib
 import json
 import math
 import sys
+import time
 from fractions import Fraction
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from fourfold import catalog, cli, model, parser, symbolic
+from fourfold import catalog, certify, cli, einstein, model, monopole, parser, surgery, symbolic
 from fourfold.catalog import catalog_get, manifold_to_json
+from fourfold.certify import require_part_count
 from fourfold.cli import main
-from fourfold.errors import FourfoldError
+from fourfold.errors import FourfoldError, PremiseError
+from fourfold.model import PIECE_CAP
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +248,65 @@ def test_check_exotic_reads_the_catalog_once(capsys, monkeypatch, tmp_path):
     assert code == 0 and json.loads(out)["verdict"] == "Nonvanishing"
     assert calls == {"load": 1, "parse": 1, "evaluate": 2}
     assert validated == ["2*Kodaira # Xns"]
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Wrap ``fn`` in every package module that holds it; one entry per call."""
+    calls = []
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for mod in (certify, cli, einstein, monopole, surgery):
+        for attr, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("argv, certified", [
+    (("invariants", "Sigma(3,3) # K3 # 5*CP2bar # 2*S1xS3"), 1),
+    (("invariants", "4*K3"), 0),
+    (("beta2", "Sigma(3,3) # K3 # 5*CP2bar # 2*S1xS3"), 1),
+    (("check", "einstein", "Sigma(3,3) # K3 # 5*CP2bar # 2*S1xS3"), 1),
+    (("check", "decomposition", "Sigma(3,3) # K3 # 5*CP2bar # 2*S1xS3"), 1),
+])
+def test_one_split_and_one_theorem_a_decision_per_report(capsys, monkeypatch, argv, certified):
+    splits = _count_calls(monkeypatch, surgery.split_blowdown)
+    decisions = _count_calls(monkeypatch, certify.check_theorem_A)
+    code, _, err = _run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert len(splits) == 1 and len(decisions) == certified
+
+
+def _past_cap_report(capsys, command, count):
+    """(exit code, stdout, stderr) of the command on count*K3, run in under 1 s."""
+    t0 = time.perf_counter()
+    result = _run(capsys, *command, f"{count}*K3")
+    assert time.perf_counter() - t0 < 1
+    return result
+
+
+# The characteristic numbers of count*K3, which scale with the count.
+_SCALED = ("chi", "tau", "b_plus", "b_minus", "moduli_dimensions")
+
+
+def test_past_the_piece_cap_reports_are_decided_from_the_count(capsys):
+    over, at = PIECE_CAP + 1, PIECE_CAP
+    for command, want in ((("invariants",), 0), (("beta2",), 2), (("check", "einstein"), 2)):
+        reports = []
+        for count in (over, at):
+            code, out, err = _past_cap_report(capsys, command, count)
+            assert (code, err) == (want, "")
+            doc = {k: v for k, v in json.loads(out).items() if k not in _SCALED}
+            reports.append(json.dumps(doc, sort_keys=True).replace(str(count), "<n>"))
+        assert reports[0] == reports[1] and "over the cap" not in reports[0]
+    assert "<n> positive-b+ pieces" in reports[0]
+    with pytest.raises(PremiseError) as refused:
+        require_part_count("theorem-a", over)
+    assert _past_cap_report(capsys, ("check", "decomposition"), over) == (
+        1, "", f"fourfold: error: {refused.value}\n")
 
 
 def test_beta2(capsys, schema):

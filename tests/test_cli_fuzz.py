@@ -7,7 +7,8 @@ it quotes; an exception escaping ``main`` fails the test.  Expressions cover
 every catalog family with parameters and counts up to 10^30, nesting past
 ``MAX_NESTING``, junk bytes spliced in, and bad ``--c4``/``--k`` values,
 among them exponents and integers past the interpreter's int-str limit,
-with and without ``--approx``.
+with and without ``--approx``.  An error line names at most five of 1,000
+unrecognized arguments (or 300 unknown flags) and counts the rest.
 Searches take valid, negative, huge and non-numeric ``--mode``, ``--g``,
 ``--h``, ``--mmax`` and ``--nmax`` values, and ``--c4`` at the engineered
 pi^2 tie.  Moderate parameters and counts are left out so
@@ -130,7 +131,8 @@ def _search_argv(draw) -> list[str]:
 MAX_ERROR_LINE = 300
 
 
-def _run(argv: list[str]) -> None:
+def _run(argv: list[str]) -> tuple[int, str]:
+    """The exit code and stderr of ``main(argv)``, checked as above."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -139,13 +141,23 @@ def _run(argv: list[str]) -> None:
     if code == 1:
         assert out == "" and err.startswith("fourfold: error: ") and err.count("\n") == 1
         assert err.endswith("\n") and len(err) <= MAX_ERROR_LINE + 1
-        return
+        return code, err
     assert err == ""
     if argv[0] == "search":
         for line in out.splitlines():
             VALIDATOR.validate(json.loads(line))
     else:
         VALIDATOR.validate(json.loads(out))
+    return code, err
+
+
+def test_unrecognized_arguments_are_listed_in_a_bounded_line():
+    for extra in (["ab"] * 1000, [f"--x{i}" for i in range(300)], ["a" * 100] * 7):
+        code, err = _run(["build", "K3"] + extra)
+        assert code == 1 and err.startswith("fourfold: error: unrecognized arguments: ")
+        assert err.endswith(f" and {len(extra) - 5} more\n")
+    assert _run(["build", "K3", "ab", "cd"]) == (
+        1, "fourfold: error: unrecognized arguments: ab cd\n")
 
 
 @given(_argv())

@@ -20,7 +20,7 @@ from fourfold.monopole import (
     lambda_bar_k,
     monopole_classes_for_sum,
 )
-from fourfold.surgery import connected_sum
+from fourfold.surgery import connected_sum, split_blowdown
 from fourfold.symbolic import SymbolicValue
 
 from oracles import (
@@ -40,12 +40,18 @@ CP2BAR = catalog_get("CP2bar")
 S1XS3 = catalog_get("S1xS3")
 
 
+def _classes(parts, rest=None):
+    """The monopole classes of the sum of parts and the b+ = 0 rest."""
+    whole = connected_sum(parts + [rest] * (rest is not None))
+    return monopole_classes_for_sum(split_blowdown(whole))
+
+
 def test_monopole_classes_for_sum():
-    s = monopole_classes_for_sum([SIGMA33, SIGMA33])
+    s = _classes([SIGMA33, SIGMA33])
     assert len(s.classes) == 4
     assert s.squares == (32, 32)
     assert list(s.classes) == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    s2 = monopole_classes_for_sum([SIGMA33, SIGMA33], CP2BAR)
+    s2 = _classes([SIGMA33, SIGMA33], CP2BAR)
     assert len(s2.classes) == 8 and s2.rank == 3
     assert (1, 1, 1) in s2.classes and (1, 1, -1) in s2.classes
     assert (1, 0, 1) not in s2.classes and (1, 1) not in s2.classes
@@ -55,12 +61,14 @@ def test_monopole_classes_for_sum():
 
 
 def test_monopole_classes_premises():
-    with pytest.raises(PremiseError):
-        monopole_classes_for_sum([])
-    with pytest.raises(PremiseError):
-        monopole_classes_for_sum([SIGMA33, SIGMA33], K3)  # b+(N) != 0
-    with pytest.raises(PremiseError):
-        monopole_classes_for_sum([catalog_get("CP2"), K3])
+    with pytest.raises(PremiseError, match="got n = 0"):
+        _classes([CP2BAR])
+    # a split's rest has b+ = 0 by construction: K3 is a third piece, and
+    # a fourth piece fails the part count
+    with pytest.raises(PremiseError, match="got n = 4"):
+        _classes([SIGMA33, SIGMA33, K3, K3])
+    with pytest.raises(PremiseError, match="non-vanishing premises fail"):
+        _classes([catalog_get("CP2"), K3])
 
 
 def _forbid_enumeration(monkeypatch):
@@ -83,7 +91,7 @@ def test_no_sign_vector_enumeration_in_cli(monkeypatch, capsys):
 def test_no_sign_vector_enumeration_in_library(monkeypatch):
     _forbid_enumeration(monkeypatch)
     remainder = connected_sum([CP2BAR] * 200)
-    s = monopole_classes_for_sum([SIGMA33, SIGMA33], remainder)
+    s = _classes([SIGMA33, SIGMA33], remainder)
     assert s.rank == 202
     assert s.squares == (32, 32) + (-1,) * 200
     value, witness = beta_squared_with_witness(s)
@@ -196,7 +204,7 @@ def test_beta_squared_symmetry_and_midpoints(d, seed):
 
 
 def test_beta_squared_lower_bound_sum_c1sq():
-    s2 = monopole_classes_for_sum([SIGMA33, SIGMA33], CP2BAR)
+    s2 = _classes([SIGMA33, SIGMA33], CP2BAR)
     assert beta_squared_with_witness(s2)[0] >= 32 + 32
 
 
@@ -206,31 +214,33 @@ def test_curvature_bounds():
     y = catalog_get("Y(2)")
     for parts, rest in (([SIGMA33, SIGMA33], None), ([SIGMA33, SIGMA33], CP2BAR), ([y, y], None)):
         m = connected_sum(parts + [rest] * (rest is not None))
-        b2, _ = beta_squared_with_witness(monopole_classes_for_sum(parts, rest))
-        assert invariant_Is_Y_K(m).Is == SymbolicValue(32 * b2, 2)
-    assert invariant_Ir(connected_sum([SIGMA33, SIGMA33])) == SymbolicValue(8 * (8 - 4 + 64), 2)
-    assert invariant_Ir(connected_sum([SIGMA33, SIGMA33, CP2BAR])) == SymbolicValue(552, 2)
+        b2, _ = beta_squared_with_witness(_classes(parts, rest))
+        assert invariant_Is_Y_K(split_blowdown(m)).Is == SymbolicValue(32 * b2, 2)
+    assert (invariant_Ir(split_blowdown(connected_sum([SIGMA33, SIGMA33])))
+            == SymbolicValue(8 * (8 - 4 + 64), 2))
+    assert (invariant_Ir(split_blowdown(connected_sum([SIGMA33, SIGMA33, CP2BAR])))
+            == SymbolicValue(552, 2))
 
 
 def test_curvature_ricci_inconclusive_without_decomposition():
-    ir = invariant_Ir(catalog_get("K3"))
+    ir = invariant_Ir(split_blowdown(catalog_get("K3")))
     assert isinstance(ir, Inconclusive) and "2 or 3 positive-b+ pieces" in ir.reason
 
 
 def test_invariant_is_y_k():
     m = connected_sum([SIGMA33, SIGMA33])
-    inv = invariant_Is_Y_K(m)
+    inv = invariant_Is_Y_K(split_blowdown(m))
     assert inv.Is == SymbolicValue(2048, 2)
     assert inv.Y == SymbolicValue(-32, 1, 2)
     assert inv.K == inv.Y
     # Is = |Y|^2 as symbolic values
     assert abs(inv.Y) * abs(inv.Y) == inv.Is
     m3 = connected_sum([SIGMA33, SIGMA33, SIGMA33, S1XS3])
-    inv3 = invariant_Is_Y_K(m3)
+    inv3 = invariant_Is_Y_K(split_blowdown(m3))
     assert inv3.Is == SymbolicValue(32 * 96, 2)
     # total c1^2 = 0: the formula degenerates to zero
     y = catalog_get("Y(2)")
-    inv0 = invariant_Is_Y_K(connected_sum([y, y]))
+    inv0 = invariant_Is_Y_K(split_blowdown(connected_sum([y, y])))
     assert inv0.Is == SymbolicValue(0)
     assert inv0.Y == SymbolicValue(0)
 
@@ -238,37 +248,39 @@ def test_invariant_is_y_k():
 def test_invariant_is_y_k_premises():
     kod = catalog_get("Kodaira")
     # Kodaira is not Kaehler
-    res = invariant_Is_Y_K(connected_sum([kod, kod]))
+    res = invariant_Is_Y_K(split_blowdown(connected_sum([kod, kod])))
     assert isinstance(res, Inconclusive)
     assert "MinimalKaehler" in res.reason
     # a lone manifold is not a 2-3 piece sum
-    assert isinstance(invariant_Is_Y_K(K3), Inconclusive)
+    assert isinstance(invariant_Is_Y_K(split_blowdown(K3)), Inconclusive)
 
 
 def test_lambda_bar_k():
     m = connected_sum([SIGMA33, SIGMA33])
-    y = invariant_Is_Y_K(m).Y
-    assert lambda_bar_k(m, 1) == y
-    assert lambda_bar_k(m, Fraction(2, 3)) == y.scale(Fraction(2, 3))
-    assert lambda_bar_k(m, Fraction(2, 3)) == SymbolicValue(Fraction(-64, 3), 1, 2)
-    assert isinstance(lambda_bar_k(m, Fraction(1, 2)), Inconclusive)
+    inv = invariant_Is_Y_K(split_blowdown(m))
+    y = inv.Y
+    assert lambda_bar_k(m, inv, 1) == y
+    assert lambda_bar_k(m, inv, Fraction(2, 3)) == y.scale(Fraction(2, 3))
+    assert lambda_bar_k(m, inv, Fraction(2, 3)) == SymbolicValue(Fraction(-64, 3), 1, 2)
+    assert isinstance(lambda_bar_k(m, inv, Fraction(1, 2)), Inconclusive)
     cp2 = catalog_get("CP2")
-    assert lambda_bar_k(cp2, 1) == SymbolicValue.plus_infinity()
-    assert lambda_bar_k(cp2, Fraction(1, 10)) == SymbolicValue.plus_infinity()
-    assert isinstance(lambda_bar_k(cp2, 0), Inconclusive)
+    inv_cp2 = invariant_Is_Y_K(split_blowdown(cp2))
+    assert lambda_bar_k(cp2, inv_cp2, 1) == SymbolicValue.plus_infinity()
+    assert lambda_bar_k(cp2, inv_cp2, Fraction(1, 10)) == SymbolicValue.plus_infinity()
+    assert isinstance(lambda_bar_k(cp2, inv_cp2, 0), Inconclusive)
 
 
 def test_invariant_ir():
     m = connected_sum([SIGMA33, SIGMA33, CP2BAR])
-    assert invariant_Ir(m) == SymbolicValue(552, 2)
+    assert invariant_Ir(split_blowdown(m)) == SymbolicValue(552, 2)
     m0 = connected_sum([SIGMA33, SIGMA33])
-    assert invariant_Ir(m0) == SymbolicValue(544, 2)
+    assert invariant_Ir(split_blowdown(m0)) == SymbolicValue(544, 2)
     # strict gap Ir > Is/4
-    inv = invariant_Is_Y_K(m0)
-    assert invariant_Ir(m0) > inv.Is.scale(Fraction(1, 4))
+    inv = invariant_Is_Y_K(split_blowdown(m0))
+    assert invariant_Ir(split_blowdown(m0)) > inv.Is.scale(Fraction(1, 4))
     # c1^2 = 0 parts rejected
     y = catalog_get("Y(2)")
-    assert isinstance(invariant_Ir(connected_sum([y, y])), Inconclusive)
+    assert isinstance(invariant_Ir(split_blowdown(connected_sum([y, y]))), Inconclusive)
 
 
 def test_invariant_ir_gap_property():
@@ -280,8 +292,8 @@ def test_invariant_ir_gap_property():
         connected_sum([SIGMA33, SIGMA33, SIGMA33, S1XS3, S1XS3]),
     ]
     for m in cases:
-        ir = invariant_Ir(m)
-        inv = invariant_Is_Y_K(m)
+        ir = invariant_Ir(split_blowdown(m))
+        inv = invariant_Is_Y_K(split_blowdown(m))
         assert not isinstance(ir, Inconclusive)
         assert ir > inv.Is.scale(Fraction(1, 4))
 
@@ -291,4 +303,4 @@ def test_invariant_ir_specialized_formula():
     for k, l in ((1, 0), (2, 3), (0, 2)):
         m = connected_sum([SIGMA33, SIGMA33] + [CP2BAR] * k + [S1XS3] * l)
         expected = SymbolicValue(8 * (k + 4 * (2 + l - 1) + 64), 2)
-        assert invariant_Ir(m) == expected
+        assert invariant_Ir(split_blowdown(m)) == expected

@@ -213,9 +213,9 @@ def test_repetition_counts_cost_nothing():
     assert m.lattice.rank == 100_002
     assert m.canonical_spinc.c1_squared == 32 - 100_000
     assert validate(m) == []
-    parts, rest = split_blowdown(m)
-    assert [p.name for p in parts] == ["Sigma(3,3)"]
-    assert rest.char.b_minus == 100_000
+    split = split_blowdown(m)
+    assert [p.name for p in split.parts] == ["Sigma(3,3)"]
+    assert split.rest.char.b_minus == 100_000
 
 
 def _count_exact_calls(monkeypatch, argv):
@@ -297,10 +297,11 @@ def test_listing_pieces_is_capped(capsys):
     assert validate(m) == [] and m.piece_count() == PIECE_CAP + 1
     with pytest.raises(CapacityError):
         m.pieces()
-    # a certificate that lists the positive-b+ pieces one by one stops at the cap
-    assert cli.main(["check", "einstein", f"{PIECE_CAP + 1}*K3"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("fourfold: error: listing") and err.count("\n") == 1
+    # the Einstein obstruction decides "not 2 or 3 pieces" from the count
+    assert cli.main(["check", "einstein", f"{PIECE_CAP + 1}*K3"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert [(p["pass"], p["witness"]) for p in report["certificate"]["premises"]] == [
+        (False, f"{PIECE_CAP + 1} positive-b+ pieces")]
     # bauer decides n >= 5 pieces from the count and b+(X), listing none
     assert cli.main(["check", "bauer", f"{PIECE_CAP + 1}*K3"]) == 2
     report = json.loads(capsys.readouterr().out)

@@ -4,14 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fourfold.catalog import catalog_get
+from fourfold.certify import Verdict
 from fourfold.errors import SurgeryError
 from fourfold.exact import quadratic_form
 from fourfold.model import Flag, Parity
-from fourfold.surgery import (
-    blowdown_two_chi_plus_3tau,
-    connected_sum,
-    split_blowdown,
-)
+from fourfold.surgery import connected_sum, split_blowdown
 
 from oracles import all_sign_spinc, sum_spinc
 
@@ -183,13 +180,16 @@ def test_flag_propagation():
 
 def test_split_blowdown():
     m = connected_sum([SIGMA33, SIGMA33] + [CP2BAR] * 18)
-    parts, rest = split_blowdown(m)
-    assert len(parts) == 2
-    assert rest.char.b_minus == 18
-    assert blowdown_two_chi_plus_3tau(rest) == -14
-    parts2, rest2 = split_blowdown(connected_sum([K3, K3]))
-    assert rest2 is None
-    assert blowdown_two_chi_plus_3tau(rest2) == 4
+    split = split_blowdown(m)
+    assert split.count == len(split.parts) == 2
+    assert split.rest.char.b_minus == 18
+    assert split.rest_two_chi_plus_3tau() == -14
+    assert split.theorem_a.verdict is Verdict.NONVANISHING
+    split2 = split_blowdown(connected_sum([K3, K3]))
+    assert split2.rest is None
+    assert split2.rest_two_chi_plus_3tau() == 4
+    # Theorem A is decided on 2 or 3 pieces only, from the count
+    assert split_blowdown(connected_sum([K3], [4])).theorem_a is None
 
 
 def _closed_form_sum(parts_tcp, k, g, h, l1, l2, minus=False):

@@ -1,7 +1,8 @@
-"""The benchmark tracer's contract on geography searches, checked in a fresh
-interpreter: every hit calls ``connected_sum`` and the three certificates
-through their modules exactly once, and every function the geography
-workload is meant to reach is reached."""
+"""The benchmark tracer's contract, checked in a fresh interpreter.  On
+geography searches every hit calls ``connected_sum`` and the three
+certificates through their modules exactly once.  Every function the
+geography, invariants and wide-sums workloads are meant to reach is reached
+by the commands those workloads run."""
 
 import json
 import subprocess
@@ -12,7 +13,7 @@ from fourfold import einstein
 
 ROOT = Path(__file__).resolve().parent.parent
 
-_SCRIPT = """
+_PRELUDE = """
 import contextlib, io, json, sys
 sys.path[:0] = [{src!r}, {bench!r}]
 import fourfold.cli
@@ -22,6 +23,9 @@ tracer = Tracer()
 tracer.install()
 tracer.begin_op(0)
 codes = []
+"""
+
+_SCRIPT = _PRELUDE + """
 for argv in {searches!r}:
     with contextlib.redirect_stdout(io.StringIO()) as out:
         codes.append(fourfold.cli.main(argv))  # the wrapper, after install
@@ -43,13 +47,17 @@ _SEARCHES = [
 ]
 
 
-def test_tracer_sees_one_call_per_hit_to_each_public_function():
-    script = _SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "bench"),
-                            searches=_SEARCHES)
+def _traced(script: str, **fields) -> dict:
+    """The last stdout line of the script, run in a fresh interpreter, as JSON."""
+    script = script.format(src=str(ROOT / "src"), bench=str(ROOT / "bench"), **fields)
     proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_tracer_sees_one_call_per_hit_to_each_public_function():
+    result = _traced(_SCRIPT, searches=_SEARCHES)
     spin_code, spin_hits, nonspin_code, nonspin_hits = result["codes"]
     assert spin_code == nonspin_code == 0 and spin_hits > 0 and nonspin_hits > 0
     hits = result["hits"]
@@ -70,3 +78,23 @@ def _scan_size(argv):
         lo, hi = einstein._l_range(opts["--mode"], n, (g - 1) * (h - 1))
         total += max(0, hi - lo + 1)
     return total
+
+
+_REPORTS_SCRIPT = _PRELUDE + """
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(fourfold.cli.main(argv))  # the wrapper, after install
+print(json.dumps({{"codes": codes, "invariants": tracer.self_test("invariants"),
+                  "wide-sums": tracer.self_test("wide-sums")}}))
+"""
+
+_EXPR = "2*Sigma(3,3) # 18*CP2bar # S1xS3"
+# One of each command the invariants and wide-sums workloads run.
+_REPORTS = [["invariants", _EXPR], ["beta2", _EXPR], ["build", _EXPR],
+            ["check", "hitchin-thorpe", _EXPR], ["check", "ght", _EXPR],
+            ["check", "einstein", _EXPR]]
+
+
+def test_tracer_sees_every_function_the_report_workloads_reach():
+    result = _traced(_REPORTS_SCRIPT, commands=_REPORTS)
+    assert result == {"codes": [0] * len(_REPORTS), "invariants": [], "wide-sums": []}
