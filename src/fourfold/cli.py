@@ -204,9 +204,45 @@ def _sym_json(value: Union[SymbolicValue, Inconclusive],
     return doc
 
 
+# One encoder for every search line and for the scalars of every indented
+# report: it holds no state between calls, and a report has no cycles to check
+# for.  Its output is that of ``json.dumps(doc, sort_keys=True)``.
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+
+def _indented(value, pad: str = "\n"):
+    """Yield the text of ``json.dump(value, indent=2, sort_keys=True)``, byte
+    for byte, in chunks: one per dict key, scalar and list of ints, so that no
+    chunk holds a whole report.  Dict keys are str, as in every report."""
+    if not value or not isinstance(value, (dict, list, tuple)):
+        yield _LINE_ENCODER.encode(value)  # also {} and []
+        return
+    inner = pad + "  "
+    if isinstance(value, dict):
+        yield "{"
+        sep = inner
+        for key in sorted(value):
+            yield sep + _LINE_ENCODER.encode(key) + ": "
+            yield from _indented(value[key], inner)
+            sep = "," + inner
+        yield pad + "}"
+    elif all(type(x) is int for x in value):  # not bool: it prints true/false
+        yield "[" + inner + ("," + inner).join(map(int.__repr__, value)) + pad + "]"
+    else:
+        yield "["
+        sep = inner
+        for item in value:
+            yield sep
+            yield from _indented(item, inner)
+            sep = "," + inner
+        yield pad + "]"
+
+
 def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    write = sys.stdout.write
+    for chunk in _indented(doc):
+        write(chunk)
+    write("\n")
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
@@ -329,12 +365,6 @@ def _cmd_beta2(args: argparse.Namespace) -> int:
     _emit({"version": REPORT_VERSION, "kind": "beta2", "expr": args.expr,
            "beta_squared": beta})
     return EXIT_INCONCLUSIVE if "inconclusive" in beta else EXIT_OK
-
-
-# One encoder for every search line: it holds no state between calls, and a
-# report has no cycles to check for.  Its output is that of
-# ``json.dumps(doc, sort_keys=True)``.
-_LINE_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
 def _cmd_search(args: argparse.Namespace) -> int:

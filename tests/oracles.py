@@ -12,8 +12,9 @@ cross-multiplies and takes a fixed enclosure of pi^2 (50 digits, coarse, or
 Fraction-based Gromov-Hitchin-Thorpe and corollary certificates build the
 rational right-hand sides the library clears into integers, the flattened connected
 sum assembles one copy of every piece into a dense Gram matrix, c1 vector
-and s-matrix, and the dense s-matrix helpers read the rows that the library
-stores as nonzero entries above the diagonal.
+and s-matrix, the dense s-matrix helpers read the rows that the library
+stores as nonzero entries above the diagonal, and ``json.dump(indent=2)``
+writes the reports the CLI streams through its own indenting writer.
 
 The last section holds what the tests check that no production path calls:
 the paper's Dirac-index parity lemma and c1 = 0 classification, the 2^n
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -559,6 +561,16 @@ def flat_connected_sum(parts):
         sv_factors=sv_factors, summand_record=record,
         summands=tuple((a, 1) for a in atoms),
     )
+
+
+# -- the indented report: reference for the CLI's streaming writer ----------
+
+
+def emit_report(doc, fp) -> None:
+    """``doc`` as ``json.dump(indent=2, sort_keys=True)`` writes it, then one
+    newline: the text ``cli._emit`` must match byte for byte."""
+    json.dump(doc, fp, indent=2, sort_keys=True)
+    fp.write("\n")
 
 
 # -- what only the tests check: lemmas, sign choices, printing, pairing -------

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import sys
@@ -8,6 +10,7 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fourfold import catalog, certify, cli, einstein, model, monopole, parser, surgery, symbolic
 from fourfold.catalog import catalog_get, manifold_to_json
@@ -15,6 +18,7 @@ from fourfold.certify import require_part_count
 from fourfold.cli import main
 from fourfold.errors import FourfoldError, PremiseError
 from fourfold.model import PIECE_CAP
+from oracles import emit_report
 
 
 @pytest.fixture(scope="module")
@@ -344,39 +348,105 @@ def test_usage_errors(capsys):
     assert code == 1 and "Nope" in err
 
 
-def test_broken_pipe_exits_quietly():
-    """`fourfold search ... | head -c 100`: the reader leaves after 100 bytes
-    of a 115 kB report, more than a pipe buffers."""
+# Strings with what JSON must escape (quotes, backslashes, control
+# characters, non-ASCII) next to arbitrary text.
+_TEXT = st.text() | st.text(alphabet='"\\/\x00\x1f\x7f\n\t\u00e9\u2603\U0001d11e ab')
+_SCALARS = (_TEXT | st.integers() | st.integers(min_value=-2**200, max_value=2**200)
+            | st.booleans() | st.none() | st.floats()
+            | st.sampled_from([math.inf, -math.inf, math.nan, -0.0]))
+_DOCS = st.recursive(
+    _SCALARS | st.lists(st.integers() | st.booleans(), max_size=6),  # some mixed with bools
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=30)
+
+
+def _reference(doc):
+    out = io.StringIO()
+    emit_report(doc, out)
+    return out.getvalue()
+
+
+@given(st.dictionaries(_TEXT, _DOCS, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_emit_matches_json_dump(doc):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(doc)
+    assert out.getvalue() == _reference(doc)
+
+
+@pytest.mark.parametrize("argv", [
+    ("catalog",),
+    ("catalog", "Sigma(3,3)"),
+    ("build", "2*Sigma(3,3) # K3 # 3*CP2bar # S1xS3"),
+    ("invariants", "Sigma(3,3) # K3 # 2*CP2bar"),
+    ("--approx", "invariants", "Sigma(3,3) # K3 # 2*CP2bar"),
+    ("--approx", "invariants", "Sigma(3,3) # K3", "--k", "1e400"),  # -Infinity
+    ("invariants", "Sigma(3,3) # K3", "--k", "1e400"),
+    *(("check", theorem, "Sigma(3,5) # Kodaira")
+      for theorem in ("bauer", "theorem-a", "theorem-b", "hitchin-thorpe", "ght",
+                      "einstein", "decomposition")),
+    ("check", "exotic", "Xns # Kodaira"),
+    ("beta2", "Sigma(3,3) # K3 # 2*CP2bar"),
+])
+def test_every_report_kind_matches_json_dump(capsys, monkeypatch, tmp_path, argv):
+    docs = []
+    real = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda doc: (docs.append(doc), real(doc)))
+    code, out, err = _run(capsys, "--catalog", str(_xns_catalog(tmp_path)), *argv)
+    assert err == "" and len(docs) == 1
+    assert out == _reference(docs[0])
+
+
+def _head(argv, size):
+    """Run the CLI in a subprocess whose reader leaves after ``size`` bytes:
+    (those bytes, stderr, exit code)."""
     import os
     import subprocess
-    import sys
     from pathlib import Path
 
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "fourfold.cli", "search", "--mode", "spin", "--g", "3",
-         "--h", "3", "--mmax", "4", "--nmax", "6"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    head = proc.stdout.read(100)
+    proc = subprocess.Popen([sys.executable, "-m", "fourfold.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(size)
     proc.stdout.close()
     err = proc.stderr.read().decode()
     proc.stderr.close()
-    code = proc.wait(timeout=60)
+    return head, err, proc.wait(timeout=60)
+
+
+def test_broken_pipe_exits_quietly():
+    """`fourfold search ... | head -c 100`: the reader leaves after 100 bytes
+    of a 115 kB report, more than a pipe buffers."""
+    head, err, code = _head(["search", "--mode", "spin", "--g", "3", "--h", "3",
+                             "--mmax", "4", "--nmax", "6"], 100)
     assert head.startswith(b'{"certificates"')
     assert err == ""
     assert code == 1
 
 
+def test_broken_pipe_in_an_indented_report_exits_quietly():
+    """`fourfold build ... | head -c 100` on a 2.5 MB report."""
+    head, err, code = _head(["build", "Sigma(200,3) # 40*CP2bar"], 100)
+    assert head.startswith(b'{\n  "kind"')
+    assert err == ""
+    assert code == 1
+
+
 class _Digest:
-    """A stdout that keeps only the sha256 of what is written to it."""
+    """A write-only stdout that keeps the sha256 of what is written to it and
+    the length of its longest write."""
 
     def __init__(self):
         self.sha = hashlib.sha256()
+        self.longest = 0
 
     def write(self, text):
         self.sha.update(text.encode())
+        self.longest = max(self.longest, len(text))
         return len(text)
 
     def flush(self):
@@ -388,6 +458,9 @@ def _run_digest(capsys, monkeypatch, *argv):
     with monkeypatch.context() as patch:
         patch.setattr(sys, "stdout", sink)
         code = main(list(argv))
+    # a report streams: no write holds more than a few matrix rows (one
+    # s-matrix row of Sigma(1021,3) is about 30 KB)
+    assert sink.longest <= 64 * 1024
     return code, sink.sha.hexdigest(), capsys.readouterr().err
 
 
