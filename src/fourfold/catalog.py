@@ -34,6 +34,9 @@ from fourfold.model import (
 
 CATALOG_VERSION = 1
 
+# The name of a user atom: what the expression parser reads as an identifier.
+IDENTIFIER = r"[A-Za-z][A-Za-z0-9_]*"
+
 HYPERBOLIC = GramLattice(("a", "b"), ((0, 1), (1, 0)))
 
 
@@ -425,8 +428,9 @@ def manifold_from_json(doc: dict, where: str = "manifold document") -> Manifold:
 def load_catalog_file(path: str) -> dict[str, Manifold]:
     """Load a user catalog: {"version": 1, "manifolds": [manifold docs]}.
 
-    Names become atoms available to the expression parser.  Raises
-    CatalogError naming the file, entry and field that is wrong.
+    Names become atoms available to the expression parser, so each must be
+    an ``IDENTIFIER``.  Raises CatalogError naming the file, entry and field
+    that is wrong.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -442,5 +446,8 @@ def load_catalog_file(path: str) -> dict[str, Manifold]:
     out: dict[str, Manifold] = {}
     for i, mdoc in enumerate(_field(doc, "manifolds", "list", "catalog file", default=[])):
         m = manifold_from_json(mdoc, f"manifolds[{i}]")
+        if not re.fullmatch(IDENTIFIER, m.name):
+            raise CatalogError(f"manifolds[{i}]: field 'name' must be an identifier "
+                               f"{IDENTIFIER}, got {shown(repr(m.name))}")
         out[m.name] = m
     return out

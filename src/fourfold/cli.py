@@ -246,11 +246,13 @@ def _emit(doc: dict) -> None:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
+    env = _load_env(args) or {}
     if args.id is None:
         _emit({"version": REPORT_VERSION, "kind": "catalog-list",
-               "ids": list(catalog.catalog_ids())})
+               "ids": [*catalog.catalog_ids(), *env]})
         return EXIT_OK
-    m = catalog.catalog_get(args.id)
+    # a user name shadows a built-in, as an expression atom does
+    m = env[args.id] if args.id in env else catalog.catalog_get(args.id)
     _emit({"version": REPORT_VERSION, "kind": "manifold",
            "manifold": catalog.manifold_to_json(m)})
     return EXIT_OK

@@ -25,8 +25,8 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from fourfold.catalog import catalog_get
-from fourfold.errors import CatalogError, FourfoldError, shown
+from fourfold.catalog import IDENTIFIER, catalog_get
+from fourfold.errors import FourfoldError, shown
 from fourfold.model import Manifold
 from fourfold.surgery import connected_sum
 
@@ -87,7 +87,7 @@ class _Token:
     offset: int
 
 
-_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\d+|[#*(),]")
+_TOKEN_RE = re.compile(IDENTIFIER + r"|\d+|[#*(),]")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -222,15 +222,11 @@ def _atom_counts(node: Node, multiplier: int,
 
 
 def _resolve(atom: Atom, env: Optional[dict[str, Manifold]]) -> Manifold:
-    name = atom.display()
-    if env:
-        if name in env:
-            if atom.args:
-                raise CatalogError(f"custom atom {shown(repr(atom.name))} takes no parameters")
-            return env[name]
-        if not atom.args and atom.name in env:
-            return env[atom.name]
-    return catalog_get(name)
+    """A user atom of the name (it shadows a built-in), else the built-in.
+    User names are identifiers, so an atom with parameters is a built-in."""
+    if env and not atom.args and atom.name in env:
+        return env[atom.name]
+    return catalog_get(atom.display())
 
 
 def evaluate(node: Node, env: Optional[dict[str, Manifold]] = None) -> Manifold:

@@ -1,25 +1,18 @@
-"""Exact symbolic numbers of the form q * pi^p * sqrt(s), plus +/-infinity.
+"""Exact symbolic numbers of the form q * pi^p * sqrt(s), plus +infinity.
 
-Every quantitative statement this toolkit certifies is an exact rational
-multiple of 1, pi, pi^2, pi*sqrt(s) or pi^2*sqrt(s) with s a nonnegative
-integer, so this tiny closed family is all we need; keeping it exact makes
-acceptance checks tolerance-free.
+Every quantity this toolkit reports is an exact rational multiple of 1, pi,
+pi^2, pi*sqrt(s) or pi^2*sqrt(s), s a nonnegative integer, so acceptance
+checks are tolerance-free.  Canonical form: the radicand is squarefree
+(square factors are absorbed into q), and q == 0 forces pi_power == 0 and
+radicand == 1.  Two distinct canonical forms never denote the same real
+number (pi is transcendental, and squarefree radicands of equal rationals
+coincide), so equality compares fields.  A report builds each value once,
+scales it at most once and prints it: a value has no arithmetic and no order.
 
-Canonical form: the radicand is squarefree (square factors are absorbed into
-q), and q == 0 forces pi_power == 0 and radicand == 1.  Equality is decidable
-by comparing canonical fields; two distinct canonical forms never denote the
-same real number (pi is transcendental, and squarefree radicands of equal
-rationals coincide).
-
-Comparisons are decided, not guessed: for rational A != 0 and B the
-predicate A*pi^2 > B never ties (pi^2 is irrational), and distinct canonical
-values differ.  Both are decided against enclosures of pi (Machin's formula,
-``pi_bounds``) and of square roots (``math.isqrt``) to 10^-d, with
-d = 50, 100, 200, ... until the enclosures separate.  ``pi2_greater``
-cross-multiplies numerators and denominators (A*lo >= B, A*hi <= B)
-without forming B/A.  Only a comparison still undecided at
-``PI_DIGIT_CAP`` digits is reported as a tie (``pi2_greater``) or refused
-with a ``CapacityError`` (``SymbolicValue.compare``).
+The certificates decide A*pi^2 > B for rational A and B, which never ties
+for A != 0.  ``pi2_greater`` refines enclosures of pi^2 (``pi2_bounds``) to
+10^-d, d = 50, 100, 200, ..., until one decides, and reports a tie only
+when ``PI_DIGIT_CAP`` digits do not.
 """
 
 from __future__ import annotations
@@ -33,8 +26,8 @@ from fourfold.errors import CapacityError
 
 RationalLike = Union[int, Fraction, str]
 
-# Comparisons refine pi and square roots from 50 digits, doubling, up to
-# this many digits; building every enclosure up to it takes well under 1 s.
+# pi2_greater refines pi^2 from 50 digits, doubling, up to this many digits;
+# building every enclosure up to it takes well under 1 s.
 PI_DIGIT_CAP = 12_800
 
 # squarefree_decompose divides by trial up to sqrt(s), so its time grows as
@@ -44,14 +37,14 @@ RADICAND_CAP = 10**12
 
 
 @functools.lru_cache(maxsize=None)
-def pi_bounds(d: int, power: int = 1) -> tuple[Fraction, Fraction]:
-    """Rationals lo < pi^power < hi (power 1 or 2) with hi - lo <= 2*10^-d.
+def pi2_bounds(d: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo < pi^2 < hi with hi - lo <= 2*10^-d.
 
     pi = 16 arctan(1/5) - 4 arctan(1/239) is summed in integers at scale
     10^(d+10).  Each term is the floor of the true term, and the tail after
     the last nonzero term is below one unit, so the sum is within
-    16*(terms + 2) units of pi*scale; that slack is far below the 10 guard
-    digits dropped when the bounds are rounded outwards to 10^-d.
+    16*(terms + 2) units of pi*scale; squared, that slack is far below the
+    10 guard digits dropped when the bounds are rounded outwards to 10^-d.
     """
     scale = 10 ** (d + 10)
     pi = terms = 0
@@ -62,9 +55,9 @@ def pi_bounds(d: int, power: int = 1) -> tuple[Fraction, Fraction]:
             term //= x * x
             k, sign, terms = k + 2, -sign, terms + 1
     slack = 16 * (terms + 2)
-    shift = 10 ** (power * (d + 10) - d)
-    lo = (pi - slack) ** power // shift
-    hi = -(-(pi + slack) ** power // shift)
+    shift = 10 ** (d + 20)
+    lo = (pi - slack) ** 2 // shift
+    hi = -(-(pi + slack) ** 2 // shift)
     return Fraction(lo, 10 ** d), Fraction(hi, 10 ** d)
 
 
@@ -72,7 +65,7 @@ def pi2_greater(a: Union[int, Fraction], b: Union[int, Fraction],
                 strict: bool = True) -> Optional[bool]:
     """Decide a*pi^2 > b (or >= when strict=False) over the rationals.
 
-    Returns True/False, and None only when ``pi_bounds`` at PI_DIGIT_CAP
+    Returns True/False, and None only when ``pi2_bounds`` at PI_DIGIT_CAP
     digits cannot settle it.  For a != 0 the strict and non-strict answers
     coincide (a*pi^2 is irrational); for a == 0 the comparison is purely
     rational.
@@ -98,7 +91,7 @@ def pi2_greater(a: Union[int, Fraction], b: Union[int, Fraction],
     d = 50
     while True:
         # pi^2 > q/p: certain when p*lo >= q, impossible when p*hi <= q
-        lo, hi = pi_bounds(d, 2)
+        lo, hi = pi2_bounds(d)
         if p * lo.numerator >= q * lo.denominator:
             return positive
         if p * hi.numerator <= q * hi.denominator:
@@ -130,164 +123,40 @@ def squarefree_decompose(s: int) -> tuple[int, int]:
 
 class SymbolicValue:
     """An exact number q*pi^p*sqrt(s) (q rational, p in {0,1,2}, s squarefree >= 0),
-    or one of the distinguished infinities."""
+    or +infinity."""
 
     __slots__ = ("q", "pi_power", "radicand", "inf")
 
-    def __init__(self, q: RationalLike = 0, pi_power: int = 0, radicand: int = 1,
-                 inf: int = 0):
-        if inf not in (-1, 0, 1):
-            raise ValueError("inf must be -1, 0 or +1")
-        if inf != 0:
-            object.__setattr__(self, "q", Fraction(0))
-            object.__setattr__(self, "pi_power", 0)
-            object.__setattr__(self, "radicand", 1)
-            object.__setattr__(self, "inf", inf)
-            return
+    def __init__(self, q: RationalLike = 0, pi_power: int = 0, radicand: int = 1):
         q = Fraction(q)
         if pi_power not in (0, 1, 2):
             raise ValueError("pi_power must be 0, 1 or 2")
         if radicand < 0:
             raise ValueError("radicand must be a nonnegative integer")
         c, r = squarefree_decompose(radicand)
-        q = q * c
-        if r == 0:
-            q = Fraction(0)
-            r = 1
-        if q == 0:
-            pi_power = 0
-            r = 1
+        q *= c
+        if q == 0 or r == 0:
+            q, pi_power, r = Fraction(0), 0, 1
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "pi_power", pi_power)
         object.__setattr__(self, "radicand", r)
-        object.__setattr__(self, "inf", 0)
+        object.__setattr__(self, "inf", False)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("SymbolicValue is immutable")
 
-    # -- constructors ------------------------------------------------------
-
     @classmethod
     def plus_infinity(cls) -> "SymbolicValue":
-        return cls(inf=1)
-
-    # -- predicates --------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.inf == 0 and self.q == 0
-
-    def sign(self) -> int:
-        if self.inf != 0:
-            return self.inf
-        if self.q > 0:
-            return 1
-        if self.q < 0:
-            return -1
-        return 0
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _family(self) -> tuple[int, int]:
-        return (self.pi_power, self.radicand)
-
-    def __add__(self, other: "SymbolicValue") -> "SymbolicValue":
-        if not isinstance(other, SymbolicValue):
-            return NotImplemented
-        if self.inf != 0 or other.inf != 0:
-            if self.inf != 0 and other.inf != 0 and self.inf != other.inf:
-                raise ValueError("cannot add opposite infinities")
-            return SymbolicValue(inf=self.inf or other.inf)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self._family() != other._family():
-            raise ValueError(
-                f"addition across symbolic families {self._family()} and {other._family()}"
-            )
-        return SymbolicValue(self.q + other.q, self.pi_power, self.radicand)
-
-    def __neg__(self) -> "SymbolicValue":
-        if self.inf != 0:
-            return SymbolicValue(inf=-self.inf)
-        return SymbolicValue(-self.q, self.pi_power, self.radicand)
-
-    def __sub__(self, other: "SymbolicValue") -> "SymbolicValue":
-        return self + (-other)
+        """+infinity; its q, pi_power and radicand are those of zero."""
+        value = cls()
+        object.__setattr__(value, "inf", True)
+        return value
 
     def scale(self, c: RationalLike) -> "SymbolicValue":
-        c = Fraction(c)
-        if self.inf != 0:
-            if c == 0:
-                raise ValueError("cannot scale an infinity by zero")
-            return SymbolicValue(inf=self.inf if c > 0 else -self.inf)
-        return SymbolicValue(self.q * c, self.pi_power, self.radicand)
-
-    def __mul__(self, other: "SymbolicValue") -> "SymbolicValue":
-        if not isinstance(other, SymbolicValue):
-            return NotImplemented
-        if self.inf != 0 or other.inf != 0:
-            s = self.sign() * other.sign()
-            if s == 0:
-                raise ValueError("0 * infinity is undefined")
-            return SymbolicValue(inf=s)
-        p = self.pi_power + other.pi_power
-        if p > 2:
-            raise ValueError("product leaves the representable family (pi power > 2)")
-        return SymbolicValue(self.q * other.q, p, self.radicand * other.radicand)
-
-    def __abs__(self) -> "SymbolicValue":
-        return -self if self.sign() < 0 else self
-
-    # -- comparison --------------------------------------------------------
-
-    def _bounds(self, d: int) -> tuple[Fraction, Fraction]:
-        """An enclosure of the (finite) value from pi and sqrt to 10^-d."""
-        lo, hi = pi_bounds(d, self.pi_power) if self.pi_power else (1, 1)
-        if self.radicand != 1:
-            # root/10^d < sqrt(s) < (root + 1)/10^d, as s is no square
-            root = math.isqrt(self.radicand * 10 ** (2 * d))
-            lo, hi = lo * Fraction(root, 10**d), hi * Fraction(root + 1, 10**d)
-        if self.q >= 0:
-            return (self.q * lo, self.q * hi)
-        return (self.q * hi, self.q * lo)
-
-    def compare(self, other: "SymbolicValue") -> int:
-        if not isinstance(other, SymbolicValue):
-            raise TypeError("can only compare SymbolicValue with SymbolicValue")
-        if self == other:
-            return 0
-        if self.inf != 0 or other.inf != 0:  # a finite value has inf == 0
-            return -1 if self.inf < other.inf else 1
-        if self._family() == other._family():
-            return -1 if self.q < other.q else 1
-        # Distinct canonical values never coincide, so refining the
-        # enclosures separates them.
-        d = 50
-        while True:
-            lo1, hi1 = self._bounds(d)
-            lo2, hi2 = other._bounds(d)
-            if hi1 < lo2:
-                return -1
-            if hi2 < lo1:
-                return 1
-            if d >= PI_DIGIT_CAP:
-                raise CapacityError("two values agree to PI_DIGIT_CAP = "
-                                    f"{PI_DIGIT_CAP} digits and are not ordered")
-            d = min(2 * d, PI_DIGIT_CAP)
-
-    def __lt__(self, other: "SymbolicValue") -> bool:
-        return self.compare(other) < 0
-
-    def __le__(self, other: "SymbolicValue") -> bool:
-        return self.compare(other) <= 0
-
-    def __gt__(self, other: "SymbolicValue") -> bool:
-        return self.compare(other) > 0
-
-    def __ge__(self, other: "SymbolicValue") -> bool:
-        return self.compare(other) >= 0
+        """c times this finite value."""
+        if self.inf:
+            raise ValueError("cannot scale an infinity")
+        return SymbolicValue(self.q * Fraction(c), self.pi_power, self.radicand)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymbolicValue):
@@ -298,13 +167,9 @@ class SymbolicValue:
     def __hash__(self) -> int:
         return hash((self.q, self.pi_power, self.radicand, self.inf))
 
-    # -- rendering ---------------------------------------------------------
-
     def __str__(self) -> str:
-        if self.inf == 1:
+        if self.inf:
             return "+inf"
-        if self.inf == -1:
-            return "-inf"
         parts = [str(self.q)]
         if self.pi_power == 1:
             parts.append("pi")
@@ -320,12 +185,12 @@ class SymbolicValue:
     def approx(self) -> float:
         """Non-authoritative float approximation (display only); +/-inf past
         the float range."""
-        if self.inf != 0:
-            return float("inf") * self.inf
+        if self.inf:
+            return math.inf
         try:
             value = float(self.q)
         except OverflowError:
-            return float("inf") * self.sign()
+            return math.inf if self.q > 0 else -math.inf
         if self.pi_power:
             value *= math.pi ** self.pi_power
         if self.radicand != 1:
@@ -333,6 +198,6 @@ class SymbolicValue:
         return value
 
     def to_json(self) -> dict:
-        if self.inf != 0:
-            return {"inf": "+" if self.inf == 1 else "-"}
+        if self.inf:
+            return {"inf": "+"}
         return {"q": str(self.q), "pi_power": self.pi_power, "radicand": self.radicand}

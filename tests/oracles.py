@@ -244,16 +244,14 @@ def box_mesh_sample_max(gram, rng: random.Random, count: int = 200_000,
 
 
 class Enclosure(NamedTuple):
-    """A rational interval (lo, hi) that contains pi or pi^2."""
+    """A rational interval (lo, hi) that contains pi^2."""
 
     lo: Fraction
     hi: Fraction
 
 
-# pi and pi^2 truncated to 50 decimal places, and a coarse pi^2 bracket; the
-# tests re-verify all three against mpmath.
-PI_50 = Enclosure(Fraction(314159265358979323846264338327950288419716939937510, 10**50),
-                  Fraction(314159265358979323846264338327950288419716939937511, 10**50))
+# pi^2 truncated to 50 decimal places, and a coarse pi^2 bracket; the tests
+# re-verify both against mpmath.
 PI2_50 = Enclosure(Fraction(986960440108935861883449099987615113531369940724079, 10**50),
                    Fraction(986960440108935861883449099987615113531369940724080, 10**50))
 PI2_COARSE = Enclosure(Fraction("9.8696"), Fraction("9.8697"))

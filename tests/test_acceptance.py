@@ -202,7 +202,8 @@ def test_criterion_7_invariants():
     blown = connected_sum([sigma, sigma, catalog_get("CP2bar")])
     ir = invariant_Ir(split_blowdown(blown))
     assert ir == SymbolicValue(552, pi_power=2)
-    assert ir > invariant_Is_Y_K(split_blowdown(blown)).Is.scale(Fraction(1, 4))
+    quarter_is = invariant_Is_Y_K(split_blowdown(blown)).Is.scale(Fraction(1, 4))
+    assert ir.pi_power == quarter_is.pi_power == 2 and ir.q > quarter_is.q  # Ir > Is/4
 
 
 @_report(8, "Einstein obstruction strictly inside the Hitchin-Thorpe region")

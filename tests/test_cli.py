@@ -198,8 +198,9 @@ def test_check_decomposition(capsys, schema):
     assert doc["bound"] == 2
 
 
-def _xns_catalog(tmp_path):
-    """A catalog file holding the README's non-spin symplectic atom Xns."""
+def _xns_catalog(tmp_path, names=("Xns",)):
+    """A catalog file holding the README's non-spin symplectic atom Xns, once
+    under each of ``names``."""
     doc = manifold_to_json(catalog_get("K3"))
     doc.update({
         "name": "Xns",
@@ -217,8 +218,41 @@ def _xns_catalog(tmp_path):
         "provenance": "UserAsserted",
     }]
     path = tmp_path / "cat.json"
-    path.write_text(json.dumps({"version": 1, "manifolds": [doc]}))
+    path.write_text(json.dumps({"version": 1,
+                                "manifolds": [dict(doc, name=name) for name in names]}))
     return path
+
+
+def test_catalog_lists_user_names_after_the_built_ins(capsys, schema, tmp_path):
+    path = _xns_catalog(tmp_path, ("Zeta", "Xns", "K3"))
+    code, out, _ = _run(capsys, "--catalog", str(path), "catalog")
+    assert code == 0
+    (doc,) = _validate_lines(schema, out)
+    assert doc["ids"] == [*catalog.catalog_ids(), "Zeta", "Xns", "K3"]
+
+
+def test_catalog_id_reads_the_user_catalog(capsys, schema, tmp_path):
+    path = _xns_catalog(tmp_path, ("Xns", "K3"))
+    code, out, _ = _run(capsys, "--catalog", str(path), "catalog", "Xns")
+    assert code == 0
+    assert out == _run(capsys, "--catalog", str(path), "build", "Xns")[1]
+    (doc,) = _validate_lines(schema, out)
+    assert doc["manifold"]["name"] == "Xns"
+    # a user name shadows a built-in, as in an expression; parameters do not
+    code, out, _ = _run(capsys, "--catalog", str(path), "catalog", "K3")
+    assert code == 0 and json.loads(out)["manifold"]["b_minus"] == 11
+    code, out, _ = _run(capsys, "--catalog", str(path), "catalog", "Sigma(3,3)")
+    assert code == 0 and out == _run(capsys, "catalog", "Sigma(3,3)")[1]
+
+
+@pytest.mark.parametrize("name", ["My Atom", "Xñs", "Sigma(3,3)", "3K", "", "Xns\n"])
+def test_catalog_refuses_a_name_the_parser_cannot_read(capsys, tmp_path, name):
+    path = _xns_catalog(tmp_path, ("Xns", name))
+    for argv in (("catalog",), ("build", "Xns")):
+        code, out, err = _run(capsys, "--catalog", str(path), *argv)
+        assert (code, out) == (1, "")
+        assert err == ("fourfold: error: manifolds[1]: field 'name' must be an identifier "
+                       f"{catalog.IDENTIFIER}, got {repr(name)}\n")
 
 
 def test_check_exotic_with_custom_catalog(capsys, schema, tmp_path):

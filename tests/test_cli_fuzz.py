@@ -16,8 +16,9 @@ that the reports stay small: a sum that ``build`` dumps has at most a few
 hundred pieces.
 Catalog files (``--catalog``) are the README's building block with fields
 dropped or mistyped, huge integers, bad s-matrices, Gram matrices and c1
-vectors, 5,000-character names and versions, or invalid UTF-8 and
-non-JSON bytes, run through ``build``, ``check`` and ``invariants``.
+vectors, 5,000-character names and versions, names the parser cannot read
+(``My Atom``, ``Xñs``), or invalid UTF-8 and non-JSON bytes, run through
+``catalog``, ``build``, ``check`` and ``invariants``.
 """
 
 import contextlib
@@ -193,7 +194,8 @@ _HUGE = st.sampled_from([10**30, -10**30, 10**4000, -(10**4000), _PAST_LIMIT])
 _VALUE = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6), _HUGE,
               st.floats(allow_nan=False), st.text(max_size=6),
-              st.sampled_from(["Odd", "Unknown", "Xns", "AlmostComplex", "N" * 5000])),
+              st.sampled_from(["Odd", "Unknown", "Xns", "AlmostComplex", "N" * 5000,
+                               "My Atom", "Xñs"])),
     lambda inner: st.one_of(st.lists(inner, max_size=3),
                             st.dictionaries(st.text(max_size=6), inner, max_size=3)),
     max_leaves=6)
@@ -257,7 +259,7 @@ def _catalog_file(draw) -> bytes:
 
 @st.composite
 def _catalog_argv(draw) -> list[str]:
-    command = draw(st.sampled_from(["build", "check", "invariants"]))
+    command = draw(st.sampled_from(["catalog", "build", "check", "invariants"]))
     argv = [command]
     if command == "check":
         argv.append(draw(st.sampled_from(cli.CHECK_IDS)))

@@ -563,9 +563,8 @@ def test_geography_grid_is_decided_at_50_digits(monkeypatch):
     odd 3 <= g <= h <= 7, mmax 2..4, nmax 2, 4, 6 at c4 = 1) is settled by
     the first enclosure; the engineered tie needs more digits."""
     digits = []
-    bounds = symbolic.pi_bounds
-    monkeypatch.setattr(symbolic, "pi_bounds",
-                        lambda d, power=1: digits.append(d) or bounds(d, power))
+    bounds = symbolic.pi2_bounds
+    monkeypatch.setattr(symbolic, "pi2_bounds", lambda d: digits.append(d) or bounds(d))
     for search in (search_spin_examples, search_nonspin_examples):
         for g, h in ((3, 3), (3, 5), (3, 7), (5, 5), (5, 7), (7, 7)):
             for m_max in (2, 3, 4):

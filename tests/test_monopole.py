@@ -233,8 +233,9 @@ def test_invariant_is_y_k():
     assert inv.Is == SymbolicValue(2048, 2)
     assert inv.Y == SymbolicValue(-32, 1, 2)
     assert inv.K == inv.Y
-    # Is = |Y|^2 as symbolic values
-    assert abs(inv.Y) * abs(inv.Y) == inv.Is
+    # Is = |Y|^2: (q pi sqrt(s))^2 = q^2 s pi^2
+    assert (inv.Y.q ** 2 * inv.Y.radicand, 2 * inv.Y.pi_power, 1) == (
+        inv.Is.q, inv.Is.pi_power, inv.Is.radicand)
     m3 = connected_sum([SIGMA33, SIGMA33, SIGMA33, S1XS3])
     inv3 = invariant_Is_Y_K(split_blowdown(m3))
     assert inv3.Is == SymbolicValue(32 * 96, 2)
@@ -275,9 +276,10 @@ def test_invariant_ir():
     assert invariant_Ir(split_blowdown(m)) == SymbolicValue(552, 2)
     m0 = connected_sum([SIGMA33, SIGMA33])
     assert invariant_Ir(split_blowdown(m0)) == SymbolicValue(544, 2)
-    # strict gap Ir > Is/4
+    # strict gap Ir > Is/4, both multiples of pi^2
     inv = invariant_Is_Y_K(split_blowdown(m0))
-    assert invariant_Ir(split_blowdown(m0)) > inv.Is.scale(Fraction(1, 4))
+    ir, quarter_is = invariant_Ir(split_blowdown(m0)), inv.Is.scale(Fraction(1, 4))
+    assert ir.pi_power == quarter_is.pi_power == 2 and ir.q > quarter_is.q
     # c1^2 = 0 parts rejected
     y = catalog_get("Y(2)")
     assert isinstance(invariant_Ir(split_blowdown(connected_sum([y, y]))), Inconclusive)
@@ -295,7 +297,8 @@ def test_invariant_ir_gap_property():
         ir = invariant_Ir(split_blowdown(m))
         inv = invariant_Is_Y_K(split_blowdown(m))
         assert not isinstance(ir, Inconclusive)
-        assert ir > inv.Is.scale(Fraction(1, 4))
+        quarter_is = inv.Is.scale(Fraction(1, 4))
+        assert ir.pi_power == quarter_is.pi_power == 2 and ir.q > quarter_is.q
 
 
 def test_invariant_ir_specialized_formula():
