@@ -23,6 +23,7 @@ overrides the default simplicial-volume product constant c4 = 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -107,6 +108,9 @@ def _rendered(source: str, raw: str, render: Callable[[], dict]) -> dict:
                             f"more than {_int_str_limit()} digits") from None
 
 
+# Built once per process: argparse holds no state between parse calls, and
+# help and usage text are formatted per call (so COLUMNS applies per call).
+@functools.cache
 def _build_argparser() -> _CliParser:
     top = _CliParser(prog="fourfold", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -411,6 +415,7 @@ def _detach_stdout() -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
+        # The parser is shared by every call; each parse fills a fresh Namespace.
         # parse_args would list every unrecognized argument: name at most 5, cut
         args, extra = _build_argparser().parse_known_args(argv)
         if extra:

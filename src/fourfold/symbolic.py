@@ -134,12 +134,15 @@ class SymbolicValue:
         if radicand < 0:
             raise ValueError("radicand must be a nonnegative integer")
         c, r = squarefree_decompose(radicand)
-        q *= c
-        if q == 0 or r == 0:
-            q, pi_power, r = Fraction(0), 0, 1
+        self._store(q * c, pi_power, r)
+
+    def _store(self, q: Fraction, pi_power: int, radicand: int) -> None:
+        """Set the fields of a finite value whose radicand is squarefree."""
+        if q == 0 or radicand == 0:
+            q, pi_power, radicand = Fraction(0), 0, 1
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "pi_power", pi_power)
-        object.__setattr__(self, "radicand", r)
+        object.__setattr__(self, "radicand", radicand)
         object.__setattr__(self, "inf", False)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -156,7 +159,10 @@ class SymbolicValue:
         """c times this finite value."""
         if self.inf:
             raise ValueError("cannot scale an infinity")
-        return SymbolicValue(self.q * Fraction(c), self.pi_power, self.radicand)
+        # the radicand is squarefree already: store, do not factor it again
+        value = object.__new__(SymbolicValue)
+        value._store(self.q * Fraction(c), self.pi_power, self.radicand)
+        return value
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymbolicValue):

@@ -120,6 +120,17 @@ def test_radicand_up_to_the_cap(capsys, schema, g, radicand):
     assert doc["Y"]["radicand"] == radicand
 
 
+def test_a_large_radicand_is_factored_once(capsys, monkeypatch):
+    # Y = -4 pi sqrt(32 * 31,199,999,998) = -32 pi sqrt(15,599,999,999); lambda_k = k*Y
+    # scales Y without factoring its radicand again
+    seen = []
+    real = symbolic.squarefree_decompose
+    monkeypatch.setattr(symbolic, "squarefree_decompose", lambda s: seen.append(s) or real(s))
+    code, out, err = _run(capsys, "invariants", "Sigma(3,31199999997) # Sigma(3,3)")
+    assert (code, err) == (0, "")
+    assert [s for s in seen if s > 10**10] == [998_399_999_936]
+
+
 @pytest.mark.parametrize("g", [31_250_000_000, 10**40])
 def test_radicand_past_the_cap(capsys, g):
     code, out, err = _run(capsys, "invariants", f"Sigma({g},3) # Sigma(3,3)")
@@ -380,6 +391,25 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = _run(capsys, "build", "Nope")
     assert code == 1 and "Nope" in err
+
+
+def test_the_parser_is_built_once_per_process(capsys):
+    cli._build_argparser.cache_clear()
+    for argv in (["build", "K3"], ["frobnicate"], ["beta2", "K3 # K3"], ["catalog"]):
+        main(argv)
+    capsys.readouterr()
+    assert cli._build_argparser.cache_info().misses == 1
+
+
+def test_help_width_is_read_per_call(capsys, monkeypatch):
+    texts = []
+    for columns in ("60", "120", "60"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] != texts[1] and texts[0] == texts[2]
 
 
 # Strings with what JSON must escape (quotes, backslashes, control

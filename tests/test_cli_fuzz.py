@@ -8,7 +8,10 @@ every catalog family with parameters and counts up to 10^30, nesting past
 ``MAX_NESTING``, junk bytes spliced in, and bad ``--c4``/``--k`` values,
 among them exponents and integers past the interpreter's int-str limit,
 with and without ``--approx``.  An error line names at most five of 1,000
-unrecognized arguments (or 300 unknown flags) and counts the rest.
+unrecognized arguments (or 300 unknown flags) and counts the rest.  A run
+of such command lines, ``--help`` and a bad subcommand among them, gives
+the same exit codes, stdout and stderr through the one shared parser as
+through a parser built afresh for each call.
 Searches take valid, negative, huge and non-numeric ``--mode``, ``--g``,
 ``--h``, ``--mmax`` and ``--nmax`` values, and ``--c4`` at the engineered
 pi^2 tie.  Moderate parameters and counts are left out so
@@ -171,6 +174,37 @@ def test_any_command_line_ends_in_a_report_or_one_error_line(argv):
 @settings(max_examples=200, deadline=None)
 def test_any_search_command_line_ends_in_reports_or_one_error_line(argv):
     _run(argv)
+
+
+# -- one parser for every call -------------------------------------------------
+
+def _outcome(argv: list[str]) -> tuple[object, str, str]:
+    """The exit code (or SystemExit code), stdout and stderr of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # --help
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+# Fixed command lines between the random ones, most of which end in an error:
+# help, a bad subcommand, and reports with and without the global options.
+_FIXED = st.sampled_from([["--help"], ["check", "--help"], ["frobnicate"],
+                          ["invariants", "K3 # K3"], ["--approx", "invariants", "K3 # K3"],
+                          ["check", "ght", "T4"]])
+
+
+@given(st.lists(st.one_of(_argv(), _search_argv(), _FIXED), min_size=2, max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_a_shared_parser_leaks_nothing_between_calls(argvs):
+    shared = [_outcome(argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        cli._build_argparser.cache_clear()
+        fresh.append(_outcome(argv))
+    assert shared == fresh
 
 
 # -- random catalog documents (--catalog) --------------------------------------

@@ -108,6 +108,15 @@ def test_infinities():
     assert inf.to_json() == {"inf": "+"}
 
 
+@given(st.fractions(min_value=-100, max_value=100),
+       st.integers(min_value=0, max_value=2),
+       st.integers(min_value=0, max_value=500),
+       st.one_of(st.just(0), st.integers(-10, 10), st.fractions(max_denominator=50)))
+def test_scale_matches_the_constructor(q, p, s, c):
+    v = SymbolicValue(q, p, s)
+    assert v.scale(c) == SymbolicValue(v.q * c, v.pi_power, v.radicand)
+
+
 @pytest.mark.parametrize("c", [2, -2, 0, Fraction(2, 3)])
 def test_scale_refuses_an_infinity(c):
     with pytest.raises(ValueError, match="cannot scale an infinity"):
