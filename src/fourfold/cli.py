@@ -110,6 +110,7 @@ def _rendered(source: str, raw: str, render: Callable[[], dict]) -> dict:
 
 # Built once per process: argparse holds no state between parse calls, and
 # help and usage text are formatted per call (so COLUMNS applies per call).
+# Only a process that calls main more than once gains; a CLI run calls it once.
 @functools.cache
 def _build_argparser() -> _CliParser:
     top = _CliParser(prog="fourfold", description=__doc__,
