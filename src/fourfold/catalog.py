@@ -29,6 +29,8 @@ from fourfold.model import (
     Parity,
     Provenance,
     SpinCStructure,
+    gram_rows,
+    s_rows,
     validate,
 )
 
@@ -240,16 +242,19 @@ def catalog_ids() -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # JSON serialization
 
-# The JSON form spells out the dense Gram matrix and s-matrix, which are
-# built for the dump, so it is capped by their entry count, rank^2 + b1^2.
+# The JSON form spells out every entry of the Gram matrix and s-matrix, zeros
+# too, so the report's size is capped by their entry count, rank^2 + b1^2.  No
+# dense matrix is built: the writer prints each row from its nonzero entries.
 # The cap is that count for Sigma(1021,3), 2^2 + 2048^2.
 DENSE_ENTRY_CAP = 4_194_308
 
 
 def manifold_to_json(m: Manifold) -> dict:
-    """The JSON document of ``m``, with dense matrices and vectors.
+    """The JSON document of ``m``.  Its Gram matrix and s-matrices are
+    :class:`~fourfold.model.SparseMatrix` values, which the report writer
+    prints as dense rows; its basis labels and c1 vectors are dense lists.
 
-    Raises CapacityError when the matrices would exceed
+    Raises CapacityError when the matrices would print more than
     ``DENSE_ENTRY_CAP`` entries.
     """
     rank = 0 if m.lattice is None else m.lattice.rank
@@ -275,14 +280,14 @@ def manifold_to_json(m: Manifold) -> dict:
     if m.lattice is not None:
         doc["lattice"] = {
             "basis": list(m.lattice.basis_labels),
-            "gram": [list(row) for row in m.lattice.gram],
+            "gram": gram_rows(m.lattice),
         }
     for g in m.spinc_structures:
         c1 = g.c1
         doc["spinc"].append({
             "c1": None if c1 is None else list(c1),
             "c1_squared": g.c1_squared,
-            "s_matrix": [list(row) for row in g.s_matrix],
+            "s_matrix": s_rows(g),
             "sw_parity": g.sw_parity.value,
             "provenance": g.parity_provenance.value,
         })

@@ -42,7 +42,7 @@ from fourfold.certify import (
     require_part_count,
 )
 from fourfold.errors import CapacityError, FourfoldError
-from fourfold.model import Manifold, validate
+from fourfold.model import Manifold, SparseMatrix, validate
 from fourfold.monopole import Inconclusive
 from fourfold.symbolic import SymbolicValue
 
@@ -215,10 +215,40 @@ def _sym_json(value: Union[SymbolicValue, Inconclusive],
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
+def _matrix_rows(matrix: SparseMatrix, pad: str):
+    """The chunks of ``_indented`` for the dense rows of ``matrix``, one per
+    row.  A run of zeros is copies of one string; only nonzeros are printed."""
+    if not matrix.side:
+        yield "[]"
+        return
+    row_pad = pad + "  "
+    entry_pad = row_pad + "  "
+    zero, comma, last = "0," + entry_pad, "," + entry_pad, matrix.side - 1
+    sep = "[" + row_pad
+    for row in matrix.rows:
+        parts = [sep, "[", entry_pad]
+        col = 0
+        for j, x in row:
+            parts += (zero * (j - col), int.__repr__(x), comma)
+            col = j + 1
+        if col <= last:
+            parts += (zero * (last - col), "0")
+        else:
+            parts.pop()  # no separator after the last column
+        parts += (row_pad, "]")
+        yield "".join(parts)
+        sep = "," + row_pad
+    yield pad + "]"
+
+
 def _indented(value, pad: str = "\n"):
     """Yield the text of ``json.dump(value, indent=2, sort_keys=True)``, byte
-    for byte, in chunks: one per dict key, scalar and list of ints, so that no
-    chunk holds a whole report.  Dict keys are str, as in every report."""
+    for byte, in chunks: one per dict key, scalar, list of ints and matrix
+    row, so that no chunk holds a whole report.  Dict keys are str, as in
+    every report; a :class:`SparseMatrix` prints as its list of dense rows."""
+    if type(value) is SparseMatrix:
+        yield from _matrix_rows(value, pad)
+        return
     if not value or not isinstance(value, (dict, list, tuple)):
         yield _LINE_ENCODER.encode(value)  # also {} and []
         return

@@ -18,9 +18,10 @@ its spin-c structures are :class:`BlockSpinC` values of ``(atom structure,
 count)`` blocks, each block the atom's own structure object.  Their checks
 run once per distinct block (the inertia of an orthogonal sum is the
 count-weighted sum of the block inertias), so the cost of :func:`validate`
-grows with the number of distinct atoms, not with repetition counts.  The
-dense Gram matrix, basis labels, c1 vector and s-matrix of a sum are built
-only when a caller asks for them, as the JSON dump does.
+grows with the number of distinct atoms, not with repetition counts.  No
+dense matrix of a sum is ever built: the JSON dump takes its Gram matrix and
+s-matrix as :class:`SparseMatrix` rows of nonzero entries, built from the
+blocks, and only its basis labels and c1 vector are spelled out, on request.
 
 Everything is an immutable value; all operations in the package are pure
 functions, so instances can be shared freely across threads.
@@ -110,21 +111,6 @@ def tally(pairs: Iterable[tuple[Hashable, int]]) -> dict:
     return out
 
 
-def _block_diagonal(blocks: Iterable[tuple[Sequence[Sequence[int]], int]],
-                    size: int) -> tuple[tuple[int, ...], ...]:
-    """The dense ``size x size`` matrix with each square block repeated
-    ``count`` times down the diagonal; empty blocks cost nothing."""
-    rows: list[tuple[int, ...]] = []
-    offset = 0
-    for block, count in blocks:
-        r = len(block)
-        for _ in range(count if r else 0):
-            left, right = (0,) * offset, (0,) * (size - offset - r)
-            rows.extend(left + tuple(row) + right for row in block)
-            offset += r
-    return tuple(rows)
-
-
 @dataclass(frozen=True)
 class GramLattice:
     """A symmetric integer bilinear form on a chosen sublattice of H^2; an
@@ -187,11 +173,6 @@ class BlockLattice:
             piece += count
         return tuple(labels)
 
-    @property
-    def gram(self) -> tuple[tuple[int, ...], ...]:
-        """The dense Gram matrix (O(rank^2); built on request)."""
-        return _block_diagonal(((b.gram, c) for b, c in self.blocks), self.rank)
-
     def _distinct_grams(self) -> dict:
         return tally((block.gram, count) for block, count in self.blocks if block.rank)
 
@@ -225,14 +206,6 @@ class SpinCStructure:
     sw_parity: Parity = Parity.UNKNOWN
     parity_provenance: Provenance = Provenance.DERIVED
 
-    @property
-    def s_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """The dense ``s_size``-square matrix (O(s_size^2); built on request)."""
-        rows = [[0] * self.s_size for _ in range(self.s_size)]
-        for i, j, x in self.s_entries:
-            rows[i][j], rows[j][i] = x, -x
-        return tuple(map(tuple, rows))
-
     def odd_s_entry(self) -> Optional[tuple[int, int]]:
         """The first odd entry of the s-matrix in row-major order, if any (an
         entry below the diagonal has an odd mirror image that comes first)."""
@@ -260,8 +233,8 @@ class BlockSpinC:
     Each block is an atom's own canonical structure, or its conjugate for a
     sign -1 run, repeated ``count`` times in piece order, matching the blocks
     of the sum's :class:`BlockLattice`.  The sum's parity is its own field;
-    the blocks keep their atoms'.  ``c1`` and ``s_matrix`` are the dense
-    forms, built on request; ``c1`` is None when any block has no vector.
+    the blocks keep their atoms'.  ``c1`` is the dense vector, built on
+    request, and None when any block has no vector.
     """
 
     blocks: tuple[tuple[SpinCStructure, int], ...]
@@ -282,10 +255,6 @@ class BlockSpinC:
     def s_size(self) -> int:
         return sum(g.s_size * count for g, count in self.blocks)
 
-    @property
-    def s_matrix(self) -> tuple[tuple[int, ...], ...]:
-        return _block_diagonal(((g.s_matrix, c) for g, c in self.blocks), self.s_size)
-
     def odd_s_entry(self) -> Optional[tuple[int, int]]:
         """The first odd entry of the dense s-matrix in row-major order."""
         offset = 0
@@ -304,6 +273,57 @@ class BlockSpinC:
 
 
 SpinC = Union[SpinCStructure, BlockSpinC]
+
+
+@dataclass(frozen=True)
+class SparseMatrix:
+    """A read-only square integer matrix, as the nonzero ``(column, value)``
+    pairs of each row in column order: the JSON form of a Gram matrix or
+    s-matrix, which the report writer prints without building a dense row.
+    Equal matrices have equal values, however their blocks were grouped."""
+
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+
+    @property
+    def side(self) -> int:
+        return len(self.rows)
+
+
+def _block_rows(blocks: Iterable[tuple[Sequence[Sequence[tuple[int, int]]], int]]
+                ) -> SparseMatrix:
+    """The block-diagonal matrix with each square block, given by the nonzero
+    pairs of its rows, repeated ``count`` times down the diagonal; rank-0
+    blocks cost nothing, however many copies."""
+    rows: list[tuple[tuple[int, int], ...]] = []
+    for block, count in blocks:
+        for _ in range(count if block else 0):
+            offset = len(rows)
+            rows.extend(tuple((offset + j, x) for j, x in row) for row in block)
+    return SparseMatrix(tuple(rows))
+
+
+def gram_rows(lattice: Lattice) -> SparseMatrix:
+    """The Gram matrix of ``lattice``: O(rank + nonzeros), after one pass
+    over the dense rows of each block, however many copies it has."""
+    return _block_rows(
+        (tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in block.gram), count)
+        for block, count in lattice.blocks)
+
+
+def _s_block(g: SpinCStructure) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # s_entries run in row-major order above the diagonal, so every row gets
+    # its mirrored entries (columns < row) before its own, each in column order
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(g.s_size)]
+    for i, j, x in g.s_entries:
+        rows[i].append((j, x))
+        rows[j].append((i, -x))
+    return tuple(map(tuple, rows))
+
+
+def s_rows(g: SpinC) -> SparseMatrix:
+    """The s-matrix of ``g``: O(s_size + nonzeros), with each block's rows
+    built once, however many copies it has."""
+    return _block_rows((_s_block(block), count) for block, count in g.blocks)
 
 
 def _c1_norm(lattice: Lattice, g: SpinC) -> Optional[Fraction]:

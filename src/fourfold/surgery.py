@@ -16,8 +16,10 @@ iff they hold for every piece.  Lattices add orthogonally (a
 ``BlockLattice`` of the atom lattices with their counts), canonical first
 Chern data adds blockwise, the half-triple-product matrices add as blocks
 (a ``BlockSpinC``), and the asserted SW parity of the canonical structure is
-Odd exactly when it is Odd for every piece.  Dense matrices and vectors of a
-sum are only built on request (see ``fourfold.model``).
+Odd exactly when it is Odd for every piece.  No dense matrix of a sum is
+built: its JSON form prints the matrices from their nonzero entries, and
+its c1 vector and basis labels are spelled out only on request (see
+``fourfold.model``).
 
 A report splits a sum once (``split_blowdown``): the ``Split`` counts the
 positive-b+ pieces from their multiset, lists them only when there are at

@@ -12,9 +12,10 @@ cross-multiplies and takes a fixed enclosure of pi^2 (50 digits, coarse, or
 Fraction-based Gromov-Hitchin-Thorpe and corollary certificates build the
 rational right-hand sides the library clears into integers, the flattened connected
 sum assembles one copy of every piece into a dense Gram matrix, c1 vector
-and s-matrix, the dense s-matrix helpers read the rows that the library
-stores as nonzero entries above the diagonal, and ``json.dump(indent=2)``
-writes the reports the CLI streams through its own indenting writer.
+and s-matrix, the dense block-diagonal builders spell out the Gram matrix
+and s-matrix that the library keeps as blocks of nonzero entries, and
+``json.dump(indent=2)`` writes, from those dense rows, the reports the CLI
+streams through its own indenting writer.
 
 The last section holds what the tests check that no production path calls:
 the paper's Dirac-index parity lemma and c1 = 0 classification, the 2^n
@@ -46,6 +47,7 @@ from fourfold.model import (
     Manifold,
     Parity,
     Provenance,
+    SparseMatrix,
     SpinCStructure,
 )
 from fourfold.monopole import Inconclusive
@@ -447,7 +449,57 @@ def direct_sum(lattices, prefixes):
     return GramLattice(tuple(labels), tuple(tuple(row) for row in gram))
 
 
-# -- dense s-matrices: the reference for the stored nonzero entries ----------
+# -- dense matrices: the reference for the stored nonzero entries and blocks -
+
+
+def block_diagonal(blocks, size):
+    """The dense ``size x size`` matrix with each square block repeated
+    ``count`` times down the diagonal; empty blocks cost nothing."""
+    rows = []
+    offset = 0
+    for block, count in blocks:
+        r = len(block)
+        for _ in range(count if r else 0):
+            left, right = (0,) * offset, (0,) * (size - offset - r)
+            rows.extend(left + tuple(row) + right for row in block)
+            offset += r
+    return tuple(rows)
+
+
+def dense_gram(lattice):
+    """The dense Gram matrix of a ``GramLattice`` or ``BlockLattice``."""
+    return block_diagonal(((b.gram, c) for b, c in lattice.blocks), lattice.rank)
+
+
+def s_matrix(g):
+    """The dense s-matrix of a ``SpinCStructure`` or ``BlockSpinC``."""
+    if isinstance(g, BlockSpinC):
+        return block_diagonal(((s_matrix(b), c) for b, c in g.blocks), g.s_size)
+    rows = [[0] * g.s_size for _ in range(g.s_size)]
+    for i, j, x in g.s_entries:
+        rows[i][j], rows[j][i] = x, -x
+    return tuple(map(tuple, rows))
+
+
+def dense_rows(matrix):
+    """The dense rows of a ``SparseMatrix``, as lists."""
+    rows = [[0] * matrix.side for _ in range(matrix.side)]
+    for row, pairs in zip(rows, matrix.rows, strict=True):
+        for j, x in pairs:
+            row[j] = x
+    return rows
+
+
+def plain(doc):
+    """``doc`` with every ``SparseMatrix`` spelled out as its dense rows: the
+    plain data ``json`` can write."""
+    if isinstance(doc, SparseMatrix):
+        return dense_rows(doc)
+    if isinstance(doc, dict):
+        return {key: plain(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [plain(value) for value in doc]
+    return doc
 
 
 def sparse_s(rows):
@@ -482,19 +534,19 @@ def flat_sum_spinc(atoms, signs, with_vector):
         c1 = tuple(coords)
     c1_squared = sum(a.canonical_spinc.c1_squared for a in atoms)
     b1_total = sum(a.canonical_spinc.s_size for a in atoms)
-    s_matrix = [[0] * b1_total for _ in range(b1_total)]
+    rows = [[0] * b1_total for _ in range(b1_total)]
     offset = 0
     for a, s in zip(atoms, signs, strict=True):
-        block = a.canonical_spinc.s_matrix
+        block = s_matrix(a.canonical_spinc)
         r = len(block)
         for i in range(r):
             for j in range(r):
-                s_matrix[offset + i][offset + j] = s * block[i][j]
+                rows[offset + i][offset + j] = s * block[i][j]
         offset += r
     parities = {a.canonical_spinc.sw_parity for a in atoms}
     parity = Parity.ODD if parities == {Parity.ODD} else Parity.UNKNOWN
     return SpinCStructure(
-        c1=c1, c1_squared=c1_squared, **sparse_s(s_matrix),
+        c1=c1, c1_squared=c1_squared, **sparse_s(rows),
         sw_parity=parity, parity_provenance=Provenance.DERIVED,
     )
 
@@ -565,9 +617,10 @@ def flat_connected_sum(parts):
 
 
 def emit_report(doc, fp) -> None:
-    """``doc`` as ``json.dump(indent=2, sort_keys=True)`` writes it, then one
-    newline: the text ``cli._emit`` must match byte for byte."""
-    json.dump(doc, fp, indent=2, sort_keys=True)
+    """``doc`` as ``json.dump(indent=2, sort_keys=True)`` writes it, each
+    ``SparseMatrix`` as its dense rows, then one newline: the text
+    ``cli._emit`` must match byte for byte."""
+    json.dump(plain(doc), fp, indent=2, sort_keys=True)
     fp.write("\n")
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from importlib import resources
 
@@ -17,8 +18,8 @@ from fourfold.catalog import catalog_get, manifold_to_json
 from fourfold.certify import require_part_count
 from fourfold.cli import main
 from fourfold.errors import FourfoldError, PremiseError
-from fourfold.model import PIECE_CAP
-from oracles import emit_report
+from fourfold.model import PIECE_CAP, BlockLattice, BlockSpinC, GramLattice, SpinCStructure
+from oracles import dense_gram, emit_report, s_matrix, sparse_s
 
 
 @pytest.fixture(scope="module")
@@ -440,6 +441,51 @@ def test_emit_matches_json_dump(doc):
     assert out.getvalue() == _reference(doc)
 
 
+# Matrix entries: zeros, signs, several digits and values past 2^63.
+_ENTRIES = st.just(0) | st.integers(-12, 12) | st.integers(-2**70, 2**70)
+
+
+@st.composite
+def _square_rows(draw, antisymmetric):
+    n = draw(st.integers(0, 3))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + antisymmetric, n):
+            x = draw(_ENTRIES)
+            rows[i][j], rows[j][i] = x, -x if antisymmetric else x
+    return rows
+
+
+def _blocks(make, antisymmetric):
+    """A single block, or a sum of 0..3 blocks of side 0..3, each repeated
+    1..3 times."""
+    block = _square_rows(antisymmetric).map(make)
+    return block | st.lists(st.tuples(block, st.integers(1, 3)), max_size=3).map(tuple)
+
+
+_LATTICES = _blocks(lambda rows: GramLattice(tuple(map(str, range(len(rows)))),
+                                             tuple(map(tuple, rows))), False).map(
+    lambda b: b if isinstance(b, GramLattice) else BlockLattice(b))
+_SPINC = _blocks(lambda rows: SpinCStructure(c1=None, c1_squared=0, **sparse_s(rows)),
+                 True).map(lambda b: b if isinstance(b, SpinCStructure) else BlockSpinC(b))
+
+
+@given(_LATTICES, _SPINC)
+@settings(max_examples=300, deadline=None)
+def test_matrix_rows_print_as_the_dense_rows(lattice, g):
+    """A Gram matrix and s-matrix built from blocks of nonzero entries print,
+    at two nesting depths, as ``json.dump`` prints the oracle's dense rows."""
+    gram, s = model.gram_rows(lattice), model.s_rows(g)
+    assert (gram.side, s.side) == (lattice.rank, g.s_size)
+    dense, dense_s = dense_gram(lattice), s_matrix(g)
+    doc = {"gram": gram, "spinc": [{"n": 1, "s_matrix": s}], "x": {"y": [[gram, s]]}}
+    ref = {"gram": dense, "spinc": [{"n": 1, "s_matrix": dense_s}], "x": {"y": [[dense, dense_s]]}}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(doc)
+    assert out.getvalue() == _reference(ref)
+
+
 @pytest.mark.parametrize("argv", [
     ("catalog",),
     ("catalog", "Sigma(3,3)"),
@@ -453,6 +499,7 @@ def test_emit_matches_json_dump(doc):
                       "einstein", "decomposition")),
     ("check", "exotic", "Xns # Kodaira"),
     ("beta2", "Sigma(3,3) # K3 # 2*CP2bar"),
+    ("catalog", "S1xS3"),  # a 0 x 0 Gram matrix and a 1 x 1 s-matrix
 ])
 def test_every_report_kind_matches_json_dump(capsys, monkeypatch, tmp_path, argv):
     docs = []
@@ -529,7 +576,7 @@ def _run_digest(capsys, monkeypatch, *argv):
 
 
 def _refuse(*_):
-    raise AssertionError("dense rows built past the dump cap")
+    raise AssertionError("matrix rows built past the dump cap")
 
 
 def _cap_error(entries):
@@ -542,13 +589,19 @@ def test_sigma_family_is_capped(capsys, monkeypatch):
     Sigma(1021,3), with 2^2 + 2048^2 entries, is the largest that dumps."""
     code, _, err = _run(capsys, "check", "hitchin-thorpe", "Sigma(100000,3)")
     assert code == 0 and err == ""
-    code, digest, err = _run_digest(capsys, monkeypatch, "build", "Sigma(1021,3)")
+    tracemalloc.start()
+    try:
+        code, digest, err = _run_digest(capsys, monkeypatch, "build", "Sigma(1021,3)")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert (code, err) == (0, "")
+    # a 63 MB report of 2^2 + 2048^2 entries, printed from its nonzero entries
+    assert peak < 4 * 2**20
     # recorded while the atom stored its zero s-matrix densely: the dump is unchanged
     assert digest == "e3fc2bf9f6fd7d1ba33561a318048df31a30c17298163c91193e2ed7554f32db"
-    # past the cap, no dense row is built
-    monkeypatch.setattr(model.SpinCStructure, "s_matrix", property(_refuse))
-    monkeypatch.setattr(model, "_block_diagonal", _refuse)
+    # past the cap, no matrix row is built
+    monkeypatch.setattr(model, "_block_rows", _refuse)
     for argv, b1 in ((("build", "Sigma(1022,3)"), 2050),
                      (("build", "Sigma(100000,3)"), 200_006),
                      (("catalog", "Sigma(3,100000)"), 200_006)):

@@ -21,7 +21,7 @@ from fourfold.errors import CatalogError
 from fourfold.model import Flag, GramLattice, Manifold, Parity, Provenance, validate
 from fourfold.surgery import connected_sum
 
-from oracles import conjugate, dense_even, dense_first_odd, dense_negation
+from oracles import conjugate, dense_even, dense_first_odd, dense_negation, plain, s_matrix
 
 # Published characteristic data: (b1, b+, b-, chi, tau, spin, simply connected)
 PUBLISHED = {
@@ -193,7 +193,7 @@ def test_json_round_trip(tmp_path):
     for name in ("K3", "Sigma(3,5)", "Gompf(2,1)", "S1xS3", "CP2bar"):
         m = catalog_get(name)
         doc = manifold_to_json(m)
-        m2 = manifold_from_json(json.loads(json.dumps(doc)))
+        m2 = manifold_from_json(json.loads(json.dumps(plain(doc))))
         assert m2.char == m.char
         assert m2.lattice == m.lattice
         assert m2.spinc_structures == m.spinc_structures
@@ -224,17 +224,17 @@ def test_sparse_s_matrix_matches_dense_rows(rows):
         "sv_factors": None, "summand_record": [["X", 1]],
     }
     m = manifold_from_json(doc)
-    assert manifold_to_json(m) == doc
+    assert plain(manifold_to_json(m)) == doc
     g = m.canonical_spinc
-    assert g.s_matrix == rows
-    assert conjugate(g).s_matrix == dense_negation(rows)
+    assert s_matrix(g) == rows
+    assert s_matrix(conjugate(g)) == dense_negation(rows)
     assert g.s_matrix_even() == dense_even(rows)
     assert g.odd_s_entry() == dense_first_odd(rows)
 
 
 def test_load_catalog_file(tmp_path):
     m = catalog_get("K3")
-    doc = manifold_to_json(m)
+    doc = plain(manifold_to_json(m))
     doc["name"] = "MyK3"
     path = tmp_path / "cat.json"
     path.write_text(json.dumps({"version": 1, "manifolds": [doc]}))
@@ -244,7 +244,7 @@ def test_load_catalog_file(tmp_path):
 
 def test_load_catalog_rejects_invalid(tmp_path):
     m = catalog_get("K3")
-    doc = manifold_to_json(m)
+    doc = plain(manifold_to_json(m))
     doc["spinc"][0]["c1_squared"] = 5
     path = tmp_path / "cat.json"
     path.write_text(json.dumps({"version": 1, "manifolds": [doc]}))
@@ -259,7 +259,7 @@ def _write_catalog(tmp_path, manifolds):
 
 
 def _k3_doc(**changes):
-    doc = manifold_to_json(catalog_get("K3"))
+    doc = plain(manifold_to_json(catalog_get("K3")))
     doc["name"] = "MyK3"
     doc.update(changes)
     return doc

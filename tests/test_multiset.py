@@ -26,7 +26,15 @@ from fourfold.model import (
 )
 from fourfold.surgery import connected_sum, split_blowdown
 
-from oracles import conjugate, dense_first_odd, flat_connected_sum, flat_sum_spinc, sum_spinc
+from oracles import (
+    conjugate,
+    dense_first_odd,
+    flat_connected_sum,
+    flat_sum_spinc,
+    plain,
+    s_matrix,
+    sum_spinc,
+)
 
 
 def _custom_atom() -> Manifold:
@@ -135,13 +143,13 @@ def test_sum_spinc_matches_flattened_reference(seed):
     signs = tuple(rng.choice((1, -1)) for _ in pieces)
     g = sum_spinc(m, signs)
     ref = flat_sum_spinc(pieces, signs, g.c1 is not None)
-    assert (g.c1, g.c1_squared, g.s_matrix, g.sw_parity) == (
-        ref.c1, ref.c1_squared, ref.s_matrix, ref.sw_parity)
+    assert (g.c1, g.c1_squared, s_matrix(g), g.sw_parity) == (
+        ref.c1, ref.c1_squared, s_matrix(ref), ref.sw_parity)
     assert g.s_matrix_even() == ref.s_matrix_even()
-    assert g.odd_s_entry() == dense_first_odd(ref.s_matrix)
+    assert g.odd_s_entry() == dense_first_odd(s_matrix(ref))
     assert g.c1_mod4_zero() == ref.c1_mod4_zero()
     conj, ref_conj = conjugate(g), conjugate(ref)
-    assert (conj.c1, conj.s_matrix) == (ref_conj.c1, ref_conj.s_matrix)
+    assert (conj.c1, s_matrix(conj)) == (ref_conj.c1, s_matrix(ref_conj))
     # sign runs split the lattice blocks; validate walks both block sequences
     ref_m = flat_connected_sum(parts)
     assert validate(replace(m, spinc_structures=(g,))) == validate(
@@ -180,12 +188,12 @@ def test_shared_atom_blocks_give_each_sum_its_variant():
                     assert block == conjugate(piece.canonical_spinc)
             vectors.add(g.c1 is not None)
             ref = flat_sum_spinc(pieces, signs, g.c1 is not None)
-            assert (g.c1, g.c1_squared, g.s_matrix, g.sw_parity) == (
-                ref.c1, ref.c1_squared, ref.s_matrix, ref.sw_parity)
-            assert g.odd_s_entry() == dense_first_odd(ref.s_matrix)
+            assert (g.c1, g.c1_squared, s_matrix(g), g.sw_parity) == (
+                ref.c1, ref.c1_squared, s_matrix(ref), ref.sw_parity)
+            assert g.odd_s_entry() == dense_first_odd(s_matrix(ref))
         ref = flat_sum_spinc(pieces, (1,) * n, m.lattice is not None)
-        assert (canonical.c1, canonical.s_matrix, canonical.sw_parity) == (
-            ref.c1, ref.s_matrix, ref.sw_parity)
+        assert (canonical.c1, s_matrix(canonical), canonical.sw_parity) == (
+            ref.c1, s_matrix(ref), ref.sw_parity)
     assert vectors == {True, False}
     xc, sigma, _, _ = shared
     (_, _), (xc_minus, _) = sum_spinc(connected_sum([sigma, xc]), (1, -1)).blocks
@@ -267,7 +275,7 @@ def test_dense_json_skips_empty_blocks():
                   spinc_structures=(SpinCStructure(c1=(), c1_squared=0),), sv_factors=())
     doc = manifold_to_json(connected_sum([s4, catalog_get("K3")], [10**15, 1]))
     assert doc["lattice"]["basis"] == [f"s{10**15}.f", f"s{10**15}.s"]
-    doc = manifold_to_json(connected_sum([catalog_get("Gompf(2,0)")], [10**15]))
+    doc = plain(manifold_to_json(connected_sum([catalog_get("Gompf(2,0)")], [10**15])))
     assert doc["spinc"][0]["s_matrix"] == [] and doc["lattice"] is None
 
 

@@ -227,7 +227,8 @@ def test_normalization_order_independence():
 def test_evaluate_with_custom_env(tmp_path):
     import json
     from fourfold.catalog import load_catalog_file
-    doc = manifold_to_json(catalog_get("K3"))
+    from oracles import plain
+    doc = plain(manifold_to_json(catalog_get("K3")))
     doc["name"] = "MyBlock"
     path = tmp_path / "cat.json"
     path.write_text(json.dumps({"version": 1, "manifolds": [doc]}))

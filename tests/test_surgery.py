@@ -10,7 +10,7 @@ from fourfold.exact import quadratic_form
 from fourfold.model import Flag, Parity
 from fourfold.surgery import connected_sum, split_blowdown
 
-from oracles import all_sign_spinc, sum_spinc
+from oracles import all_sign_spinc, dense_gram, s_matrix, sum_spinc
 
 K3 = catalog_get("K3")
 SIGMA33 = catalog_get("Sigma(3,3)")
@@ -61,12 +61,12 @@ def test_lattice_direct_sum_and_c1():
     assert s.lattice.rank == 4
     assert s.canonical_spinc.c1 == (4, 4, 4, 4)
     assert s.canonical_spinc.c1_squared == 64
-    assert quadratic_form(s.lattice.gram, s.canonical_spinc.c1) == 64
+    assert quadratic_form(dense_gram(s.lattice), s.canonical_spinc.c1) == 64
 
 
 def test_s_matrix_block_sum():
     s = connected_sum([KODAIRA, SIGMA33])
-    assert len(s.canonical_spinc.s_matrix) == 15  # 3 + 12
+    assert len(s_matrix(s.canonical_spinc)) == 15  # 3 + 12
     assert s.canonical_spinc.s_matrix_even()
 
 
