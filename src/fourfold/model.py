@@ -15,13 +15,16 @@ vectors and sparse half-triple-product matrices.  A connected sum is a
 multiset of atoms: ``summands`` holds sorted ``(atom, count)`` pairs, its
 lattice is a :class:`BlockLattice` of ``(atom lattice, count)`` blocks and
 its spin-c structures are :class:`BlockSpinC` values of ``(atom structure,
-count)`` blocks, each block the atom's own structure object.  Their checks
-run once per distinct block (the inertia of an orthogonal sum is the
-count-weighted sum of the block inertias), so the cost of :func:`validate`
-grows with the number of distinct atoms, not with repetition counts.  No
-dense matrix of a sum is ever built: the JSON dump takes its Gram matrix and
-s-matrix as :class:`SparseMatrix` rows of nonzero entries, built from the
-blocks, and only its basis labels and c1 vector are spelled out, on request.
+count)`` blocks, each block the atom's own structure object.  An atom reads
+as its single block, so each check is one function over ``.blocks`` that runs
+once per distinct block (the inertia of an orthogonal sum is the
+count-weighted sum of the block inertias): the cost of :func:`validate` grows
+with the number of distinct atoms, not with repetition counts.  A sum's SW
+parity is derived from its blocks; the evenness of a half-triple-product
+matrix is read from pieces, which are atoms.  No dense matrix of a sum is
+ever built: the JSON dump takes its Gram matrix and s-matrix as
+:class:`SparseMatrix` rows of nonzero entries, built from the blocks, and
+only its basis labels and c1 vector are spelled out, on request.
 
 Everything is an immutable value; all operations in the package are pure
 functions, so instances can be shared freely across threads.
@@ -34,8 +37,8 @@ Conventions
 * When a manifold carries the ``AlmostComplex`` flag, its *first* spin-c
   structure is the one induced by the almost complex structure; its c1 is an
   almost canonical class and must satisfy c1^2 = 2*chi + 3*tau.
-* SW parity is asserted data with provenance, never computed here: this is a
-  certificate checker, not a gauge-theory solver.
+* An atom's SW parity is asserted data with provenance, never computed here
+  (a certificate checker is no gauge-theory solver); a sum's is ``Derived``.
 """
 
 from __future__ import annotations
@@ -140,11 +143,6 @@ class GramLattice:
         """The lattice as one block, so it reads like a :class:`BlockLattice`."""
         return ((self, 1),)
 
-    def inertia(self) -> tuple[int, int, int]:
-        if self.rank == 0:
-            return (0, 0, 0)
-        return exact.inertia(self.gram)
-
 
 @dataclass(frozen=True)
 class BlockLattice:
@@ -173,19 +171,20 @@ class BlockLattice:
             piece += count
         return tuple(labels)
 
-    def _distinct_grams(self) -> dict:
-        return tally((block.gram, count) for block, count in self.blocks if block.rank)
-
-    def inertia(self) -> tuple[int, int, int]:
-        """Sylvester inertia, one ``exact.inertia`` call per distinct block."""
-        pos = neg = zero = 0
-        for gram, count in self._distinct_grams().items():
-            p, n, z = exact.inertia(gram)
-            pos, neg, zero = pos + count * p, neg + count * n, zero + count * z
-        return pos, neg, zero
-
 
 Lattice = Union[GramLattice, BlockLattice]
+
+
+def lattice_inertia(lattice: Lattice) -> tuple[int, int, int]:
+    """Sylvester inertia (positive, negative, zero), one ``exact.inertia``
+    call per distinct block: an orthogonal sum's inertia is the
+    count-weighted sum of its blocks'."""
+    pos = neg = zero = 0
+    for gram, count in tally((block.gram, count) for block, count in lattice.blocks
+                             if block.rank).items():
+        p, n, z = exact.inertia(gram)
+        pos, neg, zero = pos + count * p, neg + count * n, zero + count * z
+    return pos, neg, zero
 
 
 @dataclass(frozen=True)
@@ -206,19 +205,8 @@ class SpinCStructure:
     sw_parity: Parity = Parity.UNKNOWN
     parity_provenance: Provenance = Provenance.DERIVED
 
-    def odd_s_entry(self) -> Optional[tuple[int, int]]:
-        """The first odd entry of the s-matrix in row-major order, if any (an
-        entry below the diagonal has an odd mirror image that comes first)."""
-        return next(((i, j) for i, j, x in self.s_entries if x % 2), None)
-
     def s_matrix_even(self) -> bool:
-        return self.odd_s_entry() is None
-
-    def c1_mod4_zero(self) -> Optional[bool]:
-        """Whether c1 maps to zero in H^2(X; Z/4); None when no vector is stored."""
-        if self.c1 is None:
-            return None
-        return all(x % 4 == 0 for x in self.c1)
+        return all(x % 2 == 0 for _, _, x in self.s_entries)
 
     @property
     def blocks(self) -> tuple[tuple["SpinCStructure", int], ...]:
@@ -230,16 +218,21 @@ class SpinCStructure:
 class BlockSpinC:
     """A spin-c structure on a connected sum, by blocks.
 
-    Each block is an atom's own canonical structure, or its conjugate for a
-    sign -1 run, repeated ``count`` times in piece order, matching the blocks
-    of the sum's :class:`BlockLattice`.  The sum's parity is its own field;
-    the blocks keep their atoms'.  ``c1`` is the dense vector, built on
-    request, and None when any block has no vector.
+    Each block is an atom's own canonical structure, or its conjugate,
+    repeated ``count`` times in piece order, one block per block of the sum's
+    :class:`BlockLattice`.  The sum's parity is derived from the blocks',
+    which keep their atoms'.  ``c1`` is the dense vector, built on request,
+    and None when any block has no vector.
     """
 
     blocks: tuple[tuple[SpinCStructure, int], ...]
-    sw_parity: Parity = Parity.UNKNOWN
-    parity_provenance: Provenance = Provenance.DERIVED
+    parity_provenance = Provenance.DERIVED  # a constant, not a field
+
+    @property
+    def sw_parity(self) -> Parity:
+        """Odd exactly when every block's parity is Odd, else Unknown."""
+        odd = all(g.sw_parity is Parity.ODD for g, _ in self.blocks)
+        return Parity.ODD if odd else Parity.UNKNOWN
 
     @property
     def c1_squared(self) -> int:
@@ -255,24 +248,15 @@ class BlockSpinC:
     def s_size(self) -> int:
         return sum(g.s_size * count for g, count in self.blocks)
 
-    def odd_s_entry(self) -> Optional[tuple[int, int]]:
-        """The first odd entry of the dense s-matrix in row-major order."""
-        offset = 0
-        for g, count in self.blocks:
-            if (entry := g.odd_s_entry()) is not None:
-                return offset + entry[0], offset + entry[1]
-            offset += g.s_size * count
-        return None
-
-    def s_matrix_even(self) -> bool:
-        return self.odd_s_entry() is None
-
-    def c1_mod4_zero(self) -> Optional[bool]:
-        answers = [g.c1_mod4_zero() for g, _ in self.blocks]
-        return None if None in answers else all(answers)
-
 
 SpinC = Union[SpinCStructure, BlockSpinC]
+
+
+def c1_mod4_zero(g: SpinC) -> Optional[bool]:
+    """Whether c1 maps to zero in H^2(X; Z/4); None when a block has no vector."""
+    if any(s.c1 is None for s, _ in g.blocks):
+        return None
+    return all(x % 4 == 0 for s, _ in g.blocks for x in s.c1)
 
 
 @dataclass(frozen=True)
@@ -328,27 +312,17 @@ def s_rows(g: SpinC) -> SparseMatrix:
 
 def _c1_norm(lattice: Lattice, g: SpinC) -> Optional[Fraction]:
     """c1^2 in the lattice, one ``exact.quadratic_form`` call per distinct
-    (block, c1 block) pair; None when a c1 block does not fit its piece.
+    (block, c1 block) pair; None when a c1 block does not fit its lattice block.
 
-    Both block sequences count pieces, so they are walked together; a run of
-    c1 blocks may split a lattice block, as a hand-built structure's sign runs may.
+    A sum builds both block sequences from the same atoms with the same
+    counts, and an atom has one block of each, so they pair one to one.
     """
-    distinct: dict = {}
-    c1_runs = iter(g.blocks)
-    s, left = None, 0
-    for block, count in lattice.blocks:
-        while count:
-            if not left:
-                s, left = next(c1_runs, (None, 0))
-            if s is None or len(s.c1) != block.rank:
-                return None
-            take = min(count, left)
-            if block.rank:
-                key = (block.gram, s.c1)
-                distinct[key] = distinct.get(key, 0) + take
-            count, left = count - take, left - take
-    if left or next(c1_runs, None) is not None:
+    pairs = tuple(zip(lattice.blocks, g.blocks))
+    if len(lattice.blocks) != len(g.blocks) or any(
+            n != count or len(s.c1) != block.rank for (block, count), (s, n) in pairs):
         return None
+    distinct = tally(((block.gram, s.c1), count) for (block, count), (s, _) in pairs
+                     if block.rank)
     return sum((n * exact.quadratic_form(gram, c1) for (gram, c1), n in distinct.items()),
                Fraction(0))
 
@@ -406,9 +380,6 @@ class Manifold:
             return None
         return sum(k * (g - 1) * (h - 1) for (k, g, h) in self.sv_factors)
 
-    def __str__(self) -> str:
-        return self.name
-
     # Equal manifolds have equal names, so the name hash agrees with the
     # field-wise ``__eq__``; it never walks the lattice or spin-c data, and
     # CPython caches a str's hash.
@@ -446,7 +417,7 @@ def validate(m: Manifold) -> list[str]:
         problems.append("simply connected manifold must have b1 = 0")
 
     if m.lattice is not None:
-        pos, neg, _ = m.lattice.inertia()
+        pos, neg, _ = lattice_inertia(m.lattice)
         if pos > c.b_plus:
             problems.append(f"lattice has {pos} positive directions but b+ = {shown(c.b_plus)}")
         if neg > c.b_minus:
@@ -489,7 +460,7 @@ def validate(m: Manifold) -> list[str]:
                 break
 
     if Flag.C1_MOD4_ZERO in m.flags and m.spinc_structures:
-        mod4 = m.spinc_structures[0].c1_mod4_zero()
+        mod4 = c1_mod4_zero(m.spinc_structures[0])
         if mod4 is False:
             problems.append("C1Mod4Zero flag set but canonical c1 has a coordinate != 0 mod 4")
 

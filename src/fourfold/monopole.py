@@ -42,9 +42,6 @@ class Inconclusive:
 
     reason: str
 
-    def __bool__(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class SignVectors:

@@ -15,8 +15,9 @@ signature adds; chi = sum(chi_i) - 2(n-1); spin and simple connectivity hold
 iff they hold for every piece.  Lattices add orthogonally (a
 ``BlockLattice`` of the atom lattices with their counts), canonical first
 Chern data adds blockwise, the half-triple-product matrices add as blocks
-(a ``BlockSpinC``), and the asserted SW parity of the canonical structure is
-Odd exactly when it is Odd for every piece.  No dense matrix of a sum is
+(a ``BlockSpinC``, whose SW parity is derived from its blocks: Odd exactly
+when it is Odd for every piece).  Certificates read the evenness of the
+half-triple-product matrix from the pieces.  No dense matrix of a sum is
 built: its JSON form prints the matrices from their nonzero entries, and
 its c1 vector and basis labels are spelled out only on request (see
 ``fourfold.model``).
@@ -41,8 +42,6 @@ from fourfold.model import (
     Flag,
     Lattice,
     Manifold,
-    Parity,
-    Provenance,
     SpinCStructure,
     flatten,
     tally,
@@ -69,15 +68,6 @@ def _multiset(parts: Sequence[Manifold], counts: Sequence[int]) -> Multiset:
 
 def _record_name(record: Sequence[tuple[str, int]]) -> str:
     return " # ".join(name if mult == 1 else f"{mult}*{name}" for name, mult in record)
-
-
-def _sum_spinc(blocks: Sequence[tuple[SpinCStructure, int]]) -> BlockSpinC:
-    """The structure #(+/-Gamma_i) from its (structure, count) blocks in piece
-    order, each an atom's own canonical structure (all signs +); its
-    parity is Odd exactly when every block's is."""
-    odd = all(g.sw_parity is Parity.ODD for g, _ in blocks)
-    return BlockSpinC(blocks=tuple(blocks), sw_parity=Parity.ODD if odd else Parity.UNKNOWN,
-                      parity_provenance=Provenance.DERIVED)
 
 
 def _assemble(summands: Multiset) -> Manifold:
@@ -121,7 +111,7 @@ def _assemble(summands: Multiset) -> Manifold:
             names.append((a.name, n))
 
     lattice = None if lattices is None else BlockLattice(tuple(lattices))
-    spinc = () if structures is None else (_sum_spinc(structures),)
+    spinc = () if structures is None else (BlockSpinC(tuple(structures)),)
     shared = frozenset.intersection(*(a.flags for a, _ in summands))
     flags: set[Flag] = set()
     if Flag.HAS_PSC_METRIC in shared:
@@ -159,8 +149,6 @@ def connected_sum(parts: Sequence[Manifold],
         raise SurgeryError(f"{len(counts)} counts for {len(parts)} parts")
     if any(n < 1 for n in counts):
         raise SurgeryError(f"summand counts must be >= 1, got {min(counts)}")
-    if len(parts) == 1 and counts[0] == 1 and not parts[0].summands:
-        return parts[0]
     summands = _multiset(parts, counts)
     if len(summands) == 1 and summands[0][1] == 1:
         return summands[0][0]

@@ -676,7 +676,9 @@ def conjugate(g):
 def sum_spinc(m, signs):
     """The spin-c structure #(+/-Gamma_i) on the connected sum ``m`` for a
     sign vector over its pieces: a ``BlockSpinC`` with one block per run of
-    equal signs within an atom's copies, Odd when every piece is."""
+    equal signs within an atom's copies, Odd when every piece is.  A run
+    that splits an atom's copies splits its lattice block too, so
+    ``validate`` reports such a structure's c1 vector as not fitting it."""
     summands = m.atom_counts()
     n = m.piece_count()
     if len(signs) != n:
@@ -692,9 +694,7 @@ def sum_spinc(m, signs):
         for sign, run in itertools.groupby(signs[start:start + count]):
             blocks.append((g if sign == 1 else conjugate(g), sum(1 for _ in run)))
         start += count
-    odd = all(g.sw_parity is Parity.ODD for g, _ in blocks)
-    return BlockSpinC(blocks=tuple(blocks), sw_parity=Parity.ODD if odd else Parity.UNKNOWN,
-                      parity_provenance=Provenance.DERIVED)
+    return BlockSpinC(tuple(blocks))
 
 
 def all_sign_spinc(m):

@@ -25,8 +25,10 @@ from oracles import (
     all_sign_spinc,
     classify_c1_zero_types,
     conjugate,
+    dense_first_odd,
     dirac_index,
     parity_equivalence,
+    s_matrix,
 )
 
 K3 = catalog_get("K3")
@@ -112,9 +114,11 @@ def test_condition_star():
     # no odd half-triple-product.
     for m in (SIGMA33, T4):
         g = m.canonical_spinc
-        assert dirac_index(m, g) % 2 == 0 and g.odd_s_entry() is None
+        assert dirac_index(m, g) % 2 == 0 and dense_first_odd(s_matrix(g)) is None
+        assert g.s_matrix_even()
     bad = replace(T4.canonical_spinc, s_entries=((0, 1, 1),))
-    assert dirac_index(T4, bad) % 2 == 0 and bad.odd_s_entry() == (0, 1)
+    assert dirac_index(T4, bad) % 2 == 0 and dense_first_odd(s_matrix(bad)) == (0, 1)
+    assert not bad.s_matrix_even()
 
 
 def test_theorem_a_examples():

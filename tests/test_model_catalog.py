@@ -229,7 +229,7 @@ def test_sparse_s_matrix_matches_dense_rows(rows):
     assert s_matrix(g) == rows
     assert s_matrix(conjugate(g)) == dense_negation(rows)
     assert g.s_matrix_even() == dense_even(rows)
-    assert g.odd_s_entry() == dense_first_odd(rows)
+    assert dense_first_odd(s_matrix(g)) == dense_first_odd(rows)
 
 
 def test_load_catalog_file(tmp_path):

@@ -10,12 +10,22 @@ name keep each other alive) but never misses a caller.  A name spelled only
 inside a dunder other than a constructor does not count: an operator method
 is reached only when a production path applies the operator, and the test
 for that is the operator check below.
+
+Because a same-named method elsewhere counts as a caller, the reach test at
+the end runs a fixed list of CLI commands in process under ``sys.setprofile``
+and requires every function and method, dunders included, to be entered.
 """
 
 import ast
+import contextlib
+import importlib
+import io
+import json
+import sys
 from pathlib import Path
 
 import fourfold
+from fourfold import cli
 
 SRC = Path(fourfold.__file__).resolve().parent
 MODULES = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
@@ -111,3 +121,107 @@ def test_no_class_defines_an_arithmetic_or_ordering_operator():
                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
                and sub.name in OPERATORS]
     assert defined == []
+
+
+# -- reach: which functions a fixed list of CLI commands enters ---------------
+
+# Kept although no command below enters them, each for its reason.
+UNREACHED = {
+    "exact.solve_unique": "bench/tracer.py wraps it and requires it to exist",
+    "monopole.MonopoleClassSet.classes": "bench/tracer.py counts len(result.classes)",
+    "monopole.SignVectors.__len__": "bench/tracer.py counts len(result.classes)",
+    "monopole.SignVectors.__iter__": "the lazy view of the classes bench/tracer.py counts",
+    "monopole.SignVectors.__contains__": "the lazy view of the classes bench/tracer.py counts",
+    "symbolic.SymbolicValue.__setattr__": "the immutability guard: no code assigns a field",
+    "symbolic.SymbolicValue.__eq__": "the tests compare values",
+    "symbolic.SymbolicValue.__hash__": "the tests compare values",
+    "symbolic.SymbolicValue.__repr__": "pytest prints the values that differ with it",
+}
+
+# A custom atom with a lattice and a c1 vector, for --catalog.
+_CUSTOM_CATALOG = {"version": 1, "manifolds": [{
+    "version": 1, "name": "Xl", "b1": 0, "b_plus": 1, "b_minus": 1,
+    "is_spin": False, "is_simply_connected": True, "flags": [],
+    "lattice": {"basis": ["u", "v"], "gram": [[0, 1], [1, 0]]},
+    "spinc": [{"c1": [2, 2], "c1_squared": 8, "s_matrix": [],
+               "sw_parity": "Unknown", "provenance": "Derived"}],
+    "sv_factors": [], "summand_record": [["Xl", 1]],
+}]}
+
+_EXPRS = ("2*Sigma(3,3)", "2*Sigma(3,3) # 18*CP2bar", "Sigma(3,3) # K3 # 2*S1xS3",
+          "K3 # Kodaira # CP2bar", "3*K3 # T4", "5*K3", "CP2 # 4*CP2bar", "Gompf(2,1) # K3")
+
+
+def _commands(catalog_path: str) -> list[list[str]]:
+    commands = [["catalog"], ["catalog", "Y(2)"], ["frobnicate"], ["build", "K3 #"],
+                ["--catalog", catalog_path, "catalog"],
+                ["--catalog", catalog_path, "build", "Xl # K3"],
+                ["--catalog", catalog_path, "check", "exotic", "Xl # Kodaira"],
+                ["--approx", "invariants", "2*Sigma(3,3) # CP2bar", "--k", "2/3",
+                 "--c4", "7/3"],
+                ["search", "--mode", "spin", "--g", "3", "--h", "3", "--mmax", "4",
+                 "--nmax", "6", "--c4", "1"],
+                ["search", "--mode", "nonspin", "--g", "3", "--h", "5", "--mmax", "3",
+                 "--nmax", "3"]]
+    for expr in _EXPRS:
+        commands += [["build", expr], ["invariants", expr], ["beta2", expr]]
+        commands += [["check", theorem, expr] for theorem in cli.CHECK_IDS]
+        commands.append(["check", "ght", expr, "--non-strict", "--c4", "7/3"])
+    return commands
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone; it has no ``fileno``, so
+    ``_detach_stdout`` leaves the real file descriptor 1 alone."""
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError
+
+
+def _code_objects() -> dict:
+    """The code object of every top-level function and method of
+    ``src/fourfold`` -> its dotted name; functions with a cache are cleared,
+    so that their bodies run again."""
+    codes = {}
+    for mod, tree in MODULES.items():
+        module = importlib.import_module(f"fourfold.{mod}" if mod != "__init__" else "fourfold")
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                found = [(f"{mod}.{node.name}", getattr(module, node.name))]
+            elif isinstance(node, ast.ClassDef):
+                cls = getattr(module, node.name)
+                found = [(f"{mod}.{node.name}.{sub.name}", cls.__dict__[sub.name])
+                         for sub in node.body if isinstance(sub, ast.FunctionDef)]
+            else:
+                continue
+            for dotted, fn in found:
+                fn = getattr(fn, "fget", None) or getattr(fn, "__func__", None) or fn
+                if hasattr(fn, "cache_clear"):
+                    fn.cache_clear()
+                codes[getattr(fn, "__wrapped__", fn).__code__] = dotted
+    return codes
+
+
+def test_every_function_and_method_is_entered_by_a_cli_command(tmp_path):
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps(_CUSTOM_CATALOG))
+    codes = _code_objects()
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            entered.add(codes[frame.f_code])
+
+    out, previous = io.StringIO(), sys.getprofile()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        sys.setprofile(profile)
+        try:
+            for argv in _commands(str(path)):
+                cli.main(argv)
+            with contextlib.redirect_stdout(_ClosedPipe()):
+                cli.main(["catalog"])
+        finally:
+            sys.setprofile(previous)
+    assert set(UNREACHED) <= set(codes.values())
+    missed = sorted(set(codes.values()) - entered - set(UNREACHED))
+    assert not missed, "no command entered " + ", ".join(missed)

@@ -10,7 +10,7 @@ from fourfold.exact import quadratic_form
 from fourfold.model import Flag, Parity
 from fourfold.surgery import connected_sum, split_blowdown
 
-from oracles import all_sign_spinc, dense_gram, s_matrix, sum_spinc
+from oracles import all_sign_spinc, dense_even, dense_gram, s_matrix, sum_spinc
 
 K3 = catalog_get("K3")
 SIGMA33 = catalog_get("Sigma(3,3)")
@@ -67,7 +67,7 @@ def test_lattice_direct_sum_and_c1():
 def test_s_matrix_block_sum():
     s = connected_sum([KODAIRA, SIGMA33])
     assert len(s_matrix(s.canonical_spinc)) == 15  # 3 + 12
-    assert s.canonical_spinc.s_matrix_even()
+    assert dense_even(s_matrix(s.canonical_spinc))
 
 
 def test_parity_rule():
@@ -140,7 +140,7 @@ def test_sign_choice_iterator():
     assert len({signs for signs, _ in choices}) == 8
     for _, g in choices:
         assert g.c1_squared == 32  # sign flips never change c1^2
-        assert g.s_matrix_even()
+        assert dense_even(s_matrix(g))
 
 
 def test_sum_spinc_flips_blocks():
