@@ -94,18 +94,22 @@ def _rational(raw: str, source: str) -> Fraction:
         raise FourfoldError(f"bad {source} value {shown}: not a rational number") from None
 
 
-def _rendered(source: str, raw: str, render: Callable[[], dict]) -> dict:
-    """``render()`` of a report part derived from an option value.
+def _rendered(part: str, source: str, raw: Optional[str],
+              render: Callable[[], dict]) -> dict:
+    """``render()`` of the report part ``part``, derived from the value
+    ``raw`` of an option (None when it is not given).
 
     A value under the int-str limit can still give a derived number over it
     (16 * factor * c4, k * Y); printing that number raises ValueError, which
-    is refused here in the name of the option, as a ``CapacityError``.
+    is refused here as a ``CapacityError`` in the name of the option, or of
+    the part when no option was given.
     """
     try:
         return render()
     except ValueError:
-        raise CapacityError(f"bad {source} value {errors.shown(repr(raw))}: a derived number has "
-                            f"more than {_int_str_limit()} digits") from None
+        cause = (f"{part} has" if raw is None else
+                 f"bad {source} value {errors.shown(repr(raw))}: a derived number has")
+        raise CapacityError(f"{cause} more than {_int_str_limit()} digits") from None
 
 
 # Built once per process: argparse holds no state between parse calls, and
@@ -273,7 +277,21 @@ def _indented(value, pad: str = "\n"):
         yield pad + "]"
 
 
+# The C encoder (no indent), with each matrix left out as null: one fast pass
+# that prints every other int of a report, as ``_emit`` needs.
+_PROBE_ENCODER = json.JSONEncoder(check_circular=False, default=lambda matrix: None)
+
+
 def _emit(doc: dict) -> None:
+    """Write ``doc`` as an indented report.  A report holding an int past the
+    int-str limit, which could not be printed, is refused before its first
+    byte is written: the probe encoding raises ValueError where printing would.
+    Matrix entries are atom data, already bounded."""
+    try:
+        _PROBE_ENCODER.encode(doc)
+    except ValueError:
+        raise CapacityError("the report holds a number with more than "
+                            f"{_int_str_limit()} digits") from None
     write = sys.stdout.write
     for chunk in _indented(doc):
         write(chunk)
@@ -305,11 +323,17 @@ def _beta2_report(split: surgery.Split) -> dict:
         orbit = monopole.monopole_classes_for_sum(split)
     except FourfoldError as exc:
         return {"inconclusive": str(exc)}
+    classes = 2 ** orbit.rank
+    try:
+        str(classes)
+    except ValueError:  # past the int-str limit: the count could not be printed
+        return {"inconclusive": f"a sign orbit of {orbit.rank} generators has 2^{orbit.rank} "
+                                f"classes, a count of more than {_int_str_limit()} digits"}
     value, witness = monopole.beta_squared_with_witness(orbit)
     return {
         "value": str(value),
         "witness": [str(x) for x in witness],
-        "classes": 2 ** orbit.rank,
+        "classes": classes,
         "gram_diagonal": list(orbit.squares),
     }
 
@@ -350,14 +374,16 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         doc["K"] = _sym_json(inv.K, approx)
     lam = monopole.lambda_bar_k(m, inv, k)
     doc["lambda_k"] = {"k": str(k),
-                       "value": _rendered("--k", args.k, lambda: _sym_json(lam, approx))}
+                       "value": _rendered("lambda_k", "--k", args.k,
+                                          lambda: _sym_json(lam, approx))}
     doc["Ir"] = _sym_json(monopole.invariant_Ir(split), approx)
 
     doc["beta_squared"] = _beta2_report(split)
 
     sv = einstein.simplicial_volume(m, c4)
     doc["sv_interval"] = ({"inconclusive": sv.reason} if isinstance(sv, Inconclusive)
-                          else _rendered(*_c4_option(args), sv.to_json))
+                          else _rendered("an end of the simplicial-volume interval",
+                                         *_c4_option(args), sv.to_json))
     _emit(doc)
     return EXIT_OK
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from fourfold import exact
 from fourfold.catalog import catalog_get
 from fourfold.certify import (
     Certificate,
@@ -399,7 +398,7 @@ def _l_range(mode: str, n: int, big_g: int) -> tuple[int, int]:
     last = w(2n + G - 3), past which the first inequality cannot hold.
     """
     w = _MODES[mode][0]
-    return (max(1, exact.ceil_fraction(Fraction(w * (2 * n + big_g), 3) - 3 * w)),
+    return (max(1, -(-(w * (2 * n + big_g) - 9 * w) // 3)),
             w * (2 * n + big_g - 3))
 
 

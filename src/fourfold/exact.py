@@ -1,40 +1,26 @@
-"""Small exact linear algebra over the rationals.
-
-Everything here operates on plain nested sequences of ``Fraction`` (or ints,
-which are promoted).  The systems that arise are small -- Gram matrices of
-the tracked lattices, and the stationarity systems on polytope faces that
-the tests' beta^2 face oracle solves -- so straightforward fraction-free-ish
-Gaussian elimination is both fast enough and exactly correct.
+"""Small exact linear algebra: the lattice checks run in the integers they are
+given.  ``quadratic_form`` is one sum of products and ``inertia`` eliminates by
+fraction-free Schur complements; both take rationals too.  ``solve_unique``
+eliminates over ``Fraction`` for the stationarity systems of the tests' beta^2
+face oracle.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-Matrix = list[list[Fraction]]
-Vector = list[Fraction]
+
+def quadratic_form(gram: Sequence[Sequence[int | Fraction]],
+                   x: Sequence[int | Fraction]) -> int | Fraction:
+    """x^T G x, exactly: an int for int entries, a Fraction for rational ones."""
+    return sum(xi * sum(g * xj for g, xj in zip(row, x, strict=True))
+               for row, xi in zip(gram, x, strict=True))
 
 
-def to_fraction_matrix(rows: Sequence[Sequence[int | Fraction]]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(x, y, strict=True)), Fraction(0))
-
-
-def mat_vec(a: Sequence[Sequence[int | Fraction]], x: Sequence[int | Fraction]) -> Vector:
-    return [sum((Fraction(aij) * Fraction(xj) for aij, xj in zip(row, x, strict=True)), Fraction(0)) for row in a]
-
-
-def quadratic_form(gram: Sequence[Sequence[int | Fraction]], x: Sequence[int | Fraction]) -> Fraction:
-    """x^T G x, exactly."""
-    gx = mat_vec(gram, x)
-    return dot([Fraction(v) for v in x], gx)
-
-
-def solve_unique(a: Sequence[Sequence[int | Fraction]], b: Sequence[int | Fraction]) -> Optional[Vector]:
+def solve_unique(a: Sequence[Sequence[int | Fraction]],
+                 b: Sequence[int | Fraction]) -> Optional[list[Fraction]]:
     """Solve A x = b over Q.  Returns None unless the solution exists and is unique.
 
     Singular systems are deliberately rejected: the polytope maximizers only
@@ -62,60 +48,39 @@ def solve_unique(a: Sequence[Sequence[int | Fraction]], b: Sequence[int | Fracti
 def inertia(gram: Sequence[Sequence[int | Fraction]]) -> tuple[int, int, int]:
     """Sylvester inertia (positive, negative, zero) of a symmetric matrix over Q.
 
-    Computed by symmetric congruence reduction; no floating point anywhere.
+    Schur complement: for d = A[k][k] != 0, clearing row and column k is a
+    congruence A ~ (d) + S, S = A' - b b^T / d (A' is A less row and column k,
+    b is column k less entry k), so inertia(A) is sign(d) plus inertia(S).
+    With an all-zero diagonal and a_0j != 0, the congruence e_0 -> e_0 + e_j
+    puts 2 a_0j on the diagonal; a zero row 0 is one null direction.
+
+    In integers, as Bareiss eliminates: a rational A is first scaled by the
+    lcm of its denominators, and the matrix kept is M = q S, q the last pivot
+    (1 at first).  With p = M[k][k], the next M, p times the next S, is
+    (p M' - b b^T) / q: exact, as M's entries are minors of integer matrices
+    congruent to A.  The pivot p / q of S has the sign of p q.
     """
     n = len(gram)
-    a = to_fraction_matrix(gram)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i][j] != a[j][i]:
-                raise ValueError("inertia requires a symmetric matrix")
-    pos = neg = zero = 0
-
-    def swap(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    k = 0
-    size = n
-    while k < size:
-        # Bring a nonzero entry to the (k,k) pivot position.
-        if a[k][k] == 0:
-            r = next((i for i in range(k + 1, size) if a[i][i] != 0), None)
-            if r is not None:
-                swap(k, r)
-            else:
-                j = next((i for i in range(k + 1, size) if a[k][i] != 0), None)
-                if j is None:
-                    zero += 1
-                    # Entirely zero row/column: drop it.
-                    del a[k]
-                    for row in a:
-                        del row[k]
-                    size -= 1
-                    continue
-                # All-zero diagonal but a[k][j] != 0: adding row/col j into
-                # row/col k puts 2*a[k][j] on the diagonal (a congruence).
-                for c in range(size):
-                    a[k][c] += a[j][c]
-                for r2 in range(size):
-                    a[r2][k] += a[r2][j]
-        d = a[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, size):
-            f = a[i][k] / d
-            if f != 0:
-                for j2 in range(size):
-                    a[i][j2] -= f * a[k][j2]
-                for j2 in range(size):
-                    a[j2][i] -= f * a[j2][k]
-        k += 1
-    return pos, neg, zero
-
-
-def ceil_fraction(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
+    if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i + 1, n)):
+        raise ValueError("inertia requires a symmetric matrix")
+    den = math.lcm(*(x.denominator for row in gram for x in row))
+    m = [[x.numerator * (den // x.denominator) for x in row] for row in gram]
+    pos, zero, q = 0, 0, 1
+    while m:
+        k = next((i for i, row in enumerate(m) if row[i]), None)
+        if k is None:
+            j = next((j for j, x in enumerate(m[0]) if x), None)
+            if j is None:
+                zero += 1
+                m = [row[1:] for row in m[1:]]
+                continue
+            m[0] = [x + y for x, y in zip(m[0], m[j])]
+            for row in m:
+                row[0] += row[j]
+            k = 0
+        p, b = m[k][k], m[k]
+        pos += (p > 0) == (q > 0)
+        m = [[(p * x - bi * bj) // q for j, (x, bj) in enumerate(zip(row, b)) if j != k]
+             for i, (row, bi) in enumerate(zip(m, b)) if i != k]
+        q = p
+    return pos, n - pos - zero, zero

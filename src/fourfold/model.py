@@ -46,7 +46,6 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Hashable, Iterable, Optional, Sequence, Union
 
 from fourfold import exact
@@ -310,7 +309,7 @@ def s_rows(g: SpinC) -> SparseMatrix:
     return _block_rows((_s_block(block), count) for block, count in g.blocks)
 
 
-def _c1_norm(lattice: Lattice, g: SpinC) -> Optional[Fraction]:
+def _c1_norm(lattice: Lattice, g: SpinC) -> Optional[int]:
     """c1^2 in the lattice, one ``exact.quadratic_form`` call per distinct
     (block, c1 block) pair; None when a c1 block does not fit its lattice block.
 
@@ -323,8 +322,7 @@ def _c1_norm(lattice: Lattice, g: SpinC) -> Optional[Fraction]:
         return None
     distinct = tally(((block.gram, s.c1), count) for (block, count), (s, _) in pairs
                      if block.rank)
-    return sum((n * exact.quadratic_form(gram, c1) for (gram, c1), n in distinct.items()),
-               Fraction(0))
+    return sum(n * exact.quadratic_form(gram, c1) for (gram, c1), n in distinct.items())
 
 
 @dataclass(frozen=True)

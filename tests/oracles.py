@@ -10,10 +10,12 @@ of pi^2, the division-based pi^2 decision divides where the library
 cross-multiplies and takes a fixed enclosure of pi^2 (50 digits, coarse, or
 1,100 digits from mpmath) where the library refines its own, the
 Fraction-based Gromov-Hitchin-Thorpe and corollary certificates build the
-rational right-hand sides the library clears into integers, the flattened connected
-sum assembles one copy of every piece into a dense Gram matrix, c1 vector
-and s-matrix, the dense block-diagonal builders spell out the Gram matrix
-and s-matrix that the library keeps as blocks of nonzero entries, and
+rational right-hand sides the library clears into integers, the congruence
+reduction over ``Fraction`` finds the inertia the library finds by integer
+Schur complements, the flattened connected sum assembles one copy of every
+piece into a dense Gram matrix, c1 vector and s-matrix, the dense
+block-diagonal builders spell out the Gram matrix and s-matrix that the
+library keeps as blocks of nonzero entries, and
 ``json.dump(indent=2)`` writes, from those dense rows, the reports the CLI
 streams through its own indenting writer.
 
@@ -420,6 +422,65 @@ def nonspin_tuple_certified(m: int, n: int, l2: int, g: int, h: int,
     return bool(in1 and in2 and in3)
 
 
+# -- congruence reduction over Fraction: reference for the integer inertia ----
+
+
+def fraction_inertia(gram):
+    """Sylvester inertia (positive, negative, zero) of a symmetric matrix over
+    Q by symmetric congruence reduction in place, every entry a Fraction."""
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if a[i][j] != a[j][i]:
+                raise ValueError("inertia requires a symmetric matrix")
+    pos = neg = zero = 0
+
+    def swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+
+    k = 0
+    size = n
+    while k < size:
+        # Bring a nonzero entry to the (k,k) pivot position.
+        if a[k][k] == 0:
+            r = next((i for i in range(k + 1, size) if a[i][i] != 0), None)
+            if r is not None:
+                swap(k, r)
+            else:
+                j = next((i for i in range(k + 1, size) if a[k][i] != 0), None)
+                if j is None:
+                    zero += 1
+                    # Entirely zero row/column: drop it.
+                    del a[k]
+                    for row in a:
+                        del row[k]
+                    size -= 1
+                    continue
+                # All-zero diagonal but a[k][j] != 0: adding row/col j into
+                # row/col k puts 2*a[k][j] on the diagonal (a congruence).
+                for c in range(size):
+                    a[k][c] += a[j][c]
+                for r2 in range(size):
+                    a[r2][k] += a[r2][j]
+        d = a[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, size):
+            f = a[i][k] / d
+            if f != 0:
+                for j2 in range(size):
+                    a[i][j2] -= f * a[k][j2]
+                for j2 in range(size):
+                    a[j2][i] -= f * a[j2][k]
+        k += 1
+    return pos, neg, zero
+
+
 # -- the flattened dense connected sum: reference for the multiset sum -------
 
 _ASD_PSC_ATOMS = {"CP2bar", "S1xS3"}
@@ -719,5 +780,6 @@ def to_text(node):
 
 
 def pairing(gram, x, y):
-    """x^T G y, exactly."""
-    return exact.dot([Fraction(v) for v in x], exact.mat_vec(gram, y))
+    """x^T G y, exactly, as a Fraction."""
+    return sum((Fraction(xi) * g * yj for row, xi in zip(gram, x, strict=True)
+                for g, yj in zip(row, y, strict=True)), Fraction(0))

@@ -656,6 +656,44 @@ def test_bad_rational_option_is_named(capsys, monkeypatch, argv, env, source):
     assert len(err) < 140  # at most 40 characters of the value are quoted
 
 
+def test_sv_interval_past_the_int_str_limit_without_c4_names_the_interval(capsys, monkeypatch):
+    monkeypatch.delenv("FOURFOLD_C4", raising=False)
+    g = "9" * 2500
+    code, out, err = _run(capsys, "invariants", f"Sigma({g},{g})")
+    assert (code, out) == (1, "")
+    assert err == ("fourfold: error: an end of the simplicial-volume interval has more "
+                   f"than {_INT_STR_LIMIT} digits\n")
+
+
+# The least orbit rank r whose class count 2^r has more digits than the limit.
+_UNPRINTABLE_RANK = (10 ** _INT_STR_LIMIT).bit_length()
+
+
+def test_orbit_whose_class_count_cannot_print_is_inconclusive(capsys, schema):
+    expr = f"K3 # K3 # {_UNPRINTABLE_RANK - 2}*CP2bar"
+    code, out, err = _run(capsys, "beta2", expr)
+    assert (code, err) == (2, "")
+    (doc,) = _validate_lines(schema, out)
+    assert doc["beta_squared"] == {"inconclusive": (
+        f"a sign orbit of {_UNPRINTABLE_RANK} generators has 2^{_UNPRINTABLE_RANK} "
+        f"classes, a count of more than {_INT_STR_LIMIT} digits")}
+    # one generator fewer, and the count prints
+    code, out, err = _run(capsys, "beta2", f"K3 # K3 # {_UNPRINTABLE_RANK - 3}*CP2bar")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["beta_squared"]["classes"] == 2 ** (_UNPRINTABLE_RANK - 1)
+
+
+@pytest.mark.parametrize("expr", [
+    "9" * (_INT_STR_LIMIT - 1) + "*Gompf(2,0)",  # b- = 39 * that count
+    "Y(" + "9" * _INT_STR_LIMIT + ")",  # a c1 entry 2l
+], ids=["b_minus", "c1_entry"])
+def test_report_holding_an_unprintable_int_writes_nothing(capsys, expr):
+    code, out, err = _run(capsys, "build", expr)
+    assert (code, out) == (1, "")
+    assert err == ("fourfold: error: the report holds a number with more than "
+                   f"{_INT_STR_LIMIT} digits\n")
+
+
 def test_rational_options_up_to_the_int_str_limit_parse():
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     assert cli._rational(f"1e{limit - 2}", "--c4") == 10 ** (limit - 2)

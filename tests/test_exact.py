@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fourfold.exact import (
-    ceil_fraction,
     inertia,
     quadratic_form,
     solve_unique,
 )
+
+from oracles import fraction_inertia, pairing
 
 
 def test_solve_unique_basic():
@@ -105,9 +106,57 @@ def test_inertia_congruence_invariant(n, seed):
 def test_quadratic_form():
     assert quadratic_form([[0, 1], [1, 0]], [2, 3]) == 12
     assert quadratic_form([[32, 0], [0, 32]], [1, -1]) == 64
+    q = quadratic_form([[Fraction(1, 2), 0], [0, 1]], [1, Fraction(1, 3)])
+    assert q == Fraction(11, 18) and type(q) is Fraction
 
 
-def test_ceil_floor_fraction():
-    assert ceil_fraction(Fraction(7, 3)) == 3
-    assert ceil_fraction(Fraction(-7, 3)) == -2
-    assert ceil_fraction(Fraction(6, 3)) == 2
+@given(st.lists(st.lists(st.integers(-10**12, 10**12), min_size=4, max_size=4),
+                min_size=4, max_size=4),
+       st.lists(st.integers(-10**12, 10**12), min_size=4, max_size=4))
+def test_quadratic_form_of_ints_is_the_int_pairing(gram, x):
+    q = quadratic_form(gram, x)
+    assert type(q) is int and q == pairing(gram, x, x)
+
+
+def _symmetric(rng, n, shape, rational):
+    """A symmetric n x n matrix of int (and, if ``rational``, Fraction)
+    entries, shaped to reach each branch of the elimination: a zero diagonal
+    (as in every built-in 2x2 Gram), zero rows, and hyperbolic blocks
+    [[0, h], [h, 0]]."""
+    def entry():
+        kind = rng.randrange(4 if rational else 3)
+        if kind == 0:
+            return rng.choice([0, 0, 0, 1, -1, 2, -2])
+        if kind == 3:
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+        return rng.randint(-50, 50)
+
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = entry()
+    if shape == "zero diagonal":
+        for i in range(n):
+            a[i][i] = 0
+    elif shape == "hyperbolic":
+        # hyperbolic planes down the diagonal, then a corner of the drawn matrix
+        blocks = rng.randint(0, n // 2)
+        for i in range(n):
+            for j in range(n):
+                if min(i, j) < 2 * blocks and i // 2 != j // 2:
+                    a[i][j] = 0
+        for b in range(blocks):
+            a[2 * b][2 * b] = a[2 * b + 1][2 * b + 1] = 0
+            a[2 * b][2 * b + 1] = a[2 * b + 1][2 * b] = entry()
+    for i in rng.sample(range(n), rng.randint(0, min(n, 2))):
+        for j in range(n):
+            a[i][j] = a[j][i] = 0
+    return a
+
+
+@given(st.integers(0, 8), st.sampled_from(["dense", "zero diagonal", "hyperbolic"]),
+       st.booleans(), st.integers())
+@settings(max_examples=600)
+def test_inertia_matches_the_fraction_reduction(n, shape, rational, seed):
+    a = _symmetric(random.Random(seed), n, shape, rational)
+    assert inertia(a) == fraction_inertia(a)

@@ -146,6 +146,24 @@ def test_validate_c1_cache_mismatch():
     assert any("almost-canonical-class identity" in p for p in problems)
 
 
+def test_validate_c1_cache_mismatch_lines():
+    """The c1^2 mismatch line, byte for byte: an int from the lattice prints
+    as the rational sum once did, and a long one is cut at 40 characters."""
+    k3 = catalog_get("K3")
+    bad = replace(k3, spinc_structures=(replace(k3.canonical_spinc, c1_squared=4),))
+    assert validate(bad)[0] == "spin-c #0: cached c1_squared = 4 but the lattice gives 0"
+    sigma = catalog_get("Sigma(3,3)")
+    big = replace(sigma, name="BigSigma", summand_record=(("BigSigma", 1),),
+                  spinc_structures=(replace(sigma.canonical_spinc, c1=(10**30, 3 * 10**30)),))
+    assert validate(big) == [
+        "spin-c #0: cached c1_squared = 32 but the lattice gives "
+        "6000000000000000000000000000000000000000..."]
+    cp2bar = catalog_get("CP2bar")
+    assert validate(connected_sum([big, cp2bar, cp2bar, k3]))[0] == (
+        "spin-c #0: cached c1_squared = 30 but the lattice gives "
+        "5999999999999999999999999999999999999999...")
+
+
 def test_validate_almost_canonical_identity():
     m = catalog_get("Sigma(3,3)")
     g = m.canonical_spinc
