@@ -434,13 +434,18 @@ def _cmd_search(args: argparse.Namespace) -> int:
     c4 = _c4(args)
     fn = (einstein.search_spin_examples if args.mode == "spin"
           else einstein.search_nonspin_examples)
-    outcome = fn(args.g, args.h, args.mmax, args.nmax, c4)
     encode, write = _LINE_ENCODER.encode, sys.stdout.write
-    for hit in outcome.hits:
-        doc = hit.to_json()
-        doc["version"] = REPORT_VERSION
-        doc["kind"] = "search-hit"
-        write(encode(doc) + "\n")
+
+    def emit(hits: list[einstein.SearchHit]) -> None:
+        for hit in hits:
+            doc = hit.to_json()
+            doc["version"] = REPORT_VERSION
+            doc["kind"] = "search-hit"
+            write(encode(doc) + "\n")
+
+    # The search hands on each batch of hits before it builds the next, so
+    # their lines are written as the scan runs; the ties follow them.
+    outcome = fn(args.g, args.h, args.mmax, args.nmax, c4, emit=emit)
     for m, n, l in outcome.inconclusive:
         write(encode({"version": REPORT_VERSION, "kind": "search-inconclusive",
                       "mode": args.mode, "m": m, "n": n, "l": l,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from fourfold.catalog import catalog_get
 from fourfold.certify import (
@@ -334,9 +334,6 @@ class SearchHit:
     certificates: tuple[Certificate, ...]
     family_note: str
 
-    def key(self) -> tuple[int, int, int]:
-        return (self.m, self.n, self.l)
-
     def to_json(self) -> dict:
         return {
             "mode": self.mode,
@@ -352,7 +349,8 @@ class SearchHit:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    hits: tuple[SearchHit, ...]
+    """The (m, n, l) keys of a search's hits and of its ties, in key order."""
+    hits: tuple[tuple[int, int, int], ...]
     inconclusive: tuple[tuple[int, int, int], ...]
 
 
@@ -368,6 +366,10 @@ _FAMILY_NOTE = (
 # so the number of cells times the last l at n = n_max bounds the scan.
 SEARCH_CELL_CAP = 10_000
 SEARCH_SCAN_CAP = 100_000
+
+# A search hands its hits on in lists of at most this many, so it holds one
+# list, not every hit; a single cell may hold almost SEARCH_SCAN_CAP hits.
+SEARCH_BATCH = 256
 
 
 def _check_search_size(mode: str, g: int, h: int, m_max: int, n_max: int) -> None:
@@ -427,8 +429,8 @@ def _hit_for_tuple(mode: str, m: int, n: int, g: int, h: int, l: int,
                      sv=sv, certificates=certs, family_note=_FAMILY_NOTE)
 
 
-def _search(mode: str, g: int, h: int, m_max: int, n_max: int,
-            c4: Fraction) -> SearchOutcome:
+def _search(mode: str, g: int, h: int, m_max: int, n_max: int, c4: Fraction,
+            emit: Callable[[list[SearchHit]], object]) -> SearchOutcome:
     if g < 3 or h < 3 or g % 2 == 0 or h % 2 == 0:
         raise PremiseError(f"the searches need odd g, h >= 3; got {shown(f'({g},{h})')}")
     if c4 <= 0:
@@ -443,11 +445,12 @@ def _search(mode: str, g: int, h: int, m_max: int, n_max: int,
     # The atoms every hit shares are fetched once per call; Gompf(m,n) once
     # per cell, at its first hit.
     shared = (catalog_get("Y(1)"), catalog_get(f"Sigma({g},{h})"), catalog_get(last_atom))
-
-    def scan_cell(cell: tuple[int, int]) -> tuple[list[SearchHit], list[tuple[int, int, int]]]:
-        m, n = cell
-        hits: list[SearchHit] = []
-        ties: list[tuple[int, int, int]] = []
+    keys: list[tuple[int, int, int]] = []
+    ties: list[tuple[int, int, int]] = []
+    batch: list[SearchHit] = []
+    # Cells in (m, n) order, each scanning l upward: hits and ties come in
+    # key order, so a batch can be handed on as soon as it is full.
+    for m, n in sorted(_spin_cells(m_max, n_max)):
         pieces: Optional[tuple[Manifold, ...]] = None
         lo, last = _l_range(mode, n, big_g)
         # Each mode has a second pi^2 inequality,
@@ -467,27 +470,35 @@ def _search(mode: str, g: int, h: int, m_max: int, n_max: int,
                 continue
             if pieces is None:
                 pieces = (catalog_get(f"Gompf({m},{n})"),) + shared
-            hits.append(_hit_for_tuple(mode, m, n, g, h, l, pieces, c4))
-        return hits, ties
-
-    results = [scan_cell(c) for c in _spin_cells(m_max, n_max)]
-    hits = sorted((h for hs, _ in results for h in hs), key=SearchHit.key)
-    ties = sorted(t for _, ts in results for t in ts)
-    return SearchOutcome(hits=tuple(hits), inconclusive=tuple(ties))
+            batch.append(_hit_for_tuple(mode, m, n, g, h, l, pieces, c4))
+            keys.append((m, n, l))
+            if len(batch) == SEARCH_BATCH:
+                emit(batch)
+                batch = []
+    if batch:
+        emit(batch)
+    return SearchOutcome(hits=tuple(keys), inconclusive=tuple(ties))
 
 
 def search_spin_examples(g: int, h: int, m_max: int, n_max: int,
-                         c4: RationalLike = DEFAULT_C4) -> SearchOutcome:
+                         c4: RationalLike = DEFAULT_C4, *,
+                         emit: Callable[[list[SearchHit]], object]) -> SearchOutcome:
     """All (m, n, l1) with m >= 2, n >= 1, 4m + 2n - 1 = 3 (mod 4), l1 >= 1
     whose spin connected sum
     Gompf(m,n) # Y(l) # (Sigma_g x Sigma_h) # l1 (S1 x S3)
     has nonzero simplicial volume, strictly satisfies Gromov-Hitchin-Thorpe,
-    and carries no Einstein metric for any l."""
-    return _search("spin", g, h, m_max, n_max, Fraction(c4))
+    and carries no Einstein metric for any l.
+
+    The hits go to ``emit`` in key order, in lists of at most
+    ``SEARCH_BATCH``; each list is handed on before the next is built.  The
+    outcome holds the keys of the hits and of the ties."""
+    return _search("spin", g, h, m_max, n_max, Fraction(c4), emit)
 
 
 def search_nonspin_examples(g: int, h: int, m_max: int, n_max: int,
-                            c4: RationalLike = DEFAULT_C4) -> SearchOutcome:
+                            c4: RationalLike = DEFAULT_C4, *,
+                            emit: Callable[[list[SearchHit]], object]) -> SearchOutcome:
     """Non-spin analogue: Gompf(m,n) # Y(l) # (Sigma_g x Sigma_h) # l2 CP2bar
-    with l2 >= 1 (one blow-up already kills spin-ness)."""
-    return _search("nonspin", g, h, m_max, n_max, Fraction(c4))
+    with l2 >= 1 (one blow-up already kills spin-ness).  Hits go to ``emit``
+    as in :func:`search_spin_examples`."""
+    return _search("nonspin", g, h, m_max, n_max, Fraction(c4), emit)

@@ -17,7 +17,9 @@ piece into a dense Gram matrix, c1 vector and s-matrix, the dense
 block-diagonal builders spell out the Gram matrix and s-matrix that the
 library keeps as blocks of nonzero entries, and
 ``json.dump(indent=2)`` writes, from those dense rows, the reports the CLI
-streams through its own indenting writer.
+streams through its own indenting writer, and the geography search that
+collects every hit and sorts them is the reference for the search that hands
+its hits on in batches as it scans.
 
 The last section holds what the tests check that no production path calls:
 the paper's Dirac-index parity lemma and c1 = 0 classification, the 2^n
@@ -37,7 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fourfold import exact
+from fourfold import einstein, exact
+from fourfold.catalog import catalog_get
 from fourfold.certify import Certificate, Premise, Verdict, moduli_dimension
 from fourfold.einstein import simplicial_volume
 from fourfold.errors import NonIntegralError, PremiseError, SurgeryError
@@ -54,6 +57,7 @@ from fourfold.model import (
 )
 from fourfold.monopole import Inconclusive
 from fourfold.parser import Atom, Repeat, Sum
+from fourfold.symbolic import pi2_greater
 
 MESH_DEN = 32
 FULL_MESH_POINT_CAP = 20_000_000
@@ -420,6 +424,60 @@ def nonspin_tuple_certified(m: int, n: int, l2: int, g: int, h: int,
     in2 = 8 * (n + 12 * m) + 4 * one_lo * big_g + 84 > -5 * l2
     in3 = Fraction(l2) >= Fraction(8 * n + 4 * big_g, 3) - 12
     return bool(in1 and in2 and in3)
+
+
+# -- the geography search collected, then sorted: reference for the stream ---
+
+def search_by_sorting(mode: str, g: int, h: int, m_max: int, n_max: int, c4=1):
+    """(hits, ties) of a geography search as the library ran it before it
+    streamed its hits: every cell is scanned into lists of its own, and the
+    hits and the tie keys are sorted by (m, n, l) once every cell is done.
+    It calls the library's per-hit builder, so it checks the scan order and
+    the batching, not the certificates."""
+    c4 = Fraction(c4)
+    if g < 3 or h < 3 or g % 2 == 0 or h % 2 == 0:
+        raise PremiseError(f"the searches need odd g, h >= 3; got ({g},{h})")
+    if c4 <= 0:
+        raise ValueError("c4 must be positive")
+    einstein._check_search_size(mode, g, h, m_max, n_max)
+    big_g = (g - 1) * (h - 1)
+    w, last_atom = einstein._MODES[mode]
+    b = 4 * w * big_g * c4.numerator
+    shared = (catalog_get("Y(1)"), catalog_get(f"Sigma({g},{h})"), catalog_get(last_atom))
+
+    def scan_cell(cell):
+        m, n = cell
+        hits, ties = [], []
+        pieces = None
+        lo, last = einstein._l_range(mode, n, big_g)
+        for l in range(lo, last + 1):
+            dec1 = pi2_greater(81 * (last - l) * c4.denominator, b, strict=True)
+            if dec1 is False:
+                continue
+            if dec1 is None:
+                ties.append((m, n, l))
+                continue
+            if pieces is None:
+                pieces = (catalog_get(f"Gompf({m},{n})"),) + shared
+            hits.append(einstein._hit_for_tuple(mode, m, n, g, h, l, pieces, c4))
+        return hits, ties
+
+    results = [scan_cell(c) for c in einstein._spin_cells(m_max, n_max)]
+    hits = sorted((h for hs, _ in results for h in hs), key=lambda hit: (hit.m, hit.n, hit.l))
+    ties = sorted(t for _, ts in results for t in ts)
+    return hits, ties
+
+
+def search_lines(mode: str, hits, ties) -> str:
+    """The CLI's stdout for a search's hits and ties, each line encoded by
+    ``json.dumps(sort_keys=True)``."""
+    lines = [json.dumps({**hit.to_json(), "version": 1, "kind": "search-hit"}, sort_keys=True)
+             for hit in hits]
+    lines += [json.dumps({"version": 1, "kind": "search-inconclusive", "mode": mode,
+                          "m": m, "n": n, "l": l, "reason": "pi^2 enclosure tie"},
+                         sort_keys=True)
+              for m, n, l in ties]
+    return "".join(line + "\n" for line in lines)
 
 
 # -- congruence reduction over Fraction: reference for the integer inertia ----

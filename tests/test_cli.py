@@ -19,7 +19,15 @@ from fourfold.certify import require_part_count
 from fourfold.cli import main
 from fourfold.errors import FourfoldError, PremiseError
 from fourfold.model import PIECE_CAP, BlockLattice, BlockSpinC, GramLattice, SpinCStructure
-from oracles import dense_gram, emit_report, s_matrix, sparse_s
+from oracles import (
+    TIE_C4,
+    dense_gram,
+    emit_report,
+    s_matrix,
+    search_by_sorting,
+    search_lines,
+    sparse_s,
+)
 
 
 @pytest.fixture(scope="module")
@@ -615,6 +623,113 @@ def test_dense_json_cap_boundary(capsys, monkeypatch):
     assert (code, err) == (0, "")
     code, out, err = _run(capsys, "build", "2049*S1xS3")
     assert (code, out, err) == (1, "", _cap_error(2049 * 2049))
+
+
+# -- searches stream their hits -------------------------------------------------
+
+def _search_argv(mode, g, h, m_max, n_max, *rest):
+    return ["search", "--mode", mode, "--g", str(g), "--h", str(h),
+            "--mmax", str(m_max), "--nmax", str(n_max), *rest]
+
+
+def _captured(argv):
+    """(exit code, stdout, stderr) of ``main(argv)`` run in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _sorted_reference(mode, g, h, m_max, n_max, c4):
+    """(exit code, stdout, stderr) the CLI must give, from the search that
+    collects every hit and sorts."""
+    hits, ties = search_by_sorting(mode, g, h, m_max, n_max, c4)
+    return (2 if ties else 0), search_lines(mode, hits, ties), ""
+
+
+_ODD = st.sampled_from([3, 5, 7, 9])
+
+
+@given(mode=st.sampled_from(["spin", "nonspin"]),
+       g_h=st.tuples(_ODD, _ODD).map(sorted),
+       m_max=st.integers(2, 5), n_max=st.integers(1, 7),
+       c4=st.sampled_from([Fraction(1), Fraction(7, 3), Fraction(10**3), Fraction(10**6),
+                           TIE_C4]))
+@settings(max_examples=50, deadline=None)
+def test_search_stdout_matches_the_sorted_reference(mode, g_h, m_max, n_max, c4):
+    g, h = g_h
+    assert (_captured(_search_argv(mode, g, h, m_max, n_max, "--c4", str(c4)))
+            == _sorted_reference(mode, g, h, m_max, n_max, c4))
+
+
+@pytest.mark.parametrize("mode", ["spin", "nonspin"])
+def test_search_ties_follow_the_hits_as_in_the_sorted_reference(monkeypatch, mode):
+    # 50 digits of pi^2 leave TIE_C4's comparisons undecided
+    monkeypatch.setattr(symbolic, "PI_DIGIT_CAP", 50)
+    code, out, err = _captured(_search_argv(mode, 3, 3, 2, 2, "--c4", str(TIE_C4)))
+    assert (code, out, err) == _sorted_reference(mode, 3, 3, 2, 2, TIE_C4)
+    assert code == 2 and '"kind": "search-inconclusive"' in out.splitlines()[-1]
+
+
+def _no_hit(*_, **__):
+    raise AssertionError("a hit was built")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_search_argv("spin", 4, 3, 4, 6), "the searches need odd g, h >= 3; got (4,3)"),
+    (_search_argv("nonspin", 3, 8, 4, 6), "the searches need odd g, h >= 3; got (3,8)"),
+    (_search_argv("spin", 3, 3, 4, 6, "--c4", "0"), "c4 must be positive"),
+    (_search_argv("nonspin", 3, 3, 4, 6, "--c4=-7/3"), "c4 must be positive"),
+    (_search_argv("spin", 3, 3, 102, 101),
+     "a search over 10201 (m, n) pairs is over the cap of 10000"),
+    # one m past the near-cap search --mmax 127, which scans 99,288 values of l
+    (_search_argv("nonspin", 15, 15, 128, 2),
+     "a search scanning up to 100076 values of l is over the cap of 100000"),
+])
+def test_search_errors_come_before_the_first_line(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(einstein, "connected_sum", _no_hit)
+    code, out, err = _run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"fourfold: error: {message}\n")
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises."""
+
+    def write(self, text):
+        raise BrokenPipeError
+
+
+_HITS_1053 = _search_argv("nonspin", 7, 7, 4, 6)
+
+
+def test_a_closed_pipe_stops_the_scan_within_one_batch(capsys, monkeypatch):
+    built = []
+    summed = einstein.connected_sum
+    with monkeypatch.context() as patch:
+        patch.setattr(einstein, "connected_sum",
+                      lambda *args, **kwargs: built.append(1) or summed(*args, **kwargs))
+        patch.setattr(sys, "stdout", _ClosedPipe())
+        code = main(_HITS_1053)
+    assert (code, capsys.readouterr().err) == (1, "")
+    # the first batch's write fails: the scan stops there, not after 1,053 hits
+    assert 0 < len(built) <= einstein.SEARCH_BATCH
+
+
+def test_a_search_holds_one_batch_not_every_hit(capsys, monkeypatch):
+    main(_search_argv("nonspin", 3, 3, 2, 2))  # build what every call shares
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code, digest, err = _run_digest(capsys, monkeypatch, *_HITS_1053)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    # the 1,053 lines as written when the search sorted every hit before writing
+    assert digest == "b9695c7191d08d09ed55df448c12b3ef2ab73c51979b4147061fb0a10d2f6005"
+    # holding every hit took 2.26 MiB; one batch of 256 takes about 0.6 MiB
+    # (CPython 3.11)
+    assert peak < 2**20
 
 
 _INT_STR_LIMIT = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits

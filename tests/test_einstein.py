@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 import weakref
@@ -417,9 +418,24 @@ def test_exotic_pair_errors():
     assert cert.verdict is Verdict.INCONCLUSIVE  # 3-piece xprime
 
 
+def collect(search, *args):
+    """(the hits ``search(*args)`` hands to its ``emit``, in order, and its
+    outcome).  Every batch holds 1 to ``SEARCH_BATCH`` hits, and the hits
+    are those the outcome lists."""
+    hits = []
+
+    def emit(batch):
+        assert 0 < len(batch) <= einstein.SEARCH_BATCH
+        hits.extend(batch)
+
+    outcome = search(*args, emit=emit)
+    assert [(hit.m, hit.n, hit.l) for hit in hits] == list(outcome.hits)
+    return hits, outcome
+
+
 def test_spin_search_contains_expected_tuple():
-    out = search_spin_examples(3, 3, 4, 6, 1)
-    keys = [h.key() for h in out.hits]
+    _, out = collect(search_spin_examples, 3, 3, 4, 6, 1)
+    keys = list(out.hits)
     assert (2, 2, 1) in keys
     assert out.hits  # nonempty
     assert not out.inconclusive
@@ -428,8 +444,8 @@ def test_spin_search_contains_expected_tuple():
 
 
 def test_spin_search_hits_reverify_and_certify():
-    out = search_spin_examples(3, 3, 4, 6, 1)
-    for hit in out.hits:
+    hits, out = collect(search_spin_examples, 3, 3, 4, 6, 1)
+    for hit in hits:
         assert spin_tuple_certified(hit.m, hit.n, hit.l, 3, 3, Fraction(1))
         assert hit.sv.factor > 0
         by_id = {c.theorem_id: c for c in hit.certificates}
@@ -443,14 +459,14 @@ def test_spin_search_hits_reverify_and_certify():
               if (4 * m + 2 * n - 1) % 4 == 3
               for l in range(1, 2 * n + 4 + 1)
               if spin_tuple_certified(m, n, l, 3, 3, Fraction(1))]
-    assert set(direct) <= {h.key() for h in out.hits}
+    assert set(direct) <= set(out.hits)
 
 
 def test_nonspin_search_range():
-    out = search_nonspin_examples(3, 3, 2, 2, 1)
-    l2s = sorted(h.l for h in out.hits if h.n == 2)
+    hits, _ = collect(search_nonspin_examples, 3, 3, 2, 2, 1)
+    l2s = sorted(h.l for h in hits if h.n == 2)
     assert l2s == list(range(1, 20))
-    for hit in out.hits:
+    for hit in hits:
         assert nonspin_tuple_certified(hit.m, hit.n, hit.l, 3, 3, Fraction(1))
         assert hit.manifold_name.count("CP2bar") == 1  # "l2*CP2bar" piece
 
@@ -504,34 +520,34 @@ def _first_decides_second() -> int:
 
 def test_search_rejects_bad_parameters():
     with pytest.raises(PremiseError):
-        search_spin_examples(2, 3, 4, 6, 1)
+        collect(search_spin_examples, 2, 3, 4, 6, 1)
     with pytest.raises(PremiseError):
-        search_spin_examples(3, 4, 4, 6, 1)
+        collect(search_spin_examples, 3, 4, 4, 6, 1)
     with pytest.raises(ValueError):
-        search_spin_examples(3, 3, 4, 6, -1)
+        collect(search_spin_examples, 3, 3, 4, 6, -1)
 
 
 def test_search_huge_c4_empty():
-    out = search_spin_examples(3, 3, 4, 6, 10**6)
-    assert not out.hits and not out.inconclusive
+    hits, out = collect(search_spin_examples, 3, 3, 4, 6, 10**6)
+    assert not hits and not out.hits and not out.inconclusive
 
 
 def test_search_inconclusive_on_engineered_tie(monkeypatch):
     # 324 pi^2 > 16 TIE_C4 ties at 50 digits, and more digits show it fails
     assert pi2_greater_by_division(324, 16 * TIE_C4, True, mpmath_pi2_enclosure()) is False
-    out = search_spin_examples(3, 3, 2, 2, TIE_C4)
-    assert not out.inconclusive and (2, 2, 1) not in [hit.key() for hit in out.hits]
+    hits, out = collect(search_spin_examples, 3, 3, 2, 2, TIE_C4)
+    assert not out.inconclusive and (2, 2, 1) not in out.hits
     monkeypatch.setattr(symbolic, "PI_DIGIT_CAP", 50)
-    capped = search_spin_examples(3, 3, 2, 2, TIE_C4)
+    capped_hits, capped = collect(search_spin_examples, 3, 3, 2, 2, TIE_C4)
     assert (2, 2, 1) in capped.inconclusive
-    assert [hit.to_json() for hit in capped.hits] == [hit.to_json() for hit in out.hits]
+    assert [hit.to_json() for hit in capped_hits] == [hit.to_json() for hit in hits]
 
 
 def assert_cell_order_independent(g, h, m_max, n_max, c4):
     """Re-run the spin search with its (m, n) cells reversed and then
     shuffled by three seeds, and require identical hits and ties; returns
-    the outcome in the natural order."""
-    baseline = search_spin_examples(g, h, m_max, n_max, c4)
+    the hits and the outcome in the natural order."""
+    baseline_hits, baseline = collect(search_spin_examples, g, h, m_max, n_max, c4)
     cells = einstein._spin_cells
     orders = [lambda cs: cs[::-1]] + [
         lambda cs, seed=seed: random.Random(seed).sample(cs, len(cs))
@@ -540,22 +556,22 @@ def assert_cell_order_independent(g, h, m_max, n_max, c4):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(einstein, "_spin_cells",
                        lambda m, n, order=order: order(cells(m, n)))
-            again = search_spin_examples(g, h, m_max, n_max, c4)
-        assert ([hit.to_json() for hit in again.hits]
-                == [hit.to_json() for hit in baseline.hits])
+            again_hits, again = collect(search_spin_examples, g, h, m_max, n_max, c4)
+        assert ([hit.to_json() for hit in again_hits]
+                == [hit.to_json() for hit in baseline_hits])
         assert again.inconclusive == baseline.inconclusive
-    return baseline
+    return baseline_hits, baseline
 
 
 def test_search_cell_order_determinism(monkeypatch):
-    assert assert_cell_order_independent(3, 3, 4, 6, 1).hits
-    decided = assert_cell_order_independent(3, 3, 4, 6, TIE_C4)
+    assert assert_cell_order_independent(3, 3, 4, 6, 1)[1].hits
+    decided_hits, decided = assert_cell_order_independent(3, 3, 4, 6, TIE_C4)
     assert decided.hits and not decided.inconclusive
     monkeypatch.setattr(symbolic, "PI_DIGIT_CAP", 50)
-    capped = assert_cell_order_independent(3, 3, 4, 6, TIE_C4)
+    capped_hits, capped = assert_cell_order_independent(3, 3, 4, 6, TIE_C4)
     assert capped.inconclusive
-    assert ([hit.to_json() for hit in capped.hits]
-            == [hit.to_json() for hit in decided.hits])
+    assert ([hit.to_json() for hit in capped_hits]
+            == [hit.to_json() for hit in decided_hits])
 
 
 def test_geography_grid_is_decided_at_50_digits(monkeypatch):
@@ -569,10 +585,10 @@ def test_geography_grid_is_decided_at_50_digits(monkeypatch):
         for g, h in ((3, 3), (3, 5), (3, 7), (5, 5), (5, 7), (7, 7)):
             for m_max in (2, 3, 4):
                 for n_max in (2, 4, 6):
-                    search(g, h, m_max, n_max)
+                    collect(search, g, h, m_max, n_max)
     assert len(digits) > 10_000 and set(digits) == {50}
     digits.clear()
-    assert not search_spin_examples(3, 3, 4, 6, TIE_C4).inconclusive
+    assert not collect(search_spin_examples, 3, 3, 4, 6, TIE_C4)[1].inconclusive
     assert max(digits) > 50
 
 
@@ -587,15 +603,15 @@ def test_search_fetches_each_atom_once_per_call(monkeypatch):
 
     monkeypatch.setattr(einstein, "catalog_get", counting_get)
     bound = 3 + len(einstein._spin_cells(4, 6))
-    first = search_nonspin_examples(7, 7, 4, 6)
+    first_hits, first = collect(search_nonspin_examples, 7, 7, 4, 6)
     assert len(first.hits) > bound
     assert len(calls) <= bound
     assert len(set(calls)) == len(calls)
     count = len(calls)
     calls.clear()
-    again = search_nonspin_examples(7, 7, 4, 6)
+    again_hits, _ = collect(search_nonspin_examples, 7, 7, 4, 6)
     assert len(calls) == count
-    assert [hit.to_json() for hit in again.hits] == [hit.to_json() for hit in first.hits]
+    assert [hit.to_json() for hit in again_hits] == [hit.to_json() for hit in first_hits]
 
 
 def _unhashable(base: type) -> type:
@@ -652,7 +668,7 @@ def test_search_hashes_atoms_once_and_certifies_each_hit_once(monkeypatch):
 
     monkeypatch.setattr(einstein, "ght", ght_watched)
     monkeypatch.setattr(einstein, "pi2_greater", pi2_watched)
-    hits = len(search_nonspin_examples(7, 7, 4, 6).hits)
+    hits = len(collect(search_nonspin_examples, 7, 7, 4, 6)[1].hits)
     assert hits > 100 and fetched
     assert calls == dict.fromkeys(calls, hits)
     assert verdicts == [Verdict.NOT_OBSTRUCTED] * hits
@@ -661,8 +677,9 @@ def test_search_hashes_atoms_once_and_certifies_each_hit_once(monkeypatch):
 
 def test_search_keeps_nothing_after_it_returns(monkeypatch):
     """The atoms a search fetches, and the spin-c blocks each atom builds
-    for its sums, are collected once the search and its result are gone:
-    nothing outlives a call."""
+    for its sums, are collected once the search has returned, while its
+    outcome is still alive: the outcome holds keys, and nothing outlives a
+    call."""
     refs = []
 
     def fetch(block_id):
@@ -677,12 +694,33 @@ def test_search_keeps_nothing_after_it_returns(monkeypatch):
 
     monkeypatch.setattr(einstein, "catalog_get", fetch)
     monkeypatch.setattr(einstein, "connected_sum", summed)
-    outcome = search_nonspin_examples(7, 7, 4, 6)
-    assert len(outcome.hits) > 100
+    emitted = []
+    outcome = search_nonspin_examples(7, 7, 4, 6, emit=lambda batch: emitted.append(len(batch)))
+    assert len(outcome.hits) > 100 and sum(emitted) == len(outcome.hits)
     assert len(refs) > 4 * len(outcome.hits)  # four blocks per hit's sum
-    del outcome
     gc.collect()
     assert [r for r in refs if r() is not None] == []
+    assert len(outcome.hits) == sum(emitted)  # the outcome outlived the collection
+
+
+def test_search_hands_on_each_full_batch_before_it_builds_the_next_hit(monkeypatch):
+    """Each batch but the last holds ``SEARCH_BATCH`` hits, and it is handed
+    on before the sum of the next hit is built."""
+    built, at_emit = [0], []
+
+    def summed(*args, **kwargs):
+        built[0] += 1
+        return connected_sum(*args, **kwargs)
+
+    monkeypatch.setattr(einstein, "connected_sum", summed)
+    sizes = []
+    outcome = search_nonspin_examples(
+        7, 7, 4, 6, emit=lambda batch: (sizes.append(len(batch)), at_emit.append(built[0])))
+    batch = einstein.SEARCH_BATCH
+    hits = len(outcome.hits)
+    assert hits > 4 * batch
+    assert sizes == [batch] * (hits // batch) + ([hits % batch] if hits % batch else [])
+    assert at_emit == list(itertools.accumulate(sizes))
 
 
 def _scan_size(mode, g, h, m_max, n_max):
@@ -717,13 +755,13 @@ def _no_cells(*_):
 def test_search_caps_are_checked_before_any_cell(monkeypatch):
     monkeypatch.setattr(einstein, "SEARCH_CELL_CAP", 3 * 6)
     monkeypatch.setattr(einstein, "SEARCH_SCAN_CAP", 3 * 3 * (2 * 6 + 4 - 3))
-    assert search_spin_examples(3, 3, 4, 6).hits  # both caps are inclusive
+    assert collect(search_spin_examples, 3, 3, 4, 6)[1].hits  # both caps are inclusive
     monkeypatch.setattr(einstein, "_spin_cells", _no_cells)
     monkeypatch.setattr(einstein, "catalog_get", _no_cells)
     with pytest.raises(CapacityError, match=r"over 21 \(m, n\) pairs is over the cap of 18"):
-        search_spin_examples(3, 3, 4, 7)
+        search_spin_examples(3, 3, 4, 7, emit=_no_cells)
     with pytest.raises(CapacityError, match=r"up to 153 values of l is over the cap of 117"):
-        search_spin_examples(3, 5, 4, 6)
+        search_spin_examples(3, 5, 4, 6, emit=_no_cells)
 
 
 def test_unbounded_search_exits_with_one_line(monkeypatch, capsys):
@@ -742,7 +780,8 @@ def test_search_without_an_even_n_has_no_cell():
     for n_max in (-5, 0, 1):
         assert einstein._spin_cells(10**12, n_max) == []
     for n_max in (-5, 0):
-        assert search_spin_examples(3, 3, 10**12, n_max) == einstein.SearchOutcome((), ())
+        assert search_spin_examples(3, 3, 10**12, n_max, emit=_no_cells) == (
+            einstein.SearchOutcome((), ()))
     assert einstein._spin_cells(3, 5) == [(2, 2), (2, 4), (3, 2), (3, 4)]
 
 
@@ -792,11 +831,11 @@ def test_merged_scan_poses_each_modes_inequality(mode, c4, monkeypatch):
     search = search_spin_examples if mode == "spin" else search_nonspin_examples
     for g, h in ((3, 3), (3, 5), (5, 7)):
         scan.clear()
-        outcome = search(g, h, 3, 4, c4)
+        _, outcome = collect(search, g, h, 3, 4, c4)
         expected = _paper_scan(mode, g, h, 3, 4, c4)
         assert [args for args, _, _ in scan] == [args for _, args in expected]
         assert all(strict for _, strict, _ in scan)
-        assert [hit.key() for hit in outcome.hits] == [
+        assert list(outcome.hits) == [
             key for (key, _), (_, _, decision) in zip(expected, scan) if decision]
         assert not outcome.inconclusive
 

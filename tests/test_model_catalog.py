@@ -338,6 +338,36 @@ def test_cli_reports_a_bad_catalog_in_one_line(tmp_path, capsys):
     assert err == "fourfold: error: manifolds[0] 'MyK3': missing field 'b1'\n"
 
 
+def _refuse_lattice(*_):
+    raise AssertionError("a lattice was built past the rank cap")
+
+
+def _definite_doc(rank):
+    """A negative definite atom of the given rank: the Gram matrix of the
+    root lattice A_rank, negated."""
+    gram = [[-2 if i == j else 1 if abs(i - j) == 1 else 0 for j in range(rank)]
+            for i in range(rank)]
+    return {"version": 1, "name": "Big", "b1": 0, "b_plus": 0, "b_minus": rank,
+            "is_spin": True, "is_simply_connected": True,
+            "lattice": {"basis": [f"e{i}" for i in range(rank)], "gram": gram}}
+
+
+def test_catalog_lattice_rank_is_capped(tmp_path, capsys, monkeypatch):
+    from fourfold import catalog
+    from fourfold.cli import main
+    assert catalog.LATTICE_RANK_CAP == 128
+    path = _write_catalog(tmp_path, [_definite_doc(128)])
+    assert load_catalog_file(path)["Big"].lattice.rank == 128
+    assert main(["--catalog", path, "check", "hitchin-thorpe", "Big"]) == 0
+    capsys.readouterr()
+    path = _write_catalog(tmp_path, [_definite_doc(129)])
+    monkeypatch.setattr(catalog, "GramLattice", _refuse_lattice)
+    assert main(["--catalog", path, "catalog"]) == 1
+    assert capsys.readouterr() == ("", (
+        "fourfold: error: manifolds[0] 'Big': field 'lattice.gram' has 129 rows, "
+        "over the lattice rank cap of 128\n"))
+
+
 # -- the name hash of a Manifold ----------------------------------------------
 
 
