@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from typing import Callable, Optional
 
 from fourfold.errors import CapacityError, CatalogError, shown
@@ -223,15 +224,16 @@ def catalog_get(block_id: str) -> Manifold:
     m = _PARAMETRIC.match(key)
     if m:
         family, first, second = m.group(1), m.group(2), m.group(3)
-        if family == "Y":
-            if second is not None:
-                raise CatalogError(f"Y takes one parameter: {shown(repr(block_id))}")
-            return _y_ell(int(first))
-        if second is None:
+        if family == "Y" and second is not None:
+            raise CatalogError(f"Y takes one parameter: {shown(repr(block_id))}")
+        if family != "Y" and second is None:
             raise CatalogError(f"{family} takes two parameters: {shown(repr(block_id))}")
-        if family == "Sigma":
-            return _sigma(int(first), int(second))
-        return _gompf(int(first), int(second))
+        try:
+            args = [int(x) for x in (first, second) if x is not None]
+        except ValueError:  # past the interpreter's int-str limit
+            raise CatalogError(f"a parameter of {shown(repr(block_id))} has more than "
+                               f"{sys.get_int_max_str_digits()} digits") from None
+        return {"Y": _y_ell, "Sigma": _sigma, "Gompf": _gompf}[family](*args)
     raise CatalogError(f"unknown building block {shown(repr(block_id))}")
 
 

@@ -10,7 +10,7 @@ pieces with b+ - b1 = 3 (mod 4), odd SW parity and even half-triple-products
 ("theorem-a"); its c1 = 0 (mod 4) variant ("theorem-b"); and Bauer's
 b1 = 0 version including the 4-fold case with b+ = 4 (mod 8) ("bauer").
 Verdicts never overstate: a failed structural premise yields Inconclusive,
-not Vanishing.
+and no certificate ever claims that an invariant vanishes.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from fourfold.model import Flag, Manifold, Parity, SpinCStructure
 
 class Verdict(enum.Enum):
     NONVANISHING = "Nonvanishing"
-    VANISHING = "Vanishing"
     INCONCLUSIVE = "Inconclusive"
     OBSTRUCTED = "Obstructed"
     NOT_OBSTRUCTED = "NotObstructed"
@@ -127,7 +126,7 @@ def require_part_count(theorem_id: str, n: int) -> None:
 def _nonvanishing(theorem_id: str, premises: Sequence[Premise],
                   citation: str) -> Certificate:
     """The verdict rule of every non-vanishing theorem: Nonvanishing when
-    every premise passed, otherwise Inconclusive (never Vanishing)."""
+    every premise passed, otherwise Inconclusive."""
     premises = tuple(premises)
     verdict = (Verdict.NONVANISHING if all(p.passed for p in premises)
                else Verdict.INCONCLUSIVE)

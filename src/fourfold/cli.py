@@ -65,6 +65,8 @@ class _CliParser(argparse.ArgumentParser):
 
 
 def _int_str_limit() -> int:
+    # A disabled limit (0) keeps the default bound: it is what stops
+    # ``--k 1e10000000`` from being expanded and its derived report printed.
     return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
@@ -170,7 +172,7 @@ def _validated(m: Manifold) -> Manifold:
 
 
 def _evaluate(args: argparse.Namespace, expr: str) -> Manifold:
-    return _validated(parser.parse_and_evaluate(expr, _load_env(args)))
+    return _validated(parser.evaluate(parser.parse(expr), _load_env(args)))
 
 
 def _exotic(args: argparse.Namespace) -> Certificate:

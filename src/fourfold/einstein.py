@@ -36,8 +36,6 @@ from fourfold.monopole import Inconclusive
 from fourfold.surgery import connected_sum, split_blowdown
 from fourfold.symbolic import pi2_greater
 
-RationalLike = Union[int, Fraction, str]
-
 DEFAULT_C4 = Fraction(1)
 
 
@@ -46,7 +44,6 @@ class SvInterval:
     """[16*factor/c4, 16*factor*c4] with factor the sum of k(g-1)(h-1) over
     the hyperbolic-product content.
 
-    ``c4`` is a Fraction (``simplicial_volume`` converts anything else once).
     With c4 = num/den in lowest terms, the ends are built as the single
     Fractions 16*f*den/num and 16*f*num/den, not by Fraction arithmetic.
     """
@@ -71,7 +68,7 @@ class SvInterval:
                 "factor": self.factor, "c4": str(self.c4)}
 
 
-def simplicial_volume(m: Manifold, c4: RationalLike = DEFAULT_C4
+def simplicial_volume(m: Manifold, c4: Fraction = DEFAULT_C4
                       ) -> Union[SvInterval, Inconclusive]:
     """Simplicial-volume interval from the recorded product content.
 
@@ -79,8 +76,6 @@ def simplicial_volume(m: Manifold, c4: RationalLike = DEFAULT_C4
     (simply connected pieces, S1 x S3, CP2bar, amenable complex surfaces);
     custom manifolds without a record are Inconclusive.
     """
-    if not isinstance(c4, Fraction):
-        c4 = Fraction(c4)
     if c4.numerator <= 0:
         raise ValueError("c4 must be positive")
     total = m.sv_factor_total()
@@ -114,7 +109,7 @@ def _describe(decision: Optional[bool]) -> str:
     return "tie (enclosure too coarse)" if decision is None else str(decision)
 
 
-def ght(m: Manifold, c4: RationalLike = DEFAULT_C4, strict: bool = True) -> Certificate:
+def ght(m: Manifold, c4: Fraction = DEFAULT_C4, strict: bool = True) -> Certificate:
     """Gromov-Hitchin-Thorpe: 2chi - 3|tau| >= ||M|| / (81 pi^2).
 
     Checked against the upper end of the simplicial-volume interval (a
@@ -122,8 +117,6 @@ def ght(m: Manifold, c4: RationalLike = DEFAULT_C4, strict: bool = True) -> Cert
     Gromov's chi >= ||M|| / (2592 pi^2) alongside.  A sum with straddling
     interval is Inconclusive.
     """
-    if not isinstance(c4, Fraction):
-        c4 = Fraction(c4)
     sv = simplicial_volume(m, c4)
     if isinstance(sv, Inconclusive):
         return Certificate(
@@ -481,7 +474,7 @@ def _search(mode: str, g: int, h: int, m_max: int, n_max: int, c4: Fraction,
 
 
 def search_spin_examples(g: int, h: int, m_max: int, n_max: int,
-                         c4: RationalLike = DEFAULT_C4, *,
+                         c4: Fraction = DEFAULT_C4, *,
                          emit: Callable[[list[SearchHit]], object]) -> SearchOutcome:
     """All (m, n, l1) with m >= 2, n >= 1, 4m + 2n - 1 = 3 (mod 4), l1 >= 1
     whose spin connected sum
@@ -492,13 +485,13 @@ def search_spin_examples(g: int, h: int, m_max: int, n_max: int,
     The hits go to ``emit`` in key order, in lists of at most
     ``SEARCH_BATCH``; each list is handed on before the next is built.  The
     outcome holds the keys of the hits and of the ties."""
-    return _search("spin", g, h, m_max, n_max, Fraction(c4), emit)
+    return _search("spin", g, h, m_max, n_max, c4, emit)
 
 
 def search_nonspin_examples(g: int, h: int, m_max: int, n_max: int,
-                            c4: RationalLike = DEFAULT_C4, *,
+                            c4: Fraction = DEFAULT_C4, *,
                             emit: Callable[[list[SearchHit]], object]) -> SearchOutcome:
     """Non-spin analogue: Gompf(m,n) # Y(l) # (Sigma_g x Sigma_h) # l2 CP2bar
     with l2 >= 1 (one blow-up already kills spin-ness).  Hits go to ``emit``
     as in :func:`search_spin_examples`."""
-    return _search("nonspin", g, h, m_max, n_max, Fraction(c4), emit)
+    return _search("nonspin", g, h, m_max, n_max, c4, emit)

@@ -1,20 +1,18 @@
 """Small exact linear algebra: the lattice checks run in the integers they are
 given.  ``quadratic_form`` is one sum of products and ``inertia`` eliminates by
-fraction-free Schur complements; both take rationals too.  ``solve_unique``
+fraction-free Schur complements; both take integers only.  ``solve_unique``
 eliminates over ``Fraction`` for the stationarity systems of the tests' beta^2
 face oracle.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
 
-def quadratic_form(gram: Sequence[Sequence[int | Fraction]],
-                   x: Sequence[int | Fraction]) -> int | Fraction:
-    """x^T G x, exactly: an int for int entries, a Fraction for rational ones."""
+def quadratic_form(gram: Sequence[Sequence[int]], x: Sequence[int]) -> int:
+    """x^T G x, exactly, for an integer matrix and vector."""
     return sum(xi * sum(g * xj for g, xj in zip(row, x, strict=True))
                for row, xi in zip(gram, x, strict=True))
 
@@ -45,8 +43,8 @@ def solve_unique(a: Sequence[Sequence[int | Fraction]],
     return [m[r][n] for r in range(n)]
 
 
-def inertia(gram: Sequence[Sequence[int | Fraction]]) -> tuple[int, int, int]:
-    """Sylvester inertia (positive, negative, zero) of a symmetric matrix over Q.
+def inertia(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """Sylvester inertia (positive, negative, zero) of a symmetric integer matrix.
 
     Schur complement: for d = A[k][k] != 0, clearing row and column k is a
     congruence A ~ (d) + S, S = A' - b b^T / d (A' is A less row and column k,
@@ -54,17 +52,15 @@ def inertia(gram: Sequence[Sequence[int | Fraction]]) -> tuple[int, int, int]:
     With an all-zero diagonal and a_0j != 0, the congruence e_0 -> e_0 + e_j
     puts 2 a_0j on the diagonal; a zero row 0 is one null direction.
 
-    In integers, as Bareiss eliminates: a rational A is first scaled by the
-    lcm of its denominators, and the matrix kept is M = q S, q the last pivot
-    (1 at first).  With p = M[k][k], the next M, p times the next S, is
-    (p M' - b b^T) / q: exact, as M's entries are minors of integer matrices
-    congruent to A.  The pivot p / q of S has the sign of p q.
+    In integers, as Bareiss eliminates: the matrix kept is M = q S, q the
+    last pivot (1 at first).  With p = M[k][k], the next M, p times the next
+    S, is (p M' - b b^T) / q: exact, as M's entries are minors of integer
+    matrices congruent to A.  The pivot p / q of S has the sign of p q.
     """
     n = len(gram)
     if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i + 1, n)):
         raise ValueError("inertia requires a symmetric matrix")
-    den = math.lcm(*(x.denominator for row in gram for x in row))
-    m = [[x.numerator * (den // x.denominator) for x in row] for row in gram]
+    m = [list(row) for row in gram]
     pos, zero, q = 0, 0, 1
     while m:
         k = next((i for i, row in enumerate(m) if row[i]), None)

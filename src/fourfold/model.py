@@ -92,18 +92,6 @@ class CharData:
     is_spin: bool
     is_simply_connected: bool
 
-    def euler(self) -> int:
-        return 2 - 2 * self.b1 + self.b_plus + self.b_minus
-
-    def signature(self) -> int:
-        return self.b_plus - self.b_minus
-
-    def two_chi_plus_3tau(self) -> int:
-        return 2 * self.euler() + 3 * self.signature()
-
-    def two_chi_minus_3tau(self) -> int:
-        return 2 * self.euler() - 3 * self.signature()
-
 
 def tally(pairs: Iterable[tuple[Hashable, int]]) -> dict:
     """Total count per distinct key, in order of first appearance."""
@@ -342,16 +330,16 @@ class Manifold:
     summands: tuple[tuple["Manifold", int], ...] = field(default=(), repr=False)
 
     def euler(self) -> int:
-        return self.char.euler()
+        return 2 - 2 * self.char.b1 + self.char.b_plus + self.char.b_minus
 
     def signature(self) -> int:
-        return self.char.signature()
+        return self.char.b_plus - self.char.b_minus
 
     def two_chi_plus_3tau(self) -> int:
-        return self.char.two_chi_plus_3tau()
+        return 2 * self.euler() + 3 * self.signature()
 
     def two_chi_minus_3tau(self) -> int:
-        return self.char.two_chi_minus_3tau()
+        return 2 * self.euler() - 3 * self.signature()
 
     def has_flag(self, flag: Flag) -> bool:
         return flag in self.flags
@@ -438,10 +426,10 @@ def validate(m: Manifold) -> list[str]:
 
     if Flag.ALMOST_COMPLEX in m.flags and m.spinc_structures:
         g = m.spinc_structures[0]
-        if g.c1_squared != c.two_chi_plus_3tau():
+        if g.c1_squared != m.two_chi_plus_3tau():
             problems.append(
                 "almost-canonical-class identity fails: canonical c1^2 = "
-                f"{shown(g.c1_squared)} but 2*chi + 3*tau = {shown(c.two_chi_plus_3tau())}")
+                f"{shown(g.c1_squared)} but 2*chi + 3*tau = {shown(m.two_chi_plus_3tau())}")
 
     for weaker, stronger in _FLAG_IMPLICATIONS:
         if weaker in m.flags and stronger not in m.flags:

@@ -7,7 +7,8 @@ certificate say whether the sum (#X_m) # N is certified.  The classes of a
 certified sum are the sign orbit {sum +/- e_i} of orthogonal generators e_i:
 the canonical classes of the pieces and the exceptional classes of N.  A
 ``MonopoleClassSet`` stores only the generator squares e_i^2; its classes
-are a lazy view, enumerated only when a caller iterates it.
+are numbered by ``range(2 ** rank)``: class i has sign -1 on generator j
+exactly when bit rank-1-j of i is set, so no class is ever built.
 
 beta^2 is the maximum of the intersection form Q over Hull(classes).  In
 generator coordinates the hull is the box [-1,1]^rank and Q is separable,
@@ -22,18 +23,15 @@ maximizing hull point.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Union
 
 from fourfold.certify import Verdict, require_part_count
 from fourfold.errors import CapacityError, PremiseError
 from fourfold.model import PIECE_CAP, Flag, Manifold
 from fourfold.surgery import Split
 from fourfold.symbolic import SymbolicValue
-
-RationalLike = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -44,33 +42,14 @@ class Inconclusive:
 
 
 @dataclass(frozen=True)
-class SignVectors:
-    """The 2^rank vectors {+1,-1}^rank, as a lazy read-only collection.
-
-    Iteration follows ``itertools.product((1, -1), repeat=rank)``, all-plus
-    first; membership costs O(rank).  ``len()`` cannot exceed
-    ``sys.maxsize``, so past rank 62 use ``2 ** rank``.
-    """
-
-    rank: int
-
-    def __len__(self) -> int:
-        return 2 ** self.rank
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product((1, -1), repeat=self.rank)
-
-    def __contains__(self, v: object) -> bool:
-        return (isinstance(v, tuple) and len(v) == self.rank
-                and all(x in (1, -1) for x in v))
-
-
-@dataclass(frozen=True)
 class MonopoleClassSet:
     """The sign orbit {sum +/- e_i} of orthogonal generators, stored by the
     generator squares e_i^2 (the diagonal of the Gram matrix of the span).
 
-    ``classes`` lists the orbit in generator coordinates, as sign vectors.
+    ``classes`` numbers the orbit: class i has sign -1 on generator j
+    exactly when bit rank-1-j of i is set, the order of
+    ``itertools.product((1, -1), repeat=rank)``.  ``len()`` cannot exceed
+    ``sys.maxsize``, so past rank 62 use ``2 ** rank``.
     """
 
     squares: tuple[int, ...]
@@ -80,8 +59,8 @@ class MonopoleClassSet:
         return len(self.squares)
 
     @property
-    def classes(self) -> SignVectors:
-        return SignVectors(self.rank)
+    def classes(self) -> range:
+        return range(2 ** self.rank)
 
 
 def monopole_classes_for_sum(split: Split) -> MonopoleClassSet:
@@ -165,12 +144,11 @@ def invariant_Is_Y_K(split: Split) -> Union[ScalarInvariants, Inconclusive]:
 
 
 def lambda_bar_k(m: Manifold, inv: Union[ScalarInvariants, Inconclusive],
-                 k: RationalLike) -> Union[SymbolicValue, Inconclusive]:
+                 k: Fraction) -> Union[SymbolicValue, Inconclusive]:
     """The eigenvalue invariant sup_g (least eigenvalue of 4*Laplace + k*s) *
     vol^(1/2): equals k * Y(m) when Y(m) <= 0 and k >= 2/3, and +infinity on
     manifolds with positive scalar curvature for any k > 0.  ``inv`` is
     ``invariant_Is_Y_K`` of m's split."""
-    k = Fraction(k)
     if m.has_flag(Flag.HAS_PSC_METRIC):
         if k > 0:
             return SymbolicValue.plus_infinity()

@@ -22,6 +22,7 @@ the result.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -141,6 +142,13 @@ class _Parser:
                             self.cur.offset, (what,))
         return self.advance()
 
+    def integer(self, tok: _Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # past the interpreter's int-str limit
+            raise ExprError(f"integer of {len(tok.text)} digits, over the limit of "
+                            f"{sys.get_int_max_str_digits()}", tok.offset) from None
+
     def parse(self) -> Node:
         node = self.expr()
         if self.cur.kind != "EOF":
@@ -167,7 +175,7 @@ class _Parser:
         if self.cur.kind == "INT":
             count_tok = self.advance()
             self.expect("*", "'*'")
-            count = int(count_tok.text)
+            count = self.integer(count_tok)
             if count < 1:
                 raise ExprError(f"repetition count must be >= 1, got {count}",
                                 count_tok.offset)
@@ -193,10 +201,10 @@ class _Parser:
         if self.cur.kind != "(":
             return Atom(tok.text)
         self.advance()
-        args = [int(self.expect("INT", "integer").text)]
+        args = [self.integer(self.expect("INT", "integer"))]
         while self.cur.kind == ",":
             self.advance()
-            args.append(int(self.expect("INT", "integer").text))
+            args.append(self.integer(self.expect("INT", "integer")))
         self.expect(")", "')'")
         return Atom(tok.text, tuple(args))
 
@@ -242,8 +250,3 @@ def evaluate(node: Node, env: Optional[dict[str, Manifold]] = None) -> Manifold:
     atoms = sorted(counts, key=lambda a: (a.name, a.args))
     return connected_sum([_resolve(atom, env) for atom in atoms],
                          [counts[atom] for atom in atoms])
-
-
-def parse_and_evaluate(text: str,
-                       env: Optional[dict[str, Manifold]] = None) -> Manifold:
-    return evaluate(parse(text), env)

@@ -9,7 +9,7 @@ number (pi is transcendental, and squarefree radicands of equal rationals
 coincide), so equality compares fields.  A report builds each value once,
 scales it at most once and prints it: a value has no arithmetic and no order.
 
-The certificates decide A*pi^2 > B for rational A and B, which never ties
+The certificates decide A*pi^2 > B for integers A and B, which never ties
 for A != 0.  ``pi2_greater`` refines enclosures of pi^2 (``pi2_bounds``) to
 10^-d, d = 50, 100, 200, ..., until one decides, and reports a tie only
 when ``PI_DIGIT_CAP`` digits do not.
@@ -20,11 +20,9 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from fourfold.errors import CapacityError
-
-RationalLike = Union[int, Fraction, str]
 
 # pi2_greater refines pi^2 from 50 digits, doubling, up to this many digits;
 # building every enclosure up to it takes well under 1 s.
@@ -61,30 +59,21 @@ def pi2_bounds(d: int) -> tuple[Fraction, Fraction]:
     return Fraction(lo, 10 ** d), Fraction(hi, 10 ** d)
 
 
-def pi2_greater(a: Union[int, Fraction], b: Union[int, Fraction],
-                strict: bool = True) -> Optional[bool]:
-    """Decide a*pi^2 > b (or >= when strict=False) over the rationals.
+def pi2_greater(p: int, q: int, strict: bool = True) -> Optional[bool]:
+    """Decide p*pi^2 > q (or >= when strict=False) for integers p and q.
 
     Returns True/False, and None only when ``pi2_bounds`` at PI_DIGIT_CAP
-    digits cannot settle it.  For a != 0 the strict and non-strict answers
-    coincide (a*pi^2 is irrational); for a == 0 the comparison is purely
-    rational.
+    digits cannot settle it.  For p != 0 the strict and non-strict answers
+    coincide (p*pi^2 is irrational).  A rational comparison a*pi^2 > b
+    becomes an integer one once both sides are scaled by the positive
+    denominators of a and b.
 
-    ints and Fractions are used as they are; anything else goes through
-    ``Fraction()``.  With a = a_n/a_d and b = b_n/b_d (positive
-    denominators), a*x - b has the sign of p*x_n - q*x_d for x = x_n/x_d,
-    where p = a_n*b_d and q = b_n*a_d, so the enclosure ends are compared
-    by integer products alone.  For p < 0 the question is turned into
-    its negation for -p, -q, which never ties either.
+    With x = x_n/x_d an enclosure end, p*x - q has the sign of
+    p*x_n - q*x_d; for p < 0 the question is turned into its negation for
+    -p, -q, which never ties either.
     """
-    if not isinstance(a, (int, Fraction)):
-        a = Fraction(a)
-    if not isinstance(b, (int, Fraction)):
-        b = Fraction(b)
-    if a == 0:
-        return (0 > b) if strict else (0 >= b)
-    p = a.numerator * b.denominator
-    q = b.numerator * a.denominator
+    if p == 0:
+        return (0 > q) if strict else (0 >= q)
     positive = p > 0
     if not positive:
         p, q = -p, -q
@@ -127,7 +116,7 @@ class SymbolicValue:
 
     __slots__ = ("q", "pi_power", "radicand", "inf")
 
-    def __init__(self, q: RationalLike = 0, pi_power: int = 0, radicand: int = 1):
+    def __init__(self, q: int | Fraction = 0, pi_power: int = 0, radicand: int = 1):
         q = Fraction(q)
         if pi_power not in (0, 1, 2):
             raise ValueError("pi_power must be 0, 1 or 2")
@@ -155,13 +144,13 @@ class SymbolicValue:
         object.__setattr__(value, "inf", True)
         return value
 
-    def scale(self, c: RationalLike) -> "SymbolicValue":
+    def scale(self, c: Fraction) -> "SymbolicValue":
         """c times this finite value."""
         if self.inf:
             raise ValueError("cannot scale an infinity")
         # the radicand is squarefree already: store, do not factor it again
         value = object.__new__(SymbolicValue)
-        value._store(self.q * Fraction(c), self.pi_power, self.radicand)
+        value._store(self.q * c, self.pi_power, self.radicand)
         return value
 
     def __eq__(self, other: object) -> bool:

@@ -75,6 +75,13 @@ def sign_orbit(squares):
     return tuple(itertools.product((1, -1), repeat=d)), gram
 
 
+def sign_vector(i: int, rank: int) -> tuple[int, ...]:
+    """Class i of a sign orbit of ``rank`` generators, as the sign vector
+    that ``MonopoleClassSet.classes`` numbers: sign -1 on generator j
+    exactly when bit rank-1-j of i is set."""
+    return tuple(-1 if i >> (rank - 1 - j) & 1 else 1 for j in range(rank))
+
+
 def _is_sign_orbit(classes, d: int) -> bool:
     """True when the classes are exactly all sign vectors {+/-1}^d."""
     return (len(classes) == 2 ** d

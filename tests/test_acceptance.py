@@ -197,7 +197,7 @@ def test_criterion_7_invariants():
     assert inv.Is == SymbolicValue(2048, pi_power=2)
     assert inv.Y == SymbolicValue(-32, pi_power=1, radicand=2)
     assert inv.K == inv.Y
-    assert lambda_bar_k(m, inv, 1) == inv.Y
+    assert lambda_bar_k(m, inv, Fraction(1)) == inv.Y
     assert lambda_bar_k(m, inv, Fraction(2, 3)) == inv.Y.scale(Fraction(2, 3))
     blown = connected_sum([sigma, sigma, catalog_get("CP2bar")])
     ir = invariant_Ir(split_blowdown(blown))
@@ -219,7 +219,7 @@ def test_criterion_8_einstein_separation():
 
 @_report(9, "spin geography search: content, re-verification, determinism")
 def test_criterion_9_spin_search():
-    hits, baseline = collect(search_spin_examples, 3, 3, 4, 6, 1)
+    hits, baseline = collect(search_spin_examples, 3, 3, 4, 6, Fraction(1))
     assert baseline.hits
     keys = list(baseline.hits)
     assert (2, 2, 1) in keys
@@ -247,7 +247,8 @@ def test_criterion_10_decomposition_and_exotic():
 
     char = CharData(b1=0, b_plus=3, b_minus=11, is_spin=False,
                     is_simply_connected=True)
-    g = SpinCStructure(c1=None, c1_squared=char.two_chi_plus_3tau(),
+    c1sq = Manifold(name="Xns", char=char).two_chi_plus_3tau()
+    g = SpinCStructure(c1=None, c1_squared=c1sq,
                        sw_parity=Parity.ODD,
                        parity_provenance=Provenance.USER_ASSERTED)
     x = Manifold(name="Xns", char=char, spinc_structures=(g,),

@@ -809,6 +809,45 @@ def test_report_holding_an_unprintable_int_writes_nothing(capsys, expr):
                    f"{_INT_STR_LIMIT} digits\n")
 
 
+_LONG = "7" * 5000  # more digits than the default int-str limit
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("build", _LONG + "*K3"),
+     f"integer of 5000 digits, over the limit of {_INT_STR_LIMIT} at offset 0"),
+    (("build", f"K3 # Sigma({_LONG},3)"),
+     f"integer of 5000 digits, over the limit of {_INT_STR_LIMIT} at offset 11"),
+    (("catalog", f"Sigma({_LONG},3)"),
+     f"a parameter of 'Sigma({'7' * 33}... has more than {_INT_STR_LIMIT} digits"),
+], ids=["count", "argument", "catalog_id"])
+def test_an_integer_past_the_int_str_limit_is_refused_where_it_stands(capsys, argv, message):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"fourfold: error: {message}\n"
+    assert "set_int_max_str_digits" not in err
+
+
+def test_a_disabled_int_str_limit_keeps_the_default_bound_on_options(capsys):
+    """With the interpreter's limit off (0), an option value still has the
+    default bound of 4,300 digits, which stops ``--k 1e10000000`` from being
+    expanded and its derived report from being printed."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, err = _run(capsys, "invariants", "Sigma(3,3) # K3", "--k", _LONG)
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert (code, out) == (1, "")
+    assert err.startswith("fourfold: error: bad --k value '")
+    assert err.endswith(": 4300 digits or more\n")
+
+
+def test_the_schema_lists_exactly_the_verdicts(schema):
+    verdicts = schema["definitions"]["certificate"]["properties"]["verdict"]["enum"]
+    assert len(verdicts) == len(set(verdicts))
+    assert set(verdicts) == {v.value for v in certify.Verdict}
+
+
 def test_rational_options_up_to_the_int_str_limit_parse():
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     assert cli._rational(f"1e{limit - 2}", "--c4") == 10 ** (limit - 2)

@@ -58,17 +58,17 @@ KODAIRA = catalog_get("Kodaira")
 
 
 def test_sv_interval_values():
-    sv = simplicial_volume(connected_sum([SIGMA33, K3]), 1)
+    sv = simplicial_volume(connected_sum([SIGMA33, K3]), Fraction(1))
     assert (sv.lo(), sv.hi()) == (64, 64)
     sv = simplicial_volume(connected_sum([SIGMA33, K3]), Fraction(2))
     assert (sv.lo(), sv.hi()) == (32, 128)
-    sv = simplicial_volume(connected_sum([K3, K3]), 1)
+    sv = simplicial_volume(connected_sum([K3, K3]), Fraction(1))
     assert sv.factor == 0 and sv.lo() == sv.hi() == 0
     m = connected_sum([catalog_get("Sigma(3,5)")] * 2)
-    sv = simplicial_volume(m, 1)
+    sv = simplicial_volume(m, Fraction(1))
     assert sv.factor == 16  # 2 * (2)(4)
     k2 = connected_sum([SIGMA33, catalog_get("Sigma(3,5)")])
-    assert simplicial_volume(k2, 1).factor == 12
+    assert simplicial_volume(k2, Fraction(1)).factor == 12
 
 
 def test_sv_interval_unknown_content():
@@ -78,7 +78,7 @@ def test_sv_interval_unknown_content():
         spinc_structures=(),
         sv_factors=None,
     )
-    assert isinstance(simplicial_volume(custom, 1), Inconclusive)
+    assert isinstance(simplicial_volume(custom, Fraction(1)), Inconclusive)
 
 
 def test_sv_interval_ordering_for_c4_at_least_one():
@@ -95,9 +95,9 @@ def test_sv_interval_ends_match_fraction_arithmetic(c4, factor):
     lo, hi = Fraction(16 * factor) / c4, Fraction(16 * factor) * c4
     assert (sv.lo(), sv.hi()) == (lo, hi)
     assert sv.to_json() == {"lo": str(lo), "hi": str(hi), "factor": factor, "c4": str(c4)}
-    # ints and strings are converted once, to the same interval
+    # simplicial_volume builds this interval from a manifold's factor
     m = _ght_piece(0, 3, 3, factor)
-    assert simplicial_volume(m, str(c4)) == simplicial_volume(m, c4) == sv
+    assert simplicial_volume(m, c4) == sv
 
 
 def test_sv_interval_validation():
@@ -106,7 +106,7 @@ def test_sv_interval_validation():
     with pytest.raises(ValueError):
         SvInterval(-1, Fraction(1))
     with pytest.raises(ValueError):
-        simplicial_volume(K3, -1)
+        simplicial_volume(K3, Fraction(-1))
 
 
 def test_hitchin_thorpe():
@@ -125,23 +125,23 @@ def test_hitchin_thorpe():
 def test_ght_strict_on_search_shape():
     m = connected_sum([catalog_get("Gompf(2,2)"), catalog_get("Y(1)"),
                        SIGMA33, S1XS3])
-    cert = ght(m, 1, strict=True)
+    cert = ght(m, Fraction(1), strict=True)
     assert cert.verdict is Verdict.NOT_OBSTRUCTED
 
 
 def test_ght_simply_connected_reduces_to_ht():
-    cert = ght(K3, 1, strict=False)
+    cert = ght(K3, Fraction(1), strict=False)
     assert cert.verdict is Verdict.NOT_OBSTRUCTED
-    cert = ght(K3, 1, strict=True)  # boundary: strict check fails, no violation
+    cert = ght(K3, Fraction(1), strict=True)  # boundary: strict check fails, no violation
     assert cert.verdict is Verdict.INCONCLUSIVE
-    cert = ght(connected_sum([K3, K3]), 1, strict=False)
+    cert = ght(connected_sum([K3, K3]), Fraction(1), strict=False)
     assert cert.verdict is Verdict.OBSTRUCTED
 
 
 def test_ght_straddle_is_inconclusive():
     m = connected_sum([SIGMA33] + [CP2BAR] * 31)  # 2chi - 3|tau| = 1, factor 4
     assert min(m.two_chi_plus_3tau(), m.two_chi_minus_3tau()) == 1
-    cert = ght(m, 10**6, strict=True)
+    cert = ght(m, Fraction(10**6), strict=True)
     assert cert.verdict is Verdict.INCONCLUSIVE
     lower = [p for p in cert.premises if "lower sv end" in p.text]
     assert lower and lower[0].passed
@@ -150,7 +150,7 @@ def test_ght_straddle_is_inconclusive():
 def test_ght_unknown_sv():
     custom = Manifold(name="mystery", char=CharData(1, 2, 2, False, False),
                       spinc_structures=(), sv_factors=None)
-    assert ght(custom, 1).verdict is Verdict.INCONCLUSIVE
+    assert ght(custom, Fraction(1)).verdict is Verdict.INCONCLUSIVE
 
 
 def _ght_piece(b1: int, b_plus: int, b_minus: int, factor) -> Manifold:
@@ -387,7 +387,7 @@ def _nonspin_symplectic(b_plus=3, b_minus=11):
     """Synthetic simply connected non-spin symplectic piece with odd SW."""
     char = CharData(b1=0, b_plus=b_plus, b_minus=b_minus, is_spin=False,
                     is_simply_connected=True)
-    c1sq = char.two_chi_plus_3tau()
+    c1sq = Manifold(name="Xns", char=char).two_chi_plus_3tau()
     g = SpinCStructure(c1=None, c1_squared=c1sq, sw_parity=Parity.ODD,
                        parity_provenance=Provenance.USER_ASSERTED)
     return Manifold(name="Xns", char=char, spinc_structures=(g,),
@@ -434,7 +434,7 @@ def collect(search, *args):
 
 
 def test_spin_search_contains_expected_tuple():
-    _, out = collect(search_spin_examples, 3, 3, 4, 6, 1)
+    _, out = collect(search_spin_examples, 3, 3, 4, 6, Fraction(1))
     keys = list(out.hits)
     assert (2, 2, 1) in keys
     assert out.hits  # nonempty
@@ -444,7 +444,7 @@ def test_spin_search_contains_expected_tuple():
 
 
 def test_spin_search_hits_reverify_and_certify():
-    hits, out = collect(search_spin_examples, 3, 3, 4, 6, 1)
+    hits, out = collect(search_spin_examples, 3, 3, 4, 6, Fraction(1))
     for hit in hits:
         assert spin_tuple_certified(hit.m, hit.n, hit.l, 3, 3, Fraction(1))
         assert hit.sv.factor > 0
@@ -463,7 +463,7 @@ def test_spin_search_hits_reverify_and_certify():
 
 
 def test_nonspin_search_range():
-    hits, _ = collect(search_nonspin_examples, 3, 3, 2, 2, 1)
+    hits, _ = collect(search_nonspin_examples, 3, 3, 2, 2, Fraction(1))
     l2s = sorted(h.l for h in hits if h.n == 2)
     assert l2s == list(range(1, 20))
     for hit in hits:
@@ -477,8 +477,8 @@ def test_nonspin_in22_never_prunes_at_default_constant(monkeypatch):
     for m in range(2, 5):
         for n in range(1, 7):
             for l2 in range(0, 8 * n + 4 * big_g - 12 + 1):
-                a = Fraction(81 * (8 * (n + 12 * m) + 4 * big_g + 84 + 5 * l2))
-                assert pi2_greater(a, Fraction(16 * big_g)) is True
+                a = 81 * (8 * (n + 12 * m) + 4 * big_g + 84 + 5 * l2)
+                assert pi2_greater(a, 16 * big_g) is True
     # In both modes the first inequality decides the second: where the
     # first holds, so does the second, and a tie in the first (at a 50-digit
     # cap) is never a failure of the second.  So the search decides only the
@@ -506,8 +506,9 @@ def _first_decides_second() -> int:
                          16 * c4 * big_g),
                     )
                     for a1, a2, b in pairs:
-                        dec1 = pi2_greater(Fraction(a1), b)
-                        dec2 = pi2_greater(Fraction(a2), b)
+                        # scaled by b's denominator, as the search scales by c4's
+                        dec1 = pi2_greater(a1 * b.denominator, b.numerator)
+                        dec2 = pi2_greater(a2 * b.denominator, b.numerator)
                         if dec1 is True:
                             assert dec2 is True
                         if dec1 is None:
@@ -520,15 +521,15 @@ def _first_decides_second() -> int:
 
 def test_search_rejects_bad_parameters():
     with pytest.raises(PremiseError):
-        collect(search_spin_examples, 2, 3, 4, 6, 1)
+        collect(search_spin_examples, 2, 3, 4, 6, Fraction(1))
     with pytest.raises(PremiseError):
-        collect(search_spin_examples, 3, 4, 4, 6, 1)
+        collect(search_spin_examples, 3, 4, 4, 6, Fraction(1))
     with pytest.raises(ValueError):
-        collect(search_spin_examples, 3, 3, 4, 6, -1)
+        collect(search_spin_examples, 3, 3, 4, 6, Fraction(-1))
 
 
 def test_search_huge_c4_empty():
-    hits, out = collect(search_spin_examples, 3, 3, 4, 6, 10**6)
+    hits, out = collect(search_spin_examples, 3, 3, 4, 6, Fraction(10**6))
     assert not hits and not out.hits and not out.inconclusive
 
 

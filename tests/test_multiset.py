@@ -301,7 +301,8 @@ def test_part_counts_are_checked_before_listing(capsys, monkeypatch):
 def _nonspin_symplectic_atom() -> Manifold:
     # the numbers of CP2 # 11 CP2bar's minimal symplectic relatives: b+ = 3
     char = CharData(b1=0, b_plus=3, b_minus=19, is_spin=False, is_simply_connected=True)
-    g = SpinCStructure(c1=None, c1_squared=char.two_chi_plus_3tau(),
+    c1sq = Manifold(name="Xns", char=char).two_chi_plus_3tau()
+    g = SpinCStructure(c1=None, c1_squared=c1sq,
                        sw_parity=Parity.ODD, parity_provenance=Provenance.USER_ASSERTED)
     return Manifold(name="Xns", char=char, spinc_structures=(g,),
                     flags=frozenset({Flag.ALMOST_COMPLEX, Flag.SYMPLECTIC}))

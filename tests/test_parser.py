@@ -13,7 +13,6 @@ from fourfold.parser import (
     Sum,
     evaluate,
     parse,
-    parse_and_evaluate,
 )
 
 from oracles import to_text
@@ -151,17 +150,28 @@ def test_invalid_corpus(text, offset):
     assert exc.value.offset == offset
 
 
+@pytest.mark.parametrize("text, offset", [
+    ("7" * 5000 + "*K3", 0),
+    ("K3 # Sigma(" + "7" * 5000 + ",3)", 11),
+], ids=["count", "argument"])
+def test_an_integer_past_the_int_str_limit_is_an_expr_error(text, offset):
+    with pytest.raises(ExprError) as exc:
+        parse(text)
+    assert exc.value.offset == offset
+    assert "set_int_max_str_digits" not in str(exc.value)
+
+
 def test_corpus_is_at_least_100_cases():
     assert len(VALID_CASES) + len(INVALID_CASES) >= 100
 
 
 def test_unknown_atom_and_bad_parameters():
     with pytest.raises(CatalogError):
-        parse_and_evaluate("E8")
+        evaluate(parse("E8"))
     with pytest.raises(CatalogError):
-        parse_and_evaluate("Sigma(0,3)")
+        evaluate(parse("Sigma(0,3)"))
     with pytest.raises(CatalogError):
-        parse_and_evaluate("Gompf(1,1)")
+        evaluate(parse("Gompf(1,1)"))
 
 
 def test_precedence():
@@ -218,8 +228,8 @@ def test_round_trip_random_asts():
 
 
 def test_normalization_order_independence():
-    a = parse_and_evaluate("2*Sigma(3,3) # 18*CP2bar")
-    b = parse_and_evaluate("9*CP2bar # Sigma(3,3) # 9*CP2bar # Sigma(3,3)")
+    a = evaluate(parse("2*Sigma(3,3) # 18*CP2bar"))
+    b = evaluate(parse("9*CP2bar # Sigma(3,3) # 9*CP2bar # Sigma(3,3)"))
     assert a == b
     assert a.euler() == 48 and a.signature() == -18
 
@@ -233,7 +243,7 @@ def test_evaluate_with_custom_env(tmp_path):
     path = tmp_path / "cat.json"
     path.write_text(json.dumps({"version": 1, "manifolds": [doc]}))
     env = load_catalog_file(str(path))
-    m = parse_and_evaluate("MyBlock # K3", env)
+    m = evaluate(parse("MyBlock # K3"), env)
     assert m.euler() == 46
 
 

@@ -1,6 +1,7 @@
 """Every function and method in ``src/fourfold`` has a caller in ``src/``,
-every name a module imports is used in it, and no class defines arithmetic
-or ordering operators.
+every name a module imports is used in it, no class defines arithmetic
+or ordering operators, no method only forwards to a same-named method of a
+field, and every enum member is spelled outside its class.
 
 No linter is part of this project's toolchain, so this test is the check:
 code that only the tests reach belongs in ``tests/oracles.py`` or nowhere.  A
@@ -123,15 +124,66 @@ def test_no_class_defines_an_arithmetic_or_ordering_operator():
     assert defined == []
 
 
+def _is_forwarder(method) -> bool:
+    """Whether a method's whole body is ``return self.<attr>.<its name>(...)``."""
+    body = method.body
+    if (body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)):
+        body = body[1:]  # a docstring
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    call = body[0].value
+    return (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and call.func.attr == method.name
+            and isinstance(call.func.value, ast.Attribute)
+            and isinstance(call.func.value.value, ast.Name)
+            and call.func.value.value.id == "self")
+
+
+def test_no_method_only_forwards_to_a_namesake():
+    # one formula, one place: a method that hands its call on to a same-named
+    # method of a field is a second entry point to the same thing
+    forwarders = [dotted for dotted, node in _defs()
+                  if dotted.count(".") == 2 and _is_forwarder(node)]
+    assert forwarders == []
+
+
+def _enum_members():
+    """(module, enum class node, member name) of every enum in src/."""
+    for mod, tree in MODULES.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(base) in ("enum.Enum", "Enum") for base in node.bases):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.Assign):
+                        for target in stmt.targets:
+                            if isinstance(target, ast.Name):
+                                yield mod, node, target.id
+
+
+def test_every_enum_member_is_spelled_outside_its_class():
+    # Enums that the catalog reader builds from document values through
+    # ``_enum(Cls, ...)`` may hold members that only a document names.
+    built = {call.args[0].id for tree in MODULES.values() for call in ast.walk(tree)
+             if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+             and call.func.id == "_enum" and call.args and isinstance(call.args[0], ast.Name)}
+    spelled = {(node.value.id, node.attr, mod, node.lineno)
+               for mod, tree in MODULES.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+    unspelled = [f"{mod}.{cls.name}.{member}" for mod, cls, member in _enum_members()
+                 if cls.name not in built
+                 and not any(name == cls.name and attr == member
+                             and (m != mod or not cls.lineno <= line <= cls.end_lineno)
+                             for name, attr, m, line in spelled)]
+    assert unspelled == []
+
+
 # -- reach: which functions a fixed list of CLI commands enters ---------------
 
 # Kept although no command below enters them, each for its reason.
 UNREACHED = {
     "exact.solve_unique": "bench/tracer.py wraps it and requires it to exist",
     "monopole.MonopoleClassSet.classes": "bench/tracer.py counts len(result.classes)",
-    "monopole.SignVectors.__len__": "bench/tracer.py counts len(result.classes)",
-    "monopole.SignVectors.__iter__": "the lazy view of the classes bench/tracer.py counts",
-    "monopole.SignVectors.__contains__": "the lazy view of the classes bench/tracer.py counts",
     "symbolic.SymbolicValue.__setattr__": "the immutability guard: no code assigns a field",
     "symbolic.SymbolicValue.__eq__": "the tests compare values",
     "symbolic.SymbolicValue.__hash__": "the tests compare values",

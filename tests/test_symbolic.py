@@ -31,6 +31,13 @@ def _mpf(x: Fraction):
     return mpmath.mpf(x.numerator) / x.denominator
 
 
+def _scaled(a, b) -> tuple[int, int]:
+    """(p, q) with p*pi^2 > q exactly when a*pi^2 > b, for rationals a and b:
+    both sides times the positive denominators of a and b."""
+    a, b = Fraction(a), Fraction(b)
+    return a.numerator * b.denominator, b.numerator * a.denominator
+
+
 def _digit_counts():
     d = 50
     while d < PI_DIGIT_CAP:
@@ -97,7 +104,7 @@ def test_approx_past_the_float_range_is_infinite():
 def test_scale():
     y = SymbolicValue(-32, 1, 2)
     assert y.scale(Fraction(2, 3)) == SymbolicValue(Fraction(-64, 3), 1, 2)
-    assert y.scale(0) == SymbolicValue(0)
+    assert y.scale(Fraction(0)) == SymbolicValue(0)
 
 
 def test_infinities():
@@ -111,13 +118,15 @@ def test_infinities():
 @given(st.fractions(min_value=-100, max_value=100),
        st.integers(min_value=0, max_value=2),
        st.integers(min_value=0, max_value=500),
-       st.one_of(st.just(0), st.integers(-10, 10), st.fractions(max_denominator=50)))
+       st.one_of(st.just(Fraction(0)), st.integers(-10, 10).map(Fraction),
+                 st.fractions(max_denominator=50)))
 def test_scale_matches_the_constructor(q, p, s, c):
     v = SymbolicValue(q, p, s)
     assert v.scale(c) == SymbolicValue(v.q * c, v.pi_power, v.radicand)
 
 
-@pytest.mark.parametrize("c", [2, -2, 0, Fraction(2, 3)])
+@pytest.mark.parametrize("c", [Fraction(2), Fraction(-2), Fraction(0), Fraction(2, 3)],
+                         ids=["2", "-2", "0", "c3"])
 def test_scale_refuses_an_infinity(c):
     with pytest.raises(ValueError, match="cannot scale an infinity"):
         SymbolicValue.plus_infinity().scale(c)
@@ -147,7 +156,7 @@ def test_canonical_form_invariants(q, p, s):
 @given(st.fractions(min_value=-50, max_value=50),
        st.fractions(min_value=-50, max_value=50))
 def test_pi2_greater_decides_correctly(a, b):
-    res = pi2_greater(a, b, strict=True)
+    res = pi2_greater(*_scaled(a, b), strict=True)
     assert res is not None
     import math
     approx = float(a) * math.pi**2 > float(b)
@@ -165,12 +174,12 @@ def test_pi2_greater_zero_coefficient():
 def test_pi2_greater_tie_is_none(monkeypatch):
     mid = (PI2_50.lo + PI2_50.hi) / 2
     # 50 digits do not separate the midpoint from pi^2; more digits do
-    assert pi2_greater(1, mid) is False
-    assert pi2_greater(-1, -mid) is True
+    assert pi2_greater(*_scaled(1, mid)) is False
+    assert pi2_greater(*_scaled(-1, -mid)) is True
     assert pi2_greater_by_division(1, mid, True, mpmath_pi2_enclosure()) is False
     monkeypatch.setattr(symbolic, "PI_DIGIT_CAP", 50)
-    assert pi2_greater(1, mid) is None
-    assert pi2_greater(-1, -mid) is None
+    assert pi2_greater(*_scaled(1, mid)) is None
+    assert pi2_greater(*_scaled(-1, -mid)) is None
 
 
 def test_pi2_greater_at_the_digit_cap_is_none_and_quick():
@@ -179,8 +188,8 @@ def test_pi2_greater_at_the_digit_cap_is_none_and_quick():
     b = Fraction(near, 10 ** (PI_DIGIT_CAP + 20))
     pi2_bounds.cache_clear()  # the time includes building every enclosure
     start = time.perf_counter()
-    assert pi2_greater(1, b) is None
-    assert pi2_greater(-1, -b) is None
+    assert pi2_greater(*_scaled(1, b)) is None
+    assert pi2_greater(*_scaled(-1, -b)) is None
     assert time.perf_counter() - start < 2.0
 
 
@@ -203,10 +212,11 @@ def _assert_matches_oracle(a, b, strict, enclosure):
     if expected is None:
         expected = pi2_greater_by_division(a, b, strict, mpmath_pi2_enclosure())
         assert expected is not None
-    assert pi2_greater(a, b, strict) is expected
+    assert pi2_greater(*_scaled(a, b), strict) is expected
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(symbolic, "PI_DIGIT_CAP", 50)
-        assert pi2_greater(a, b, strict) is pi2_greater_by_division(a, b, strict, PI2_50)
+        assert (pi2_greater(*_scaled(a, b), strict)
+                is pi2_greater_by_division(a, b, strict, PI2_50))
     return expected
 
 
@@ -225,7 +235,7 @@ def test_pi2_greater_matches_division_oracle_near_ties(a, end, sign, k, strict,
     b = a * x * (1 + sign * Fraction(1, 10**k))
     expected = _assert_matches_oracle(a, b, strict, enclosure)
     if b.denominator == 1:
-        assert pi2_greater(a, int(b), strict) is expected
+        assert pi2_greater(*_scaled(a, int(b)), strict) is expected
 
 
 def _near(digits: int, j: int) -> Fraction:
@@ -243,13 +253,13 @@ def test_pi2_greater_near_pi2_matches_mpmath(a, k, j, strict):
     b = a * _near(k, j)
     expected = pi2_greater_by_division(a, b, strict, mpmath_pi2_enclosure())
     assert expected is not None
-    assert pi2_greater(a, b, strict) is expected
-    assert pi2_greater(-a, -b, strict) is not expected
+    assert pi2_greater(*_scaled(a, b), strict) is expected
+    assert pi2_greater(*_scaled(-a, -b), strict) is not expected
 
 
-def test_pi2_greater_converts_other_inputs():
+def test_pi2_greater_decides_other_inputs_scaled_to_integers():
     for a, b in (("1", "9.86"), ("-1", "-9.87"), (1.5, 14.8), (Decimal("2"), 20),
                  ("0", "0"), (0.0, -1)):
         for strict in (True, False):
-            assert pi2_greater(a, b, strict) is pi2_greater_by_division(a, b, strict)
-    assert pi2_greater("1", "9.86") is True
+            assert pi2_greater(*_scaled(a, b), strict) is pi2_greater_by_division(a, b, strict)
+    assert pi2_greater(*_scaled("1", "9.86")) is True
