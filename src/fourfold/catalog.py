@@ -6,6 +6,10 @@ Kodaira surface, products of surfaces Sigma_g x Sigma_h, log-transformed
 homotopy K3 surfaces Y(l), and Gompf's simply connected symplectic spin
 manifolds Gompf(a,b).
 
+Every manifold is an immutable value, so the six fixed atoms (CP2, CP2bar,
+S1xS3, T4, K3, Kodaira) are built once, at import, and every lookup of one
+returns that value; the parametric families are built on each lookup.
+
 Stored lattices are the sublattices of H^2 actually needed: a hyperbolic
 plane carrying the canonical class for the surface-like blocks, the (+1) or
 (-1) line for the projective planes.  The half-triple-product matrices of
@@ -42,6 +46,9 @@ IDENTIFIER = r"[A-Za-z][A-Za-z0-9_]*"
 
 HYPERBOLIC = GramLattice(("a", "b"), ((0, 1), (1, 0)))
 
+# The plane of the fibre class f, f^2 = 0, and a section s of K3 and Y(l).
+FIBRE_PLANE = GramLattice(("f", "s"), ((0, 1), (1, 0)))
+
 
 def _atom(name: str, char: CharData, *, lattice: Optional[GramLattice],
           spinc: tuple[SpinCStructure, ...], flags: frozenset[Flag],
@@ -51,83 +58,6 @@ def _atom(name: str, char: CharData, *, lattice: Optional[GramLattice],
         flags=flags, sv_factors=sv_factors, summand_record=((name, 1),),
         summands=(),
     )
-
-
-def _cp2() -> Manifold:
-    char = CharData(b1=0, b_plus=1, b_minus=0, is_spin=False, is_simply_connected=True)
-    spinc = SpinCStructure(c1=(3,), c1_squared=9)
-    return _atom("CP2", char,
-                 lattice=GramLattice(("h",), ((1,),)),
-                 spinc=(spinc,),
-                 flags=frozenset({Flag.ALMOST_COMPLEX, Flag.SYMPLECTIC,
-                                  Flag.MINIMAL_KAEHLER, Flag.HAS_PSC_METRIC}),
-                 sv_factors=())
-
-
-def _cp2bar() -> Manifold:
-    char = CharData(b1=0, b_plus=0, b_minus=1, is_spin=False, is_simply_connected=True)
-    spinc = SpinCStructure(c1=(1,), c1_squared=-1)
-    return _atom("CP2bar", char,
-                 lattice=GramLattice(("e",), ((-1,),)),
-                 spinc=(spinc,),
-                 flags=frozenset({Flag.HAS_PSC_METRIC, Flag.HAS_NONNEG_SCALAR_METRIC,
-                                  Flag.HAS_ASD_PSC_METRIC}),
-                 sv_factors=())
-
-
-def _s1xs3() -> Manifold:
-    char = CharData(b1=1, b_plus=0, b_minus=0, is_spin=True, is_simply_connected=False)
-    spinc = SpinCStructure(c1=(), c1_squared=0, s_size=1)
-    # Almost complex as a Hopf surface; PSC and anti-self-dual PSC metrics
-    # exist (standard conformally flat metric).
-    return _atom("S1xS3", char,
-                 lattice=GramLattice((), ()),
-                 spinc=(spinc,),
-                 flags=frozenset({Flag.ALMOST_COMPLEX, Flag.HAS_PSC_METRIC,
-                                  Flag.HAS_NONNEG_SCALAR_METRIC,
-                                  Flag.HAS_ASD_PSC_METRIC, Flag.C1_MOD4_ZERO}),
-                 sv_factors=())
-
-
-def _t4() -> Manifold:
-    char = CharData(b1=4, b_plus=3, b_minus=3, is_spin=True, is_simply_connected=False)
-    spinc = SpinCStructure(c1=(0, 0), c1_squared=0, s_size=4,
-                           sw_parity=Parity.ODD,
-                           parity_provenance=Provenance.TAUBES_SYMPLECTIC)
-    return _atom("T4", char,
-                 lattice=HYPERBOLIC,
-                 spinc=(spinc,),
-                 flags=frozenset({Flag.ALMOST_COMPLEX, Flag.SYMPLECTIC,
-                                  Flag.MINIMAL_KAEHLER, Flag.C1_MOD4_ZERO}),
-                 sv_factors=())
-
-
-def _k3() -> Manifold:
-    char = CharData(b1=0, b_plus=3, b_minus=19, is_spin=True, is_simply_connected=True)
-    spinc = SpinCStructure(c1=(0, 0), c1_squared=0,
-                           sw_parity=Parity.ODD,
-                           parity_provenance=Provenance.TAUBES_SYMPLECTIC)
-    return _atom("K3", char,
-                 lattice=GramLattice(("f", "s"), ((0, 1), (1, 0))),
-                 spinc=(spinc,),
-                 flags=frozenset({Flag.ALMOST_COMPLEX, Flag.SYMPLECTIC,
-                                  Flag.MINIMAL_KAEHLER, Flag.C1_MOD4_ZERO}),
-                 sv_factors=())
-
-
-def _kodaira() -> Manifold:
-    # Primary Kodaira surface: non-Kaehler symplectic spin surface with
-    # b+ = 2, b1 = 3, c1 = 0; an elliptic bundle over an elliptic curve.
-    char = CharData(b1=3, b_plus=2, b_minus=2, is_spin=True, is_simply_connected=False)
-    spinc = SpinCStructure(c1=(0, 0), c1_squared=0, s_size=3,
-                           sw_parity=Parity.ODD,
-                           parity_provenance=Provenance.TAUBES_SYMPLECTIC)
-    return _atom("Kodaira", char,
-                 lattice=HYPERBOLIC,
-                 spinc=(spinc,),
-                 flags=frozenset({Flag.ALMOST_COMPLEX, Flag.SYMPLECTIC,
-                                  Flag.C1_MOD4_ZERO}),
-                 sv_factors=())
 
 
 def _sigma(g: int, h: int) -> Manifold:
@@ -154,11 +84,9 @@ def _sigma(g: int, h: int) -> Manifold:
 
 def _y_ell(ell: int) -> Manifold:
     """Homotopy K3 from a logarithmic transformation of order 2l+1 on the
-    Kummer surface; l = 0 is the Kummer surface itself."""
+    Kummer surface; l = 0 is the Kummer surface itself, named K3."""
     if ell < 0:
         raise CatalogError(f"Y(l) needs l >= 0, got {ell}")
-    if ell == 0:
-        return _k3()
     char = CharData(b1=0, b_plus=3, b_minus=19, is_spin=True, is_simply_connected=True)
     # Canonical monopole classes are +/- 2*l*f with f the multiple-fiber
     # class, f^2 = 0; characteristic data is that of K3 but the smooth type
@@ -169,8 +97,8 @@ def _y_ell(ell: int) -> Manifold:
     flags = {Flag.ALMOST_COMPLEX, Flag.SYMPLECTIC, Flag.MINIMAL_KAEHLER}
     if ell % 2 == 0:
         flags.add(Flag.C1_MOD4_ZERO)
-    return _atom(f"Y({ell})", char,
-                 lattice=GramLattice(("f", "s"), ((0, 1), (1, 0))),
+    return _atom(f"Y({ell})" if ell else "K3", char,
+                 lattice=FIBRE_PLANE,
                  spinc=(spinc,),
                  flags=frozenset(flags),
                  sv_factors=())
@@ -196,14 +124,53 @@ def _gompf(alpha: int, beta: int) -> Manifold:
                  sv_factors=())
 
 
-_PLAIN: dict[str, Callable[[], Manifold]] = {
-    "CP2": _cp2,
-    "CP2bar": _cp2bar,
-    "S1xS3": _s1xs3,
-    "T4": _t4,
-    "K3": _k3,
-    "Kodaira": _kodaira,
-}
+_PLAIN: dict[str, Manifold] = {m.name: m for m in (
+    _atom("CP2",
+          CharData(b1=0, b_plus=1, b_minus=0, is_spin=False, is_simply_connected=True),
+          lattice=GramLattice(("h",), ((1,),)),
+          spinc=(SpinCStructure(c1=(3,), c1_squared=9),),
+          flags=frozenset({Flag.ALMOST_COMPLEX, Flag.SYMPLECTIC,
+                           Flag.MINIMAL_KAEHLER, Flag.HAS_PSC_METRIC}),
+          sv_factors=()),
+    _atom("CP2bar",
+          CharData(b1=0, b_plus=0, b_minus=1, is_spin=False, is_simply_connected=True),
+          lattice=GramLattice(("e",), ((-1,),)),
+          spinc=(SpinCStructure(c1=(1,), c1_squared=-1),),
+          flags=frozenset({Flag.HAS_PSC_METRIC, Flag.HAS_NONNEG_SCALAR_METRIC,
+                           Flag.HAS_ASD_PSC_METRIC}),
+          sv_factors=()),
+    # Almost complex as a Hopf surface; PSC and anti-self-dual PSC metrics
+    # exist (standard conformally flat metric).
+    _atom("S1xS3",
+          CharData(b1=1, b_plus=0, b_minus=0, is_spin=True, is_simply_connected=False),
+          lattice=GramLattice((), ()),
+          spinc=(SpinCStructure(c1=(), c1_squared=0, s_size=1),),
+          flags=frozenset({Flag.ALMOST_COMPLEX, Flag.HAS_PSC_METRIC,
+                           Flag.HAS_NONNEG_SCALAR_METRIC,
+                           Flag.HAS_ASD_PSC_METRIC, Flag.C1_MOD4_ZERO}),
+          sv_factors=()),
+    _atom("T4",
+          CharData(b1=4, b_plus=3, b_minus=3, is_spin=True, is_simply_connected=False),
+          lattice=HYPERBOLIC,
+          spinc=(SpinCStructure(c1=(0, 0), c1_squared=0, s_size=4,
+                                sw_parity=Parity.ODD,
+                                parity_provenance=Provenance.TAUBES_SYMPLECTIC),),
+          flags=frozenset({Flag.ALMOST_COMPLEX, Flag.SYMPLECTIC,
+                           Flag.MINIMAL_KAEHLER, Flag.C1_MOD4_ZERO}),
+          sv_factors=()),
+    _y_ell(0),  # K3
+    # Primary Kodaira surface: non-Kaehler symplectic spin surface with
+    # b+ = 2, b1 = 3, c1 = 0; an elliptic bundle over an elliptic curve.
+    _atom("Kodaira",
+          CharData(b1=3, b_plus=2, b_minus=2, is_spin=True, is_simply_connected=False),
+          lattice=HYPERBOLIC,
+          spinc=(SpinCStructure(c1=(0, 0), c1_squared=0, s_size=3,
+                                sw_parity=Parity.ODD,
+                                parity_provenance=Provenance.TAUBES_SYMPLECTIC),),
+          flags=frozenset({Flag.ALMOST_COMPLEX, Flag.SYMPLECTIC,
+                           Flag.C1_MOD4_ZERO}),
+          sv_factors=()),
+)}
 
 _PARAMETRIC = re.compile(r"^(Sigma|Y|Gompf)\((\d+)(?:,(\d+))?\)$")
 
@@ -220,7 +187,7 @@ def catalog_get(block_id: str) -> Manifold:
     """
     key = block_id.replace(" ", "")
     if key in _PLAIN:
-        return _PLAIN[key]()
+        return _PLAIN[key]
     m = _PARAMETRIC.match(key)
     if m:
         family, first, second = m.group(1), m.group(2), m.group(3)
@@ -263,7 +230,7 @@ def manifold_to_json(m: Manifold) -> dict:
     entries = rank * rank + m.char.b1 * m.char.b1
     if entries > DENSE_ENTRY_CAP:
         raise CapacityError(
-            f"the JSON form would hold rank^2 + b1^2 = {entries} matrix entries, "
+            f"the JSON form would hold rank^2 + b1^2 = {shown(entries)} matrix entries, "
             f"over the cap of {DENSE_ENTRY_CAP}")
     doc: dict = {
         "version": CATALOG_VERSION,

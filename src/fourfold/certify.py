@@ -22,6 +22,7 @@ from typing import Sequence
 from fourfold.errors import (
     NonIntegralError,
     PremiseError,
+    shown,
 )
 from fourfold.model import Flag, Manifold, Parity, SpinCStructure
 
@@ -118,9 +119,9 @@ def require_part_count(theorem_id: str, n: int) -> None:
         return
     if theorem_id == "theorem-a":
         raise PremiseError(
-            f"the b1 > 0 non-vanishing certificate covers n = 2, 3 parts; got n = {n}"
+            f"the b1 > 0 non-vanishing certificate covers n = 2, 3 parts; got n = {shown(n)}"
             + ("; the spin cobordism invariant of a 4-fold sum vanishes" if n >= 4 else ""))
-    raise PremiseError(f"this certificate covers n = 2, 3 parts; got n = {n}")
+    raise PremiseError(f"this certificate covers n = 2, 3 parts; got n = {shown(n)}")
 
 
 def _nonvanishing(theorem_id: str, premises: Sequence[Premise],
@@ -163,28 +164,23 @@ _BAUER_CITATION = ("Bauer's non-vanishing theorem for connected sums of almost "
                    "complex 4-manifolds with b1 = 0")
 
 
-def _bauer_count_premises(n: int, b_plus: int) -> list[Premise]:
-    """The n >= 4 premises, read from the piece count and b+(X) alone."""
-    return [Premise("n = 4", n == 4, f"n = {n}"),
-            Premise("b+(X) = 4 (mod 8)", b_plus % 8 == 4, f"b+(X) = {b_plus}")]
+def check_bauer(m: Manifold) -> Certificate:
+    """Bauer's non-vanishing conditions for a sum of almost complex pieces
+    with b1 = 0; for n >= 4 additionally n = 4 and b+(X) = 4 (mod 8).
 
-
-def _bauer_past_four(n: int, b_plus: int) -> Certificate:
-    """A sum of n > 4 parts fails n = 4 whatever its parts are: only the two
-    count premises are reported."""
-    return _nonvanishing("bauer", _bauer_count_premises(n, b_plus), _BAUER_CITATION)
-
-
-def check_bauer(parts: Sequence[Manifold]) -> Certificate:
-    """Bauer's non-vanishing conditions for sums of almost complex pieces
-    with b1 = 0; for n >= 4 additionally n = 4 and b+(X) = 4 (mod 8)."""
-    n = len(parts)
+    The piece count and b+(X) are read before any piece is listed: a sum of
+    more than four pieces fails n = 4 whatever its pieces are, so only the
+    two count premises are reported, however many pieces it has."""
+    n = m.piece_count()
     if n < 2:
         raise PremiseError(f"a connected-sum certificate needs n >= 2 parts; got {n}")
+    counts = [Premise("n = 4", n == 4, f"n = {n}"),
+              Premise("b+(X) = 4 (mod 8)", m.char.b_plus % 8 == 4,
+                      f"b+(X) = {m.char.b_plus}")]
     if n > 4:
-        return _bauer_past_four(n, sum(p.char.b_plus for p in parts))
+        return _nonvanishing("bauer", counts, _BAUER_CITATION)
     premises: list[Premise] = []
-    for i, part in enumerate(parts):
+    for i, part in enumerate(m.pieces()):
         label = f"part {i + 1} ({part.name})"
         g = part.canonical_spinc
         premises.append(Premise(f"{label}: b1 = 0", part.char.b1 == 0,
@@ -199,16 +195,8 @@ def check_bauer(parts: Sequence[Manifold]) -> Certificate:
             g is not None and g.sw_parity is Parity.ODD,
             "" if g is None else f"provenance = {g.parity_provenance.value}"))
     if n == 4:
-        premises.extend(_bauer_count_premises(n, sum(p.char.b_plus for p in parts)))
+        premises.extend(counts)
     return _nonvanishing("bauer", premises, _BAUER_CITATION)
-
-
-def check_bauer_sum(m: Manifold) -> Certificate:
-    """``check_bauer`` on the pieces of the sum m.  The piece count and b+(X)
-    are read before any piece is listed, so a sum of more than four pieces,
-    however many, is decided without listing one."""
-    n = m.piece_count()
-    return check_bauer(m.pieces()) if n <= 4 else _bauer_past_four(n, m.char.b_plus)
 
 
 def check_theorem_B(parts: Sequence[Manifold]) -> Certificate:

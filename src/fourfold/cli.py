@@ -35,13 +35,13 @@ from fourfold import catalog, einstein, errors, monopole, parser, surgery
 from fourfold.certify import (
     Certificate,
     Verdict,
-    check_bauer_sum,
+    check_bauer,
     check_theorem_A,
     check_theorem_B,
     moduli_dimension,
     require_part_count,
 )
-from fourfold.errors import CapacityError, FourfoldError
+from fourfold.errors import CapacityError, FourfoldError, int_str_limit
 from fourfold.model import Manifold, SparseMatrix, validate
 from fourfold.monopole import Inconclusive
 from fourfold.symbolic import SymbolicValue
@@ -64,12 +64,6 @@ class _CliParser(argparse.ArgumentParser):
                                    lambda q: errors.shown(q[0]), message))
 
 
-def _int_str_limit() -> int:
-    # A disabled limit (0) keeps the default bound: it is what stops
-    # ``--k 1e10000000`` from being expanded and its derived report printed.
-    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-
-
 def _rational(raw: str, source: str) -> Fraction:
     """Parse a rational option value; errors name the option or variable and
     quote at most 40 characters of the value.
@@ -79,7 +73,7 @@ def _rational(raw: str, source: str) -> Fraction:
     would take seconds to expand, and its report could not be printed.
     """
     shown = errors.shown(repr(raw))
-    limit = _int_str_limit()
+    limit = int_str_limit()
     size = sum(c.isdigit() for c in raw)
     exponent = re.search(r"e([-+]?\d[\d_]*)", raw, re.IGNORECASE) if size < limit else None
     if exponent:
@@ -111,7 +105,7 @@ def _rendered(part: str, source: str, raw: Optional[str],
     except ValueError:
         cause = (f"{part} has" if raw is None else
                  f"bad {source} value {errors.shown(repr(raw))}: a derived number has")
-        raise CapacityError(f"{cause} more than {_int_str_limit()} digits") from None
+        raise CapacityError(f"{cause} more than {int_str_limit()} digits") from None
 
 
 # Built once per process: argparse holds no state between parse calls, and
@@ -293,7 +287,7 @@ def _emit(doc: dict) -> None:
         _PROBE_ENCODER.encode(doc)
     except ValueError:
         raise CapacityError("the report holds a number with more than "
-                            f"{_int_str_limit()} digits") from None
+                            f"{int_str_limit()} digits") from None
     write = sys.stdout.write
     for chunk in _indented(doc):
         write(chunk)
@@ -330,7 +324,7 @@ def _beta2_report(split: surgery.Split) -> dict:
         str(classes)
     except ValueError:  # past the int-str limit: the count could not be printed
         return {"inconclusive": f"a sign orbit of {orbit.rank} generators has 2^{orbit.rank} "
-                                f"classes, a count of more than {_int_str_limit()} digits"}
+                                f"classes, a count of more than {int_str_limit()} digits"}
     value, witness = monopole.beta_squared_with_witness(orbit)
     return {
         "value": str(value),
@@ -399,7 +393,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     m = None if theorem == "exotic" else _evaluate(args, args.expr)
     extra: dict = {}
     if theorem == "bauer":
-        cert = check_bauer_sum(m)
+        cert = check_bauer(m)
     elif theorem in ("theorem-a", "theorem-b"):
         require_part_count(theorem, m.piece_count())
         check = check_theorem_A if theorem == "theorem-a" else check_theorem_B
@@ -438,15 +432,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
           else einstein.search_nonspin_examples)
     encode, write = _LINE_ENCODER.encode, sys.stdout.write
 
-    def emit(hits: list[einstein.SearchHit]) -> None:
-        for hit in hits:
-            doc = hit.to_json()
-            doc["version"] = REPORT_VERSION
-            doc["kind"] = "search-hit"
-            write(encode(doc) + "\n")
+    def emit(hit: einstein.SearchHit) -> None:
+        doc = hit.to_json()
+        doc["version"] = REPORT_VERSION
+        doc["kind"] = "search-hit"
+        write(encode(doc) + "\n")
 
-    # The search hands on each batch of hits before it builds the next, so
-    # their lines are written as the scan runs; the ties follow them.
+    # The search hands on each hit before it builds the next, so its line is
+    # written as the scan runs; the ties follow the hits.
     outcome = fn(args.g, args.h, args.mmax, args.nmax, c4, emit=emit)
     for m, n, l in outcome.inconclusive:
         write(encode({"version": REPORT_VERSION, "kind": "search-inconclusive",

@@ -360,10 +360,6 @@ _FAMILY_NOTE = (
 SEARCH_CELL_CAP = 10_000
 SEARCH_SCAN_CAP = 100_000
 
-# A search hands its hits on in lists of at most this many, so it holds one
-# list, not every hit; a single cell may hold almost SEARCH_SCAN_CAP hits.
-SEARCH_BATCH = 256
-
 
 def _check_search_size(mode: str, g: int, h: int, m_max: int, n_max: int) -> None:
     pairs = max(0, m_max - 1) * max(0, n_max)
@@ -411,19 +407,19 @@ def _hit_for_tuple(mode: str, m: int, n: int, g: int, h: int, l: int,
     l1, l2 = (l, 0) if mode == "spin" else (0, l)
     cor = corollary_obstruction(pieces[:2], k=1, g=g, h=h, l1=l1, l2=l2)
     manifold = connected_sum(pieces, counts=[1, 1, 1, l])
-    sv = simplicial_volume(manifold, c4)
-    assert isinstance(sv, SvInterval)
     certs = (
         hitchin_thorpe(manifold),
         ght(manifold, c4, strict=True),
         cor,
     )
+    # The sum's only sv record is Sigma(g,h)'s.
     return SearchHit(mode=mode, m=m, n=n, l=l, manifold_name=manifold.name,
-                     sv=sv, certificates=certs, family_note=_FAMILY_NOTE)
+                     sv=SvInterval((g - 1) * (h - 1), c4), certificates=certs,
+                     family_note=_FAMILY_NOTE)
 
 
 def _search(mode: str, g: int, h: int, m_max: int, n_max: int, c4: Fraction,
-            emit: Callable[[list[SearchHit]], object]) -> SearchOutcome:
+            emit: Callable[[SearchHit], object]) -> SearchOutcome:
     if g < 3 or h < 3 or g % 2 == 0 or h % 2 == 0:
         raise PremiseError(f"the searches need odd g, h >= 3; got {shown(f'({g},{h})')}")
     if c4 <= 0:
@@ -440,9 +436,8 @@ def _search(mode: str, g: int, h: int, m_max: int, n_max: int, c4: Fraction,
     shared = (catalog_get("Y(1)"), catalog_get(f"Sigma({g},{h})"), catalog_get(last_atom))
     keys: list[tuple[int, int, int]] = []
     ties: list[tuple[int, int, int]] = []
-    batch: list[SearchHit] = []
     # Cells in (m, n) order, each scanning l upward: hits and ties come in
-    # key order, so a batch can be handed on as soon as it is full.
+    # key order, so each hit is handed on as soon as it is built.
     for m, n in sorted(_spin_cells(m_max, n_max)):
         pieces: Optional[tuple[Manifold, ...]] = None
         lo, last = _l_range(mode, n, big_g)
@@ -463,34 +458,29 @@ def _search(mode: str, g: int, h: int, m_max: int, n_max: int, c4: Fraction,
                 continue
             if pieces is None:
                 pieces = (catalog_get(f"Gompf({m},{n})"),) + shared
-            batch.append(_hit_for_tuple(mode, m, n, g, h, l, pieces, c4))
+            emit(_hit_for_tuple(mode, m, n, g, h, l, pieces, c4))
             keys.append((m, n, l))
-            if len(batch) == SEARCH_BATCH:
-                emit(batch)
-                batch = []
-    if batch:
-        emit(batch)
     return SearchOutcome(hits=tuple(keys), inconclusive=tuple(ties))
 
 
 def search_spin_examples(g: int, h: int, m_max: int, n_max: int,
                          c4: Fraction = DEFAULT_C4, *,
-                         emit: Callable[[list[SearchHit]], object]) -> SearchOutcome:
+                         emit: Callable[[SearchHit], object]) -> SearchOutcome:
     """All (m, n, l1) with m >= 2, n >= 1, 4m + 2n - 1 = 3 (mod 4), l1 >= 1
     whose spin connected sum
     Gompf(m,n) # Y(l) # (Sigma_g x Sigma_h) # l1 (S1 x S3)
     has nonzero simplicial volume, strictly satisfies Gromov-Hitchin-Thorpe,
     and carries no Einstein metric for any l.
 
-    The hits go to ``emit`` in key order, in lists of at most
-    ``SEARCH_BATCH``; each list is handed on before the next is built.  The
-    outcome holds the keys of the hits and of the ties."""
+    Each hit goes to ``emit`` in key order, one call per hit, before the
+    sum of the next hit is built, so the search holds no hit it has handed
+    on.  The outcome holds the keys of the hits and of the ties."""
     return _search("spin", g, h, m_max, n_max, c4, emit)
 
 
 def search_nonspin_examples(g: int, h: int, m_max: int, n_max: int,
                             c4: Fraction = DEFAULT_C4, *,
-                            emit: Callable[[list[SearchHit]], object]) -> SearchOutcome:
+                            emit: Callable[[SearchHit], object]) -> SearchOutcome:
     """Non-spin analogue: Gompf(m,n) # Y(l) # (Sigma_g x Sigma_h) # l2 CP2bar
     with l2 >= 1 (one blow-up already kills spin-ness).  Hits go to ``emit``
     as in :func:`search_spin_examples`."""

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and how an error line
+quotes a value."""
+
+import sys
 
 
 class FourfoldError(Exception):
@@ -25,7 +28,24 @@ class CapacityError(FourfoldError):
     """Input exceeds a documented size cap (e.g. ``model.PIECE_CAP``)."""
 
 
+def int_str_limit() -> int:
+    """The interpreter's int-str digit limit, or its default when the limit
+    is disabled (0): the default is what stops ``--k 1e10000000`` from being
+    expanded and its derived report printed."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
 def shown(value: object) -> str:
-    """``str(value)`` cut to 40 characters and "...", as an error line quotes it."""
+    """``str(value)`` cut to 40 characters and "...", as an error line quotes it.
+
+    An int that may have more than ``int_str_limit()`` digits is named by its
+    digit count instead, which ``str`` would refuse (or, with the limit
+    disabled, take time quadratic in the length).  The count is estimated
+    from the bit length with 30103 / 100000, just over log10 2, so it is
+    never too small."""
+    if isinstance(value, int):
+        digits = abs(value).bit_length() * 30103 // 100000 + 1
+        if digits > int_str_limit():
+            return f"<an integer of about {digits} digits>"
     text = str(value)
     return text if len(text) <= 40 else text[:40] + "..."

@@ -159,7 +159,7 @@ def test_criterion_5_certificates():
         check_theorem_A(four)
     with pytest.raises(PremiseError):
         check_theorem_B(four)
-    cert = check_bauer(four)  # b+(X) = 12 = 4 (mod 8)
+    cert = check_bauer(connected_sum(four))  # b+(X) = 12 = 4 (mod 8)
     assert cert.verdict is Verdict.NONVANISHING
 
 

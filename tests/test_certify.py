@@ -11,7 +11,6 @@ from fourfold.certify import (
     Premise,
     Verdict,
     check_bauer,
-    check_bauer_sum,
     check_taubes,
     check_theorem_A,
     check_theorem_B,
@@ -162,21 +161,21 @@ def test_theorem_a_records_spin_cobordism():
 
 
 def test_bauer_examples():
-    assert check_bauer([K3, K3]).verdict is Verdict.NONVANISHING
+    assert check_bauer(connected_sum([K3, K3])).verdict is Verdict.NONVANISHING
     # 4 copies of K3: b+(X) = 12 = 4 (mod 8)
-    assert check_bauer([K3] * 4).verdict is Verdict.NONVANISHING
-    assert check_bauer([K3] * 5).verdict is Verdict.INCONCLUSIVE
+    assert check_bauer(connected_sum([K3] * 4)).verdict is Verdict.NONVANISHING
+    assert check_bauer(connected_sum([K3] * 5)).verdict is Verdict.INCONCLUSIVE
     # b1 != 0 is outside Bauer's hypotheses but fine for the b1 > 0 theorem
     mixed = [KODAIRA, K3]
-    assert check_bauer(mixed).verdict is Verdict.INCONCLUSIVE
+    assert check_bauer(connected_sum(mixed)).verdict is Verdict.INCONCLUSIVE
     assert check_theorem_A(mixed).verdict is Verdict.NONVANISHING
     with pytest.raises(PremiseError):
-        check_bauer([K3])
+        check_bauer(connected_sum([K3]))
 
 
 def test_bauer_mod8_is_computed():
     # three K3's: n = 3 < 4 so no mod-8 clause; five K3's fail n = 4
-    cert = check_bauer([K3] * 4)
+    cert = check_bauer(connected_sum([K3] * 4))
     mod8 = [p for p in cert.premises if "mod 8" in p.text]
     assert len(mod8) == 1 and mod8[0].passed
     assert "12" in mod8[0].witness
@@ -197,7 +196,7 @@ def test_bauer_two_parts_implies_theorem_a():
     # When Bauer's n = 2,3 premises hold, the b1 > 0 certificate passes too.
     for parts in ([K3, K3], [K3, catalog_get("Gompf(2,2)")],
                   [K3, K3, catalog_get("Y(2)")]):
-        if check_bauer(parts).verdict is Verdict.NONVANISHING:
+        if check_bauer(connected_sum(parts)).verdict is Verdict.NONVANISHING:
             assert check_theorem_A(parts).verdict is Verdict.NONVANISHING
 
 
@@ -273,6 +272,10 @@ def _taubes(parts):
     return check_taubes(parts[0])
 
 
+def _bauer_of_sum(parts):
+    return check_bauer(connected_sum(parts))
+
+
 GOMPF22 = catalog_get("Gompf(2,2)")
 
 # (certificate, parts it certifies, index of the part to break, the breaking
@@ -292,9 +295,10 @@ _ONE_PREMISE_BROKEN = [
     (check_theorem_B, [K3, GOMPF22], 0, _without(Flag.ALMOST_COMPLEX), "part 1 (K3): "),
     (check_theorem_B, [K3, GOMPF22], 1, _spinc(sw_parity=Parity.UNKNOWN),
      "part 2 (Gompf(2,2)): "),
-    (check_bauer, [K3, K3], 0, _char(b1=4), "part 1 (K3): b1 = 0"),
+    # the sum lists atoms by (name, b1, b+, b-): a K3 broken in b1 or b+ comes second
+    (check_bauer, [K3, K3], 0, _char(b1=4), "part 2 (K3): b1 = 0"),
     (check_bauer, [K3, K3], 1, _without(Flag.ALMOST_COMPLEX), "part 2 (K3): almost complex"),
-    (check_bauer, [K3, K3], 0, _char(b_plus=5), "part 1 (K3): b+ = 3 (mod 4)"),
+    (check_bauer, [K3, K3], 0, _char(b_plus=5), "part 2 (K3): b+ = 3 (mod 4)"),
     (check_bauer, [K3, K3], 1, _spinc(sw_parity=Parity.UNKNOWN), "part 2 (K3): SW parity odd"),
     (check_bauer, [K3] * 4, 3, _char(b_plus=7), "b+(X) = 4 (mod 8)"),
     (_taubes, [K3], 0, _without(Flag.SYMPLECTIC), "symplectic"),
@@ -308,6 +312,8 @@ def test_one_failed_premise_makes_a_certificate_inconclusive(check, parts, index
                                                              broken):
     """theorem-a, theorem-b, bauer and taubes share one verdict rule:
     Nonvanishing when every premise passed, otherwise Inconclusive."""
+    if check is check_bauer:  # bauer reads the sum of the parts
+        check = _bauer_of_sum
     whole = check(parts)
     assert whole.verdict is Verdict.NONVANISHING
     assert all(p.passed for p in whole.premises)
@@ -323,14 +329,15 @@ def test_one_failed_premise_makes_a_certificate_inconclusive(check, parts, index
 
 def test_bauer_past_four_parts_reads_counts_only():
     # n >= 5 fails n = 4 whatever the parts are, and only the count and
-    # b+(X) are reported, for a list of parts and for a sum alike
+    # b+(X) are reported, for a sum of copies and a sum with a count alike
     five = [K3] * 4 + [_char(b_plus=8)(K3)]  # b+(X) = 20 = 4 (mod 8)
-    cert = check_bauer(five)
+    cert = check_bauer(connected_sum(five))
     assert cert.verdict is Verdict.INCONCLUSIVE
     assert [(p.text, p.passed, p.witness) for p in cert.premises] == [
         ("n = 4", False, "n = 5"), ("b+(X) = 4 (mod 8)", True, "b+(X) = 20")]
-    assert check_bauer_sum(connected_sum([K3] * 5)) == check_bauer([K3] * 5)
+    assert check_bauer(connected_sum([K3], counts=[5])) == check_bauer(connected_sum([K3] * 5))
     for n in (2, 3, 4):
-        assert check_bauer_sum(connected_sum([K3] * n)) == check_bauer([K3] * n)
+        assert (check_bauer(connected_sum([K3], counts=[n]))
+                == check_bauer(connected_sum([K3] * n)))
     with pytest.raises(PremiseError):
-        check_bauer_sum(K3)
+        check_bauer(K3)

@@ -702,7 +702,7 @@ class _ClosedPipe:
 _HITS_1053 = _search_argv("nonspin", 7, 7, 4, 6)
 
 
-def test_a_closed_pipe_stops_the_scan_within_one_batch(capsys, monkeypatch):
+def test_a_closed_pipe_stops_the_scan_at_the_first_hit(capsys, monkeypatch):
     built = []
     summed = einstein.connected_sum
     with monkeypatch.context() as patch:
@@ -711,11 +711,12 @@ def test_a_closed_pipe_stops_the_scan_within_one_batch(capsys, monkeypatch):
         patch.setattr(sys, "stdout", _ClosedPipe())
         code = main(_HITS_1053)
     assert (code, capsys.readouterr().err) == (1, "")
-    # the first batch's write fails: the scan stops there, not after 1,053 hits
-    assert 0 < len(built) <= einstein.SEARCH_BATCH
+    # the first hit's write fails: the scan stops there, after one sum, not
+    # after 1,053
+    assert len(built) == 1
 
 
-def test_a_search_holds_one_batch_not_every_hit(capsys, monkeypatch):
+def test_a_search_holds_one_hit_not_every_hit(capsys, monkeypatch):
     main(_search_argv("nonspin", 3, 3, 2, 2))  # build what every call shares
     capsys.readouterr()
     tracemalloc.start()
@@ -727,9 +728,9 @@ def test_a_search_holds_one_batch_not_every_hit(capsys, monkeypatch):
     assert (code, err) == (0, "")
     # the 1,053 lines as written when the search sorted every hit before writing
     assert digest == "b9695c7191d08d09ed55df448c12b3ef2ab73c51979b4147061fb0a10d2f6005"
-    # holding every hit took 2.26 MiB; one batch of 256 takes about 0.6 MiB
-    # (CPython 3.11)
-    assert peak < 2**20
+    # holding every hit took 2.26 MiB, a batch of 256 hits about 0.6 MiB;
+    # one hit at a time takes about 0.16 MiB (CPython 3.11)
+    assert peak < 256 * 1024
 
 
 _INT_STR_LIMIT = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits

@@ -32,10 +32,12 @@ import tempfile
 from importlib import resources
 
 import jsonschema
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fourfold import cli
 from fourfold.catalog import PLAIN_IDS
+from fourfold.errors import int_str_limit
 from fourfold.model import PIECE_CAP
 from fourfold.parser import MAX_NESTING
 
@@ -153,6 +155,29 @@ def _run(argv: list[str]) -> tuple[int, str]:
     else:
         VALIDATOR.validate(json.loads(out))
     return code, err
+
+
+# A count of int_str_limit() - 1 digits parses; twice it has one digit more.
+_NINES = "9" * (int_str_limit() - 1)
+_TWO_HUGE = f"{_NINES}*K3 # {_NINES}*K3"
+# Two search bounds whose product has about 8,000 digits.
+_BIG = "9" * (int_str_limit() - 300)
+
+
+@pytest.mark.parametrize("argv, quoted", [
+    (["check", "theorem-a", "9" * 3000 + "*K3"], "got n = " + "9" * 40 + "...;"),
+    (["check", "theorem-a", _TWO_HUGE], "got n = 1" + "9" * 39 + "...;"),
+    (["check", "decomposition", _TWO_HUGE], "got n = 1" + "9" * 39 + "...;"),
+    (["check", "theorem-b", _TWO_HUGE], "got n = 1" + "9" * 39 + "...\n"),
+    (["build", _TWO_HUGE], "rank^2 + b1^2 = <an integer of about "),
+    (["search", "--mode", "spin", "--g", "3", "--h", "3", "--mmax", _BIG, "--nmax", _BIG],
+     "a search over <an integer of about "),
+], ids=["theorem-a", "theorem-a-sum", "decomposition", "theorem-b", "build", "search"])
+def test_a_huge_number_in_an_error_line_is_cut_or_counted(argv, quoted):
+    # a count or product that str() would print in full, or refuse past the
+    # int-str limit, is quoted by its first 40 digits or by its digit count
+    code, err = _run(argv)
+    assert code == 1 and quoted in err
 
 
 def test_unrecognized_arguments_are_listed_in_a_bounded_line():

@@ -1,5 +1,4 @@
 import gc
-import itertools
 import math
 import random
 import weakref
@@ -9,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fourfold import cli, einstein, symbolic
+from fourfold import catalog, cli, einstein, symbolic
 from fourfold.catalog import catalog_get
 from fourfold.certify import Verdict
 from fourfold.einstein import (
@@ -420,15 +419,9 @@ def test_exotic_pair_errors():
 
 def collect(search, *args):
     """(the hits ``search(*args)`` hands to its ``emit``, in order, and its
-    outcome).  Every batch holds 1 to ``SEARCH_BATCH`` hits, and the hits
-    are those the outcome lists."""
+    outcome).  The hits are those the outcome lists."""
     hits = []
-
-    def emit(batch):
-        assert 0 < len(batch) <= einstein.SEARCH_BATCH
-        hits.extend(batch)
-
-    outcome = search(*args, emit=emit)
+    outcome = search(*args, emit=hits.append)
     assert [(hit.m, hit.n, hit.l) for hit in hits] == list(outcome.hits)
     return hits, outcome
 
@@ -680,7 +673,8 @@ def test_search_keeps_nothing_after_it_returns(monkeypatch):
     """The atoms a search fetches, and the spin-c blocks each atom builds
     for its sums, are collected once the search has returned, while its
     outcome is still alive: the outcome holds keys, and nothing outlives a
-    call."""
+    call but the fixed atoms in ``catalog._PLAIN``, which the catalog holds
+    for the life of the process, and their spin-c structures."""
     refs = []
 
     def fetch(block_id):
@@ -696,17 +690,19 @@ def test_search_keeps_nothing_after_it_returns(monkeypatch):
     monkeypatch.setattr(einstein, "catalog_get", fetch)
     monkeypatch.setattr(einstein, "connected_sum", summed)
     emitted = []
-    outcome = search_nonspin_examples(7, 7, 4, 6, emit=lambda batch: emitted.append(len(batch)))
-    assert len(outcome.hits) > 100 and sum(emitted) == len(outcome.hits)
+    outcome = search_nonspin_examples(7, 7, 4, 6, emit=lambda hit: emitted.append(hit.l))
+    assert len(outcome.hits) > 100 and len(emitted) == len(outcome.hits)
     assert len(refs) > 4 * len(outcome.hits)  # four blocks per hit's sum
+    held = {id(x) for atom in catalog._PLAIN.values() for x in (atom, *atom.spinc_structures)}
     gc.collect()
-    assert [r for r in refs if r() is not None] == []
-    assert len(outcome.hits) == sum(emitted)  # the outcome outlived the collection
+    alive = [r() for r in refs if r() is not None]
+    assert alive and [x for x in alive if id(x) not in held] == []  # CP2bar is held
+    assert len(outcome.hits) == len(emitted)  # the outcome outlived the collection
 
 
-def test_search_hands_on_each_full_batch_before_it_builds_the_next_hit(monkeypatch):
-    """Each batch but the last holds ``SEARCH_BATCH`` hits, and it is handed
-    on before the sum of the next hit is built."""
+def test_search_hands_on_each_hit_before_it_builds_the_next_sum(monkeypatch):
+    """Each hit reaches ``emit`` before the sum of the next hit is built:
+    the k-th call of ``emit`` comes after exactly k sums."""
     built, at_emit = [0], []
 
     def summed(*args, **kwargs):
@@ -714,14 +710,10 @@ def test_search_hands_on_each_full_batch_before_it_builds_the_next_hit(monkeypat
         return connected_sum(*args, **kwargs)
 
     monkeypatch.setattr(einstein, "connected_sum", summed)
-    sizes = []
-    outcome = search_nonspin_examples(
-        7, 7, 4, 6, emit=lambda batch: (sizes.append(len(batch)), at_emit.append(built[0])))
-    batch = einstein.SEARCH_BATCH
+    outcome = search_nonspin_examples(7, 7, 4, 6, emit=lambda hit: at_emit.append(built[0]))
     hits = len(outcome.hits)
-    assert hits > 4 * batch
-    assert sizes == [batch] * (hits // batch) + ([hits % batch] if hits % batch else [])
-    assert at_emit == list(itertools.accumulate(sizes))
+    assert hits > 1000
+    assert at_emit == list(range(1, hits + 1))
 
 
 def _scan_size(mode, g, h, m_max, n_max):

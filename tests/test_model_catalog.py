@@ -53,6 +53,12 @@ def test_catalog_published_values(block_id):
     assert validate(m) == []
 
 
+@pytest.mark.parametrize("block_id", ["CP2", "CP2bar", "S1xS3", "T4", "K3", "Kodaira"])
+def test_a_fixed_atom_is_built_once(block_id):
+    # every lookup of a fixed id returns the one value built at import
+    assert catalog_get(block_id) is catalog_get(block_id)
+
+
 def test_catalog_canonical_c1_squared():
     assert catalog_get("K3").canonical_spinc.c1_squared == 0
     assert catalog_get("Kodaira").canonical_spinc.c1_squared == 0

@@ -89,7 +89,7 @@ def _random_parts(seed: int) -> list[Manifold]:
     distinct = rng.sample(pool, rng.randint(1, 4))
     parts = [a for a in distinct for _ in range(rng.randint(1, 4))]
     # equal atoms that are distinct objects must merge too
-    parts += [catalog_get(a.name) for a in distinct[:1] if a not in CUSTOM]
+    parts += [replace(a) for a in distinct[:1] if a not in CUSTOM]
     rng.shuffle(parts)
     return parts
 

@@ -1,7 +1,8 @@
 """Every function and method in ``src/fourfold`` has a caller in ``src/``,
 every name a module imports is used in it, no class defines arithmetic
 or ordering operators, no method only forwards to a same-named method of a
-field, and every enum member is spelled outside its class.
+field, every enum member is spelled outside its class, and no ``assert``
+statement stands in ``src/fourfold``.
 
 No linter is part of this project's toolchain, so this test is the check:
 code that only the tests reach belongs in ``tests/oracles.py`` or nowhere.  A
@@ -176,6 +177,13 @@ def test_every_enum_member_is_spelled_outside_its_class():
                              and (m != mod or not cls.lineno <= line <= cls.end_lineno)
                              for name, attr, m, line in spelled)]
     assert unspelled == []
+
+
+def test_no_assert_statement_in_src():
+    # python -O drops assert statements, so a check that matters must raise
+    asserts = [f"{mod}:{node.lineno}" for mod, tree in MODULES.items()
+               for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert asserts == []
 
 
 # -- reach: which functions a fixed list of CLI commands enters ---------------
