@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from typing import Callable, Optional
 
-from fourfold.errors import CapacityError, CatalogError, shown
+from fourfold.errors import CapacityError, CatalogError, int_str_limit, shown
 from fourfold.model import (
     CharData,
     Flag,
@@ -86,7 +85,7 @@ def _y_ell(ell: int) -> Manifold:
     """Homotopy K3 from a logarithmic transformation of order 2l+1 on the
     Kummer surface; l = 0 is the Kummer surface itself, named K3."""
     if ell < 0:
-        raise CatalogError(f"Y(l) needs l >= 0, got {ell}")
+        raise CatalogError(f"Y(l) needs l >= 0, got {shown(ell)}")
     char = CharData(b1=0, b_plus=3, b_minus=19, is_spin=True, is_simply_connected=True)
     # Canonical monopole classes are +/- 2*l*f with f the multiple-fiber
     # class, f^2 = 0; characteristic data is that of K3 but the smooth type
@@ -108,9 +107,9 @@ def _gompf(alpha: int, beta: int) -> Manifold:
     """Gompf's simply connected symplectic spin manifold with
     (chi, tau) = (24a + 4b, -16a)."""
     if alpha < 2:
-        raise CatalogError(f"Gompf(a,b) needs a >= 2, got a = {alpha}")
+        raise CatalogError(f"Gompf(a,b) needs a >= 2, got a = {shown(alpha)}")
     if beta < 0:
-        raise CatalogError(f"Gompf(a,b) needs b >= 0, got b = {beta}")
+        raise CatalogError(f"Gompf(a,b) needs b >= 0, got b = {shown(beta)}")
     char = CharData(b1=0, b_plus=4 * alpha + 2 * beta - 1,
                     b_minus=20 * alpha + 2 * beta - 1,
                     is_spin=True, is_simply_connected=True)
@@ -199,7 +198,7 @@ def catalog_get(block_id: str) -> Manifold:
             args = [int(x) for x in (first, second) if x is not None]
         except ValueError:  # past the interpreter's int-str limit
             raise CatalogError(f"a parameter of {shown(repr(block_id))} has more than "
-                               f"{sys.get_int_max_str_digits()} digits") from None
+                               f"{int_str_limit()} digits") from None
         return {"Y": _y_ell, "Sigma": _sigma, "Gompf": _gompf}[family](*args)
     raise CatalogError(f"unknown building block {shown(repr(block_id))}")
 
@@ -358,7 +357,7 @@ def manifold_from_json(doc: dict, where: str = "manifold document") -> Manifold:
     )
     lattice = None
     lat = _field(doc, "lattice", "object", where, default=None, nullable=True)
-    if lat:
+    if lat is not None:
         basis = _field(lat, "basis", "list", where, "lattice.")
         for i, label in enumerate(basis):
             _check(label, "str", where, f"lattice.basis[{i}]")

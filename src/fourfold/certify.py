@@ -82,7 +82,7 @@ def moduli_dimension(m: Manifold, g: SpinCStructure) -> int:
     num = g.c1_squared - m.two_chi_plus_3tau()
     if num % 4 != 0:
         raise NonIntegralError(
-            f"(c1^2 - 2chi - 3tau) = {num} is not divisible by 4; "
+            f"(c1^2 - 2chi - 3tau) = {shown(num)} is not divisible by 4; "
             "c1 is not an admissible characteristic class for this manifold")
     return num // 4
 

@@ -180,7 +180,6 @@ def _exotic(args: argparse.Namespace) -> Certificate:
         raise FourfoldError("exotic check needs an expression 'X # <1 or 2 parts>'")
     x = parser.evaluate(ast.parts[0], env)
     xprime = parser.evaluate(parser.Sum(ast.parts[1:]), env)
-    _validated(surgery.connected_sum([x, xprime]))
     return einstein.exotic_pair(x, xprime)
 
 
@@ -195,7 +194,7 @@ def _c4_option(args: argparse.Namespace) -> tuple[str, Optional[str]]:
 
 def _c4(args: argparse.Namespace) -> Fraction:
     source, raw = _c4_option(args)
-    return Fraction(1) if raw is None else _rational(raw, source)
+    return einstein.DEFAULT_C4 if raw is None else _rational(raw, source)
 
 
 def _sym_json(value: Union[SymbolicValue, Inconclusive],
@@ -485,10 +484,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # stop quietly, as a filter killed by SIGPIPE does.
         _detach_stdout()
         return EXIT_USAGE
-    except FourfoldError as exc:
-        print(f"fourfold: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, ZeroDivisionError) as exc:
+    except (FourfoldError, ValueError, ZeroDivisionError) as exc:
         print(f"fourfold: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

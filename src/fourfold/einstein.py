@@ -207,18 +207,18 @@ def corollary_obstruction(parts: Sequence[Manifold], k: int, g: int, h: int,
     bracket on the right; the witness prints rhs = x/3 in lowest terms."""
     n = len(parts)
     if n < 1 or k < 1 or n + k > 3:
-        raise PremiseError(f"need n, k >= 1 with n + k <= 3; got n = {n}, k = {k}")
+        raise PremiseError(f"need n, k >= 1 with n + k <= 3; got n = {n}, k = {shown(k)}")
     if g < 1 or h < 1 or g % 2 == 0 or h % 2 == 0:
-        raise PremiseError(f"need odd g, h >= 1; got ({g},{h})")
+        raise PremiseError(f"need odd g, h >= 1; got {shown(f'({g},{h})')}")
     if l1 < 0 or l2 < 0:
         raise PremiseError("l1, l2 must be nonnegative")
     for p in parts:
         if not p.char.is_simply_connected:
-            raise PremiseError(f"{p.name} is not simply connected")
+            raise PremiseError(f"{shown(p.name)} is not simply connected")
         if not p.has_flag(Flag.SYMPLECTIC):
-            raise PremiseError(f"{p.name} is not symplectic")
+            raise PremiseError(f"{shown(p.name)} is not symplectic")
         if p.char.b_plus % 4 != 3:
-            raise PremiseError(f"{p.name} has b+ = {p.char.b_plus} != 3 (mod 4)")
+            raise PremiseError(f"{shown(p.name)} has b+ = {shown(p.char.b_plus)} != 3 (mod 4)")
     total = sum(p.two_chi_plus_3tau() for p in parts)
     lhs = 4 * (n + l1 + k) + l2
     x = total + 4 * k * (1 - h) * (1 - g)

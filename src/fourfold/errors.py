@@ -35,16 +35,22 @@ def int_str_limit() -> int:
     return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
+def digit_bound(value: int) -> int:
+    """At least the number of decimal digits of ``value``, estimated from its
+    bit length with 30103 / 100000, just over log10 2, so never too small.
+    Unlike ``len(str(value))`` it costs nothing and never meets the int-str
+    limit."""
+    return abs(value).bit_length() * 30103 // 100000 + 1
+
+
 def shown(value: object) -> str:
     """``str(value)`` cut to 40 characters and "...", as an error line quotes it.
 
     An int that may have more than ``int_str_limit()`` digits is named by its
-    digit count instead, which ``str`` would refuse (or, with the limit
-    disabled, take time quadratic in the length).  The count is estimated
-    from the bit length with 30103 / 100000, just over log10 2, so it is
-    never too small."""
+    ``digit_bound`` instead, which ``str`` would refuse (or, with the limit
+    disabled, take time quadratic in the length)."""
     if isinstance(value, int):
-        digits = abs(value).bit_length() * 30103 // 100000 + 1
+        digits = digit_bound(value)
         if digits > int_str_limit():
             return f"<an integer of about {digits} digits>"
     text = str(value)

@@ -383,8 +383,8 @@ def flatten(atom_counts: Iterable[tuple[Manifold, int]]) -> tuple[Manifold, ...]
     atom_counts = tuple(atom_counts)
     n = sum(count for _, count in atom_counts)
     if n > PIECE_CAP:
-        raise CapacityError(
-            f"listing {n} connected-sum pieces one by one is over the cap of {PIECE_CAP}")
+        raise CapacityError(f"listing {shown(n)} connected-sum pieces one by one is over "
+                            f"the cap of {PIECE_CAP}")
     return tuple(itertools.chain.from_iterable(
         itertools.repeat(a, count) for a, count in atom_counts))
 

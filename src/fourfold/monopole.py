@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Union
 
 from fourfold.certify import Verdict, require_part_count
-from fourfold.errors import CapacityError, PremiseError
+from fourfold.errors import CapacityError, PremiseError, shown
 from fourfold.model import PIECE_CAP, Flag, Manifold
 from fourfold.surgery import Split
 from fourfold.symbolic import SymbolicValue
@@ -77,8 +77,8 @@ def monopole_classes_for_sum(split: Split) -> MonopoleClassSet:
         raise PremiseError("non-vanishing premises fail: " + split.theorem_a.failures())
     k = 0 if split.rest is None else split.rest.char.b_minus
     if split.count + k > PIECE_CAP:
-        raise CapacityError(
-            f"a sign orbit of {split.count + k} generators is over the cap of {PIECE_CAP}")
+        raise CapacityError(f"a sign orbit of {shown(split.count + k)} generators is over "
+                            f"the cap of {PIECE_CAP}")
     return MonopoleClassSet(
         squares=tuple(p.canonical_spinc.c1_squared for p in split.parts) + (-1,) * k)
 

@@ -11,23 +11,23 @@ Atoms are the catalog names (K3, T4, CP2, CP2bar, S1xS3, Kodaira) and the
 parametric families Sigma(g,h), Y(l), Gompf(a,b), plus any names supplied by
 a user catalog.
 
-Diagnostics carry the byte offset and the expected-token set.  Nesting
-(parentheses and repetition prefixes together) is capped at ``MAX_NESTING``
-levels; deeper input raises ExprError at the offending token instead of
-exhausting the interpreter stack.  Evaluation normalizes the expression to
-a sorted multiset of atoms before summing, so textual order never changes
-the result.
+Diagnostics carry the offset of the offending character (a ``str`` index)
+and the expected-token set.  Nesting (parentheses and repetition prefixes
+together) is capped at ``MAX_NESTING`` levels; deeper input raises ExprError
+at the offending token instead of exhausting the interpreter stack.
+Evaluation normalizes the expression to a sorted multiset of atoms before
+summing, so textual order never changes the result; an atom count that could
+pass the interpreter's int-str limit, as nested counts can, is refused there.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from fourfold.catalog import IDENTIFIER, catalog_get
-from fourfold.errors import FourfoldError, shown
+from fourfold.errors import CapacityError, FourfoldError, digit_bound, int_str_limit, shown
 from fourfold.model import Manifold
 from fourfold.surgery import connected_sum
 
@@ -88,32 +88,23 @@ class _Token:
     offset: int
 
 
-_TOKEN_RE = re.compile(IDENTIFIER + r"|\d+|[#*(),]")
+# One named group per token kind, tried in order at each position; "BAD" takes
+# the one character that starts no token.
+_TOKEN_RE = re.compile(rf"(?P<SPACE>\s+)|(?P<IDENT>{IDENTIFIER})|(?P<INT>\d+)"
+                       r"|(?P<OP>[#*(),])|(?P<BAD>.)", re.DOTALL)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
+    for m in _TOKEN_RE.finditer(text):
+        kind, lexeme, pos = m.lastgroup, m.group(), m.start()
+        if kind == "SPACE":
             continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ExprError(f"unexpected character {ch!r}", pos,
+        if kind == "BAD":
+            raise ExprError(f"unexpected character {lexeme!r}", pos,
                             ("identifier", "integer", "'#'", "'*'", "'('"))
-        lexeme = m.group(0)
-        if lexeme[0].isalpha():
-            kind = "IDENT"
-        elif lexeme[0].isdigit():
-            kind = "INT"
-        else:
-            kind = lexeme
-        tokens.append(_Token(kind, lexeme, pos))
-        pos = m.end()
-    tokens.append(_Token("EOF", "", n))
+        tokens.append(_Token(lexeme if kind == "OP" else kind, lexeme, pos))
+    tokens.append(_Token("EOF", "", len(text)))
     return tokens
 
 
@@ -147,7 +138,7 @@ class _Parser:
             return int(tok.text)
         except ValueError:  # past the interpreter's int-str limit
             raise ExprError(f"integer of {len(tok.text)} digits, over the limit of "
-                            f"{sys.get_int_max_str_digits()}", tok.offset) from None
+                            f"{int_str_limit()}", tok.offset) from None
 
     def parse(self) -> Node:
         node = self.expr()
@@ -247,6 +238,12 @@ def evaluate(node: Node, env: Optional[dict[str, Manifold]] = None) -> Manifold:
     """
     counts: dict[Atom, int] = {}
     _atom_counts(node, 1, counts)
+    # the sum's name prints the count of each atom name, and two atoms may
+    # share one (Y(0) is K3): bound their total by what str() can print
+    total, limit = sum(counts.values()), int_str_limit()
+    if digit_bound(total) > limit and total >= 10 ** limit:
+        raise CapacityError(f"the expression sums {shown(total)} atoms, a count of "
+                            f"more than {limit} digits")
     atoms = sorted(counts, key=lambda a: (a.name, a.args))
     return connected_sum([_resolve(atom, env) for atom in atoms],
                          [counts[atom] for atom in atoms])

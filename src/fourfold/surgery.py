@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from fourfold.certify import Certificate, check_theorem_A
-from fourfold.errors import SurgeryError
+from fourfold.errors import SurgeryError, shown
 from fourfold.model import (
     BlockLattice,
     BlockSpinC,
@@ -148,7 +148,7 @@ def connected_sum(parts: Sequence[Manifold],
     elif len(counts) != len(parts):
         raise SurgeryError(f"{len(counts)} counts for {len(parts)} parts")
     if any(n < 1 for n in counts):
-        raise SurgeryError(f"summand counts must be >= 1, got {min(counts)}")
+        raise SurgeryError(f"summand counts must be >= 1, got {shown(min(counts))}")
     summands = _multiset(parts, counts)
     if len(summands) == 1 and summands[0][1] == 1:
         return summands[0][0]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -110,20 +111,23 @@ def squarefree_decompose(s: int) -> tuple[int, int]:
     return (c, r)
 
 
+@dataclass(frozen=True)
 class SymbolicValue:
     """An exact number q*pi^p*sqrt(s) (q rational, p in {0,1,2}, s squarefree >= 0),
     or +infinity."""
 
-    __slots__ = ("q", "pi_power", "radicand", "inf")
+    q: Fraction = Fraction(0)  # an int is taken as a Fraction
+    pi_power: int = 0
+    radicand: int = 1
+    inf: bool = field(default=False, init=False)
 
-    def __init__(self, q: int | Fraction = 0, pi_power: int = 0, radicand: int = 1):
-        q = Fraction(q)
-        if pi_power not in (0, 1, 2):
+    def __post_init__(self) -> None:
+        if self.pi_power not in (0, 1, 2):
             raise ValueError("pi_power must be 0, 1 or 2")
-        if radicand < 0:
+        if self.radicand < 0:
             raise ValueError("radicand must be a nonnegative integer")
-        c, r = squarefree_decompose(radicand)
-        self._store(q * c, pi_power, r)
+        c, r = squarefree_decompose(self.radicand)
+        self._store(Fraction(self.q) * c, self.pi_power, r)
 
     def _store(self, q: Fraction, pi_power: int, radicand: int) -> None:
         """Set the fields of a finite value whose radicand is squarefree."""
@@ -132,10 +136,6 @@ class SymbolicValue:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "pi_power", pi_power)
         object.__setattr__(self, "radicand", radicand)
-        object.__setattr__(self, "inf", False)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("SymbolicValue is immutable")
 
     @classmethod
     def plus_infinity(cls) -> "SymbolicValue":
@@ -150,17 +150,9 @@ class SymbolicValue:
             raise ValueError("cannot scale an infinity")
         # the radicand is squarefree already: store, do not factor it again
         value = object.__new__(SymbolicValue)
+        object.__setattr__(value, "inf", False)
         value._store(self.q * c, self.pi_power, self.radicand)
         return value
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SymbolicValue):
-            return NotImplemented
-        return (self.q, self.pi_power, self.radicand, self.inf) == (
-            other.q, other.pi_power, other.radicand, other.inf)
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.pi_power, self.radicand, self.inf))
 
     def __str__(self) -> str:
         if self.inf:
@@ -173,9 +165,6 @@ class SymbolicValue:
         if self.radicand != 1:
             parts.append(f"sqrt({self.radicand})")
         return "*".join(parts)
-
-    def __repr__(self) -> str:
-        return f"SymbolicValue({self})"
 
     def approx(self) -> float:
         """Non-authoritative float approximation (display only); +/-inf past

@@ -4,10 +4,11 @@ Every input ends in a schema-valid report (exit 0 or 2; ``search`` writes
 one report per line) or in one line of ``fourfold: error:`` on stderr
 (exit 1) of at most ``MAX_ERROR_LINE`` characters, however long the values
 it quotes; an exception escaping ``main`` fails the test.  Expressions cover
-every catalog family with parameters and counts up to 10^30, nesting past
-``MAX_NESTING``, junk bytes spliced in, and bad ``--c4``/``--k`` values,
-among them exponents and integers past the interpreter's int-str limit,
-with and without ``--approx``.  An error line names at most five of 1,000
+every catalog family with parameters and counts up to 10^30, counts of 40
+to 4,300 digits and nested products of them, nesting past ``MAX_NESTING``,
+junk bytes spliced in, and bad ``--c4``/``--k`` values, among them
+exponents and integers past the interpreter's int-str limit, with and
+without ``--approx``.  An error line names at most five of 1,000
 unrecognized arguments (or 300 unknown flags) and counts the rest.  A run
 of such command lines, ``--help`` and a bad subcommand among them, gives
 the same exit codes, stdout and stderr through the one shared parser as
@@ -47,7 +48,11 @@ with resources.files("fourfold").joinpath("schemas/report-v1.json").open() as fh
     VALIDATOR = jsonschema.Draft7Validator(json.load(fh))
 
 _NUMBER = st.one_of(st.integers(0, 9), st.integers(10**6, 10**30))
-_COUNT = st.one_of(st.integers(0, 3), st.integers(PIECE_CAP + 1, 10**30))
+# A count of 40 to int_str_limit() digits: one such count parses, and nested
+# products of them pass the limit.
+_HUGE_COUNT = st.builds(lambda digit, n: digit * n, st.sampled_from("123456789"),
+                        st.integers(40, int_str_limit()))
+_COUNT = st.one_of(st.integers(0, 3), st.integers(PIECE_CAP + 1, 10**30), _HUGE_COUNT)
 
 _JUNK = st.one_of(
     st.binary(max_size=8).map(lambda b: b.decode("utf-8", "surrogateescape")),
@@ -77,10 +82,17 @@ def _splice(text: str, at: int, junk: str) -> str:
     return text[:at] + junk + text[at:]
 
 
+def _nested(counts: list[str], expr: str) -> str:
+    return "".join(f"{n}*(" for n in counts) + expr + ")" * len(counts)
+
+
+_NESTED = st.builds(_nested, st.lists(_HUGE_COUNT, min_size=2, max_size=3), _EXPR)
+
 _INPUT = st.one_of(
     _EXPR,
     _EXPR,
     _EXPR,
+    _NESTED,
     st.builds(_splice, _EXPR, st.integers(0, 60), _JUNK),
     _JUNK,
     st.sampled_from(["(" * (MAX_NESTING + 1) + "K3" + ")" * (MAX_NESTING + 1),
@@ -178,6 +190,22 @@ def test_a_huge_number_in_an_error_line_is_cut_or_counted(argv, quoted):
     # int-str limit, is quoted by its first 40 digits or by its digit count
     code, err = _run(argv)
     assert code == 1 and quoted in err
+
+
+_NESTED_NINES = f"{'9' * 3000}*({'9' * 3000}*K3)"
+
+
+@pytest.mark.parametrize("argv", [
+    ["build"], ["invariants"], ["beta2"],
+    *(["check", theorem] for theorem in cli.CHECK_IDS if theorem != "exotic")],
+    ids=lambda argv: "-".join(argv))
+def test_nested_counts_past_the_int_str_limit_are_refused(argv):
+    # each count prints, their product has 6,000 digits: the sum's name could
+    # not be printed
+    code, err = _run(argv + [_NESTED_NINES])
+    assert code == 1
+    assert err.startswith("fourfold: error: the expression sums <an integer of about 6001 "
+                          f"digits> atoms, a count of more than {int_str_limit()} digits")
 
 
 def test_unrecognized_arguments_are_listed_in_a_bounded_line():

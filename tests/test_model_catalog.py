@@ -299,6 +299,9 @@ def _k3_doc(**changes):
      "field 'lattice.gram': gram matrix is not symmetric"),
     (lambda d: d.update(lattice=None),
      "invalid manifold document 'MyK3': spin-c #0: c1 vector but no lattice"),
+    # without a c1 vector, a document read as having no lattice would be valid
+    (lambda d: (d.update(lattice={}), d["spinc"][0].update(c1=None)),
+     "manifolds[0] 'MyK3': missing field 'lattice.basis'"),
     (lambda d: d.update(b_plus="3"), "field 'b_plus' must be an integer"),
     (lambda d: d.update(is_spin=1), "field 'is_spin' must be true or false"),
     (lambda d: d["spinc"][0].pop("c1_squared"), "missing field 'spinc[0].c1_squared'"),

@@ -1,8 +1,10 @@
 """Every function and method in ``src/fourfold`` has a caller in ``src/``,
 every name a module imports is used in it, no class defines arithmetic
 or ordering operators, no method only forwards to a same-named method of a
-field, every enum member is spelled outside its class, and no ``assert``
-statement stands in ``src/fourfold``.
+field, every enum member is spelled outside its class, no ``assert``
+statement stands in ``src/fourfold``, no class hand-writes what a dataclass
+generates, and every value quoted by an f-string raised in a fourfold error
+goes through ``shown``, is a module constant or is allowed with its reason.
 
 No linter is part of this project's toolchain, so this test is the check:
 code that only the tests reach belongs in ``tests/oracles.py`` or nowhere.  A
@@ -28,6 +30,7 @@ from pathlib import Path
 
 import fourfold
 from fourfold import cli
+from fourfold.errors import FourfoldError
 
 SRC = Path(fourfold.__file__).resolve().parent
 MODULES = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
@@ -186,16 +189,121 @@ def test_no_assert_statement_in_src():
     assert asserts == []
 
 
+# Dataclasses generate these; a class writes one only for its reason.
+HAND_WRITTEN = {"__eq__", "__hash__", "__repr__", "__setattr__"}
+HAND_WRITTEN_ALLOWED = {
+    "model.Manifold.__hash__": "the search hashes sums by name, which CPython caches, "
+                               "not by every field",
+}
+
+
+def test_no_class_hand_writes_what_a_dataclass_generates():
+    written = {f"{mod}.{node.name}.{sub.name}"
+               for mod, tree in MODULES.items() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)
+               for sub in node.body
+               if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and sub.name in HAND_WRITTEN}
+    assert written == set(HAND_WRITTEN_ALLOWED)
+
+
+# -- every number or text an error line quotes is bounded ---------------------
+
+# Placeholders of an f-string raised in a fourfold error that neither go
+# through ``shown`` nor name a module constant, as "module: expression", each
+# with why its text stays short.
+PLACEHOLDERS_ALLOWED = {
+    "catalog: where": "fixed words, list indices and a name cut by shown",
+    "catalog: path": "a field path of fixed names and list indices, or the --catalog "
+                     "file path, which the OS bounds and a line names whole",
+    "catalog: what": "a fixed phrase naming a JSON type",
+    "catalog: allowed": "the member values of one enum",
+    "catalog: at": "a field path of a fixed name and a list index",
+    "catalog: family": "a family name the id pattern matched: Sigma or Gompf",
+    "catalog: int_str_limit()": "the interpreter's int-str limit",
+    "catalog: exc": "a message of the JSON reader or of GramLattice; neither quotes "
+                    "more than a few digits of a value",
+    "catalog: exc.strerror": "the operating system's message",
+    "catalog: i": "a list index",
+    "catalog: len(problems) - 1": "a count of validate messages",
+    "catalog: len(rows)": "the length of a list in memory",
+    "catalog: problems[0]": "a validate message, which quotes values through shown",
+    "certify: n": "a piece count below 2",
+    "cli: cause": "fixed words, or an option value cut by shown",
+    "cli: int_str_limit()": "the interpreter's int-str limit",
+    "cli: limit": "int_str_limit()",
+    "cli: shown": "a local holding errors.shown of the option value",
+    "cli: source": "an option or variable name: --c4, --k or FOURFOLD_C4",
+    "cli: theorem": "one of CHECK_IDS, which argparse enforces",
+    "einstein: n": "the length of a list in memory",
+    "parser: count": "a repetition count below 1, so 0: its token is digits",
+    "parser: int_str_limit()": "the interpreter's int-str limit",
+    "parser: len(tok.text)": "the length of a string in memory",
+    "parser: lexeme": "one character",
+    "parser: limit": "int_str_limit()",
+    "surgery: len(counts)": "the length of a list in memory",
+    "surgery: len(parts)": "the length of a list in memory",
+}
+
+
+def _fourfold_errors() -> set[str]:
+    """The names of FourfoldError and of every class derived from it in src/."""
+    return {name for mod in MODULES
+            for name, value in vars(importlib.import_module(
+                f"fourfold.{mod}" if mod != "__init__" else "fourfold")).items()
+            if isinstance(value, type) and issubclass(value, FourfoldError)}
+
+
+def _is_shown(node) -> bool:
+    return isinstance(node, ast.Call) and ast.unparse(node.func) in ("shown", "errors.shown")
+
+
+def _placeholders(node):
+    """The values of the f-string placeholders under ``node``, leaving out
+    ``shown(...)`` calls and whatever they hold."""
+    for child in ast.iter_child_nodes(node):
+        if _is_shown(child):
+            continue
+        if isinstance(child, ast.FormattedValue) and not _is_shown(child.value):
+            yield child.value
+        yield from _placeholders(child)
+
+
+def _module_constants(tree) -> set[str]:
+    """Upper-case names a module assigns or imports at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.asname or alias.name for alias in node.names)
+    return {name for name in names if name.isupper()}
+
+
+def test_every_raised_placeholder_is_shown_constant_or_allowed():
+    # An error line quotes at most 40 characters of a value; a number past the
+    # int-str limit cannot be printed at all.  shown() does both.
+    errors = _fourfold_errors()
+    found = set()
+    for mod, tree in MODULES.items():
+        constants = _module_constants(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and ast.unparse(node.exc.func).split(".")[-1] in errors):
+                found.update(f"{mod}: {ast.unparse(value)}"
+                             for value in _placeholders(node.exc)
+                             if not (isinstance(value, ast.Name) and value.id in constants))
+    assert found == set(PLACEHOLDERS_ALLOWED)
+
+
 # -- reach: which functions a fixed list of CLI commands enters ---------------
 
 # Kept although no command below enters them, each for its reason.
 UNREACHED = {
     "exact.solve_unique": "bench/tracer.py wraps it and requires it to exist",
     "monopole.MonopoleClassSet.classes": "bench/tracer.py counts len(result.classes)",
-    "symbolic.SymbolicValue.__setattr__": "the immutability guard: no code assigns a field",
-    "symbolic.SymbolicValue.__eq__": "the tests compare values",
-    "symbolic.SymbolicValue.__hash__": "the tests compare values",
-    "symbolic.SymbolicValue.__repr__": "pytest prints the values that differ with it",
 }
 
 # A custom atom with a lattice and a c1 vector, for --catalog.
