@@ -414,15 +414,22 @@ def load_catalog_file(path: str) -> dict[str, Manifold]:
 
     Names become atoms available to the expression parser, so each must be
     an ``IDENTIFIER``.  Raises CatalogError naming the file, entry and field
-    that is wrong.
+    that is wrong, or saying why the JSON reader cannot take the file.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise CatalogError(f"cannot read catalog file {path!r}: {exc.strerror}") from None
-    except ValueError as exc:
+    # both are ValueErrors, as is the reader's refusal of a long integer
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CatalogError(f"catalog file {path!r} is not JSON: {exc}") from None
+    except ValueError:
+        raise CatalogError(f"catalog file {path!r} holds an integer of more than "
+                           f"{int_str_limit()} digits") from None
+    except RecursionError:
+        raise CatalogError(f"catalog file {path!r} nests its values too deeply "
+                           "for the JSON reader") from None
     _object(doc, "catalog file")
     if doc.get("version") != CATALOG_VERSION:
         raise CatalogError(

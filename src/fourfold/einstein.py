@@ -223,7 +223,7 @@ def corollary_obstruction(parts: Sequence[Manifold], k: int, g: int, h: int,
     lhs = 4 * (n + l1 + k) + l2
     x = total + 4 * k * (1 - h) * (1 - g)
     obstructed = 3 * lhs >= x
-    rhs = x // 3 if x % 3 == 0 else f"{x}/3"
+    rhs = Fraction(x, 3)
     premises = (
         Premise("parts are simply connected symplectic with b+ = 3 (mod 4)",
                 True, ", ".join(p.name for p in parts)),
@@ -280,9 +280,8 @@ def exotic_pair(x: Manifold, xprime: Manifold) -> Certificate:
         Premise("xprime has 1 or 2 pieces", n_prime in (1, 2),
                 f"{n_prime} pieces"),
     ]
-    if n_prime in (1, 2):
-        for i, part in enumerate(xp_parts):
-            premises.extend(_part_premises_theorem_a(part, i))
+    for i, part in enumerate(xp_parts):
+        premises.extend(_part_premises_theorem_a(part, i))
     all_ok = all(pr.passed for pr in premises)
     if not all_ok:
         return Certificate(
@@ -325,7 +324,6 @@ class SearchHit:
     manifold_name: str
     sv: SvInterval
     certificates: tuple[Certificate, ...]
-    family_note: str
 
     def to_json(self) -> dict:
         return {
@@ -336,7 +334,7 @@ class SearchHit:
             "manifold": self.manifold_name,
             "sv": self.sv.to_json(),
             "certificates": [c.to_json() for c in self.certificates],
-            "family_note": self.family_note,
+            "family_note": _FAMILY_NOTE,
         }
 
 
@@ -353,19 +351,16 @@ _FAMILY_NOTE = (
     "(finiteness of the monopole-class set)")
 
 
-# A search is refused before any cell is listed when it would examine more
-# than SEARCH_CELL_CAP (m, n) pairs or scan more than SEARCH_SCAN_CAP values
-# of l.  Every l-range starts at l >= 1 and ends at an l that grows with n,
-# so the number of cells times the last l at n = n_max bounds the scan.
-SEARCH_CELL_CAP = 10_000
+# A search is refused before any cell is listed when it would scan more than
+# SEARCH_SCAN_CAP values of l.  Every l-range starts at l >= 1 and ends at an
+# l that grows with n, so the number of cells times the last l at n = n_max
+# bounds the scan.  That last l is at least 5 (n >= 2, G >= 4), so the cap
+# also bounds the cells, to 20,000; with no even n there is no cell, whatever
+# m_max is.
 SEARCH_SCAN_CAP = 100_000
 
 
 def _check_search_size(mode: str, g: int, h: int, m_max: int, n_max: int) -> None:
-    pairs = max(0, m_max - 1) * max(0, n_max)
-    if pairs > SEARCH_CELL_CAP:
-        raise CapacityError(f"a search over {shown(pairs)} (m, n) pairs is over the cap "
-                            f"of {SEARCH_CELL_CAP}")
     # 4m + 2n - 1 = 3 (mod 4) keeps only the even n
     cells = max(0, m_max - 1) * max(0, n_max // 2)
     scan = cells * max(0, _l_range(mode, n_max, (g - 1) * (h - 1))[1])
@@ -414,8 +409,7 @@ def _hit_for_tuple(mode: str, m: int, n: int, g: int, h: int, l: int,
     )
     # The sum's only sv record is Sigma(g,h)'s.
     return SearchHit(mode=mode, m=m, n=n, l=l, manifold_name=manifold.name,
-                     sv=SvInterval((g - 1) * (h - 1), c4), certificates=certs,
-                     family_note=_FAMILY_NOTE)
+                     sv=SvInterval((g - 1) * (h - 1), c4), certificates=certs)
 
 
 def _search(mode: str, g: int, h: int, m_max: int, n_max: int, c4: Fraction,

@@ -28,8 +28,8 @@ from fractions import Fraction
 from typing import Union
 
 from fourfold.certify import Verdict, require_part_count
-from fourfold.errors import CapacityError, PremiseError, shown
-from fourfold.model import PIECE_CAP, Flag, Manifold
+from fourfold.errors import CapacityError, PremiseError, int_str_limit, shown
+from fourfold.model import Flag, Manifold
 from fourfold.surgery import Split
 from fourfold.symbolic import SymbolicValue
 
@@ -68,17 +68,20 @@ def monopole_classes_for_sum(split: Split) -> MonopoleClassSet:
 
     Requires 2 or 3 pieces that pass the non-vanishing certificate
     (PremiseError); N's lattice is taken diagonal with k = b-(N) classes of
-    square -1 (always arrangeable, by Donaldson's theorem).  The generator
-    squares are stored one by one, so the rank is capped at ``PIECE_CAP``
-    (CapacityError).
+    square -1 (always arrangeable, by Donaldson's theorem).  A report prints
+    the class count 2^rank, so before any square is stored a rank whose count
+    has more than ``int_str_limit()`` digits is refused (CapacityError).
     """
     require_part_count("theorem-a", split.count)
     if split.theorem_a.verdict is not Verdict.NONVANISHING:
         raise PremiseError("non-vanishing premises fail: " + split.theorem_a.failures())
     k = 0 if split.rest is None else split.rest.char.b_minus
-    if split.count + k > PIECE_CAP:
-        raise CapacityError(f"a sign orbit of {shown(split.count + k)} generators is over "
-                            f"the cap of {PIECE_CAP}")
+    rank, limit = split.count + k, int_str_limit()
+    # 2^rank has more than `limit` digits exactly when 2^rank > 10^limit; the
+    # digit estimate skips the exact test for every small rank
+    if (rank + 1) * 30103 // 100000 >= limit and rank >= (10 ** limit).bit_length():
+        raise CapacityError(f"a sign orbit of {shown(rank)} generators has 2^{shown(rank)} "
+                            f"classes, a count of more than {limit} digits")
     return MonopoleClassSet(
         squares=tuple(p.canonical_spinc.c1_squared for p in split.parts) + (-1,) * k)
 

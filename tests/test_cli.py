@@ -681,8 +681,9 @@ def _no_hit(*_, **__):
     (_search_argv("nonspin", 3, 8, 4, 6), "the searches need odd g, h >= 3; got (3,8)"),
     (_search_argv("spin", 3, 3, 4, 6, "--c4", "0"), "c4 must be positive"),
     (_search_argv("nonspin", 3, 3, 4, 6, "--c4=-7/3"), "c4 must be positive"),
+    # 10,201 (m, n) pairs: refused for the l values they scan
     (_search_argv("spin", 3, 3, 102, 101),
-     "a search over 10201 (m, n) pairs is over the cap of 10000"),
+     "a search scanning up to 1025150 values of l is over the cap of 100000"),
     # one m past the near-cap search --mmax 127, which scans 99,288 values of l
     (_search_argv("nonspin", 15, 15, 128, 2),
      "a search scanning up to 100076 values of l is over the cap of 100000"),
@@ -798,6 +799,21 @@ def test_orbit_whose_class_count_cannot_print_is_inconclusive(capsys, schema):
     code, out, err = _run(capsys, "beta2", f"K3 # K3 # {_UNPRINTABLE_RANK - 3}*CP2bar")
     assert (code, err) == (0, "")
     assert json.loads(out)["beta_squared"]["classes"] == 2 ** (_UNPRINTABLE_RANK - 1)
+
+
+def test_a_disabled_int_str_limit_keeps_the_default_bound_on_the_orbit(capsys):
+    # with the interpreter's limit off str() prints any count; the orbit
+    # keeps the default bound of 4,300 digits
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, err = _run(capsys, "beta2", "K3 # K3 # 14283*CP2bar")
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert (code, err) == (2, "")
+    assert json.loads(out)["beta_squared"] == {"inconclusive": (
+        "a sign orbit of 14285 generators has 2^14285 classes, a count of more than "
+        f"{sys.int_info.default_max_str_digits} digits")}
 
 
 @pytest.mark.parametrize("expr", [

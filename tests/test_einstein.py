@@ -446,7 +446,7 @@ def test_spin_search_hits_reverify_and_certify():
         assert all(p.passed for p in by_id["hitchin-thorpe"].premises)
         assert by_id["ght"].verdict is Verdict.NOT_OBSTRUCTED
         assert by_id["einstein-special"].verdict is Verdict.OBSTRUCTED
-        assert "infinitely many" in hit.family_note
+        assert "infinitely many" in hit.to_json()["family_note"]
     # every certified tuple is found: cross-check against a direct scan
     direct = [(m, n, l) for m in range(2, 5) for n in range(1, 7)
               if (4 * m + 2 * n - 1) % 4 == 3
@@ -741,17 +741,24 @@ def test_search_scan_bound_covers_the_scan(mode, monkeypatch):
             einstein._check_search_size(mode, g, h, m_max, n_max)
 
 
+def test_search_pairs_are_bounded_only_through_the_scan():
+    # 3,399 * 3 = 10,197 (m, n) pairs, but only 3,399 cells (n = 2), each
+    # scanning up to l = 7: 23,793 values of l
+    einstein._check_search_size("spin", 3, 3, 3400, 3)
+    assert _scan_size("spin", 3, 3, 3400, 3) <= 3399 * 7 < einstein.SEARCH_SCAN_CAP
+
+
 def _no_cells(*_):
     raise AssertionError("the search listed cells or fetched atoms")
 
 
 def test_search_caps_are_checked_before_any_cell(monkeypatch):
-    monkeypatch.setattr(einstein, "SEARCH_CELL_CAP", 3 * 6)
     monkeypatch.setattr(einstein, "SEARCH_SCAN_CAP", 3 * 3 * (2 * 6 + 4 - 3))
-    assert collect(search_spin_examples, 3, 3, 4, 6)[1].hits  # both caps are inclusive
+    assert collect(search_spin_examples, 3, 3, 4, 6)[1].hits  # the cap is inclusive
     monkeypatch.setattr(einstein, "_spin_cells", _no_cells)
     monkeypatch.setattr(einstein, "catalog_get", _no_cells)
-    with pytest.raises(CapacityError, match=r"over 21 \(m, n\) pairs is over the cap of 18"):
+    # one n more: 3 * 3 cells, each scanning up to l = 15
+    with pytest.raises(CapacityError, match=r"up to 135 values of l is over the cap of 117"):
         search_spin_examples(3, 3, 4, 7, emit=_no_cells)
     with pytest.raises(CapacityError, match=r"up to 153 values of l is over the cap of 117"):
         search_spin_examples(3, 5, 4, 6, emit=_no_cells)
@@ -763,18 +770,21 @@ def test_unbounded_search_exits_with_one_line(monkeypatch, capsys):
                      "--mmax", "1000000000", "--nmax", "6"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("fourfold: error: a search over 5999999994 (m, n) pairs "
-                            "is over the cap of 10000\n")
+    assert captured.err == ("fourfold: error: a search scanning up to 38999999961 values "
+                            "of l is over the cap of 100000\n")
 
 
-def test_search_without_an_even_n_has_no_cell():
-    # nmax < 2 leaves no cell, and at nmax <= 0 a huge mmax passes both
-    # caps, so the m range must not be walked
+def test_search_without_an_even_n_has_no_cell(capsys):
+    # nmax < 2 leaves no cell, so a huge mmax passes the scan cap and the
+    # m range must not be walked
     for n_max in (-5, 0, 1):
         assert einstein._spin_cells(10**12, n_max) == []
-    for n_max in (-5, 0):
         assert search_spin_examples(3, 3, 10**12, n_max, emit=_no_cells) == (
             einstein.SearchOutcome((), ()))
+    # 19,999 (m, n) pairs, none with n even: no line, exit 0
+    assert cli.main(["search", "--mode", "spin", "--g", "3", "--h", "3",
+                     "--mmax", "20000", "--nmax", "1"]) == 0
+    assert capsys.readouterr() == ("", "")
     assert einstein._spin_cells(3, 5) == [(2, 2), (2, 4), (3, 2), (3, 4)]
 
 

@@ -347,6 +347,65 @@ def test_cli_reports_a_bad_catalog_in_one_line(tmp_path, capsys):
     assert err == "fourfold: error: manifolds[0] 'MyK3': missing field 'b1'\n"
 
 
+def _nested_b1(tmp_path, depth):
+    """A catalog file whose atom's b1 is a list nested ``depth`` deep."""
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps({"version": 1, "manifolds": [_k3_doc(b1=[])]})
+                    .replace('"b1": []', '"b1": ' + "[" * depth + "]" * depth))
+    return str(path)
+
+
+def _five_thousand_digits(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"version": 1, "manifolds": [_k3_doc(b_minus=0)]})
+                    .replace('"b_minus": 0', '"b_minus": ' + "9" * 5000))
+    return str(path)
+
+
+def _open_brackets(tmp_path):
+    path = tmp_path / "brackets.json"
+    path.write_text("[" * 100_000)
+    return str(path)
+
+
+@pytest.mark.parametrize("make, message", [
+    (_five_thousand_digits, "holds an integer of more than {limit} digits"),
+    (_open_brackets, "nests its values too deeply for the JSON reader"),
+    (lambda tmp_path: _nested_b1(tmp_path, 2000),
+     "nests its values too deeply for the JSON reader"),
+], ids=["long_integer", "open_brackets", "deep_value"])
+def test_a_file_the_json_reader_refuses_ends_in_one_line(tmp_path, capsys, make, message):
+    from fourfold.cli import main
+    from fourfold.errors import int_str_limit
+    path = make(tmp_path)
+    assert main(["--catalog", path, "catalog", "MyK3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"fourfold: error: catalog file {path!r} "
+                   f"{message.format(limit=int_str_limit())}\n")
+    assert len(err) <= 301 and "set_int_max_str_digits" not in err
+
+
+def test_a_value_just_under_the_json_depth_limit_gets_its_field_error(tmp_path):
+    def refusal(depth):
+        with pytest.raises(CatalogError) as exc:
+            load_catalog_file(_nested_b1(tmp_path, depth))
+        return str(exc.value)
+
+    # the deepest b1 the JSON reader takes, found by bisection
+    lo, hi = 1, 5000
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if "too deeply" in refusal(mid):
+            hi = mid - 1
+        else:
+            lo = mid
+    assert 900 < lo < 5000
+    assert refusal(lo) == ("manifolds[0] 'MyK3': field 'b1' must be an integer, got "
+                           + "[" * 40 + "...")
+    assert "too deeply" in refusal(lo + 1)
+
+
 def _refuse_lattice(*_):
     raise AssertionError("a lattice was built past the rank cap")
 

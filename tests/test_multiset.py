@@ -3,6 +3,7 @@ dense reference in ``tests/oracles.py``, and the per-distinct-block cost."""
 
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -12,7 +13,7 @@ from fourfold import catalog, cli, exact, model
 from fourfold.catalog import catalog_get, manifold_to_json
 from fourfold.certify import Verdict
 from fourfold.einstein import exotic_pair
-from fourfold.errors import CapacityError
+from fourfold.errors import CapacityError, int_str_limit
 from fourfold.model import (
     PIECE_CAP,
     CharData,
@@ -329,9 +330,17 @@ def test_listing_pieces_is_capped(capsys):
 
 
 def test_sign_orbit_rank_is_capped(capsys):
-    expr = f"2*Sigma(3,3) # {PIECE_CAP}*CP2bar"
-    assert cli.main(["beta2", expr]) == 2
-    out = capsys.readouterr().out
-    assert f"a sign orbit of {PIECE_CAP + 2} generators is over the cap" in out
+    cli.main(["beta2", "2*Sigma(3,3) # CP2bar"])  # build what every call shares
+    # 10^6 generators: refused before a tuple of 10^6 squares (8 MB) is stored
+    expr = "2*Sigma(3,3) # 999998*CP2bar"
+    refused = ("a sign orbit of 1000000 generators has 2^1000000 classes, "
+               f"a count of more than {int_str_limit()} digits")
+    tracemalloc.start()
+    try:
+        assert cli.main(["beta2", expr]) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert refused in capsys.readouterr().out and peak < 1 << 20
     assert cli.main(["invariants", expr]) == 0
-    assert "over the cap" in capsys.readouterr().out
+    assert refused in capsys.readouterr().out

@@ -234,8 +234,8 @@ PLACEHOLDERS_ALLOWED = {
     "cli: limit": "int_str_limit()",
     "cli: shown": "a local holding errors.shown of the option value",
     "cli: source": "an option or variable name: --c4, --k or FOURFOLD_C4",
-    "cli: theorem": "one of CHECK_IDS, which argparse enforces",
     "einstein: n": "the length of a list in memory",
+    "monopole: limit": "int_str_limit()",
     "parser: count": "a repetition count below 1, so 0: its token is digits",
     "parser: int_str_limit()": "the interpreter's int-str limit",
     "parser: len(tok.text)": "the length of a string in memory",
