@@ -83,9 +83,8 @@ def _sigma(g: int, h: int) -> Manifold:
 
 def _y_ell(ell: int) -> Manifold:
     """Homotopy K3 from a logarithmic transformation of order 2l+1 on the
-    Kummer surface; l = 0 is the Kummer surface itself, named K3."""
-    if ell < 0:
-        raise CatalogError(f"Y(l) needs l >= 0, got {shown(ell)}")
+    Kummer surface; l = 0 is the Kummer surface itself, named K3.  l >= 0:
+    ``catalog_get`` reads it as unsigned digits."""
     char = CharData(b1=0, b_plus=3, b_minus=19, is_spin=True, is_simply_connected=True)
     # Canonical monopole classes are +/- 2*l*f with f the multiple-fiber
     # class, f^2 = 0; characteristic data is that of K3 but the smooth type
@@ -105,11 +104,10 @@ def _y_ell(ell: int) -> Manifold:
 
 def _gompf(alpha: int, beta: int) -> Manifold:
     """Gompf's simply connected symplectic spin manifold with
-    (chi, tau) = (24a + 4b, -16a)."""
+    (chi, tau) = (24a + 4b, -16a).  b >= 0: ``catalog_get`` reads it as
+    unsigned digits."""
     if alpha < 2:
         raise CatalogError(f"Gompf(a,b) needs a >= 2, got a = {shown(alpha)}")
-    if beta < 0:
-        raise CatalogError(f"Gompf(a,b) needs b >= 0, got b = {shown(beta)}")
     char = CharData(b1=0, b_plus=4 * alpha + 2 * beta - 1,
                     b_minus=20 * alpha + 2 * beta - 1,
                     is_spin=True, is_simply_connected=True)

@@ -16,8 +16,7 @@ All numeric output is exact (rational strings and q*pi^p*sqrt(s) renderings);
 --approx appends clearly marked non-authoritative decimals.  Exit status: 0
 for computed verdicts (including NotObstructed), 2 for Inconclusive, 1 for
 usage errors and size caps (CapacityError), and 1, silently, when the reader
-closes the output pipe early.  The FOURFOLD_C4 environment variable
-overrides the default simplicial-volume product constant c4 = 1.
+closes the output pipe early.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ class _CliParser(argparse.ArgumentParser):
 
 
 def _rational(raw: str, source: str) -> Fraction:
-    """Parse a rational option value; errors name the option or variable and
+    """Parse a rational option value; errors name the option and
     quote at most 40 characters of the value.
 
     A value whose digits and decimal exponent add up to the interpreter's
@@ -183,18 +182,15 @@ def _exotic(args: argparse.Namespace) -> Certificate:
     return einstein.exotic_pair(x, xprime)
 
 
-def _c4_option(args: argparse.Namespace) -> tuple[str, Optional[str]]:
-    """Where c4 comes from, ``--c4`` or ``FOURFOLD_C4``, and its raw value
-    (None when neither is given)."""
-    raw = getattr(args, "c4", None)
-    if raw is not None:
-        return "--c4", raw
-    return "FOURFOLD_C4", os.environ.get("FOURFOLD_C4")
-
-
 def _c4(args: argparse.Namespace) -> Fraction:
-    source, raw = _c4_option(args)
-    return einstein.DEFAULT_C4 if raw is None else _rational(raw, source)
+    """The simplicial-volume product constant: ``--c4``, else
+    ``einstein.DEFAULT_C4``.  The one check that c4 > 0."""
+    if args.c4 is None:
+        return einstein.DEFAULT_C4
+    c4 = _rational(args.c4, "--c4")
+    if c4 <= 0:
+        raise FourfoldError(f"bad --c4 value {errors.shown(repr(args.c4))}: not positive")
+    return c4
 
 
 def _sym_json(value: Union[SymbolicValue, Inconclusive],
@@ -372,7 +368,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     sv = einstein.simplicial_volume(m, c4)
     doc["sv_interval"] = ({"inconclusive": sv.reason} if isinstance(sv, Inconclusive)
                           else _rendered("an end of the simplicial-volume interval",
-                                         *_c4_option(args), sv.to_json))
+                                         "--c4", args.c4, sv.to_json))
     _emit(doc)
     return EXIT_OK
 

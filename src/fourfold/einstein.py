@@ -5,7 +5,9 @@ Simplicial volume is tracked as an interval: for M carrying k hyperbolic
 products Sigma_g x Sigma_h (and otherwise amenable or simply connected
 pieces), ||M|| lies in [16 k (g-1)(h-1) / c4, 16 k (g-1)(h-1) c4], where c4
 is the universal dimension-4 product constant.  c4 is an explicit parameter
-everywhere (default 1): no value for it is ever assumed.
+everywhere, with no default in the library: no value for it is ever assumed.
+The CLI's default is ``DEFAULT_C4`` = 1, and ``cli._c4`` is the one place
+that checks c4 > 0; the functions here take a positive c4 as given.
 
 Inequalities mixing integers with 1/(81 pi^2) are decided exactly by
 clearing pi^2: rearrange to A pi^2 > B with A, B rational and compare B/A
@@ -46,16 +48,12 @@ class SvInterval:
 
     With c4 = num/den in lowest terms, the ends are built as the single
     Fractions 16*f*den/num and 16*f*num/den, not by Fraction arithmetic.
+    The factor is nonnegative, as ``validate`` holds every sv factor to
+    k >= 0 and g, h >= 1, and c4 is positive (see the module docstring).
     """
 
     factor: int
     c4: Fraction
-
-    def __post_init__(self) -> None:
-        if self.factor < 0:
-            raise ValueError("the sv factor is nonnegative")
-        if self.c4.numerator <= 0:
-            raise ValueError("c4 must be a positive rational")
 
     def lo(self) -> Fraction:
         return Fraction(16 * self.factor * self.c4.denominator, self.c4.numerator)
@@ -68,16 +66,13 @@ class SvInterval:
                 "factor": self.factor, "c4": str(self.c4)}
 
 
-def simplicial_volume(m: Manifold, c4: Fraction = DEFAULT_C4
-                      ) -> Union[SvInterval, Inconclusive]:
+def simplicial_volume(m: Manifold, c4: Fraction) -> Union[SvInterval, Inconclusive]:
     """Simplicial-volume interval from the recorded product content.
 
     Valid when every non-product summand has vanishing simplicial volume
     (simply connected pieces, S1 x S3, CP2bar, amenable complex surfaces);
     custom manifolds without a record are Inconclusive.
     """
-    if c4.numerator <= 0:
-        raise ValueError("c4 must be positive")
     total = m.sv_factor_total()
     if total is None:
         return Inconclusive(
@@ -109,7 +104,7 @@ def _describe(decision: Optional[bool]) -> str:
     return "tie (enclosure too coarse)" if decision is None else str(decision)
 
 
-def ght(m: Manifold, c4: Fraction = DEFAULT_C4, strict: bool = True) -> Certificate:
+def ght(m: Manifold, c4: Fraction, strict: bool = True) -> Certificate:
     """Gromov-Hitchin-Thorpe: 2chi - 3|tau| >= ||M|| / (81 pi^2).
 
     Checked against the upper end of the simplicial-volume interval (a
@@ -416,8 +411,6 @@ def _search(mode: str, g: int, h: int, m_max: int, n_max: int, c4: Fraction,
             emit: Callable[[SearchHit], object]) -> SearchOutcome:
     if g < 3 or h < 3 or g % 2 == 0 or h % 2 == 0:
         raise PremiseError(f"the searches need odd g, h >= 3; got {shown(f'({g},{h})')}")
-    if c4 <= 0:
-        raise ValueError("c4 must be positive")
     _check_search_size(mode, g, h, m_max, n_max)
     big_g = (g - 1) * (h - 1)
     w, last_atom = _MODES[mode]
@@ -458,7 +451,7 @@ def _search(mode: str, g: int, h: int, m_max: int, n_max: int, c4: Fraction,
 
 
 def search_spin_examples(g: int, h: int, m_max: int, n_max: int,
-                         c4: Fraction = DEFAULT_C4, *,
+                         c4: Fraction, *,
                          emit: Callable[[SearchHit], object]) -> SearchOutcome:
     """All (m, n, l1) with m >= 2, n >= 1, 4m + 2n - 1 = 3 (mod 4), l1 >= 1
     whose spin connected sum
@@ -473,7 +466,7 @@ def search_spin_examples(g: int, h: int, m_max: int, n_max: int,
 
 
 def search_nonspin_examples(g: int, h: int, m_max: int, n_max: int,
-                            c4: Fraction = DEFAULT_C4, *,
+                            c4: Fraction, *,
                             emit: Callable[[SearchHit], object]) -> SearchOutcome:
     """Non-spin analogue: Gompf(m,n) # Y(l) # (Sigma_g x Sigma_h) # l2 CP2bar
     with l2 >= 1 (one blow-up already kills spin-ness).  Hits go to ``emit``

@@ -46,6 +46,9 @@ def solve_unique(a: Sequence[Sequence[int | Fraction]],
 def inertia(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     """Sylvester inertia (positive, negative, zero) of a symmetric integer matrix.
 
+    Symmetry is not checked here: the one caller, ``model.lattice_inertia``,
+    passes ``GramLattice`` grams, and ``GramLattice`` refuses an asymmetric one.
+
     Schur complement: for d = A[k][k] != 0, clearing row and column k is a
     congruence A ~ (d) + S, S = A' - b b^T / d (A' is A less row and column k,
     b is column k less entry k), so inertia(A) is sign(d) plus inertia(S).
@@ -58,8 +61,6 @@ def inertia(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     matrices congruent to A.  The pivot p / q of S has the sign of p q.
     """
     n = len(gram)
-    if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i + 1, n)):
-        raise ValueError("inertia requires a symmetric matrix")
     m = [list(row) for row in gram]
     pos, zero, q = 0, 0, 1
     while m:

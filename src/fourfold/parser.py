@@ -229,7 +229,9 @@ def _resolve(atom: Atom, env: Optional[dict[str, Manifold]]) -> Manifold:
 
 
 def evaluate(node: Node, env: Optional[dict[str, Manifold]] = None) -> Manifold:
-    """Evaluate an expression to a validated manifold.
+    """Evaluate an expression to a manifold.  Nothing is validated here: the
+    built-in atoms are valid as built, ``catalog.load_catalog_file`` checks
+    the atoms of ``env``, and ``cli._validated`` checks the sum.
 
     The expression is reduced to its atom multiset first, each distinct atom
     is resolved once, and the sum is taken with counts, so any textual

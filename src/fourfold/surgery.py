@@ -145,8 +145,6 @@ def connected_sum(parts: Sequence[Manifold],
         raise SurgeryError("connected sum of an empty list")
     if counts is None:
         counts = (1,) * len(parts)
-    elif len(counts) != len(parts):
-        raise SurgeryError(f"{len(counts)} counts for {len(parts)} parts")
     if any(n < 1 for n in counts):
         raise SurgeryError(f"summand counts must be >= 1, got {shown(min(counts))}")
     summands = _multiset(parts, counts)

@@ -93,9 +93,7 @@ def pi2_greater(p: int, q: int, strict: bool = True) -> Optional[bool]:
 
 def squarefree_decompose(s: int) -> tuple[int, int]:
     """Write s = c^2 * r with r squarefree; returns (c, r).  Requires
-    0 <= s <= RADICAND_CAP."""
-    if s < 0:
-        raise ValueError("radicand must be nonnegative")
+    s >= 0, which ``SymbolicValue`` checks first, and refuses s > RADICAND_CAP."""
     if s > RADICAND_CAP:
         raise CapacityError(f"a square root of a number over RADICAND_CAP = {RADICAND_CAP}")
     if s in (0, 1):

@@ -275,6 +275,58 @@ def test_catalog_refuses_a_name_the_parser_cannot_read(capsys, tmp_path, name):
                        f"{catalog.IDENTIFIER}, got {repr(name)}\n")
 
 
+def _one_atom_catalog(tmp_path, name, **fields):
+    """A catalog file holding one simply connected non-spin atom ``name``
+    with b1 = 0, no flags, lattice or spin-c structure, and the given fields."""
+    doc = {"version": 1, "name": name, "b1": 0, "b_plus": 0, "b_minus": 1,
+           "is_spin": False, "is_simply_connected": True, "flags": [],
+           "lattice": None, "spinc": [], "sv_factors": [],
+           "summand_record": [[name, 1]]}
+    doc.update(fields)
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"version": 1, "manifolds": [doc]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("name, fields, problem", [
+    ("Xn", {"b_minus": 0, "lattice": {"basis": ["e"], "gram": [[-1]]}},
+     "lattice has 1 negative directions but b- = 0"),
+    ("Xs", {"sv_factors": [[1, 0, 3]]}, "invalid sv factor (1,0,3)"),
+])
+def test_an_invalid_catalog_atom_is_named_with_its_problem(capsys, tmp_path, name, fields,
+                                                           problem):
+    path = _one_atom_catalog(tmp_path, name, **fields)
+    assert _run(capsys, "--catalog", path, "build", name) == (
+        1, "", f"fourfold: error: invalid manifold document '{name}': {problem}\n")
+
+
+def test_an_unflagged_b_plus_zero_rest_leaves_the_invariants_inconclusive(capsys, schema,
+                                                                            tmp_path):
+    path = _one_atom_catalog(tmp_path, "Zb")
+    code, out, err = _run(capsys, "--catalog", path, "invariants", "K3 # K3 # Zb")
+    assert (code, err) == (0, "")
+    (doc,) = _validate_lines(schema, out)
+    for key in ("Is", "Y", "K", "Ir"):
+        assert doc[key]["inconclusive"].startswith("the b+ = 0 piece Zb is not flagged ")
+
+
+def test_a_moduli_dimension_that_is_not_an_integer_is_reported(capsys, schema, tmp_path):
+    # chi = 3, tau = 1: 2chi + 3tau = 9, and c1^2 - 9 = -7
+    path = _one_atom_catalog(tmp_path, "Xo", b_plus=1, b_minus=0, spinc=[{
+        "c1": None, "c1_squared": 2, "s_matrix": [], "sw_parity": "Unknown",
+        "provenance": "Derived"}])
+    code, out, err = _run(capsys, "--catalog", path, "invariants", "Xo")
+    assert (code, err) == (0, "")
+    (doc,) = _validate_lines(schema, out)
+    (dim,) = doc["moduli_dimensions"]
+    assert dim.startswith("(c1^2 - 2chi - 3tau) = -7 is not divisible by 4; ")
+
+
+def test_check_decomposition_without_a_positive_piece(capsys):
+    assert _run(capsys, "check", "decomposition", "CP2bar") == (
+        1, "", "fourfold: error: no positive-b+ pieces to certify\n")
+
+
 def test_check_exotic_with_custom_catalog(capsys, schema, tmp_path):
     path = _xns_catalog(tmp_path)
     code, out, _ = _run(capsys, "--catalog", str(path),
@@ -387,11 +439,13 @@ def test_search_jsonl(capsys, schema):
 
 
 def test_search_env_c4(capsys, monkeypatch):
+    # a c4 of 10^6 leaves this search without hits; the environment is not read
+    argv = ("search", "--mode", "spin", "--g", "3", "--h", "3", "--mmax", "2", "--nmax", "2")
+    monkeypatch.delenv("FOURFOLD_C4", raising=False)
+    plain = _run(capsys, *argv)
     monkeypatch.setenv("FOURFOLD_C4", "1000000")
-    code, out, _ = _run(capsys, "search", "--mode", "spin", "--g", "3",
-                        "--h", "3", "--mmax", "2", "--nmax", "2")
-    assert code == 0
-    assert out.strip() == ""
+    assert _run(capsys, *argv) == plain
+    assert plain[0] == 0 and plain[1].count('"kind": "search-hit"') > 0
 
 
 def test_usage_errors(capsys):
@@ -679,8 +733,8 @@ def _no_hit(*_, **__):
 @pytest.mark.parametrize("argv, message", [
     (_search_argv("spin", 4, 3, 4, 6), "the searches need odd g, h >= 3; got (4,3)"),
     (_search_argv("nonspin", 3, 8, 4, 6), "the searches need odd g, h >= 3; got (3,8)"),
-    (_search_argv("spin", 3, 3, 4, 6, "--c4", "0"), "c4 must be positive"),
-    (_search_argv("nonspin", 3, 3, 4, 6, "--c4=-7/3"), "c4 must be positive"),
+    (_search_argv("spin", 3, 3, 4, 6, "--c4", "0"), "bad --c4 value '0': not positive"),
+    (_search_argv("nonspin", 3, 3, 4, 6, "--c4=-7/3"), "bad --c4 value '-7/3': not positive"),
     # 10,201 (m, n) pairs: refused for the l values they scan
     (_search_argv("spin", 3, 3, 102, 101),
      "a search scanning up to 1025150 values of l is over the cap of 100000"),
@@ -740,6 +794,7 @@ _SMALL_SEARCH = ("search", "--mode", "spin", "--g", "3", "--h", "3",
                  "--mmax", "2", "--nmax", "2")
 
 
+# ``env`` is a FOURFOLD_C4 value set in the environment, which the CLI ignores.
 @pytest.mark.parametrize("argv, env, source", [
     (("invariants", "K3", "--k", "1/0"), None, "--k"),
     (("invariants", "K3", "--k", "abc"), None, "--k"),
@@ -748,24 +803,26 @@ _SMALL_SEARCH = ("search", "--mode", "spin", "--g", "3", "--h", "3",
     (("check", "ght", "Sigma(3,3) # K3", "--c4", "abc"), None, "--c4"),
     (_SMALL_SEARCH + ("--c4", "2/0"), None, "--c4"),
     (_SMALL_SEARCH + ("--c4", "x"), "1", "--c4"),
-    (_SMALL_SEARCH, "1/0", "FOURFOLD_C4"),
-    (("check", "ght", "Sigma(3,3) # K3"), "abc", "FOURFOLD_C4"),
+    # rationals that are not positive
+    (_SMALL_SEARCH + ("--c4", "0"), "1/0", "--c4"),
+    (("check", "ght", "Sigma(3,3) # K3", "--c4=-7/3"), "abc", "--c4"),
     # values past the int-str limit, refused before Fraction() expands them
     (("invariants", "K3", "--k=1e100000"), None, "--k"),
     (("invariants", "K3", "--c4", "1e10000000"), None, "--c4"),
     (_SMALL_SEARCH + ("--c4", "1e-10000000"), None, "--c4"),
     (("check", "ght", "Sigma(3,3) # K3", "--c4", "7" * 5000), None, "--c4"),
-    (_SMALL_SEARCH, "1/" + "3" * 5000, "FOURFOLD_C4"),
+    (_SMALL_SEARCH + ("--c4=-7/3",), "1/" + "3" * 5000, "--c4"),
     (("invariants", "K3", "--k", "x" * 5000), None, "--k"),
     # values under the limit whose report derives a number over it
     (("invariants", "Sigma(3,3) # K3", "--c4", "9" * (_INT_STR_LIMIT - 1)), None, "--c4"),
     (("invariants", "Sigma(3,3) # K3", "--k", "9" * (_INT_STR_LIMIT - 1)), None, "--k"),
-    (("invariants", "Sigma(3,3) # K3"), "9" * (_INT_STR_LIMIT - 1), "FOURFOLD_C4"),
+    # rationals that are not positive
+    (("invariants", "Sigma(3,3) # K3", "--c4", "0"), "9" * (_INT_STR_LIMIT - 1), "--c4"),
+    (("invariants", "Sigma(3,3) # K3", "--c4=-7/3"), None, "--c4"),
+    (("check", "ght", "Sigma(3,3) # K3", "--c4", "0"), None, "--c4"),
 ])
 def test_bad_rational_option_is_named(capsys, monkeypatch, argv, env, source):
-    if env is None:
-        monkeypatch.delenv("FOURFOLD_C4", raising=False)
-    else:
+    if env is not None:
         monkeypatch.setenv("FOURFOLD_C4", env)
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
@@ -774,8 +831,7 @@ def test_bad_rational_option_is_named(capsys, monkeypatch, argv, env, source):
     assert len(err) < 140  # at most 40 characters of the value are quoted
 
 
-def test_sv_interval_past_the_int_str_limit_without_c4_names_the_interval(capsys, monkeypatch):
-    monkeypatch.delenv("FOURFOLD_C4", raising=False)
+def test_sv_interval_past_the_int_str_limit_without_c4_names_the_interval(capsys):
     g = "9" * 2500
     code, out, err = _run(capsys, "invariants", f"Sigma({g},{g})")
     assert (code, out) == (1, "")

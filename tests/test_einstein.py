@@ -1,4 +1,5 @@
 import gc
+import inspect
 import math
 import random
 import weakref
@@ -99,13 +100,11 @@ def test_sv_interval_ends_match_fraction_arithmetic(c4, factor):
     assert simplicial_volume(m, c4) == sv
 
 
-def test_sv_interval_validation():
-    with pytest.raises(ValueError):
-        SvInterval(1, Fraction(0))
-    with pytest.raises(ValueError):
-        SvInterval(-1, Fraction(1))
-    with pytest.raises(ValueError):
-        simplicial_volume(K3, Fraction(-1))
+def test_the_library_assumes_no_c4():
+    # c4 has one default, the CLI's, and one positivity check, cli._c4
+    for fn in (simplicial_volume, ght, search_spin_examples, search_nonspin_examples):
+        assert inspect.signature(fn).parameters["c4"].default is inspect.Parameter.empty
+    assert inspect.signature(ght).parameters["strict"].default is True
 
 
 def test_hitchin_thorpe():
@@ -517,8 +516,6 @@ def test_search_rejects_bad_parameters():
         collect(search_spin_examples, 2, 3, 4, 6, Fraction(1))
     with pytest.raises(PremiseError):
         collect(search_spin_examples, 3, 4, 4, 6, Fraction(1))
-    with pytest.raises(ValueError):
-        collect(search_spin_examples, 3, 3, 4, 6, Fraction(-1))
 
 
 def test_search_huge_c4_empty():
@@ -579,7 +576,7 @@ def test_geography_grid_is_decided_at_50_digits(monkeypatch):
         for g, h in ((3, 3), (3, 5), (3, 7), (5, 5), (5, 7), (7, 7)):
             for m_max in (2, 3, 4):
                 for n_max in (2, 4, 6):
-                    collect(search, g, h, m_max, n_max)
+                    collect(search, g, h, m_max, n_max, Fraction(1))
     assert len(digits) > 10_000 and set(digits) == {50}
     digits.clear()
     assert not collect(search_spin_examples, 3, 3, 4, 6, TIE_C4)[1].inconclusive
@@ -597,13 +594,13 @@ def test_search_fetches_each_atom_once_per_call(monkeypatch):
 
     monkeypatch.setattr(einstein, "catalog_get", counting_get)
     bound = 3 + len(einstein._spin_cells(4, 6))
-    first_hits, first = collect(search_nonspin_examples, 7, 7, 4, 6)
+    first_hits, first = collect(search_nonspin_examples, 7, 7, 4, 6, Fraction(1))
     assert len(first.hits) > bound
     assert len(calls) <= bound
     assert len(set(calls)) == len(calls)
     count = len(calls)
     calls.clear()
-    again_hits, _ = collect(search_nonspin_examples, 7, 7, 4, 6)
+    again_hits, _ = collect(search_nonspin_examples, 7, 7, 4, 6, Fraction(1))
     assert len(calls) == count
     assert [hit.to_json() for hit in again_hits] == [hit.to_json() for hit in first_hits]
 
@@ -662,7 +659,7 @@ def test_search_hashes_atoms_once_and_certifies_each_hit_once(monkeypatch):
 
     monkeypatch.setattr(einstein, "ght", ght_watched)
     monkeypatch.setattr(einstein, "pi2_greater", pi2_watched)
-    hits = len(collect(search_nonspin_examples, 7, 7, 4, 6)[1].hits)
+    hits = len(collect(search_nonspin_examples, 7, 7, 4, 6, Fraction(1))[1].hits)
     assert hits > 100 and fetched
     assert calls == dict.fromkeys(calls, hits)
     assert verdicts == [Verdict.NOT_OBSTRUCTED] * hits
@@ -690,7 +687,8 @@ def test_search_keeps_nothing_after_it_returns(monkeypatch):
     monkeypatch.setattr(einstein, "catalog_get", fetch)
     monkeypatch.setattr(einstein, "connected_sum", summed)
     emitted = []
-    outcome = search_nonspin_examples(7, 7, 4, 6, emit=lambda hit: emitted.append(hit.l))
+    outcome = search_nonspin_examples(7, 7, 4, 6, Fraction(1),
+                                      emit=lambda hit: emitted.append(hit.l))
     assert len(outcome.hits) > 100 and len(emitted) == len(outcome.hits)
     assert len(refs) > 4 * len(outcome.hits)  # four blocks per hit's sum
     held = {id(x) for atom in catalog._PLAIN.values() for x in (atom, *atom.spinc_structures)}
@@ -710,7 +708,8 @@ def test_search_hands_on_each_hit_before_it_builds_the_next_sum(monkeypatch):
         return connected_sum(*args, **kwargs)
 
     monkeypatch.setattr(einstein, "connected_sum", summed)
-    outcome = search_nonspin_examples(7, 7, 4, 6, emit=lambda hit: at_emit.append(built[0]))
+    outcome = search_nonspin_examples(7, 7, 4, 6, Fraction(1),
+                                      emit=lambda hit: at_emit.append(built[0]))
     hits = len(outcome.hits)
     assert hits > 1000
     assert at_emit == list(range(1, hits + 1))
@@ -754,14 +753,14 @@ def _no_cells(*_):
 
 def test_search_caps_are_checked_before_any_cell(monkeypatch):
     monkeypatch.setattr(einstein, "SEARCH_SCAN_CAP", 3 * 3 * (2 * 6 + 4 - 3))
-    assert collect(search_spin_examples, 3, 3, 4, 6)[1].hits  # the cap is inclusive
+    assert collect(search_spin_examples, 3, 3, 4, 6, Fraction(1))[1].hits  # the cap is inclusive
     monkeypatch.setattr(einstein, "_spin_cells", _no_cells)
     monkeypatch.setattr(einstein, "catalog_get", _no_cells)
     # one n more: 3 * 3 cells, each scanning up to l = 15
     with pytest.raises(CapacityError, match=r"up to 135 values of l is over the cap of 117"):
-        search_spin_examples(3, 3, 4, 7, emit=_no_cells)
+        search_spin_examples(3, 3, 4, 7, Fraction(1), emit=_no_cells)
     with pytest.raises(CapacityError, match=r"up to 153 values of l is over the cap of 117"):
-        search_spin_examples(3, 5, 4, 6, emit=_no_cells)
+        search_spin_examples(3, 5, 4, 6, Fraction(1), emit=_no_cells)
 
 
 def test_unbounded_search_exits_with_one_line(monkeypatch, capsys):
@@ -779,7 +778,7 @@ def test_search_without_an_even_n_has_no_cell(capsys):
     # m range must not be walked
     for n_max in (-5, 0, 1):
         assert einstein._spin_cells(10**12, n_max) == []
-        assert search_spin_examples(3, 3, 10**12, n_max, emit=_no_cells) == (
+        assert search_spin_examples(3, 3, 10**12, n_max, Fraction(1), emit=_no_cells) == (
             einstein.SearchOutcome((), ()))
     # 19,999 (m, n) pairs, none with n even: no line, exit 0
     assert cli.main(["search", "--mode", "spin", "--g", "3", "--h", "3",

@@ -63,11 +63,6 @@ def test_inertia_hyperbolic_plane():
     assert inertia([[0, 1], [1, 0]]) == (1, 1, 0)
 
 
-def test_inertia_requires_symmetry():
-    with pytest.raises(ValueError):
-        inertia([[0, 1], [2, 0]])
-
-
 @given(st.integers(min_value=1, max_value=6), st.integers())
 @settings(max_examples=80)
 def test_inertia_matches_numpy(n, seed):

@@ -233,7 +233,7 @@ PLACEHOLDERS_ALLOWED = {
     "cli: int_str_limit()": "the interpreter's int-str limit",
     "cli: limit": "int_str_limit()",
     "cli: shown": "a local holding errors.shown of the option value",
-    "cli: source": "an option or variable name: --c4, --k or FOURFOLD_C4",
+    "cli: source": "an option name: --c4 or --k",
     "einstein: n": "the length of a list in memory",
     "monopole: limit": "int_str_limit()",
     "parser: count": "a repetition count below 1, so 0: its token is digits",
@@ -241,8 +241,6 @@ PLACEHOLDERS_ALLOWED = {
     "parser: len(tok.text)": "the length of a string in memory",
     "parser: lexeme": "one character",
     "parser: limit": "int_str_limit()",
-    "surgery: len(counts)": "the length of a list in memory",
-    "surgery: len(parts)": "the length of a list in memory",
 }
 
 

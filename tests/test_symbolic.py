@@ -95,6 +95,14 @@ def test_squarefree_decompose_stops_at_the_radicand_cap():
             squarefree_decompose(s)
 
 
+def test_the_constructor_refuses_what_no_value_has():
+    # a negative radicand is refused before squarefree_decompose sees it
+    with pytest.raises(ValueError, match="^pi_power must be 0, 1 or 2$"):
+        SymbolicValue(1, 3)
+    with pytest.raises(ValueError, match="^radicand must be a nonnegative integer$"):
+        SymbolicValue(1, 0, -1)
+
+
 def test_approx_past_the_float_range_is_infinite():
     assert SymbolicValue(10**400, pi_power=1).approx() == math.inf
     assert SymbolicValue(-(10**400), radicand=2).approx() == -math.inf
