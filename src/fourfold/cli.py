@@ -56,6 +56,14 @@ CHECK_IDS = ("bauer", "theorem-a", "theorem-b", "hitchin-thorpe", "ght",
 
 
 class _CliParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # A word that starts with "-", an optional "." and a digit is a
+        # value, as in "--k -2/3" and "--c4 -1e-3": argparse's own pattern
+        # reads only words like "-3" and "-0.5" as numbers and takes the
+        # rest for options.  No option of this CLI starts so.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message: str) -> None:  # type: ignore[override]
         # argparse quotes a bad value in full: cut each quoted run or word over
         # 40 characters
@@ -384,9 +392,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
         check = check_theorem_A if theorem == "theorem-a" else check_theorem_B
         cert = check(list(m.pieces()))
     elif theorem == "hitchin-thorpe":
-        cert = einstein.hitchin_thorpe(m)
+        cert = einstein.hitchin_thorpe(m.euler(), m.signature())
     elif theorem == "ght":
-        cert = einstein.ght(m, _c4(args), strict=not args.non_strict)
+        cert = einstein.ght(m.euler(), m.signature(),
+                            einstein.simplicial_volume(m, _c4(args)),
+                            strict=not args.non_strict)
     elif theorem == "einstein":
         cert = einstein.einstein_obstruction(m)
     elif theorem == "decomposition":

@@ -14,10 +14,18 @@ clearing pi^2: rearrange to A pi^2 > B with A, B rational and compare B/A
 against rational enclosures of pi^2, refined until decided
 (``symbolic.pi2_greater``).  Only a comparison undecided at
 ``PI_DIGIT_CAP`` digits is reported as Inconclusive, never guessed.
+
+The certificates ``hitchin_thorpe`` and ``ght`` take the integers they
+decide, chi and tau, and ``ght`` the simplicial-volume interval, so a
+geography search certifies each hit without building its sum: a cell
+(m, n) splits its range of l into hits, ties and failures by bisection
+(``_decided_runs``), builds one connected sum, and steps chi, tau and the
+name from it to each hit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -35,7 +43,7 @@ from fourfold.certify import (
 from fourfold.errors import CapacityError, PremiseError, shown
 from fourfold.model import Flag, Manifold
 from fourfold.monopole import Inconclusive
-from fourfold.surgery import connected_sum, split_blowdown
+from fourfold.surgery import _record_name, connected_sum, split_blowdown
 from fourfold.symbolic import pi2_greater
 
 DEFAULT_C4 = Fraction(1)
@@ -80,9 +88,10 @@ def simplicial_volume(m: Manifold, c4: Fraction) -> Union[SvInterval, Inconclusi
     return SvInterval(factor=total, c4=c4)
 
 
-def hitchin_thorpe(m: Manifold) -> Certificate:
-    """2chi >= 3|tau|, necessary for an Einstein metric."""
-    gap = min(m.two_chi_plus_3tau(), m.two_chi_minus_3tau())
+def hitchin_thorpe(chi: int, tau: int) -> Certificate:
+    """2chi >= 3|tau|, necessary for an Einstein metric, for a manifold of
+    Euler characteristic chi and signature tau."""
+    gap = 2 * chi - 3 * abs(tau)
     if gap < 0:
         premises = (
             Premise("2chi < 3|tau| (inequality violated)", True,
@@ -104,23 +113,25 @@ def _describe(decision: Optional[bool]) -> str:
     return "tie (enclosure too coarse)" if decision is None else str(decision)
 
 
-def ght(m: Manifold, c4: Fraction, strict: bool = True) -> Certificate:
-    """Gromov-Hitchin-Thorpe: 2chi - 3|tau| >= ||M|| / (81 pi^2).
+def ght(chi: int, tau: int, sv: Union[SvInterval, Inconclusive],
+        strict: bool = True) -> Certificate:
+    """Gromov-Hitchin-Thorpe: 2chi - 3|tau| >= ||M|| / (81 pi^2), for a
+    manifold of Euler characteristic chi, signature tau and
+    simplicial-volume interval sv (``simplicial_volume``, which carries c4).
 
     Checked against the upper end of the simplicial-volume interval (a
     sufficient condition); the lower-end verdict is reported separately, and
     Gromov's chi >= ||M|| / (2592 pi^2) alongside.  A sum with straddling
     interval is Inconclusive.
     """
-    sv = simplicial_volume(m, c4)
     if isinstance(sv, Inconclusive):
         return Certificate(
             theorem_id="ght",
             premises=(Premise("simplicial volume resolvable", False, sv.reason),),
             verdict=Verdict.INCONCLUSIVE,
             citation="Gromov-Hitchin-Thorpe inequality")
-    gap = min(m.two_chi_plus_3tau(), m.two_chi_minus_3tau())
-    f = sv.factor
+    gap = 2 * chi - 3 * abs(tau)
+    f, c4 = sv.factor, sv.c4
     # gap >= 16 f c4 / (81 pi^2)  <=>  81 gap pi^2 >= 16 f c4.  With
     # c4 = num/den, each comparison is scaled by den (against c4) or num
     # (against 1/c4), both positive, so it is decided on integers with the
@@ -128,7 +139,7 @@ def ght(m: Manifold, c4: Fraction, strict: bool = True) -> Certificate:
     num, den = c4.numerator, c4.denominator
     upper = pi2_greater(81 * gap * den, 16 * f * num, strict=strict)
     lower = pi2_greater(81 * gap * num, 16 * f * den, strict=strict)
-    gromov = pi2_greater(2592 * m.euler() * den, 16 * f * num, strict=False)
+    gromov = pi2_greater(2592 * chi * den, 16 * f * num, strict=False)
     rel = ">" if strict else ">="
     premises = (
         Premise(f"2chi - 3|tau| {rel} (upper sv end)/(81 pi^2)", upper is True,
@@ -390,21 +401,30 @@ def _spin_cells(m_max: int, n_max: int) -> list[tuple[int, int]]:
     return [(m, n) for m in range(2, m_max + 1) for n in evens] if evens else []
 
 
-def _hit_for_tuple(mode: str, m: int, n: int, g: int, h: int, l: int,
-                   pieces: Sequence[Manifold], c4: Fraction) -> SearchHit:
-    """The hit at (m, n, l) from the fetched pieces Gompf(m,n), Y(1),
-    Sigma(g,h) and S1xS3 (spin, l = l1) or CP2bar (non-spin, l = l2)."""
-    l1, l2 = (l, 0) if mode == "spin" else (0, l)
-    cor = corollary_obstruction(pieces[:2], k=1, g=g, h=h, l1=l1, l2=l2)
-    manifold = connected_sum(pieces, counts=[1, 1, 1, l])
-    certs = (
-        hitchin_thorpe(manifold),
-        ght(manifold, c4, strict=True),
-        cor,
-    )
-    # The sum's only sv record is Sigma(g,h)'s.
-    return SearchHit(mode=mode, m=m, n=n, l=l, manifold_name=manifold.name,
-                     sv=SvInterval((g - 1) * (h - 1), c4), certificates=certs)
+# The order in which a cell's first-inequality decisions come as l grows.
+_RANK = {True: 0, None: 1, False: 2}
+
+
+def _decided_runs(ls: range, last: int, den: int, b: int) -> tuple[range, range]:
+    """The l of a cell on which the first inequality 81(last - l) den pi^2 > b
+    holds, and those on which it ties, found by two bisections that make
+    the same ``pi2_greater`` decisions a scan of every l makes.
+
+    For p >= 0 and q = b > 0, ``pi2_greater(p, q)`` is True exactly when
+    q/p <= max_d lo_d, False exactly when q/p >= min_d hi_d (p = 0 counts as
+    q/p infinite), and None in between, the lo_d < pi^2 < hi_d being the
+    ``pi2_bounds`` it refines through: a True at one d and a False at
+    another would put pi^2 on both sides of q/p, since every pair encloses
+    pi^2.  p = 81(last - l) den falls as l grows, so q/p rises and the
+    decisions along the cell read True..., None..., False....  Each
+    bisection makes at most ceil(log2(len(ls) + 1)) decisions.
+    """
+    def rank(l: int) -> int:
+        return _RANK[pi2_greater(81 * (last - l) * den, b, strict=True)]
+
+    ties_from = bisect_left(ls, 1, key=rank)
+    fails_from = bisect_left(ls, 2, ties_from, key=rank)
+    return ls[:ties_from], ls[ties_from:fails_from]
 
 
 def _search(mode: str, g: int, h: int, m_max: int, n_max: int, c4: Fraction,
@@ -419,14 +439,18 @@ def _search(mode: str, g: int, h: int, m_max: int, n_max: int, c4: Fraction,
     # scaled by c4's denominator, so it is decided on integers, as in ``ght``.
     b = 4 * w * big_g * c4.numerator
     # The atoms every hit shares are fetched once per call; Gompf(m,n) once
-    # per cell, at its first hit.
+    # per cell with a hit.
     shared = (catalog_get("Y(1)"), catalog_get(f"Sigma({g},{h})"), catalog_get(last_atom))
+    # Each further copy of the atom summed l times adds chi - 2 of the atom
+    # to chi and its signature to tau.  The sum's only sv record is
+    # Sigma(g,h)'s, so every hit has the same interval.
+    step_chi, step_tau = shared[2].euler() - 2, shared[2].signature()
+    sv = SvInterval(big_g, c4)
     keys: list[tuple[int, int, int]] = []
     ties: list[tuple[int, int, int]] = []
-    # Cells in (m, n) order, each scanning l upward: hits and ties come in
-    # key order, so each hit is handed on as soon as it is built.
+    # Cells in (m, n) order, each with l upward: hits and ties come in key
+    # order, so each hit is handed on as soon as its certificates are built.
     for m, n in sorted(_spin_cells(m_max, n_max)):
-        pieces: Optional[tuple[Manifold, ...]] = None
         lo, last = _l_range(mode, n, big_g)
         # Each mode has a second pi^2 inequality,
         #   spin:     2(n + 12m) + (1 - 4c4/(81 pi^2)) G + 21 > l1
@@ -436,17 +460,28 @@ def _search(mode: str, g: int, h: int, m_max: int, n_max: int, c4: Fraction,
         # (spin) or 81 (96m + 96 + 6 l2) (non-spin).  So the first holding
         # implies the second, the second failing implies the first fails,
         # and a tie in the first is never pruned by the second.
-        for l in range(lo, last + 1):
-            dec1 = pi2_greater(81 * (last - l) * c4.denominator, b, strict=True)
-            if dec1 is False:
-                continue
-            if dec1 is None:
-                ties.append((m, n, l))
-                continue
-            if pieces is None:
-                pieces = (catalog_get(f"Gompf({m},{n})"),) + shared
-            emit(_hit_for_tuple(mode, m, n, g, h, l, pieces, c4))
-            keys.append((m, n, l))
+        hit_ls, tie_ls = _decided_runs(range(lo, last + 1), last, c4.denominator, b)
+        if hit_ls:
+            # The cell's sum is built once, at l = lo; a hit at l differs
+            # from it only in the count of the atom summed l times.
+            pieces = (catalog_get(f"Gompf({m},{n})"),) + shared
+            cell = connected_sum(pieces, [1, 1, 1, lo])
+            chi, tau, record = cell.euler(), cell.signature(), cell.summand_record
+            at = [name for name, _ in record].index(last_atom)
+            head, base, tail = record[:at], record[at][1] - lo, record[at + 1:]
+            for l in hit_ls:
+                hit_chi, hit_tau = chi + (l - lo) * step_chi, tau + (l - lo) * step_tau
+                l1, l2 = (l, 0) if mode == "spin" else (0, l)
+                certs = (
+                    hitchin_thorpe(hit_chi, hit_tau),
+                    ght(hit_chi, hit_tau, sv, strict=True),
+                    corollary_obstruction(pieces[:2], k=1, g=g, h=h, l1=l1, l2=l2),
+                )
+                name = _record_name(head + ((last_atom, base + l),) + tail)
+                emit(SearchHit(mode=mode, m=m, n=n, l=l, manifold_name=name, sv=sv,
+                               certificates=certs))
+                keys.append((m, n, l))
+        ties.extend((m, n, l) for l in tie_ls)
     return SearchOutcome(hits=tuple(keys), inconclusive=tuple(ties))
 
 
@@ -460,8 +495,13 @@ def search_spin_examples(g: int, h: int, m_max: int, n_max: int,
     and carries no Einstein metric for any l.
 
     Each hit goes to ``emit`` in key order, one call per hit, before the
-    sum of the next hit is built, so the search holds no hit it has handed
-    on.  The outcome holds the keys of the hits and of the ties."""
+    certificates of the next hit are built, so the search holds no hit it
+    has handed on.  The outcome holds the keys of the hits and of the ties.
+
+    A cell (m, n) decides its first inequality by bisection over l, builds
+    its connected sum once, at its first l, and derives each hit's chi, tau
+    and name from it; so its cost grows with the cells and, per hit, with
+    the hit's certificates alone."""
     return _search("spin", g, h, m_max, n_max, c4, emit)
 
 

@@ -338,9 +338,6 @@ class Manifold:
     def two_chi_plus_3tau(self) -> int:
         return 2 * self.euler() + 3 * self.signature()
 
-    def two_chi_minus_3tau(self) -> int:
-        return 2 * self.euler() - 3 * self.signature()
-
     def has_flag(self, flag: Flag) -> bool:
         return flag in self.flags
 

@@ -18,8 +18,9 @@ block-diagonal builders spell out the Gram matrix and s-matrix that the
 library keeps as blocks of nonzero entries, and
 ``json.dump(indent=2)`` writes, from those dense rows, the reports the CLI
 streams through its own indenting writer, and the geography search that
-collects every hit and sorts them is the reference for the search that hands
-its hits on in batches as it scans.
+decides every l, builds every hit's own connected sum, collects the hits and
+sorts them is the reference for the search that bisects each cell, builds
+one sum per cell and hands its hits on one at a time.
 
 The last section holds what the tests check that no production path calls:
 the paper's Dirac-index parity lemma and c1 = 0 classification, the 2^n
@@ -57,6 +58,7 @@ from fourfold.model import (
 )
 from fourfold.monopole import Inconclusive
 from fourfold.parser import Atom, Repeat, Sum
+from fourfold.surgery import connected_sum
 from fourfold.symbolic import pi2_greater
 
 MESH_DEN = 32
@@ -332,7 +334,7 @@ def ght_by_fractions(m, c4=1, strict: bool = True, enclosure=PI2_50):
             premises=(Premise("simplicial volume resolvable", False, sv.reason),),
             verdict=Verdict.INCONCLUSIVE,
             citation="Gromov-Hitchin-Thorpe inequality")
-    gap = min(m.two_chi_plus_3tau(), m.two_chi_minus_3tau())
+    gap = 2 * m.euler() - 3 * abs(m.signature())
     f = sv.factor
     upper = pi2_greater_by_division(81 * gap, 16 * f * c4, strict, enclosure)
     lower = pi2_greater_by_division(81 * gap, 16 * f / c4, strict, enclosure)
@@ -435,12 +437,32 @@ def nonspin_tuple_certified(m: int, n: int, l2: int, g: int, h: int,
 
 # -- the geography search collected, then sorted: reference for the stream ---
 
+def hit_for_tuple(mode: str, m: int, n: int, g: int, h: int, l: int,
+                  pieces, c4: Fraction) -> einstein.SearchHit:
+    """The hit at (m, n, l) from the fetched pieces Gompf(m,n), Y(1),
+    Sigma(g,h) and S1xS3 (spin, l = l1) or CP2bar (non-spin, l = l2), with
+    its own connected sum: the per-l reference for the search, which builds
+    one sum per cell and steps chi, tau and the name from it."""
+    l1, l2 = (l, 0) if mode == "spin" else (0, l)
+    manifold = connected_sum(pieces, counts=[1, 1, 1, l])
+    chi, tau, sv = manifold.euler(), manifold.signature(), simplicial_volume(manifold, c4)
+    certs = (
+        einstein.hitchin_thorpe(chi, tau),
+        einstein.ght(chi, tau, sv, strict=True),
+        einstein.corollary_obstruction(pieces[:2], k=1, g=g, h=h, l1=l1, l2=l2),
+    )
+    return einstein.SearchHit(mode=mode, m=m, n=n, l=l, manifold_name=manifold.name,
+                              sv=sv, certificates=certs)
+
+
 def search_by_sorting(mode: str, g: int, h: int, m_max: int, n_max: int, c4=1):
     """(hits, ties) of a geography search as the library ran it before it
     streamed its hits: every cell is scanned into lists of its own, and the
     hits and the tie keys are sorted by (m, n, l) once every cell is done.
-    It calls the library's per-hit builder, so it checks the scan order and
-    the batching, not the certificates."""
+    It decides the first inequality at every l and builds every hit with
+    ``hit_for_tuple``, so it checks the per-cell bisection, the stepped
+    chi, tau and names and the scan order; the certificates are the
+    library's own."""
     c4 = Fraction(c4)
     if g < 3 or h < 3 or g % 2 == 0 or h % 2 == 0:
         raise PremiseError(f"the searches need odd g, h >= 3; got ({g},{h})")
@@ -466,7 +488,7 @@ def search_by_sorting(mode: str, g: int, h: int, m_max: int, n_max: int, c4=1):
                 continue
             if pieces is None:
                 pieces = (catalog_get(f"Gompf({m},{n})"),) + shared
-            hits.append(einstein._hit_for_tuple(mode, m, n, g, h, l, pieces, c4))
+            hits.append(hit_for_tuple(mode, m, n, g, h, l, pieces, c4))
         return hits, ties
 
     results = [scan_cell(c) for c in einstein._spin_cells(m_max, n_max)]

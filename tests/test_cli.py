@@ -831,6 +831,25 @@ def test_bad_rational_option_is_named(capsys, monkeypatch, argv, env, source):
     assert len(err) < 140  # at most 40 characters of the value are quoted
 
 
+@pytest.mark.parametrize("argv", [
+    ("invariants", "K3", "--k", "-2/3"),
+    ("invariants", "K3", "--k", "-1e5"),
+    ("invariants", "K3", "--k", "-.5"),
+    ("invariants", "Sigma(3,3) # K3", "--c4", "-7/3"),
+    ("check", "ght", "Sigma(3,3) # K3", "--c4", "-7/3"),
+    _SMALL_SEARCH + ("--c4", "-7/3"),
+    _SMALL_SEARCH + ("--c4", "-1e-3"),
+])
+def test_a_negative_option_value_reads_as_with_an_equals_sign(capsys, argv):
+    """``--k -2/3`` and ``--c4 -7/3`` are values, not options: the run prints
+    what ``--k=-2/3`` and ``--c4=-7/3`` print, and exits with the same code."""
+    *head, option, value = argv
+    spaced = _run(capsys, *argv)
+    assert spaced == _run(capsys, *head, f"{option}={value}")
+    assert "expected one argument" not in spaced[2]
+    assert spaced[0] == (0 if option == "--k" else 1)
+
+
 def test_sv_interval_past_the_int_str_limit_without_c4_names_the_interval(capsys):
     g = "9" * 2500
     code, out, err = _run(capsys, "invariants", f"Sigma({g},{g})")

@@ -57,6 +57,16 @@ S1XS3 = catalog_get("S1xS3")
 KODAIRA = catalog_get("Kodaira")
 
 
+def _ht(m):
+    """``hitchin_thorpe`` on m, as ``check hitchin-thorpe`` calls it."""
+    return hitchin_thorpe(m.euler(), m.signature())
+
+
+def _ght(m, c4, strict=True):
+    """``ght`` on m, as ``check ght`` calls it."""
+    return ght(m.euler(), m.signature(), simplicial_volume(m, c4), strict)
+
+
 def test_sv_interval_values():
     sv = simplicial_volume(connected_sum([SIGMA33, K3]), Fraction(1))
     assert (sv.lo(), sv.hi()) == (64, 64)
@@ -102,44 +112,52 @@ def test_sv_interval_ends_match_fraction_arithmetic(c4, factor):
 
 def test_the_library_assumes_no_c4():
     # c4 has one default, the CLI's, and one positivity check, cli._c4
-    for fn in (simplicial_volume, ght, search_spin_examples, search_nonspin_examples):
+    for fn in (simplicial_volume, search_spin_examples, search_nonspin_examples):
         assert inspect.signature(fn).parameters["c4"].default is inspect.Parameter.empty
-    assert inspect.signature(ght).parameters["strict"].default is True
+    # ght reads c4 only from the interval it is given, which carries it
+    params = inspect.signature(ght).parameters
+    assert list(params) == ["chi", "tau", "sv", "strict"] and "c4" not in params
+    assert params["sv"].default is inspect.Parameter.empty
+    assert params["strict"].default is True
+    m = connected_sum([SIGMA33, CP2BAR])
+    for c4 in (Fraction(1), Fraction(7, 3), Fraction(10**6)):
+        cert = ght(m.euler(), m.signature(), SvInterval(4, c4))
+        assert f"c4 = {c4}" in cert.premises[0].witness
 
 
 def test_hitchin_thorpe():
-    cert = hitchin_thorpe(K3)
+    cert = _ht(K3)
     assert cert.verdict is Verdict.NOT_OBSTRUCTED
     strict = [p for p in cert.premises if "strictly" in p.text]
     assert strict and not strict[0].passed  # boundary case 2chi = 3|tau|
     big = connected_sum([SIGMA33, SIGMA33] + [CP2BAR] * 18)
-    cert = hitchin_thorpe(big)
+    cert = _ht(big)
     assert cert.verdict is Verdict.NOT_OBSTRUCTED
     assert all(p.passed for p in cert.premises)
-    cert = hitchin_thorpe(connected_sum([K3, K3]))  # 2chi + 3tau = -4
+    cert = _ht(connected_sum([K3, K3]))  # 2chi + 3tau = -4
     assert cert.verdict is Verdict.OBSTRUCTED
 
 
 def test_ght_strict_on_search_shape():
     m = connected_sum([catalog_get("Gompf(2,2)"), catalog_get("Y(1)"),
                        SIGMA33, S1XS3])
-    cert = ght(m, Fraction(1), strict=True)
+    cert = _ght(m, Fraction(1), strict=True)
     assert cert.verdict is Verdict.NOT_OBSTRUCTED
 
 
 def test_ght_simply_connected_reduces_to_ht():
-    cert = ght(K3, Fraction(1), strict=False)
+    cert = _ght(K3, Fraction(1), strict=False)
     assert cert.verdict is Verdict.NOT_OBSTRUCTED
-    cert = ght(K3, Fraction(1), strict=True)  # boundary: strict check fails, no violation
+    cert = _ght(K3, Fraction(1), strict=True)  # boundary: strict check fails, no violation
     assert cert.verdict is Verdict.INCONCLUSIVE
-    cert = ght(connected_sum([K3, K3]), Fraction(1), strict=False)
+    cert = _ght(connected_sum([K3, K3]), Fraction(1), strict=False)
     assert cert.verdict is Verdict.OBSTRUCTED
 
 
 def test_ght_straddle_is_inconclusive():
     m = connected_sum([SIGMA33] + [CP2BAR] * 31)  # 2chi - 3|tau| = 1, factor 4
-    assert min(m.two_chi_plus_3tau(), m.two_chi_minus_3tau()) == 1
-    cert = ght(m, Fraction(10**6), strict=True)
+    assert 2 * m.euler() - 3 * abs(m.signature()) == 1
+    cert = _ght(m, Fraction(10**6), strict=True)
     assert cert.verdict is Verdict.INCONCLUSIVE
     lower = [p for p in cert.premises if "lower sv end" in p.text]
     assert lower and lower[0].passed
@@ -148,7 +166,7 @@ def test_ght_straddle_is_inconclusive():
 def test_ght_unknown_sv():
     custom = Manifold(name="mystery", char=CharData(1, 2, 2, False, False),
                       spinc_structures=(), sv_factors=None)
-    assert ght(custom, Fraction(1)).verdict is Verdict.INCONCLUSIVE
+    assert _ght(custom, Fraction(1)).verdict is Verdict.INCONCLUSIVE
 
 
 def _ght_piece(b1: int, b_plus: int, b_minus: int, factor) -> Manifold:
@@ -160,10 +178,10 @@ def _ght_piece(b1: int, b_plus: int, b_minus: int, factor) -> Manifold:
 
 
 def _tie_c4(kind: str, m: Manifold, enclosure) -> Fraction:
-    """A c4 that puts one pi^2 comparison of ``ght(m)`` at the midpoint of
+    """A c4 that puts one pi^2 comparison of ``ght`` on m at the midpoint of
     the enclosure; TIE_C4 when that needs a nonpositive gap, factor or chi."""
     mid = (enclosure.lo + enclosure.hi) / 2
-    gap = min(m.two_chi_plus_3tau(), m.two_chi_minus_3tau())
+    gap = 2 * m.euler() - 3 * abs(m.signature())
     f = m.sv_factor_total() or 0
     if kind == "upper" and gap > 0 and f > 0:     # 16 f c4 = 81 gap mid
         return 81 * gap * mid / (16 * f)
@@ -199,10 +217,10 @@ def _assert_ght_matches_oracle(m, c4, strict, enclosure):
     if _has_tie(expected):
         expected = ght_by_fractions(m, c4, strict, mpmath_pi2_enclosure())
         assert not _has_tie(expected)
-    assert ght(m, c4, strict).to_json() == expected.to_json()
+    assert _ght(m, c4, strict).to_json() == expected.to_json()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(symbolic, "PI_DIGIT_CAP", 50)
-        assert (ght(m, c4, strict).to_json()
+        assert (_ght(m, c4, strict).to_json()
                 == ght_by_fractions(m, c4, strict, PI2_50).to_json())
     return expected
 
@@ -231,7 +249,7 @@ def test_ght_ties_match_fractions(kind, premise, strict, enclosure, monkeypatch)
     # the midpoint of PI2_50 ties when the refinement stops at 50 digits
     monkeypatch.setattr(symbolic, "PI_DIGIT_CAP", 50)
     c4 = _tie_c4(kind, m, PI2_50)
-    cert = ght(m, c4, strict)
+    cert = _ght(m, c4, strict)
     assert cert.to_json() == ght_by_fractions(m, c4, strict, PI2_50).to_json()
     assert cert.premises[premise].witness.split(";")[0].endswith(_TIE)
 
@@ -242,7 +260,7 @@ def test_einstein_obstruction_separation():
     assert cert.verdict is Verdict.OBSTRUCTED
     assert any("lhs = 22" in p.witness for p in cert.premises)
     # ... while Hitchin-Thorpe holds strictly: a genuinely finer obstruction
-    ht = hitchin_thorpe(big)
+    ht = _ht(big)
     assert ht.verdict is Verdict.NOT_OBSTRUCTED
     assert all(p.passed for p in ht.premises)
 
@@ -365,7 +383,7 @@ def test_ght_verdicts_match_fractions(b1, b_plus, b_minus, factor, c4,
     certificates still match the oracle, which always decides it."""
     m = _ght_piece(b1, b_plus, b_minus, factor)
     for strict, expected in ((True, strict_verdict), (False, loose_verdict)):
-        cert = ght(m, c4, strict)
+        cert = _ght(m, c4, strict)
         assert cert.to_json() == ght_by_fractions(m, c4, strict, PI2_50).to_json()
         assert cert.verdict is expected
 
@@ -611,9 +629,14 @@ def _unhashable(base: type) -> type:
     return type(f"Unhashable{base.__name__}", (base,), {"__hash__": refuse})
 
 
+def _cells_with_a_hit(keys) -> int:
+    return len({(m, n) for m, n, _ in keys})
+
+
 def test_search_hashes_atoms_once_and_certifies_each_hit_once(monkeypatch):
-    """Hashing an atom reads only its name, and every hit goes through the
-    module-level connected_sum and certificate functions once."""
+    """Hashing an atom reads only its name, every hit goes through the
+    module-level certificate functions once, and every cell with a hit
+    through the module-level connected_sum once."""
     sigma = catalog_get("Sigma(3,3)")
     guarded = replace(
         sigma, lattice=_unhashable(GramLattice)(sigma.lattice.basis_labels, sigma.lattice.gram),
@@ -659,9 +682,11 @@ def test_search_hashes_atoms_once_and_certifies_each_hit_once(monkeypatch):
 
     monkeypatch.setattr(einstein, "ght", ght_watched)
     monkeypatch.setattr(einstein, "pi2_greater", pi2_watched)
-    hits = len(collect(search_nonspin_examples, 7, 7, 4, 6, Fraction(1))[1].hits)
-    assert hits > 100 and fetched
-    assert calls == dict.fromkeys(calls, hits)
+    keys = collect(search_nonspin_examples, 7, 7, 4, 6, Fraction(1))[1].hits
+    hits, cells = len(keys), _cells_with_a_hit(keys)
+    assert hits > 100 and fetched and 1 < cells < hits
+    assert calls == {"connected_sum": cells, "hitchin_thorpe": hits, "ght": hits,
+                     "corollary_obstruction": hits}
     assert verdicts == [Verdict.NOT_OBSTRUCTED] * hits
     assert pi2_in_ght[0] <= 3 * hits
 
@@ -690,7 +715,8 @@ def test_search_keeps_nothing_after_it_returns(monkeypatch):
     outcome = search_nonspin_examples(7, 7, 4, 6, Fraction(1),
                                       emit=lambda hit: emitted.append(hit.l))
     assert len(outcome.hits) > 100 and len(emitted) == len(outcome.hits)
-    assert len(refs) > 4 * len(outcome.hits)  # four blocks per hit's sum
+    # four blocks per cell's sum, one sum per cell with a hit
+    assert len(refs) > 4 * _cells_with_a_hit(outcome.hits) > 4
     held = {id(x) for atom in catalog._PLAIN.values() for x in (atom, *atom.spinc_structures)}
     gc.collect()
     alive = [r() for r in refs if r() is not None]
@@ -699,20 +725,26 @@ def test_search_keeps_nothing_after_it_returns(monkeypatch):
 
 
 def test_search_hands_on_each_hit_before_it_builds_the_next_sum(monkeypatch):
-    """Each hit reaches ``emit`` before the sum of the next hit is built:
-    the k-th call of ``emit`` comes after exactly k sums."""
-    built, at_emit = [0], []
+    """Each hit reaches ``emit`` before the certificates of the next hit are
+    built, and before the sum of the next cell: the k-th call of ``emit``
+    comes after exactly 3k certificate calls, and after as many sums as the
+    first k hits have cells."""
+    built, certified, at_emit = [0], [0], []
 
-    def summed(*args, **kwargs):
-        built[0] += 1
-        return connected_sum(*args, **kwargs)
+    def counting(counter, fn):
+        def wrapper(*args, **kwargs):
+            counter[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(einstein, "connected_sum", summed)
-    outcome = search_nonspin_examples(7, 7, 4, 6, Fraction(1),
-                                      emit=lambda hit: at_emit.append(built[0]))
-    hits = len(outcome.hits)
-    assert hits > 1000
-    assert at_emit == list(range(1, hits + 1))
+    monkeypatch.setattr(einstein, "connected_sum", counting(built, connected_sum))
+    for name in ("hitchin_thorpe", "ght", "corollary_obstruction"):
+        monkeypatch.setattr(einstein, name, counting(certified, getattr(einstein, name)))
+    outcome = search_nonspin_examples(
+        7, 7, 4, 6, Fraction(1), emit=lambda hit: at_emit.append((certified[0], built[0])))
+    keys = outcome.hits
+    assert len(keys) > 1000
+    assert at_emit == [(3 * k, _cells_with_a_hit(keys[:k])) for k in range(1, len(keys) + 1)]
 
 
 def _scan_size(mode, g, h, m_max, n_max):
@@ -808,17 +840,29 @@ def _paper_scan(mode, g, h, m_max, n_max, c4):
     return out
 
 
+def _bisection_bound(mode, g, h, m_max, n_max):
+    """Two bisections per cell: at most 2 ceil(log2(last - lo + 2))
+    first-inequality decisions in a cell scanning lo..last."""
+    total = 0
+    for _, n in einstein._spin_cells(m_max, n_max):
+        lo, last = einstein._l_range(mode, n, (g - 1) * (h - 1))
+        total += 2 * (last - lo + 1).bit_length()
+    return total
+
+
 @pytest.mark.parametrize("mode", ["spin", "nonspin"])
-@pytest.mark.parametrize("c4", [Fraction(1), Fraction(7, 3), Fraction(1, 1000)])
+@pytest.mark.parametrize("c4", [Fraction(1), Fraction(7, 3), Fraction(1, 1000), TIE_C4])
 def test_merged_scan_poses_each_modes_inequality(mode, c4, monkeypatch):
-    """The one w-scaled scan asks exactly the per-mode questions, in order,
-    and a tuple is a hit exactly when its question is answered True."""
+    """The one w-scaled scan asks only the per-mode questions, all strict,
+    at most two bisections' worth per cell; a tuple is a hit exactly when
+    the paper's question at its l is answered True, and a tie exactly when
+    it is answered None (TIE_C4 with 50 digits of pi^2 makes ties)."""
     in_ght, scan = [], []
 
     def pi2_recorded(a, b, strict=True):
         decision = pi2_greater(a, b, strict=strict)
         if not in_ght:
-            scan.append(((a, b), strict, decision))
+            scan.append(((a, b), strict))
         return decision
 
     def ght_flagged(*args, **kwargs):
@@ -830,16 +874,81 @@ def test_merged_scan_poses_each_modes_inequality(mode, c4, monkeypatch):
 
     monkeypatch.setattr(einstein, "pi2_greater", pi2_recorded)
     monkeypatch.setattr(einstein, "ght", ght_flagged)
+    if c4 == TIE_C4:
+        monkeypatch.setattr(symbolic, "PI_DIGIT_CAP", 50)
     search = search_spin_examples if mode == "spin" else search_nonspin_examples
+    ties = 0
     for g, h in ((3, 3), (3, 5), (5, 7)):
         scan.clear()
         _, outcome = collect(search, g, h, 3, 4, c4)
-        expected = _paper_scan(mode, g, h, 3, 4, c4)
-        assert [args for args, _, _ in scan] == [args for _, args in expected]
-        assert all(strict for _, strict, _ in scan)
-        assert list(outcome.hits) == [
-            key for (key, _), (_, _, decision) in zip(expected, scan) if decision]
-        assert not outcome.inconclusive
+        expected = [(key, args, pi2_greater(*args, strict=True))
+                    for key, args in _paper_scan(mode, g, h, 3, 4, c4)]
+        questions = {args for _, args, _ in expected}
+        assert scan and all(args in questions and strict for args, strict in scan)
+        assert len(scan) <= _bisection_bound(mode, g, h, 3, 4)
+        assert list(outcome.hits) == [key for key, _, decision in expected if decision]
+        assert list(outcome.inconclusive) == [
+            key for key, _, decision in expected if decision is None]
+        ties += len(outcome.inconclusive)
+    assert (ties > 0) == (c4 == TIE_C4)
+
+
+# q/p lands this close to the midpoint of PI2_50 when p = 10^scale: past
+# scale 50 the 50-digit enclosure cannot tell which side of pi^2 it is on.
+@given(scale=st.integers(45, 60), q_shift=st.integers(-10**6, 10**6),
+       offsets=st.lists(st.integers(-10**12, 10**12), min_size=2, max_size=30),
+       with_zero=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_pi2_decisions_run_true_tie_false_as_p_falls(scale, q_shift, offsets, with_zero):
+    """The lemma the search's bisection rests on: for a fixed q > 0, the
+    decisions ``pi2_greater(p, q)`` over falling p >= 0 read True...,
+    None..., False..., here with ties, the refinement stopped at 50 digits."""
+    base = 10 ** scale
+    q = math.floor(base * (PI2_50.lo + PI2_50.hi) / 2) + q_shift
+    ps = sorted({base + x for x in offsets} | ({0} if with_zero else set()), reverse=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symbolic, "PI_DIGIT_CAP", 50)
+        ranks = [einstein._RANK[pi2_greater(p, q, strict=True)] for p in ps]
+    assert ranks == sorted(ranks)
+
+
+def test_pi2_decisions_take_all_three_values_at_50_digits(monkeypatch):
+    monkeypatch.setattr(symbolic, "PI_DIGIT_CAP", 50)
+    base = 10 ** 55
+    q = math.floor(base * (PI2_50.lo + PI2_50.hi) / 2)
+    assert [pi2_greater(p, q) for p in (base + 10**7, base, base - 10**7, 0)] == [
+        True, None, False, False]
+
+
+_GRID_C4 = (Fraction(1), Fraction(7, 3), Fraction(10**6), TIE_C4)
+
+
+@pytest.mark.parametrize("mode", ["spin", "nonspin"])
+@pytest.mark.parametrize("g, h", [(3, 3), (3, 5), (5, 7), (7, 7), (9, 9)])
+def test_bisected_cells_match_the_per_l_scan(mode, g, h, monkeypatch):
+    """On a fixed grid the search's hit keys and tie keys are those a scan
+    deciding every l gives; TIE_C4 is also run with 50 digits, so ties
+    occur."""
+    search = search_spin_examples if mode == "spin" else search_nonspin_examples
+    noop = lambda hit: None  # noqa: E731
+    runs = [(c4, None) for c4 in _GRID_C4] + [(TIE_C4, 50)]
+    ties = 0
+    for c4, cap in runs:
+        with pytest.MonkeyPatch.context() as mp:
+            if cap is not None:
+                mp.setattr(symbolic, "PI_DIGIT_CAP", cap)
+            for m_max in (2, 3, 4):
+                for n_max in range(1, 8):
+                    outcome = search(g, h, m_max, n_max, c4, emit=noop)
+                    decided = [(key, pi2_greater(*args))
+                               for key, args in _paper_scan(mode, g, h, m_max, n_max, c4)]
+                    assert list(outcome.hits) == [key for key, d in decided if d]
+                    assert list(outcome.inconclusive) == [
+                        key for key, d in decided if d is None]
+                    ties += len(outcome.inconclusive)
+    # TIE_C4 ties the first inequality at l = w(2n - 3), which is at or
+    # past the floor only when 4n >= G; here n <= 6
+    assert (ties > 0) == ((g - 1) * (h - 1) <= 24)
 
 
 @pytest.mark.parametrize("mode", ["spin", "nonspin"])

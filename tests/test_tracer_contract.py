@@ -1,8 +1,8 @@
 """The benchmark tracer's contract, checked in a fresh interpreter.  On
-geography searches every hit calls ``connected_sum`` and the three
-certificates through their modules exactly once.  Every function the
-geography, invariants and wide-sums workloads are meant to reach is reached
-by the commands those workloads run."""
+geography searches every hit calls the three certificates through their
+modules exactly once, and every cell with a hit calls ``connected_sum``
+once.  Every function the geography, invariants and wide-sums workloads are
+meant to reach is reached by the commands those workloads run."""
 
 import json
 import subprocess
@@ -26,15 +26,19 @@ codes = []
 """
 
 _SCRIPT = _PRELUDE + """
+cells = 0
 for argv in {searches!r}:
     with contextlib.redirect_stdout(io.StringIO()) as out:
         codes.append(fourfold.cli.main(argv))  # the wrapper, after install
-    codes.append(sum(1 for line in out.getvalue().splitlines() if "search-hit" in line))
+    hits = [json.loads(line) for line in out.getvalue().splitlines() if "search-hit" in line]
+    codes.append(len(hits))
+    cells += len({{(hit["m"], hit["n"]) for hit in hits}})
 layers = tracer.layer_metrics(1.0, [1.0])
 print(json.dumps({{
     "codes": codes,
     "self_test": tracer.self_test("geography"),
     "hits": tracer.counts["einstein.search_hits"],
+    "cells": cells,
     "cert_calls": layers["einstein.cert_calls"][0],
     "connected_sum_calls": layers["surgery.connected_sum_calls"][0],
     "pi2_calls": layers["symbolic.pi2_greater_calls"][0],
@@ -64,20 +68,23 @@ def test_tracer_sees_one_call_per_hit_to_each_public_function():
     assert hits == spin_hits + nonspin_hits
     assert result["self_test"] == []
     assert result["cert_calls"] == 3 * hits
-    assert result["connected_sum_calls"] == hits
-    # the scan decides one pi^2 inequality per l; ght three per (passing) hit
-    scanned = sum(_scan_size(argv) for argv in _SEARCHES)
-    assert result["pi2_calls"] == scanned + 3 * hits
+    assert 0 < result["cells"] < hits
+    assert result["connected_sum_calls"] == result["cells"]
+    # ght decides three pi^2 inequalities per (passing) hit; each cell's two
+    # bisections decide the first inequality at fewer l than a scan of every l
+    cells = [cell for argv in _SEARCHES for cell in _cell_ranges(argv)]
+    scanned = sum(last - lo + 1 for lo, last in cells)
+    bisected = result["pi2_calls"] - 3 * hits
+    assert 0 < bisected <= sum(2 * (last - lo + 1).bit_length() for lo, last in cells)
+    assert bisected < scanned
 
 
-def _scan_size(argv):
+def _cell_ranges(argv):
+    """The (lo, last) range of l of every cell of the search."""
     opts = dict(zip(argv[1::2], argv[2::2]))
     g, h = int(opts["--g"]), int(opts["--h"])
-    total = 0
-    for _, n in einstein._spin_cells(int(opts["--mmax"]), int(opts["--nmax"])):
-        lo, hi = einstein._l_range(opts["--mode"], n, (g - 1) * (h - 1))
-        total += max(0, hi - lo + 1)
-    return total
+    return [einstein._l_range(opts["--mode"], n, (g - 1) * (h - 1))
+            for _, n in einstein._spin_cells(int(opts["--mmax"]), int(opts["--nmax"]))]
 
 
 _REPORTS_SCRIPT = _PRELUDE + """
