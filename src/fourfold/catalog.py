@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Callable, Optional
+from typing import Callable
 
 from fourfold.errors import CapacityError, CatalogError, int_str_limit, shown
 from fourfold.model import (
@@ -49,16 +49,6 @@ HYPERBOLIC = GramLattice(("a", "b"), ((0, 1), (1, 0)))
 FIBRE_PLANE = GramLattice(("f", "s"), ((0, 1), (1, 0)))
 
 
-def _atom(name: str, char: CharData, *, lattice: Optional[GramLattice],
-          spinc: tuple[SpinCStructure, ...], flags: frozenset[Flag],
-          sv_factors: Optional[tuple[tuple[int, int, int], ...]]) -> Manifold:
-    return Manifold(
-        name=name, char=char, lattice=lattice, spinc_structures=spinc,
-        flags=flags, sv_factors=sv_factors, summand_record=((name, 1),),
-        summands=(),
-    )
-
-
 def _sigma(g: int, h: int) -> Manifold:
     if g < 1 or h < 1:
         raise CatalogError(f"Sigma(g,h) needs g,h >= 1, got {shown(f'({g},{h})')}")
@@ -74,11 +64,11 @@ def _sigma(g: int, h: int) -> Manifold:
     flags = {Flag.ALMOST_COMPLEX, Flag.SYMPLECTIC, Flag.MINIMAL_KAEHLER}
     if g % 2 == 1 and h % 2 == 1:
         flags.add(Flag.C1_MOD4_ZERO)
-    return _atom(f"Sigma({g},{h})", char,
-                 lattice=HYPERBOLIC,
-                 spinc=(spinc,),
-                 flags=frozenset(flags),
-                 sv_factors=((1, g, h),))
+    return Manifold(f"Sigma({g},{h})", char,
+                    lattice=HYPERBOLIC,
+                    spinc_structures=(spinc,),
+                    flags=frozenset(flags),
+                    sv_factors=((1, g, h),))
 
 
 def _y_ell(ell: int) -> Manifold:
@@ -95,11 +85,11 @@ def _y_ell(ell: int) -> Manifold:
     flags = {Flag.ALMOST_COMPLEX, Flag.SYMPLECTIC, Flag.MINIMAL_KAEHLER}
     if ell % 2 == 0:
         flags.add(Flag.C1_MOD4_ZERO)
-    return _atom(f"Y({ell})" if ell else "K3", char,
-                 lattice=FIBRE_PLANE,
-                 spinc=(spinc,),
-                 flags=frozenset(flags),
-                 sv_factors=())
+    return Manifold(f"Y({ell})" if ell else "K3", char,
+                    lattice=FIBRE_PLANE,
+                    spinc_structures=(spinc,),
+                    flags=frozenset(flags),
+                    sv_factors=())
 
 
 def _gompf(alpha: int, beta: int) -> Manifold:
@@ -114,59 +104,58 @@ def _gompf(alpha: int, beta: int) -> Manifold:
     spinc = SpinCStructure(c1=None, c1_squared=8 * beta,
                            sw_parity=Parity.ODD,
                            parity_provenance=Provenance.TAUBES_SYMPLECTIC)
-    return _atom(f"Gompf({alpha},{beta})", char,
-                 lattice=None,
-                 spinc=(spinc,),
-                 flags=frozenset({Flag.ALMOST_COMPLEX, Flag.SYMPLECTIC}),
-                 sv_factors=())
+    return Manifold(f"Gompf({alpha},{beta})", char,
+                    spinc_structures=(spinc,),
+                    flags=frozenset({Flag.ALMOST_COMPLEX, Flag.SYMPLECTIC}),
+                    sv_factors=())
 
 
 _PLAIN: dict[str, Manifold] = {m.name: m for m in (
-    _atom("CP2",
-          CharData(b1=0, b_plus=1, b_minus=0, is_spin=False, is_simply_connected=True),
-          lattice=GramLattice(("h",), ((1,),)),
-          spinc=(SpinCStructure(c1=(3,), c1_squared=9),),
-          flags=frozenset({Flag.ALMOST_COMPLEX, Flag.SYMPLECTIC,
-                           Flag.MINIMAL_KAEHLER, Flag.HAS_PSC_METRIC}),
-          sv_factors=()),
-    _atom("CP2bar",
-          CharData(b1=0, b_plus=0, b_minus=1, is_spin=False, is_simply_connected=True),
-          lattice=GramLattice(("e",), ((-1,),)),
-          spinc=(SpinCStructure(c1=(1,), c1_squared=-1),),
-          flags=frozenset({Flag.HAS_PSC_METRIC, Flag.HAS_NONNEG_SCALAR_METRIC,
-                           Flag.HAS_ASD_PSC_METRIC}),
-          sv_factors=()),
+    Manifold("CP2",
+             CharData(b1=0, b_plus=1, b_minus=0, is_spin=False, is_simply_connected=True),
+             lattice=GramLattice(("h",), ((1,),)),
+             spinc_structures=(SpinCStructure(c1=(3,), c1_squared=9),),
+             flags=frozenset({Flag.ALMOST_COMPLEX, Flag.SYMPLECTIC,
+                              Flag.MINIMAL_KAEHLER, Flag.HAS_PSC_METRIC}),
+             sv_factors=()),
+    Manifold("CP2bar",
+             CharData(b1=0, b_plus=0, b_minus=1, is_spin=False, is_simply_connected=True),
+             lattice=GramLattice(("e",), ((-1,),)),
+             spinc_structures=(SpinCStructure(c1=(1,), c1_squared=-1),),
+             flags=frozenset({Flag.HAS_PSC_METRIC, Flag.HAS_NONNEG_SCALAR_METRIC,
+                              Flag.HAS_ASD_PSC_METRIC}),
+             sv_factors=()),
     # Almost complex as a Hopf surface; PSC and anti-self-dual PSC metrics
     # exist (standard conformally flat metric).
-    _atom("S1xS3",
-          CharData(b1=1, b_plus=0, b_minus=0, is_spin=True, is_simply_connected=False),
-          lattice=GramLattice((), ()),
-          spinc=(SpinCStructure(c1=(), c1_squared=0, s_size=1),),
-          flags=frozenset({Flag.ALMOST_COMPLEX, Flag.HAS_PSC_METRIC,
-                           Flag.HAS_NONNEG_SCALAR_METRIC,
-                           Flag.HAS_ASD_PSC_METRIC, Flag.C1_MOD4_ZERO}),
-          sv_factors=()),
-    _atom("T4",
-          CharData(b1=4, b_plus=3, b_minus=3, is_spin=True, is_simply_connected=False),
-          lattice=HYPERBOLIC,
-          spinc=(SpinCStructure(c1=(0, 0), c1_squared=0, s_size=4,
-                                sw_parity=Parity.ODD,
-                                parity_provenance=Provenance.TAUBES_SYMPLECTIC),),
-          flags=frozenset({Flag.ALMOST_COMPLEX, Flag.SYMPLECTIC,
-                           Flag.MINIMAL_KAEHLER, Flag.C1_MOD4_ZERO}),
-          sv_factors=()),
+    Manifold("S1xS3",
+             CharData(b1=1, b_plus=0, b_minus=0, is_spin=True, is_simply_connected=False),
+             lattice=GramLattice((), ()),
+             spinc_structures=(SpinCStructure(c1=(), c1_squared=0, s_size=1),),
+             flags=frozenset({Flag.ALMOST_COMPLEX, Flag.HAS_PSC_METRIC,
+                              Flag.HAS_NONNEG_SCALAR_METRIC,
+                              Flag.HAS_ASD_PSC_METRIC, Flag.C1_MOD4_ZERO}),
+             sv_factors=()),
+    Manifold("T4",
+             CharData(b1=4, b_plus=3, b_minus=3, is_spin=True, is_simply_connected=False),
+             lattice=HYPERBOLIC,
+             spinc_structures=(SpinCStructure(
+                 c1=(0, 0), c1_squared=0, s_size=4, sw_parity=Parity.ODD,
+                 parity_provenance=Provenance.TAUBES_SYMPLECTIC),),
+             flags=frozenset({Flag.ALMOST_COMPLEX, Flag.SYMPLECTIC,
+                              Flag.MINIMAL_KAEHLER, Flag.C1_MOD4_ZERO}),
+             sv_factors=()),
     _y_ell(0),  # K3
     # Primary Kodaira surface: non-Kaehler symplectic spin surface with
     # b+ = 2, b1 = 3, c1 = 0; an elliptic bundle over an elliptic curve.
-    _atom("Kodaira",
-          CharData(b1=3, b_plus=2, b_minus=2, is_spin=True, is_simply_connected=False),
-          lattice=HYPERBOLIC,
-          spinc=(SpinCStructure(c1=(0, 0), c1_squared=0, s_size=3,
-                                sw_parity=Parity.ODD,
-                                parity_provenance=Provenance.TAUBES_SYMPLECTIC),),
-          flags=frozenset({Flag.ALMOST_COMPLEX, Flag.SYMPLECTIC,
-                           Flag.C1_MOD4_ZERO}),
-          sv_factors=()),
+    Manifold("Kodaira",
+             CharData(b1=3, b_plus=2, b_minus=2, is_spin=True, is_simply_connected=False),
+             lattice=HYPERBOLIC,
+             spinc_structures=(SpinCStructure(
+                 c1=(0, 0), c1_squared=0, s_size=3, sw_parity=Parity.ODD,
+                 parity_provenance=Provenance.TAUBES_SYMPLECTIC),),
+             flags=frozenset({Flag.ALMOST_COMPLEX, Flag.SYMPLECTIC,
+                              Flag.C1_MOD4_ZERO}),
+             sv_factors=()),
 )}
 
 _PARAMETRIC = re.compile(r"^(Sigma|Y|Gompf)\((\d+)(?:,(\d+))?\)$")
@@ -390,16 +379,8 @@ def manifold_from_json(doc: dict, where: str = "manifold document") -> Manifold:
         sv_factors = tuple(_int_list(t, where, f"sv_factors[{i}]") for i, t in enumerate(sv))
         if any(len(t) != 3 for t in sv_factors):
             raise CatalogError(f"{where}: field 'sv_factors' must hold [k, g, h] triples")
-    record = []
-    for i, entry in enumerate(_field(doc, "summand_record", "list", where, default=[])):
-        at = f"summand_record[{i}]"
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise CatalogError(f"{where}: field {at!r} must be a [name, count] pair")
-        record.append((_check(entry[0], "str", where, at), _check(entry[1], "int", where, at)))
     m = Manifold(name=name, char=char, lattice=lattice,
-                 spinc_structures=tuple(spinc), flags=flags,
-                 sv_factors=sv_factors, summand_record=tuple(record) or ((name, 1),),
-                 summands=())
+                 spinc_structures=tuple(spinc), flags=flags, sv_factors=sv_factors)
     problems = validate(m)
     if problems:
         raise CatalogError(f"invalid manifold document {shown(repr(name))}: {problems[0]}"
@@ -411,8 +392,9 @@ def load_catalog_file(path: str) -> dict[str, Manifold]:
     """Load a user catalog: {"version": 1, "manifolds": [manifold docs]}.
 
     Names become atoms available to the expression parser, so each must be
-    an ``IDENTIFIER``.  Raises CatalogError naming the file, entry and field
-    that is wrong, or saying why the JSON reader cannot take the file.
+    an ``IDENTIFIER``, and no two entries may share one.  Raises
+    CatalogError naming the file, entry and field that is wrong, or saying
+    why the JSON reader cannot take the file.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -438,5 +420,8 @@ def load_catalog_file(path: str) -> dict[str, Manifold]:
         if not re.fullmatch(IDENTIFIER, m.name):
             raise CatalogError(f"manifolds[{i}]: field 'name' must be an identifier "
                                f"{IDENTIFIER}, got {shown(repr(m.name))}")
+        if m.name in out:
+            first = list(out).index(m.name)  # one key per entry so far, in order
+            raise CatalogError(f"manifolds[{i}]: field 'name' repeats manifolds[{first}]")
         out[m.name] = m
     return out

@@ -28,7 +28,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, TypeVar, Union
 
 from fourfold import catalog, einstein, errors, monopole, parser, surgery
 from fourfold.certify import (
@@ -50,6 +50,8 @@ REPORT_VERSION = 1
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INCONCLUSIVE = 2
+
+_T = TypeVar("_T")
 
 CHECK_IDS = ("bauer", "theorem-a", "theorem-b", "hitchin-thorpe", "ght",
              "einstein", "decomposition", "exotic")
@@ -97,19 +99,22 @@ def _rational(raw: str, source: str) -> Fraction:
         raise FourfoldError(f"bad {source} value {shown}: not a rational number") from None
 
 
-def _rendered(part: str, source: str, raw: Optional[str],
-              render: Callable[[], dict]) -> dict:
+def _rendered(part: str, render: Callable[[], _T], source: str = "",
+              raw: Optional[str] = None) -> _T:
     """``render()`` of the report part ``part``, derived from the value
-    ``raw`` of an option (None when it is not given).
+    ``raw`` of the option ``source`` (None when it is not given).
 
-    A value under the int-str limit can still give a derived number over it
-    (16 * factor * c4, k * Y); printing that number raises ValueError, which
-    is refused here as a ``CapacityError`` in the name of the option, or of
-    the part when no option was given.
+    Inputs under the int-str limit can still give a derived number over it
+    (16 * factor * c4, k * Y, b+ of a sum); printing that number raises
+    ValueError, which is refused here as a ``CapacityError`` in the name of
+    the option, or of the part when no option was given.  Any other
+    ValueError, such as a certificate's own invariant, passes unchanged.
     """
     try:
         return render()
-    except ValueError:
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):  # the interpreter's wording
+            raise
         cause = (f"{part} has" if raw is None else
                  f"bad {source} value {errors.shown(repr(raw))}: a derived number has")
         raise CapacityError(f"{cause} more than {int_str_limit()} digits") from None
@@ -367,8 +372,8 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         doc["K"] = _sym_json(inv.K, approx)
     lam = monopole.lambda_bar_k(m, inv, k)
     doc["lambda_k"] = {"k": str(k),
-                       "value": _rendered("lambda_k", "--k", args.k,
-                                          lambda: _sym_json(lam, approx))}
+                       "value": _rendered("lambda_k", lambda: _sym_json(lam, approx),
+                                          "--k", args.k)}
     doc["Ir"] = _sym_json(monopole.invariant_Ir(split), approx)
 
     doc["beta_squared"] = _beta2_report(split)
@@ -376,7 +381,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     sv = einstein.simplicial_volume(m, c4)
     doc["sv_interval"] = ({"inconclusive": sv.reason} if isinstance(sv, Inconclusive)
                           else _rendered("an end of the simplicial-volume interval",
-                                         "--c4", args.c4, sv.to_json))
+                                         sv.to_json, "--c4", args.c4))
     _emit(doc)
     return EXIT_OK
 
@@ -385,25 +390,29 @@ def _cmd_check(args: argparse.Namespace) -> int:
     theorem = args.theorem
     m = None if theorem == "exotic" else _evaluate(args, args.expr)
     extra: dict = {}
-    if theorem == "bauer":
-        cert = check_bauer(m)
-    elif theorem in ("theorem-a", "theorem-b"):
-        require_part_count(theorem, m.piece_count())
-        check = check_theorem_A if theorem == "theorem-a" else check_theorem_B
-        cert = check(list(m.pieces()))
-    elif theorem == "hitchin-thorpe":
-        cert = einstein.hitchin_thorpe(m.euler(), m.signature())
-    elif theorem == "ght":
-        cert = einstein.ght(m.euler(), m.signature(),
-                            einstein.simplicial_volume(m, _c4(args)),
-                            strict=not args.non_strict)
-    elif theorem == "einstein":
-        cert = einstein.einstein_obstruction(m)
-    elif theorem == "decomposition":
-        bound, cert = einstein.decomposition_certificate(m)
-        extra["bound"] = bound
-    else:  # exotic, the last of CHECK_IDS, which argparse enforces
-        cert = _exotic(args)
+
+    def certificate() -> Certificate:
+        if theorem == "bauer":
+            return check_bauer(m)
+        if theorem in ("theorem-a", "theorem-b"):
+            require_part_count(theorem, m.piece_count())
+            check = check_theorem_A if theorem == "theorem-a" else check_theorem_B
+            return check(list(m.pieces()))
+        if theorem == "hitchin-thorpe":
+            return einstein.hitchin_thorpe(m.euler(), m.signature())
+        if theorem == "ght":
+            return einstein.ght(m.euler(), m.signature(),
+                                einstein.simplicial_volume(m, _c4(args)),
+                                strict=not args.non_strict)
+        if theorem == "einstein":
+            return einstein.einstein_obstruction(m)
+        if theorem == "decomposition":
+            extra["bound"], cert = einstein.decomposition_certificate(m)
+            return cert
+        return _exotic(args)  # the last of CHECK_IDS, which argparse enforces
+
+    # a witness prints what the certificate derives, such as b+ of the sum
+    cert = _rendered(f"a number in the {theorem} certificate", certificate)
     doc = {"version": REPORT_VERSION, "kind": "check", "expr": args.expr,
            "theorem": theorem, "certificate": cert.to_json(),
            "verdict": cert.verdict.value}

@@ -41,9 +41,9 @@ from fourfold.certify import (
     require_part_count,
 )
 from fourfold.errors import CapacityError, PremiseError, shown
-from fourfold.model import Flag, Manifold
+from fourfold.model import Flag, Manifold, record_name
 from fourfold.monopole import Inconclusive
-from fourfold.surgery import _record_name, connected_sum, split_blowdown
+from fourfold.surgery import connected_sum, split_blowdown
 from fourfold.symbolic import pi2_greater
 
 DEFAULT_C4 = Fraction(1)
@@ -467,8 +467,9 @@ def _search(mode: str, g: int, h: int, m_max: int, n_max: int, c4: Fraction,
             pieces = (catalog_get(f"Gompf({m},{n})"),) + shared
             cell = connected_sum(pieces, [1, 1, 1, lo])
             chi, tau, record = cell.euler(), cell.signature(), cell.summand_record
+            # no other piece has the atom's name, so a hit's record counts l of it
             at = [name for name, _ in record].index(last_atom)
-            head, base, tail = record[:at], record[at][1] - lo, record[at + 1:]
+            head, tail = record[:at], record[at + 1:]
             for l in hit_ls:
                 hit_chi, hit_tau = chi + (l - lo) * step_chi, tau + (l - lo) * step_tau
                 l1, l2 = (l, 0) if mode == "spin" else (0, l)
@@ -477,7 +478,7 @@ def _search(mode: str, g: int, h: int, m_max: int, n_max: int, c4: Fraction,
                     ght(hit_chi, hit_tau, sv, strict=True),
                     corollary_obstruction(pieces[:2], k=1, g=g, h=h, l1=l1, l2=l2),
                 )
-                name = _record_name(head + ((last_atom, base + l),) + tail)
+                name = record_name(head + ((last_atom, l),) + tail)
                 emit(SearchHit(mode=mode, m=m, n=n, l=l, manifold_name=name, sv=sv,
                                certificates=certs))
                 keys.append((m, n, l))

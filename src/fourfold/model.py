@@ -4,7 +4,9 @@ A :class:`Manifold` stores characteristic data (b1, b+, b-, spin-ness,
 simple-connectivity), an optional integer Gram lattice for the part of H^2 we
 track classes in, spin-c structures with explicit first Chern data, geometric
 property flags, hyperbolic-product content for simplicial-volume intervals,
-and a record of the connected-sum history that produced it.
+and, for a connected sum, the multiset of atoms that produced it.  The
+summand record and a sum's name are derived from that multiset, never
+stored beside it.
 
 Atoms and sums
 --------------
@@ -324,9 +326,9 @@ class Manifold:
     # summands of (genus-g surface) x (genus-h surface).  None means the
     # simplicial volume is unknown; an empty tuple means it is known zero.
     sv_factors: Optional[tuple[tuple[int, int, int], ...]] = None
-    summand_record: tuple[tuple[str, int], ...] = ()
     # The connected-sum multiset: sorted (atom, count) pairs; empty for atoms
-    # (the manifold is its own single summand).
+    # (the manifold is its own single summand).  The summand record and a
+    # sum's name are derived from it (``record_of``, ``record_name``).
     summands: tuple[tuple["Manifold", int], ...] = field(default=(), repr=False)
 
     def euler(self) -> int:
@@ -349,6 +351,12 @@ class Manifold:
         """The (atom, count) multiset (``((self, 1),)`` for atoms)."""
         return self.summands or ((self, 1),)
 
+    @property
+    def summand_record(self) -> tuple[tuple[str, int], ...]:
+        """The total count per atom name, in summand order
+        (``((name, 1),)`` for atoms)."""
+        return record_of(self.atom_counts())
+
     def piece_count(self) -> int:
         return sum(count for _, count in self.atom_counts())
 
@@ -368,6 +376,16 @@ class Manifold:
     # CPython caches a str's hash.
     def __hash__(self) -> int:
         return hash(self.name)
+
+
+def record_of(atom_counts: Iterable[tuple[Manifold, int]]) -> tuple[tuple[str, int], ...]:
+    """The total count per atom name, in order of first appearance."""
+    return tuple(tally((atom.name, count) for atom, count in atom_counts).items())
+
+
+def record_name(record: Iterable[tuple[str, int]]) -> str:
+    """The name of a sum with this summand record: ``K3 # 2*Sigma(3,3)``."""
+    return " # ".join(name if mult == 1 else f"{mult}*{name}" for name, mult in record)
 
 
 # Listing a sum piece by piece costs O(pieces); past this many it raises

@@ -44,6 +44,8 @@ from fourfold.model import (
     Manifold,
     SpinCStructure,
     flatten,
+    record_name,
+    record_of,
     tally,
 )
 
@@ -66,10 +68,6 @@ def _multiset(parts: Sequence[Manifold], counts: Sequence[int]) -> Multiset:
     return tuple(sorted(merged.items(), key=lambda e: _atom_sort_key(e[0])))
 
 
-def _record_name(record: Sequence[tuple[str, int]]) -> str:
-    return " # ".join(name if mult == 1 else f"{mult}*{name}" for name, mult in record)
-
-
 def _assemble(summands: Multiset) -> Manifold:
     """The sum of a sorted multiset, folded in one pass over its distinct
     atoms.  A lattice block list, spin-c block list or sv tally turns None at
@@ -79,7 +77,6 @@ def _assemble(summands: Multiset) -> Manifold:
     lattices: Optional[list[tuple[Lattice, int]]] = []
     structures: Optional[list[tuple[SpinCStructure, int]]] = []
     sv: Optional[dict[tuple[int, int], int]] = {}
-    names: list[tuple[str, int]] = []
     for a, n in summands:
         c = a.char
         b1 += c.b1 * n
@@ -104,11 +101,6 @@ def _assemble(summands: Multiset) -> Manifold:
             else:
                 for k, g, h in a.sv_factors:
                     sv[(g, h)] = sv.get((g, h), 0) + k * n
-        # sorted by name, so equal names are adjacent
-        if names and names[-1][0] == a.name:
-            names[-1] = (a.name, names[-1][1] + n)
-        else:
-            names.append((a.name, n))
 
     lattice = None if lattices is None else BlockLattice(tuple(lattices))
     spinc = () if structures is None else (BlockSpinC(tuple(structures)),)
@@ -126,11 +118,10 @@ def _assemble(summands: Multiset) -> Manifold:
         sv_factors = tuple(sorted((k, g, h) for (g, h), k in sv.items() if k > 0))
     char = CharData(b1=b1, b_plus=b_plus, b_minus=b_minus, is_spin=spin,
                     is_simply_connected=simply_connected)
-    record = tuple(names)
     return Manifold(
-        name=_record_name(record), char=char, lattice=lattice,
+        name=record_name(record_of(summands)), char=char, lattice=lattice,
         spinc_structures=spinc, flags=frozenset(flags),
-        sv_factors=sv_factors, summand_record=record, summands=summands,
+        sv_factors=sv_factors, summands=summands,
     )
 
 

@@ -756,7 +756,7 @@ def flat_connected_sum(parts):
     return Manifold(
         name=name, char=char, lattice=lattice,
         spinc_structures=spinc, flags=frozenset(flags),
-        sv_factors=sv_factors, summand_record=record,
+        sv_factors=sv_factors,
         summands=tuple((a, 1) for a in atoms),
     )
 

@@ -275,6 +275,37 @@ def test_catalog_refuses_a_name_the_parser_cannot_read(capsys, tmp_path, name):
                        f"{catalog.IDENTIFIER}, got {repr(name)}\n")
 
 
+def test_catalog_refuses_a_repeated_name(capsys, tmp_path):
+    """Two entries with one name are refused, naming both, by every command
+    that reads the catalog, however the entries differ."""
+    with open(_one_atom_catalog(tmp_path, "Eb")) as fh:
+        doc = json.load(fh)
+    first = doc["manifolds"][0]
+    doc["manifolds"] = [first, dict(first, name="Zeta"), dict(first, b_minus=2)]
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("catalog",), ("catalog", "Eb"), ("build", "Eb"), ("invariants", "Eb"),
+                 ("beta2", "Eb # K3"), ("check", "hitchin-thorpe", "Eb"),
+                 ("check", "exotic", "Eb # K3")):
+        assert _run(capsys, "--catalog", str(path), *argv) == (
+            1, "", "fourfold: error: manifolds[2]: field 'name' repeats manifolds[0]\n")
+
+
+def test_an_atom_reports_its_own_name_as_its_record(capsys, tmp_path):
+    """A document's summand record is not read: an atom made from
+    ``catalog K3`` and renamed is its own single summand."""
+    doc = dict(json.loads(_run(capsys, "catalog", "K3")[1])["manifold"], name="MyK3")
+    path = tmp_path / "mine.json"
+    path.write_text(json.dumps({"version": 1, "manifolds": [doc]}))
+    for argv in (("build", "MyK3"), ("catalog", "MyK3")):
+        code, out, _ = _run(capsys, "--catalog", str(path), *argv)
+        assert code == 0
+        manifold = json.loads(out)["manifold"]
+        assert (manifold["name"], manifold["summand_record"]) == ("MyK3", [["MyK3", 1]])
+    code, out, _ = _run(capsys, "--catalog", str(path), "build", "MyK3 # K3")
+    assert json.loads(out)["manifold"]["summand_record"] == [["K3", 1], ["MyK3", 1]]
+
+
 def _one_atom_catalog(tmp_path, name, **fields):
     """A catalog file holding one simply connected non-spin atom ``name``
     with b1 = 0, no flags, lattice or spin-c structure, and the given fields."""
@@ -325,6 +356,22 @@ def test_a_moduli_dimension_that_is_not_an_integer_is_reported(capsys, schema, t
 def test_check_decomposition_without_a_positive_piece(capsys):
     assert _run(capsys, "check", "decomposition", "CP2bar") == (
         1, "", "fourfold: error: no positive-b+ pieces to certify\n")
+
+
+def test_theorem_b_needs_b_plus_over_one_for_its_second_alternative(capsys, tmp_path):
+    """An almost complex atom with b+ = 1, odd parity and c1 = 0 (mod 4)
+    meets neither alternative of Theorem B."""
+    path = _one_atom_catalog(
+        tmp_path, "Eb", b_plus=1, b_minus=9, flags=["AlmostComplex", "C1Mod4Zero"],
+        spinc=[{"c1": None, "c1_squared": 0, "s_matrix": [], "sw_parity": "Odd",
+                "provenance": "UserAsserted"}])
+    code, out, _ = _run(capsys, "--catalog", path, "check", "theorem-b", "Eb # K3")
+    doc = json.loads(out)
+    assert (code, doc["verdict"]) == (2, "Inconclusive")
+    eb, k3 = doc["certificate"]["premises"]
+    assert (eb["text"].split(":")[0], eb["pass"], eb["witness"]) == (
+        "part 1 (Eb)", False, "neither alternative")
+    assert (k3["pass"], k3["witness"]) == (True, "b1 = 0, b+ = 3 (mod 4)")
 
 
 def test_check_exotic_with_custom_catalog(capsys, schema, tmp_path):
@@ -889,6 +936,43 @@ def test_a_disabled_int_str_limit_keeps_the_default_bound_on_the_orbit(capsys):
     assert json.loads(out)["beta_squared"] == {"inconclusive": (
         "a sign orbit of 14285 generators has 2^14285 classes, a count of more than "
         f"{sys.int_info.default_max_str_digits} digits")}
+
+
+# Sums whose piece count prints but whose b+ and 2chi - 3|tau| do not: the
+# second is the falsifying example of test_cli_fuzz's one-error-line test.
+_WITNESS_PAST_THE_LIMIT = (
+    "K3 # " + "9" * 4290 + "*Sigma(999999,999999)",
+    "1" * 40 + "*(" + "1" * 40 + "*(" + "1" * 4204 + "*Sigma(1909154673,1909221946)))",
+)
+
+
+@pytest.mark.parametrize("expr", _WITNESS_PAST_THE_LIMIT, ids=["nines", "ones"])
+@pytest.mark.parametrize("theorem", cli.CHECK_IDS)
+def test_a_witness_past_the_int_str_limit_is_one_error_line(capsys, schema, theorem, expr):
+    """A certificate whose witness would print a derived number past the
+    limit ends in one line naming the certificate and the limit; the other
+    checks end as they would for any sum of that many pieces."""
+    code, out, err = _run(capsys, "check", theorem, "--", expr)
+    if theorem == "einstein":  # every number it prints is under the limit
+        assert (code, err) == (2, "")
+        _validate_lines(schema, out)
+        return
+    assert (code, out) == (1, "")
+    assert err.startswith("fourfold: error: ") and err.count("\n") == 1
+    assert "set_int_max_str_digits" not in err
+    if theorem in ("bauer", "hitchin-thorpe", "ght"):
+        assert err == (f"fourfold: error: a number in the {theorem} certificate has more "
+                       f"than {_INT_STR_LIMIT} digits\n")
+
+
+def test_a_certificate_invariant_error_keeps_its_own_line(capsys, monkeypatch):
+    """The int-str guard around a certificate renames no other ValueError."""
+    def broken(m):
+        return certify.Certificate("bauer", (certify.Premise("p", False),),
+                                   certify.Verdict.OBSTRUCTED, "c")
+    monkeypatch.setattr(cli, "check_bauer", broken)
+    assert _run(capsys, "check", "bauer", "K3 # K3") == (
+        1, "", "fourfold: error: Obstructed verdict with a failed premise in bauer\n")
 
 
 @pytest.mark.parametrize("expr", [

@@ -169,6 +169,17 @@ def test_ght_unknown_sv():
     assert _ght(custom, Fraction(1)).verdict is Verdict.INCONCLUSIVE
 
 
+def test_ght_gromov_premise_is_non_strict():
+    """Gromov's chi >= ||M||/(2592 pi^2) is non-strict whichever GHT
+    inequality is asked: T4 (chi = 0, factor 0) meets it with equality."""
+    t4 = catalog_get("T4")
+    for strict in (True, False):
+        gromov = _ght(t4, Fraction(1), strict).premises[2]
+        assert (gromov.text, gromov.passed, gromov.witness) == (
+            "Gromov: chi >= (upper sv end)/(2592 pi^2)", True,
+            "2592*chi*pi^2 >= 16*factor*c4: True")
+
+
 def _ght_piece(b1: int, b_plus: int, b_minus: int, factor) -> Manifold:
     """A manifold with the given Betti numbers and simplicial-volume factor
     (None: unknown content)."""
@@ -270,6 +281,20 @@ def test_einstein_obstruction_small_blowup():
     cert = einstein_obstruction(small)
     assert cert.verdict is Verdict.NOT_OBSTRUCTED
     assert any("lhs = 5" in p.witness for p in cert.premises)
+
+
+def test_einstein_obstruction_holds_at_equality():
+    """lhs = rhs is Obstructed, as the inequality is >=: each CP2bar of the
+    b+ = 0 rest raises lhs by exactly 1, and Obstructed stays Obstructed."""
+    gompf = catalog_get("Gompf(2,6)")
+    certs = {k: einstein_obstruction(connected_sum([K3, gompf, CP2BAR], [1, 1, k]))
+             for k in (11, 12, 13)}
+    assert {k: (c.verdict, c.premises[-1].witness.split(";")[0])
+            for k, c in certs.items()} == {
+        11: (Verdict.NOT_OBSTRUCTED, "lhs = 15, rhs = 16"),
+        12: (Verdict.OBSTRUCTED, "lhs = 16, rhs = 16"),
+        13: (Verdict.OBSTRUCTED, "lhs = 17, rhs = 16"),
+    }
 
 
 def test_einstein_obstruction_nonpositive_parts():

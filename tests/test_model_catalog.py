@@ -4,7 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -18,7 +18,15 @@ from fourfold.catalog import (
     manifold_to_json,
 )
 from fourfold.errors import CatalogError
-from fourfold.model import Flag, GramLattice, Manifold, Parity, Provenance, validate
+from fourfold.model import (
+    Flag,
+    GramLattice,
+    Manifold,
+    Parity,
+    Provenance,
+    record_name,
+    validate,
+)
 from fourfold.surgery import connected_sum
 
 from oracles import conjugate, dense_even, dense_first_odd, dense_negation, plain, s_matrix
@@ -152,6 +160,18 @@ def test_validate_c1_cache_mismatch():
     assert any("almost-canonical-class identity" in p for p in problems)
 
 
+def test_the_summand_record_is_derived_from_the_multiset():
+    """No field stores the record: a renamed atom is its own summand, and a
+    sum totals each atom name in summand order."""
+    assert "summand_record" not in {f.name for f in fields(Manifold)}
+    k3 = catalog_get("K3")
+    mine = replace(k3, name="MyK3")
+    assert mine.summand_record == (("MyK3", 1),)
+    m = connected_sum([mine, k3, mine])
+    assert m.summand_record == (("K3", 1), ("MyK3", 2))
+    assert m.name == record_name(m.summand_record) == "K3 # 2*MyK3"
+
+
 def test_validate_c1_cache_mismatch_lines():
     """The c1^2 mismatch line, byte for byte: an int from the lattice prints
     as the rational sum once did, and a long one is cut at 40 characters."""
@@ -159,7 +179,7 @@ def test_validate_c1_cache_mismatch_lines():
     bad = replace(k3, spinc_structures=(replace(k3.canonical_spinc, c1_squared=4),))
     assert validate(bad)[0] == "spin-c #0: cached c1_squared = 4 but the lattice gives 0"
     sigma = catalog_get("Sigma(3,3)")
-    big = replace(sigma, name="BigSigma", summand_record=(("BigSigma", 1),),
+    big = replace(sigma, name="BigSigma",
                   spinc_structures=(replace(sigma.canonical_spinc, c1=(10**30, 3 * 10**30)),))
     assert validate(big) == [
         "spin-c #0: cached c1_squared = 32 but the lattice gives "
@@ -190,7 +210,7 @@ def test_validate_c1_needs_a_lattice():
     """An atom's c1 vector is a coordinate vector in its lattice; a sum is
     checked block by block and flagged only when every block has a vector."""
     k3 = catalog_get("K3")
-    bare = replace(k3, name="BareK3", lattice=None, summand_record=(("BareK3", 1),))
+    bare = replace(k3, name="BareK3", lattice=None)
     assert validate(bare) == ["spin-c #0: c1 vector but no lattice"]
     assert validate(connected_sum([bare, k3])) == ["spin-c #0: c1 vector but no lattice"]
     # Gompf stores neither, so a sum with it has no lattice and no c1 vector

@@ -53,14 +53,14 @@ def _custom_atom() -> Manifold:
                            parity_provenance=Provenance.USER_ASSERTED)
     m = Manifold(name="Xc", char=char, lattice=lattice, spinc_structures=(spinc,),
                  flags=frozenset(),
-                 sv_factors=(), summand_record=(("Xc", 1),))
+                 sv_factors=())
     assert validate(m) == []
     return m
 
 
 def _unknown_sv_atom() -> Manifold:
     """The custom atom with unknown simplicial-volume content."""
-    m = replace(_custom_atom(), name="Xu", sv_factors=None, summand_record=(("Xu", 1),))
+    m = replace(_custom_atom(), name="Xu", sv_factors=None)
     assert validate(m) == []
     return m
 
@@ -70,7 +70,7 @@ def _bare_atom() -> Manifold:
     char = CharData(b1=1, b_plus=0, b_minus=0, is_spin=True, is_simply_connected=False)
     m = Manifold(name="Xb", char=char,
                  flags=frozenset({Flag.HAS_PSC_METRIC, Flag.HAS_NONNEG_SCALAR_METRIC}),
-                 sv_factors=(), summand_record=(("Xb", 1),))
+                 sv_factors=())
     assert validate(m) == []
     return m
 

@@ -218,12 +218,12 @@ PLACEHOLDERS_ALLOWED = {
                      "file path, which the OS bounds and a line names whole",
     "catalog: what": "a fixed phrase naming a JSON type",
     "catalog: allowed": "the member values of one enum",
-    "catalog: at": "a field path of a fixed name and a list index",
     "catalog: family": "a family name the id pattern matched: Sigma or Gompf",
     "catalog: int_str_limit()": "the interpreter's int-str limit",
     "catalog: exc": "a message of the JSON reader or of GramLattice; neither quotes "
                     "more than a few digits of a value",
     "catalog: exc.strerror": "the operating system's message",
+    "catalog: first": "a list index",
     "catalog: i": "a list index",
     "catalog: len(problems) - 1": "a count of validate messages",
     "catalog: len(rows)": "the length of a list in memory",
