@@ -39,6 +39,8 @@ from fourfold.model import (
 )
 
 CATALOG_VERSION = 1
+# The version every CLI report and search line carries.
+REPORT_VERSION = 1
 
 # The name of a user atom: what the expression parser reads as an identifier.
 IDENTIFIER = r"[A-Za-z][A-Za-z0-9_]*"

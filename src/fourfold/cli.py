@@ -31,6 +31,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, TypeVar, Union
 
 from fourfold import catalog, einstein, errors, monopole, parser, surgery
+from fourfold.catalog import REPORT_VERSION
 from fourfold.certify import (
     Certificate,
     Verdict,
@@ -44,8 +45,6 @@ from fourfold.errors import CapacityError, FourfoldError, int_str_limit
 from fourfold.model import Manifold, SparseMatrix, validate
 from fourfold.monopole import Inconclusive
 from fourfold.symbolic import SymbolicValue
-
-REPORT_VERSION = 1
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -154,7 +153,10 @@ def _build_argparser() -> _CliParser:
     p = sub.add_parser("beta2", help="exact beta^2 over the monopole hull")
     p.add_argument("expr")
 
-    p = sub.add_parser("search", help="geography search for Einstein-obstructed sums")
+    p = sub.add_parser("search", help="geography search for Einstein-obstructed sums",
+                       description="Geography search for Einstein-obstructed sums.  Its "
+                                   "atoms are the built-ins: a --catalog file is read "
+                                   "and checked as for every command, but not searched.")
     p.add_argument("--mode", choices=("spin", "nonspin"), required=True)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
@@ -217,9 +219,10 @@ def _sym_json(value: Union[SymbolicValue, Inconclusive],
     return doc
 
 
-# One encoder for every search line and for the scalars of every indented
-# report: it holds no state between calls, and a report has no cycles to check
-# for.  Its output is that of ``json.dumps(doc, sort_keys=True)``.
+# One encoder for every search tie line and for the scalars of every indented
+# report (a search's hit lines come finished from ``einstein``): it holds no
+# state between calls, and a report has no cycles to check for.  Its output is
+# that of ``json.dumps(doc, sort_keys=True)``.
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
@@ -338,9 +341,17 @@ def _beta2_report(split: surgery.Split) -> dict:
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     m = _evaluate(args, args.expr)
-    approx = args.approx
     k = _rational(args.k, "--k")
     c4 = _c4(args)
+    # the derived values print what the sum's size gives, such as b+ of a piece
+    _emit(_rendered("a number in the invariants report",
+                    lambda: _invariants_report(args, m, k, c4)))
+    return EXIT_OK
+
+
+def _invariants_report(args: argparse.Namespace, m: Manifold, k: Fraction,
+                       c4: Fraction) -> dict:
+    approx = args.approx
     doc: dict = {
         "version": REPORT_VERSION,
         "kind": "invariants",
@@ -382,8 +393,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     doc["sv_interval"] = ({"inconclusive": sv.reason} if isinstance(sv, Inconclusive)
                           else _rendered("an end of the simplicial-volume interval",
                                          sv.to_json, "--c4", args.c4))
-    _emit(doc)
-    return EXIT_OK
+    return doc
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -422,31 +432,27 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_beta2(args: argparse.Namespace) -> int:
-    beta = _beta2_report(surgery.split_blowdown(_evaluate(args, args.expr)))
+    m = _evaluate(args, args.expr)
+    beta = _rendered("a number in the beta2 report",
+                     lambda: _beta2_report(surgery.split_blowdown(m)))
     _emit({"version": REPORT_VERSION, "kind": "beta2", "expr": args.expr,
            "beta_squared": beta})
     return EXIT_INCONCLUSIVE if "inconclusive" in beta else EXIT_OK
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    _load_env(args)  # a bad --catalog fails here too; the search sums built-ins only
     c4 = _c4(args)
     fn = (einstein.search_spin_examples if args.mode == "spin"
           else einstein.search_nonspin_examples)
-    encode, write = _LINE_ENCODER.encode, sys.stdout.write
-
-    def emit(hit: einstein.SearchHit) -> None:
-        doc = hit.to_json()
-        doc["version"] = REPORT_VERSION
-        doc["kind"] = "search-hit"
-        write(encode(doc) + "\n")
-
-    # The search hands on each hit before it builds the next, so its line is
-    # written as the scan runs; the ties follow the hits.
-    outcome = fn(args.g, args.h, args.mmax, args.nmax, c4, emit=emit)
+    write = sys.stdout.write
+    # The search hands on each hit's finished line before it certifies the
+    # next hit, so the line is written as the scan runs; the ties follow.
+    outcome = fn(args.g, args.h, args.mmax, args.nmax, c4, emit=write)
     for m, n, l in outcome.inconclusive:
-        write(encode({"version": REPORT_VERSION, "kind": "search-inconclusive",
-                      "mode": args.mode, "m": m, "n": n, "l": l,
-                      "reason": "pi^2 enclosure tie"}) + "\n")
+        write(_LINE_ENCODER.encode({"version": REPORT_VERSION, "kind": "search-inconclusive",
+                                    "mode": args.mode, "m": m, "n": n, "l": l,
+                                    "reason": "pi^2 enclosure tie"}) + "\n")
     return EXIT_INCONCLUSIVE if outcome.inconclusive else EXIT_OK
 
 

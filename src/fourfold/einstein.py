@@ -20,17 +20,27 @@ decide, chi and tau, and ``ght`` the simplicial-volume interval, so a
 geography search certifies each hit without building its sum: a cell
 (m, n) splits its range of l into hits, ties and failures by bisection
 (``_decided_runs``), builds one connected sum, and steps chi, tau and the
-name from it to each hit.
+name from it to each hit.  Each hit's premise decisions are made from its
+own integers (``_ght_decisions``, the sign of 2chi - 3|tau|, and
+3*lhs >= x for the corollary).  The first hit of a cell with a given tuple
+of decisions gets its certificates from the three functions here and its
+v1 line from ``json``; every later one fills that line's slots
+(``_SLOTS``) with its own l, name, gap and lhs.  So certificate texts,
+citations and verdicts have one source, and no certificate is built per
+hit.
 """
 
 from __future__ import annotations
 
+import json
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Sequence, Union
 
-from fourfold.catalog import catalog_get
+from fourfold.catalog import REPORT_VERSION, catalog_get
 from fourfold.certify import (
     Certificate,
     Premise,
@@ -113,6 +123,28 @@ def _describe(decision: Optional[bool]) -> str:
     return "tie (enclosure too coarse)" if decision is None else str(decision)
 
 
+def _ght_decisions(chi: int, gap: int, sv: SvInterval, strict: bool
+                   ) -> tuple[Optional[bool], Optional[bool], Optional[bool], Optional[bool]]:
+    """The pi^2 decisions ``ght`` makes for Euler characteristic chi and
+    gap = 2chi - 3|tau|: the upper end, the lower end, Gromov's inequality,
+    and whether the non-strict lower-end condition is violated, which is
+    asked only when the upper end fails (None otherwise)."""
+    # gap >= 16 f c4 / (81 pi^2)  <=>  81 gap pi^2 >= 16 f c4.  With
+    # c4 = num/den, each comparison is scaled by den (against c4) or num
+    # (against 1/c4), both positive, so it is decided on integers with the
+    # same answer and the same ties.
+    f, num, den = sv.factor, sv.c4.numerator, sv.c4.denominator
+    upper = pi2_greater(81 * gap * den, 16 * f * num, strict=strict)
+    lower = pi2_greater(81 * gap * num, 16 * f * den, strict=strict)
+    gromov = pi2_greater(2592 * chi * den, 16 * f * num, strict=False)
+    # Violation must be judged against the non-strict necessary condition at
+    # the smallest possible simplicial volume; a sum passing at the upper end
+    # skips it.
+    violated = (None if upper is True
+                else pi2_greater(81 * gap * num, 16 * f * den, strict=False) is False)
+    return upper, lower, gromov, violated
+
+
 def ght(chi: int, tau: int, sv: Union[SvInterval, Inconclusive],
         strict: bool = True) -> Certificate:
     """Gromov-Hitchin-Thorpe: 2chi - 3|tau| >= ||M|| / (81 pi^2), for a
@@ -132,14 +164,7 @@ def ght(chi: int, tau: int, sv: Union[SvInterval, Inconclusive],
             citation="Gromov-Hitchin-Thorpe inequality")
     gap = 2 * chi - 3 * abs(tau)
     f, c4 = sv.factor, sv.c4
-    # gap >= 16 f c4 / (81 pi^2)  <=>  81 gap pi^2 >= 16 f c4.  With
-    # c4 = num/den, each comparison is scaled by den (against c4) or num
-    # (against 1/c4), both positive, so it is decided on integers with the
-    # same answer and the same ties.
-    num, den = c4.numerator, c4.denominator
-    upper = pi2_greater(81 * gap * den, 16 * f * num, strict=strict)
-    lower = pi2_greater(81 * gap * num, 16 * f * den, strict=strict)
-    gromov = pi2_greater(2592 * chi * den, 16 * f * num, strict=False)
+    upper, lower, gromov, violated = _ght_decisions(chi, gap, sv, strict)
     rel = ">" if strict else ">="
     premises = (
         Premise(f"2chi - 3|tau| {rel} (upper sv end)/(81 pi^2)", upper is True,
@@ -152,10 +177,7 @@ def ght(chi: int, tau: int, sv: Union[SvInterval, Inconclusive],
     )
     if upper is True:
         verdict = Verdict.NOT_OBSTRUCTED
-    # Violation must be judged against the non-strict necessary condition at
-    # the smallest possible simplicial volume; it is only asked when the
-    # upper end fails, so a passing sum (every search hit) skips it.
-    elif pi2_greater(81 * gap * num, 16 * f * den, strict=False) is False:
+    elif violated:
         verdict = Verdict.OBSTRUCTED
         # An Obstructed certificate carries only passed premises, and
         # Gromov's inequality fails whenever chi < 0: keep it only if it held.
@@ -202,6 +224,16 @@ def einstein_obstruction(m: Manifold) -> Certificate:
         citation="Einstein obstruction via monopole-class curvature bounds")
 
 
+def _corollary_lhs(n: int, k: int, l1: int, l2: int) -> int:
+    """The corollary's left side 4(n + l1 + k) + l2."""
+    return 4 * (n + l1 + k) + l2
+
+
+def _corollary_bracket(parts: Sequence[Manifold], k: int, g: int, h: int) -> int:
+    """The bracket on the corollary's right, sum(2chi+3tau) + 4k(1-h)(1-g)."""
+    return sum(p.two_chi_plus_3tau() for p in parts) + 4 * k * (1 - h) * (1 - g)
+
+
 def corollary_obstruction(parts: Sequence[Manifold], k: int, g: int, h: int,
                           l1: int, l2: int) -> Certificate:
     """Specialized Einstein obstruction for
@@ -225,9 +257,7 @@ def corollary_obstruction(parts: Sequence[Manifold], k: int, g: int, h: int,
             raise PremiseError(f"{shown(p.name)} is not symplectic")
         if p.char.b_plus % 4 != 3:
             raise PremiseError(f"{shown(p.name)} has b+ = {shown(p.char.b_plus)} != 3 (mod 4)")
-    total = sum(p.two_chi_plus_3tau() for p in parts)
-    lhs = 4 * (n + l1 + k) + l2
-    x = total + 4 * k * (1 - h) * (1 - g)
+    lhs, x = _corollary_lhs(n, k, l1, l2), _corollary_bracket(parts, k, g, h)
     obstructed = 3 * lhs >= x
     rhs = Fraction(x, 3)
     premises = (
@@ -322,29 +352,6 @@ def exotic_pair(x: Manifold, xprime: Manifold) -> Certificate:
 
 
 @dataclass(frozen=True)
-class SearchHit:
-    mode: str                  # "spin" | "nonspin"
-    m: int
-    n: int
-    l: int                     # l1 (spin) or l2 (nonspin)
-    manifold_name: str
-    sv: SvInterval
-    certificates: tuple[Certificate, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "m": self.m,
-            "n": self.n,
-            ("l1" if self.mode == "spin" else "l2"): self.l,
-            "manifold": self.manifold_name,
-            "sv": self.sv.to_json(),
-            "certificates": [c.to_json() for c in self.certificates],
-            "family_note": _FAMILY_NOTE,
-        }
-
-
-@dataclass(frozen=True)
 class SearchOutcome:
     """The (m, n, l) keys of a search's hits and of its ties, in key order."""
     hits: tuple[tuple[int, int, int], ...]
@@ -427,8 +434,46 @@ def _decided_runs(ls: range, last: int, den: int, b: int) -> tuple[range, range]
     return ls[:ties_from], ls[ties_from:fails_from]
 
 
+# The per-hit numbers of a hit's line, each found by the JSON around it: l,
+# the manifold name (a JSON string), 2chi - 3|tau| in the Hitchin-Thorpe and
+# Gromov-Hitchin-Thorpe witnesses, and the corollary's lhs.  A number is never
+# found by its value alone: the line "lhs = 16, rhs = 16" holds 16 twice.
+_SLOTS = re.compile(
+    r'(?<="l[12]": )(?P<l>\d+)(?=, "m": )'
+    r'|(?<="manifold": )(?P<name>"(?:[^"\\]|\\.)*")(?=, "mode": )'
+    r'|(?:(?<=2chi - 3\|tau\| = )|(?<=2chi-3\|tau\| = ))(?P<gap>-?\d+)(?="|, factor = )'
+    r'|(?<=lhs = )(?P<lhs>-?\d+)(?=, rhs = )')
+
+
+def _hit_line(mode: str, m: int, n: int, l: int, name: str, sv: SvInterval,
+              certs: tuple[Certificate, ...]) -> str:
+    """The v1 search-hit line of the hit at (m, n, l), newline included."""
+    return json.dumps({
+        "version": REPORT_VERSION,
+        "kind": "search-hit",
+        "mode": mode,
+        "m": m,
+        "n": n,
+        ("l1" if mode == "spin" else "l2"): l,
+        "manifold": name,
+        "sv": sv.to_json(),
+        "certificates": [c.to_json() for c in certs],
+        "family_note": _FAMILY_NOTE,
+    }, sort_keys=True) + "\n"
+
+
+def _template(line: str) -> str:
+    """``line`` as a %-format with a mapping key for each of its slots."""
+    parts, at = [], 0
+    for slot in _SLOTS.finditer(line):
+        parts += (line[at:slot.start()].replace("%", "%%"), f"%({slot.lastgroup})s")
+        at = slot.end()
+    parts.append(line[at:].replace("%", "%%"))
+    return "".join(parts)
+
+
 def _search(mode: str, g: int, h: int, m_max: int, n_max: int, c4: Fraction,
-            emit: Callable[[SearchHit], object]) -> SearchOutcome:
+            emit: Callable[[str], object]) -> SearchOutcome:
     if g < 3 or h < 3 or g % 2 == 0 or h % 2 == 0:
         raise PremiseError(f"the searches need odd g, h >= 3; got {shown(f'({g},{h})')}")
     _check_search_size(mode, g, h, m_max, n_max)
@@ -449,7 +494,7 @@ def _search(mode: str, g: int, h: int, m_max: int, n_max: int, c4: Fraction,
     keys: list[tuple[int, int, int]] = []
     ties: list[tuple[int, int, int]] = []
     # Cells in (m, n) order, each with l upward: hits and ties come in key
-    # order, so each hit is handed on as soon as its certificates are built.
+    # order, so each hit's line is handed on as soon as it is written.
     for m, n in sorted(_spin_cells(m_max, n_max)):
         lo, last = _l_range(mode, n, big_g)
         # Each mode has a second pi^2 inequality,
@@ -470,17 +515,32 @@ def _search(mode: str, g: int, h: int, m_max: int, n_max: int, c4: Fraction,
             # no other piece has the atom's name, so a hit's record counts l of it
             at = [name for name, _ in record].index(last_atom)
             head, tail = record[:at], record[at + 1:]
+            x = _corollary_bracket(pieces[:2], 1, g, h)
+            # A hit's line is fixed by the decisions its certificates make,
+            # but for its slots (see _SLOTS).  The first hit of the cell with
+            # given decisions builds the certificates and the line; every
+            # later one fills that line's template with its own numbers.
+            templates: dict[tuple, str] = {}
             for l in hit_ls:
                 hit_chi, hit_tau = chi + (l - lo) * step_chi, tau + (l - lo) * step_tau
+                gap = 2 * hit_chi - 3 * abs(hit_tau)
                 l1, l2 = (l, 0) if mode == "spin" else (0, l)
-                certs = (
-                    hitchin_thorpe(hit_chi, hit_tau),
-                    ght(hit_chi, hit_tau, sv, strict=True),
-                    corollary_obstruction(pieces[:2], k=1, g=g, h=h, l1=l1, l2=l2),
-                )
+                # n = 2 parts, Gompf(m,n) and Y(1), and k = 1, as below
+                lhs = _corollary_lhs(2, 1, l1, l2)
+                decisions = ((gap > 0) - (gap < 0), 3 * lhs >= x,
+                             *_ght_decisions(hit_chi, gap, sv, True))
                 name = record_name(head + ((last_atom, l),) + tail)
-                emit(SearchHit(mode=mode, m=m, n=n, l=l, manifold_name=name, sv=sv,
-                               certificates=certs))
+                template = templates.get(decisions)
+                if template is None:
+                    certs = (
+                        hitchin_thorpe(hit_chi, hit_tau),
+                        ght(hit_chi, hit_tau, sv, strict=True),
+                        corollary_obstruction(pieces[:2], k=1, g=g, h=h, l1=l1, l2=l2),
+                    )
+                    template = templates[decisions] = _template(
+                        _hit_line(mode, m, n, l, name, sv, certs))
+                emit(template % {"l": l, "name": encode_basestring_ascii(name), "gap": gap,
+                                 "lhs": lhs})
                 keys.append((m, n, l))
         ties.extend((m, n, l) for l in tie_ls)
     return SearchOutcome(hits=tuple(keys), inconclusive=tuple(ties))
@@ -488,28 +548,32 @@ def _search(mode: str, g: int, h: int, m_max: int, n_max: int, c4: Fraction,
 
 def search_spin_examples(g: int, h: int, m_max: int, n_max: int,
                          c4: Fraction, *,
-                         emit: Callable[[SearchHit], object]) -> SearchOutcome:
+                         emit: Callable[[str], object]) -> SearchOutcome:
     """All (m, n, l1) with m >= 2, n >= 1, 4m + 2n - 1 = 3 (mod 4), l1 >= 1
     whose spin connected sum
     Gompf(m,n) # Y(l) # (Sigma_g x Sigma_h) # l1 (S1 x S3)
     has nonzero simplicial volume, strictly satisfies Gromov-Hitchin-Thorpe,
     and carries no Einstein metric for any l.
 
-    Each hit goes to ``emit`` in key order, one call per hit, before the
-    certificates of the next hit are built, so the search holds no hit it
-    has handed on.  The outcome holds the keys of the hits and of the ties.
+    Each hit's v1 ``search-hit`` line, newline included, goes to ``emit``
+    in key order, one call per hit, before the next hit is decided, so the
+    search holds no line it has handed on.  The outcome holds the keys of
+    the hits and of the ties.
 
     A cell (m, n) decides its first inequality by bisection over l, builds
     its connected sum once, at its first l, and derives each hit's chi, tau
-    and name from it; so its cost grows with the cells and, per hit, with
-    the hit's certificates alone."""
+    and name from it.  Per hit it makes its premise decisions (three or
+    four ``pi2_greater`` calls) and fills a line template; the certificates
+    are built once per cell and outcome shape, for the template.  So its
+    cost grows with the cells and, per hit, with those decisions and one
+    string fill."""
     return _search("spin", g, h, m_max, n_max, c4, emit)
 
 
 def search_nonspin_examples(g: int, h: int, m_max: int, n_max: int,
                             c4: Fraction, *,
-                            emit: Callable[[SearchHit], object]) -> SearchOutcome:
+                            emit: Callable[[str], object]) -> SearchOutcome:
     """Non-spin analogue: Gompf(m,n) # Y(l) # (Sigma_g x Sigma_h) # l2 CP2bar
-    with l2 >= 1 (one blow-up already kills spin-ness).  Hits go to ``emit``
-    as in :func:`search_spin_examples`."""
+    with l2 >= 1 (one blow-up already kills spin-ness).  Hit lines go to
+    ``emit`` as in :func:`search_spin_examples`."""
     return _search("nonspin", g, h, m_max, n_max, c4, emit)

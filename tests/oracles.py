@@ -18,9 +18,10 @@ block-diagonal builders spell out the Gram matrix and s-matrix that the
 library keeps as blocks of nonzero entries, and
 ``json.dump(indent=2)`` writes, from those dense rows, the reports the CLI
 streams through its own indenting writer, and the geography search that
-decides every l, builds every hit's own connected sum, collects the hits and
-sorts them is the reference for the search that bisects each cell, builds
-one sum per cell and hands its hits on one at a time.
+decides every l, builds every hit's own connected sum and certificates,
+collects the hits and sorts them is the reference for the search that
+bisects each cell, builds one sum per cell, fills each hit's line from a
+template built once per outcome shape, and hands the lines on one at a time.
 
 The last section holds what the tests check that no production path calls:
 the paper's Dirac-index parity lemma and c1 = 0 classification, the 2^n
@@ -34,7 +35,7 @@ import functools
 import itertools
 import json
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -437,12 +438,39 @@ def nonspin_tuple_certified(m: int, n: int, l2: int, g: int, h: int,
 
 # -- the geography search collected, then sorted: reference for the stream ---
 
+
+@dataclass(frozen=True)
+class SearchHit:
+    """One hit of the per-hit reference search, with its own certificates."""
+    mode: str                  # "spin" | "nonspin"
+    m: int
+    n: int
+    l: int                     # l1 (spin) or l2 (nonspin)
+    manifold_name: str
+    sv: einstein.SvInterval
+    certificates: tuple[Certificate, ...]
+
+    def to_json(self) -> dict:
+        return {
+            "mode": self.mode,
+            "m": self.m,
+            "n": self.n,
+            ("l1" if self.mode == "spin" else "l2"): self.l,
+            "manifold": self.manifold_name,
+            "sv": self.sv.to_json(),
+            "certificates": [c.to_json() for c in self.certificates],
+            "family_note": einstein._FAMILY_NOTE,
+        }
+
+
 def hit_for_tuple(mode: str, m: int, n: int, g: int, h: int, l: int,
-                  pieces, c4: Fraction) -> einstein.SearchHit:
+                  pieces, c4: Fraction) -> SearchHit:
     """The hit at (m, n, l) from the fetched pieces Gompf(m,n), Y(1),
     Sigma(g,h) and S1xS3 (spin, l = l1) or CP2bar (non-spin, l = l2), with
-    its own connected sum: the per-l reference for the search, which builds
-    one sum per cell and steps chi, tau and the name from it."""
+    its own connected sum and its own three certificates: the per-hit
+    reference for the search, which builds one sum per cell, steps chi, tau
+    and the name from it, and fills each hit's line from a template built
+    once per cell and outcome shape."""
     l1, l2 = (l, 0) if mode == "spin" else (0, l)
     manifold = connected_sum(pieces, counts=[1, 1, 1, l])
     chi, tau, sv = manifold.euler(), manifold.signature(), simplicial_volume(manifold, c4)
@@ -451,8 +479,8 @@ def hit_for_tuple(mode: str, m: int, n: int, g: int, h: int, l: int,
         einstein.ght(chi, tau, sv, strict=True),
         einstein.corollary_obstruction(pieces[:2], k=1, g=g, h=h, l1=l1, l2=l2),
     )
-    return einstein.SearchHit(mode=mode, m=m, n=n, l=l, manifold_name=manifold.name,
-                              sv=sv, certificates=certs)
+    return SearchHit(mode=mode, m=m, n=n, l=l, manifold_name=manifold.name,
+                     sv=sv, certificates=certs)
 
 
 def search_by_sorting(mode: str, g: int, h: int, m_max: int, n_max: int, c4=1):

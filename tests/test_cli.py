@@ -291,6 +291,22 @@ def test_catalog_refuses_a_repeated_name(capsys, tmp_path):
             1, "", "fourfold: error: manifolds[2]: field 'name' repeats manifolds[0]\n")
 
 
+def test_search_reads_the_catalog_but_sums_the_built_ins(capsys, tmp_path):
+    """``search`` reads --catalog as every other command does: a missing
+    file ends in the same one line, with no output.  A good file leaves the
+    search as it is, since its atoms are the built-ins, even when the file
+    holds an atom named S1xS3."""
+    search = _search_argv("spin", 3, 3, 2, 2)
+    missing = str(tmp_path / "missing.json")
+    code, out, err = _run(capsys, "--catalog", missing, "build", "K3")
+    assert (code, out) == (1, "") and err.startswith("fourfold: error: ")
+    assert _run(capsys, "--catalog", missing, *search) == (1, "", err)
+    plain = _run(capsys, *search)
+    assert plain[0] == 0 and plain[1].count("\n") == 4
+    shadowing = str(_xns_catalog(tmp_path, ("Xns", "S1xS3")))
+    assert _run(capsys, "--catalog", shadowing, *search) == plain
+
+
 def test_an_atom_reports_its_own_name_as_its_record(capsys, tmp_path):
     """A document's summand record is not read: an atom made from
     ``catalog K3`` and renamed is its own single summand."""
@@ -963,6 +979,18 @@ def test_a_witness_past_the_int_str_limit_is_one_error_line(capsys, schema, theo
     if theorem in ("bauer", "hitchin-thorpe", "ght"):
         assert err == (f"fourfold: error: a number in the {theorem} certificate has more "
                        f"than {_INT_STR_LIMIT} digits\n")
+
+
+@pytest.mark.parametrize("command", ["invariants", "beta2"])
+def test_a_derived_value_past_the_int_str_limit_is_one_error_line(capsys, command):
+    """Each Sigma parameter prints, but b+ of the product, which the
+    non-vanishing premises quote, does not: the report is refused in one
+    line naming it, not in the interpreter's own words."""
+    nines = "9" * 2200
+    code, out, err = _run(capsys, command, f"Sigma({nines},{nines}) # K3")
+    assert (code, out) == (1, "")
+    assert err == (f"fourfold: error: a number in the {command} report has more than "
+                   f"{_INT_STR_LIMIT} digits\n")
 
 
 def test_a_certificate_invariant_error_keeps_its_own_line(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import gc
 import inspect
+import json
 import math
 import random
 import weakref
@@ -47,6 +48,8 @@ from oracles import (
     mpmath_pi2_enclosure,
     nonspin_tuple_certified,
     pi2_greater_by_division,
+    search_by_sorting,
+    search_lines,
     spin_tuple_certified,
 )
 
@@ -459,12 +462,22 @@ def test_exotic_pair_errors():
     assert cert.verdict is Verdict.INCONCLUSIVE  # 3-piece xprime
 
 
+def _l(hit: dict) -> int:
+    """The l of a parsed search-hit line: l1 (spin) or l2 (non-spin)."""
+    return hit["l1" if hit["mode"] == "spin" else "l2"]
+
+
 def collect(search, *args):
-    """(the hits ``search(*args)`` hands to its ``emit``, in order, and its
-    outcome).  The hits are those the outcome lists."""
-    hits = []
-    outcome = search(*args, emit=hits.append)
-    assert [(hit.m, hit.n, hit.l) for hit in hits] == list(outcome.hits)
+    """(the lines ``search(*args)`` hands to its ``emit``, parsed, in order,
+    and its outcome).  Each line is one newline-ended v1 search-hit report,
+    and the hits are those the outcome lists."""
+    lines = []
+    outcome = search(*args, emit=lines.append)
+    assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+    hits = [json.loads(line) for line in lines]
+    assert all((hit["version"], hit["kind"]) == (catalog.REPORT_VERSION, "search-hit")
+               for hit in hits)
+    assert [(hit["m"], hit["n"], _l(hit)) for hit in hits] == list(outcome.hits)
     return hits, outcome
 
 
@@ -481,14 +494,14 @@ def test_spin_search_contains_expected_tuple():
 def test_spin_search_hits_reverify_and_certify():
     hits, out = collect(search_spin_examples, 3, 3, 4, 6, Fraction(1))
     for hit in hits:
-        assert spin_tuple_certified(hit.m, hit.n, hit.l, 3, 3, Fraction(1))
-        assert hit.sv.factor > 0
-        by_id = {c.theorem_id: c for c in hit.certificates}
-        assert by_id["hitchin-thorpe"].verdict is Verdict.NOT_OBSTRUCTED
-        assert all(p.passed for p in by_id["hitchin-thorpe"].premises)
-        assert by_id["ght"].verdict is Verdict.NOT_OBSTRUCTED
-        assert by_id["einstein-special"].verdict is Verdict.OBSTRUCTED
-        assert "infinitely many" in hit.to_json()["family_note"]
+        assert spin_tuple_certified(hit["m"], hit["n"], _l(hit), 3, 3, Fraction(1))
+        assert hit["sv"]["factor"] > 0
+        by_id = {c["theorem_id"]: c for c in hit["certificates"]}
+        assert by_id["hitchin-thorpe"]["verdict"] == Verdict.NOT_OBSTRUCTED.value
+        assert all(p["pass"] for p in by_id["hitchin-thorpe"]["premises"])
+        assert by_id["ght"]["verdict"] == Verdict.NOT_OBSTRUCTED.value
+        assert by_id["einstein-special"]["verdict"] == Verdict.OBSTRUCTED.value
+        assert "infinitely many" in hit["family_note"]
     # every certified tuple is found: cross-check against a direct scan
     direct = [(m, n, l) for m in range(2, 5) for n in range(1, 7)
               if (4 * m + 2 * n - 1) % 4 == 3
@@ -499,11 +512,11 @@ def test_spin_search_hits_reverify_and_certify():
 
 def test_nonspin_search_range():
     hits, _ = collect(search_nonspin_examples, 3, 3, 2, 2, Fraction(1))
-    l2s = sorted(h.l for h in hits if h.n == 2)
+    l2s = sorted(_l(h) for h in hits if h["n"] == 2)
     assert l2s == list(range(1, 20))
     for hit in hits:
-        assert nonspin_tuple_certified(hit.m, hit.n, hit.l, 3, 3, Fraction(1))
-        assert hit.manifold_name.count("CP2bar") == 1  # "l2*CP2bar" piece
+        assert nonspin_tuple_certified(hit["m"], hit["n"], _l(hit), 3, 3, Fraction(1))
+        assert hit["manifold"].count("CP2bar") == 1  # "l2*CP2bar" piece
 
 
 def test_nonspin_in22_never_prunes_at_default_constant(monkeypatch):
@@ -574,7 +587,7 @@ def test_search_inconclusive_on_engineered_tie(monkeypatch):
     monkeypatch.setattr(symbolic, "PI_DIGIT_CAP", 50)
     capped_hits, capped = collect(search_spin_examples, 3, 3, 2, 2, TIE_C4)
     assert (2, 2, 1) in capped.inconclusive
-    assert [hit.to_json() for hit in capped_hits] == [hit.to_json() for hit in hits]
+    assert capped_hits == hits
 
 
 def assert_cell_order_independent(g, h, m_max, n_max, c4):
@@ -591,8 +604,7 @@ def assert_cell_order_independent(g, h, m_max, n_max, c4):
             mp.setattr(einstein, "_spin_cells",
                        lambda m, n, order=order: order(cells(m, n)))
             again_hits, again = collect(search_spin_examples, g, h, m_max, n_max, c4)
-        assert ([hit.to_json() for hit in again_hits]
-                == [hit.to_json() for hit in baseline_hits])
+        assert again_hits == baseline_hits
         assert again.inconclusive == baseline.inconclusive
     return baseline_hits, baseline
 
@@ -604,8 +616,7 @@ def test_search_cell_order_determinism(monkeypatch):
     monkeypatch.setattr(symbolic, "PI_DIGIT_CAP", 50)
     capped_hits, capped = assert_cell_order_independent(3, 3, 4, 6, TIE_C4)
     assert capped.inconclusive
-    assert ([hit.to_json() for hit in capped_hits]
-            == [hit.to_json() for hit in decided_hits])
+    assert capped_hits == decided_hits
 
 
 def test_geography_grid_is_decided_at_50_digits(monkeypatch):
@@ -645,7 +656,7 @@ def test_search_fetches_each_atom_once_per_call(monkeypatch):
     calls.clear()
     again_hits, _ = collect(search_nonspin_examples, 7, 7, 4, 6, Fraction(1))
     assert len(calls) == count
-    assert [hit.to_json() for hit in again_hits] == [hit.to_json() for hit in first_hits]
+    assert again_hits == first_hits
 
 
 def _unhashable(base: type) -> type:
@@ -659,9 +670,11 @@ def _cells_with_a_hit(keys) -> int:
 
 
 def test_search_hashes_atoms_once_and_certifies_each_hit_once(monkeypatch):
-    """Hashing an atom reads only its name, every hit goes through the
-    module-level certificate functions once, and every cell with a hit
-    through the module-level connected_sum once."""
+    """Hashing an atom reads only its name, every hit's decisions are made
+    once, the module-level certificate functions run once per template (one
+    per cell and outcome shape, so once per cell with a hit on this grid),
+    and every cell with a hit goes through the module-level connected_sum
+    once."""
     sigma = catalog_get("Sigma(3,3)")
     guarded = replace(
         sigma, lattice=_unhashable(GramLattice)(sigma.lattice.basis_labels, sigma.lattice.gram),
@@ -675,7 +688,7 @@ def test_search_hashes_atoms_once_and_certifies_each_hit_once(monkeypatch):
 
     fetched = []
     calls = dict.fromkeys(("connected_sum", "hitchin_thorpe", "ght",
-                           "corollary_obstruction"), 0)
+                           "corollary_obstruction", "_template", "_ght_decisions"), 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -687,8 +700,8 @@ def test_search_hashes_atoms_once_and_certifies_each_hit_once(monkeypatch):
         monkeypatch.setattr(einstein, name, counting(name, getattr(einstein, name)))
     monkeypatch.setattr(einstein, "catalog_get",
                         lambda block_id: fetched.append(block_id) or catalog_get(block_id))
-    # pi^2 decisions made inside ght: every hit passes at the upper end, so
-    # ght skips the lower-end violation test and asks at most three
+    # pi^2 decisions made inside ght: every template's hit passes at the
+    # upper end, so ght skips the lower-end violation test and asks three
     in_ght, verdicts, pi2_in_ght = [], [], [0]
     counted_ght = einstein.ght
 
@@ -710,10 +723,13 @@ def test_search_hashes_atoms_once_and_certifies_each_hit_once(monkeypatch):
     keys = collect(search_nonspin_examples, 7, 7, 4, 6, Fraction(1))[1].hits
     hits, cells = len(keys), _cells_with_a_hit(keys)
     assert hits > 100 and fetched and 1 < cells < hits
-    assert calls == {"connected_sum": cells, "hitchin_thorpe": hits, "ght": hits,
-                     "corollary_obstruction": hits}
-    assert verdicts == [Verdict.NOT_OBSTRUCTED] * hits
-    assert pi2_in_ght[0] <= 3 * hits
+    # each hit's ght decisions once in the scan, and once more in the ght
+    # call that builds each template
+    assert calls == {"connected_sum": cells, "hitchin_thorpe": cells, "ght": cells,
+                     "corollary_obstruction": cells, "_template": cells,
+                     "_ght_decisions": hits + cells}
+    assert verdicts == [Verdict.NOT_OBSTRUCTED] * cells
+    assert pi2_in_ght[0] == 3 * cells
 
 
 def test_search_keeps_nothing_after_it_returns(monkeypatch):
@@ -738,7 +754,7 @@ def test_search_keeps_nothing_after_it_returns(monkeypatch):
     monkeypatch.setattr(einstein, "connected_sum", summed)
     emitted = []
     outcome = search_nonspin_examples(7, 7, 4, 6, Fraction(1),
-                                      emit=lambda hit: emitted.append(hit.l))
+                                      emit=lambda line: emitted.append(len(line)))
     assert len(outcome.hits) > 100 and len(emitted) == len(outcome.hits)
     # four blocks per cell's sum, one sum per cell with a hit
     assert len(refs) > 4 * _cells_with_a_hit(outcome.hits) > 4
@@ -750,11 +766,12 @@ def test_search_keeps_nothing_after_it_returns(monkeypatch):
 
 
 def test_search_hands_on_each_hit_before_it_builds_the_next_sum(monkeypatch):
-    """Each hit reaches ``emit`` before the certificates of the next hit are
-    built, and before the sum of the next cell: the k-th call of ``emit``
-    comes after exactly 3k certificate calls, and after as many sums as the
-    first k hits have cells."""
-    built, certified, at_emit = [0], [0], []
+    """Each hit reaches ``emit`` before the decisions of the next hit are
+    made, and before the sum of the next cell.  With c the number of cells
+    the first k hits have (one template per cell on this grid), the k-th
+    call of ``emit`` comes after exactly k + c ght decision rounds (one per
+    hit, one in each template's ght), 3c certificate calls and c sums."""
+    built, certified, decided, at_emit = [0], [0], [0], []
 
     def counting(counter, fn):
         def wrapper(*args, **kwargs):
@@ -765,11 +782,15 @@ def test_search_hands_on_each_hit_before_it_builds_the_next_sum(monkeypatch):
     monkeypatch.setattr(einstein, "connected_sum", counting(built, connected_sum))
     for name in ("hitchin_thorpe", "ght", "corollary_obstruction"):
         monkeypatch.setattr(einstein, name, counting(certified, getattr(einstein, name)))
+    monkeypatch.setattr(einstein, "_ght_decisions",
+                        counting(decided, einstein._ght_decisions))
     outcome = search_nonspin_examples(
-        7, 7, 4, 6, Fraction(1), emit=lambda hit: at_emit.append((certified[0], built[0])))
+        7, 7, 4, 6, Fraction(1),
+        emit=lambda line: at_emit.append((decided[0], certified[0], built[0])))
     keys = outcome.hits
     assert len(keys) > 1000
-    assert at_emit == [(3 * k, _cells_with_a_hit(keys[:k])) for k in range(1, len(keys) + 1)]
+    cells = [_cells_with_a_hit(keys[:k]) for k in range(1, len(keys) + 1)]
+    assert at_emit == [(k + c, 3 * c, c) for k, c in enumerate(cells, 1)]
 
 
 def _scan_size(mode, g, h, m_max, n_max):
@@ -883,6 +904,7 @@ def test_merged_scan_poses_each_modes_inequality(mode, c4, monkeypatch):
     the paper's question at its l is answered True, and a tie exactly when
     it is answered None (TIE_C4 with 50 digits of pi^2 makes ties)."""
     in_ght, scan = [], []
+    ght_decisions = einstein._ght_decisions
 
     def pi2_recorded(a, b, strict=True):
         decision = pi2_greater(a, b, strict=strict)
@@ -893,12 +915,13 @@ def test_merged_scan_poses_each_modes_inequality(mode, c4, monkeypatch):
     def ght_flagged(*args, **kwargs):
         in_ght.append(True)
         try:
-            return ght(*args, **kwargs)
+            return ght_decisions(*args, **kwargs)
         finally:
             in_ght.pop()
 
     monkeypatch.setattr(einstein, "pi2_greater", pi2_recorded)
-    monkeypatch.setattr(einstein, "ght", ght_flagged)
+    # every hit's ght decisions, made by the scan and by each template's ght
+    monkeypatch.setattr(einstein, "_ght_decisions", ght_flagged)
     if c4 == TIE_C4:
         monkeypatch.setattr(symbolic, "PI_DIGIT_CAP", 50)
     search = search_spin_examples if mode == "spin" else search_nonspin_examples
@@ -974,6 +997,79 @@ def test_bisected_cells_match_the_per_l_scan(mode, g, h, monkeypatch):
     # TIE_C4 ties the first inequality at l = w(2n - 3), which is at or
     # past the floor only when 4n >= G; here n <= 6
     assert (ties > 0) == ((g - 1) * (h - 1) <= 24)
+
+
+def _assert_same_lines(lines, text):
+    """The lines join to ``text``, compared line by line, so that a mismatch
+    is reported by its first differing line and not by a diff of megabytes."""
+    want = text.splitlines(keepends=True)
+    assert len(lines) == len(want)
+    for line, wanted in zip(lines, want):
+        assert line == wanted
+
+
+@pytest.mark.parametrize("mode", ["spin", "nonspin"])
+@pytest.mark.parametrize("g, h", [(3, 3), (3, 5), (5, 7), (7, 7), (9, 9)])
+def test_search_lines_match_the_per_hit_oracle(mode, g, h):
+    """On the grid of ``test_bisected_cells_match_the_per_l_scan``, ties
+    included, the lines the search hands to ``emit`` are byte for byte those
+    of the oracle, which builds every hit's own sum and certificates; so
+    are the tie keys.  A cell's oracle result does not depend on m_max or
+    n_max, so the oracle runs once at the largest and is cut to each cell
+    set."""
+    search = search_spin_examples if mode == "spin" else search_nonspin_examples
+    runs = [(c4, None) for c4 in _GRID_C4] + [(TIE_C4, 50)]
+    ties = 0
+    for c4, cap in runs:
+        with pytest.MonkeyPatch.context() as mp:
+            if cap is not None:
+                mp.setattr(symbolic, "PI_DIGIT_CAP", cap)
+            all_hits, all_ties = search_by_sorting(mode, g, h, 4, 7, c4)
+            for m_max in (2, 3, 4):
+                for n_max in range(1, 8):
+                    lines = []
+                    outcome = search(g, h, m_max, n_max, c4, emit=lines.append)
+                    hits = [hit for hit in all_hits if hit.m <= m_max and hit.n <= n_max]
+                    _assert_same_lines(lines, search_lines(mode, hits, []))
+                    assert list(outcome.inconclusive) == [
+                        key for key in all_ties if key[0] <= m_max and key[1] <= n_max]
+                    ties += len(outcome.inconclusive)
+    assert (ties > 0) == ((g - 1) * (h - 1) <= 24)
+
+
+def test_a_second_outcome_shape_gets_its_own_template(monkeypatch):
+    """No grid in the tests gives a cell two outcome shapes, so one is
+    forced: the Gromov question of one hit answers tie.  That hit's line
+    shows the tie, and it and the next hit's line equal the oracle's; the
+    cell builds two templates, and the next hit is filled from the first."""
+    g = h = 3
+    hits, _ = search_by_sorting("spin", g, h, 2, 2, 1)
+    at = len(hits) // 2
+    forced = hits[at]
+    assert at + 1 < len(hits) and forced.certificates[1].premises[2].passed
+    cell_sum = connected_sum([catalog_get(f"Gompf({forced.m},{forced.n})"), catalog_get("Y(1)"),
+                              catalog_get(f"Sigma({g},{h})"), S1XS3], [1, 1, 1, forced.l])
+    # 2592 chi pi^2 >= 16 factor c4, as ght asks it, at c4 = 1
+    gromov_q = (2592 * cell_sum.euler(), 16 * forced.sv.factor, False)
+
+    def pi2_tied(p, q, strict=True):
+        return None if (p, q, strict) == gromov_q else pi2_greater(p, q, strict=strict)
+
+    monkeypatch.setattr(einstein, "pi2_greater", pi2_tied)
+    templates = []
+    monkeypatch.setattr(einstein, "_template",
+                        lambda line, build=einstein._template: templates.append(line)
+                        or build(line))
+    lines = []
+    search_spin_examples(g, h, 2, 2, Fraction(1), emit=lines.append)
+    oracle_hits, _ = search_by_sorting("spin", g, h, 2, 2, 1)
+    oracle = search_lines("spin", oracle_hits, []).splitlines(keepends=True)
+    assert lines[at:at + 2] == oracle[at:at + 2]
+    _assert_same_lines(lines, "".join(oracle))
+    assert json.loads(lines[at])["certificates"][1]["premises"][2] == {
+        "pass": False, "text": "Gromov: chi >= (upper sv end)/(2592 pi^2)",
+        "witness": "2592*chi*pi^2 >= 16*factor*c4: tie (enclosure too coarse)"}
+    assert templates == [lines[0], lines[at]] and at > 0
 
 
 @pytest.mark.parametrize("mode", ["spin", "nonspin"])
